@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use acme_sim_core::dist::{Categorical, Distribution, LogNormal};
-use acme_sim_core::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use acme_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use acme_telemetry::Cdf;
 use acme_workload::WorkloadGenerator;
 
@@ -28,9 +28,8 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 
     // The steady-state shape every simulation loop hits: a bounded pending
-    // set with relative timers, drained through the deadline-checked pop.
-    // Exercises `with_capacity`, `schedule_in`, and the single-probe
-    // `pop_before` fast paths together.
+    // set with relative timers, each pop scheduling the next arrival.
+    // Exercises the `with_capacity` and `schedule_in` fast paths together.
     c.bench_function("event_queue/throughput_steady_state_10k", |b| {
         let mut rng = SimRng::new(5);
         let delays: Vec<u64> = (0..10_000).map(|_| 1 + rng.below(10_000)).collect();
@@ -44,8 +43,7 @@ fn bench_event_queue(c: &mut Criterion) {
             },
             |mut q| {
                 let mut next = 64usize;
-                let deadline = SimTime::from_secs(1_000_000);
-                while let Some((_, i)) = q.pop_before(deadline) {
+                while let Some((_, i)) = q.pop() {
                     black_box(i);
                     if next < delays.len() {
                         q.schedule_in(SimDuration::from_micros(delays[next]), next);
@@ -56,43 +54,6 @@ fn bench_event_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-}
-
-/// The classic hold model for priority-queue comparison: keep the pending
-/// set at a fixed size while the loop pops the earliest event and schedules
-/// a replacement a random delay out. Runs the shipped calendar queue
-/// against the retained binary-heap oracle at 1k / 100k / 1M pending
-/// events — the regime where the heap's `O(log n)` per operation separates
-/// from the calendar's `O(1)`.
-fn bench_event_queue_hold(c: &mut Criterion) {
-    /// 64 hold operations per timed iteration.
-    const OPS: usize = 64;
-
-    macro_rules! hold {
-        ($b:expr, $n:expr, $q:expr) => {{
-            let mut rng = SimRng::new(7);
-            let mut q = $q;
-            for i in 0..$n {
-                q.schedule_in(SimDuration::from_micros(1 + rng.below(1_000_000)), i);
-            }
-            let mut next = $n;
-            $b.iter(|| {
-                for _ in 0..OPS {
-                    let (_, e) = q.pop().expect("held set never empties");
-                    black_box(e);
-                    q.schedule_in(SimDuration::from_micros(1 + rng.below(1_000_000)), next);
-                    next += 1;
-                }
-            });
-        }};
-    }
-
-    for n in [1_000usize, 100_000, 1_000_000] {
-        let mut group = c.benchmark_group(&format!("event_queue/hold_{n}"));
-        group.bench_function("calendar", |b| hold!(b, n, EventQueue::with_capacity(n)));
-        group.bench_function("heap", |b| hold!(b, n, HeapEventQueue::with_capacity(n)));
-        group.finish();
-    }
 }
 
 fn bench_cdf(c: &mut Criterion) {
@@ -195,7 +156,6 @@ fn bench_workload_generation(c: &mut Criterion) {
 criterion_group!(
     kernel,
     bench_event_queue,
-    bench_event_queue_hold,
     bench_cdf,
     bench_rng,
     bench_workload_generation

@@ -23,9 +23,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Default for `--noise-floor`: regressions smaller than this many
-/// milliseconds are ignored outright — timer noise, not signal. Dumps made
-/// of sub-millisecond kernels (the event-queue hold bench) lower it.
+/// Regressions smaller than this many milliseconds are ignored outright —
+/// timer noise, not signal.
 const NOISE_FLOOR_MS: f64 = 1.0;
 
 /// Extract `(id, ms)` pairs from a timings dump. Tolerant of whitespace
@@ -84,12 +83,10 @@ struct Args {
     baseline: String,
     current: String,
     factor: f64,
-    noise_floor_ms: f64,
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut baseline, mut current, mut factor) = (None, None, 2.0f64);
-    let mut noise_floor_ms = NOISE_FLOOR_MS;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline = Some(args.next().ok_or("--baseline needs a path")?),
@@ -101,13 +98,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                     return Err("--factor must be >= 1.0".into());
                 }
             }
-            "--noise-floor" => {
-                let v = args.next().ok_or("--noise-floor needs a value (ms)")?;
-                noise_floor_ms = v.parse().map_err(|_| format!("bad noise floor: {v}"))?;
-                if noise_floor_ms.is_nan() || noise_floor_ms < 0.0 {
-                    return Err("--noise-floor must be >= 0".into());
-                }
-            }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -115,7 +105,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         baseline: baseline.ok_or("--baseline is required")?,
         current: current.ok_or("--current is required")?,
         factor,
-        noise_floor_ms,
     })
 }
 
@@ -136,14 +125,13 @@ fn regressions(
     baseline: &BTreeMap<String, f64>,
     current: &BTreeMap<String, f64>,
     factor: f64,
-    noise_floor_ms: f64,
 ) -> Vec<(String, f64, f64)> {
     let mut bad = Vec::new();
     for (id, &base_ms) in baseline {
         let Some(&cur_ms) = current.get(id) else {
             continue; // experiment removed/renamed: not a perf regression
         };
-        if cur_ms > base_ms * factor && cur_ms - base_ms > noise_floor_ms {
+        if cur_ms > base_ms * factor && cur_ms - base_ms > NOISE_FLOOR_MS {
             bad.push((id.clone(), base_ms, cur_ms));
         }
     }
@@ -155,9 +143,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: bench_guard --baseline PATH --current PATH [--factor F] [--noise-floor MS]"
-            );
+            eprintln!("usage: bench_guard --baseline PATH --current PATH [--factor F]");
             return ExitCode::FAILURE;
         }
     };
@@ -184,7 +170,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let bad = regressions(&baseline, &current, args.factor, args.noise_floor_ms);
+    let bad = regressions(&baseline, &current, args.factor);
     if bad.is_empty() {
         println!(
             "bench_guard: {} experiment(s) within {}x of baseline",
@@ -299,10 +285,10 @@ mod tests {
         let mut cur = base.clone();
         // Within factor: fine.
         cur.insert("data".into(), 90.0);
-        assert!(regressions(&base, &cur, 2.0, NOISE_FLOOR_MS).is_empty());
+        assert!(regressions(&base, &cur, 2.0).is_empty());
         // Past factor: flagged.
         cur.insert("data".into(), 120.0);
-        let bad = regressions(&base, &cur, 2.0, NOISE_FLOOR_MS);
+        let bad = regressions(&base, &cur, 2.0);
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].0, "data");
     }
@@ -314,16 +300,14 @@ mod tests {
         let mut cur = BTreeMap::new();
         // 5x "regression" but only 0.8 ms of it: ignored.
         cur.insert("tiny".to_string(), 1.0);
-        assert!(regressions(&base, &cur, 2.0, NOISE_FLOOR_MS).is_empty());
-        // A lowered floor (sub-millisecond kernel dumps) does flag it.
-        assert_eq!(regressions(&base, &cur, 2.0, 0.001).len(), 1);
+        assert!(regressions(&base, &cur, 2.0).is_empty());
     }
 
     #[test]
     fn missing_current_entry_is_not_a_regression() {
         let base = parse_timings(SAMPLE).unwrap();
         let cur = BTreeMap::new();
-        assert!(regressions(&base, &cur, 2.0, NOISE_FLOOR_MS).is_empty());
+        assert!(regressions(&base, &cur, 2.0).is_empty());
     }
 
     #[test]
@@ -334,7 +318,7 @@ mod tests {
         // Not in the baseline: surfaced by name…
         assert_eq!(unbaselined(&base, &cur), vec!["storm".to_string()]);
         // …but never counted as a regression, however slow it is.
-        assert!(regressions(&base, &cur, 2.0, NOISE_FLOOR_MS).is_empty());
+        assert!(regressions(&base, &cur, 2.0).is_empty());
         // Established ids don't show up as new.
         assert!(unbaselined(&base, &base).is_empty());
     }
@@ -348,27 +332,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.factor, 3.0);
-        assert_eq!(ok.noise_floor_ms, NOISE_FLOOR_MS);
-        let floored = parse_args(
-            [
-                "--baseline",
-                "a",
-                "--current",
-                "b",
-                "--noise-floor",
-                "0.001",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert_eq!(floored.noise_floor_ms, 0.001);
-        assert!(parse_args(
-            ["--baseline", "a", "--current", "b", "--noise-floor", "-1"]
-                .iter()
-                .map(|s| s.to_string())
-        )
-        .is_err());
         assert!(parse_args(["--baseline", "a"].iter().map(|s| s.to_string())).is_err());
         assert!(parse_args(
             ["--baseline", "a", "--current", "b", "--factor", "0.5"]

@@ -507,7 +507,6 @@ mod tests {
         runs[1].queue = acme_sim_core::stats::QueueStats {
             schedules: 12,
             pops: 11,
-            resizes: 1,
             max_depth: 5,
         };
         runs[1].net = acme_cluster::net::stats::NetStats {

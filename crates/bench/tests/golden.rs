@@ -1,226 +1,123 @@
 //! Golden-output regression test: the full `repro all --seed 42` report
-//! must hash to the committed digest. Any behavioural drift in any
-//! experiment — kernel rewrites included — shows up here before it shows
-//! up in a stale EXPERIMENTS.md.
+//! must equal the archived `docs/repro_seed42.txt` byte for byte. Any
+//! behavioural drift in any experiment — kernel rewrites included — shows
+//! up here, and the failure names the first `### id` block that drifted,
+//! went missing or appeared, so nobody has to diff the whole report.
 //!
-//! When an *intentional* output change lands, regenerate the digest with
-//! the command printed by the failure message and update the constant in
-//! the same commit that changes the output.
+//! When an *intentional* output change lands, regenerate the file with
+//! `repro all --seed 42 > docs/repro_seed42.txt` in the same commit.
 
-/// FNV-1a 64 over the report bytes (matches the repo's hashing idiom).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const GOLDEN: &str = include_str!("../../../docs/repro_seed42.txt");
+
+/// Split a report into its header and one `(id, block)` pair per
+/// experiment, in report order. A block runs from its `### id — title`
+/// line to the next one.
+fn blocks(report: &str) -> (&str, Vec<(&str, &str)>) {
+    let mut starts: Vec<usize> = report.match_indices("\n### ").map(|(i, _)| i + 1).collect();
+    let header = &report[..starts.first().copied().unwrap_or(report.len())];
+    starts.push(report.len());
+    let blocks = starts
+        .windows(2)
+        .map(|w| {
+            let block = &report[w[0]..w[1]];
+            let id = block["### ".len()..]
+                .split_whitespace()
+                .next()
+                .unwrap_or_default();
+            (id, block)
+        })
+        .collect();
+    (header, blocks)
+}
+
+/// `None` when `actual` equals `golden`; otherwise a message naming the
+/// first golden block that drifted or went missing, else the first extra
+/// block.
+fn first_drift(golden: &str, actual: &str) -> Option<String> {
+    if golden == actual {
+        return None;
     }
-    h
+    let (golden_header, golden_blocks) = blocks(golden);
+    let (actual_header, actual_blocks) = blocks(actual);
+    if golden_header != actual_header {
+        return Some(format!(
+            "the report header drifted: {actual_header:?}, golden {golden_header:?}"
+        ));
+    }
+    for &(id, g) in &golden_blocks {
+        let Some(a) = find(&actual_blocks, id) else {
+            return Some(format!("### {id} is missing"));
+        };
+        if g != a {
+            let n = g
+                .lines()
+                .zip(a.lines())
+                .take_while(|(gl, al)| gl == al)
+                .count();
+            let line = |b: &str| b.lines().nth(n).unwrap_or("<end of block>").to_owned();
+            return Some(format!(
+                "### {id} drifted at its line {}:\n  golden: {}\n  actual: {}",
+                n + 1,
+                line(g),
+                line(a)
+            ));
+        }
+    }
+    Some(
+        actual_blocks
+            .iter()
+            .find(|b| find(&golden_blocks, b.0).is_none())
+            .map_or("the blocks are reordered or repeated".to_owned(), |b| {
+                format!("### {} is extra", b.0)
+            }),
+    )
 }
 
-/// Digest of `render_report(42, <pre-storm registry>)` at default scale —
-/// the exact bytes `repro all --seed 42` produced before the `storm`
-/// experiment was appended. The registry keeps `storm` last precisely so
-/// this historical digest stays checkable: swapping the benign
-/// `RecoveryOrchestrator` into the development pipeline must not move a
-/// single byte of any pre-existing experiment.
-const GOLDEN_SEED42_DIGEST: u64 = 0xaf5b_e879_f4df_5a65;
-
-/// Digest of `render_report(42, <pre-evalstorm registry>)` — the exact
-/// bytes `repro all --seed 42` produced when `storm` was the last
-/// experiment, before `evalstorm` was appended. Pins down that rebuilding
-/// the evaluation coordinator as a discrete-event simulation moved no byte
-/// of any earlier experiment.
-const GOLDEN_SEED42_PRE_EVALSTORM_DIGEST: u64 = 0x89fd_d346_f56a_626e;
-
-/// Digest of `render_report(42, <pre-fleet registry>)` — the exact bytes
-/// `repro all --seed 42` produced when `evalstorm` was the last
-/// experiment, before `fleet` was appended. Pins down that the streaming
-/// generator rewrite and the sketch-backed telemetry switch moved no byte
-/// of any earlier experiment.
-const GOLDEN_SEED42_PRE_FLEET_DIGEST: u64 = 0x5c06_5f6d_e10d_5238;
-
-/// Digest of `render_report(42, <pre-blame registry>)` — the exact bytes
-/// `repro all --seed 42` produced when `fleet` was the last experiment,
-/// before `blame` was appended. Pins down that the flight-recorder
-/// instrumentation (spans/counters threaded through the storm runner, the
-/// fault-tolerant coordinator, the pipeline trainer, and the event queue)
-/// moved no byte of any earlier experiment while tracing is off.
-const GOLDEN_SEED42_PRE_BLAME_DIGEST: u64 = 0x21de_a4b6_0c94_8e4a;
-
-/// Digest of `render_report(42, <pre-policylab registry>)` — the exact
-/// bytes `repro all --seed 42` produced when `blame` was the last
-/// experiment, before `policylab` was appended. Pins down that extracting
-/// the recovery strategies into `acme-policy` trait objects (checkpoint
-/// cadence, retry ladders, cordon strikes, repair turnaround, speculation,
-/// repacking) moved no byte of any earlier experiment: the default policy
-/// objects reproduce the previously hardwired arms exactly.
-const GOLDEN_SEED42_PRE_POLICYLAB_DIGEST: u64 = 0x7968_2b78_ff97_8646;
-
-/// Digest of `render_report(42, <pre-netstorm registry>)` — the exact
-/// bytes `repro all --seed 42` produced when `policylab` was the last
-/// experiment, before `netstorm` was appended. Pins down that routing the
-/// collective, checkpoint and probe prices through the fat-tree substrate
-/// moved no byte of any earlier experiment: on a healthy tree the derived
-/// bottleneck is the same float as the analytic constant, and the network
-/// fault stream only exists when a storm opts in.
-const GOLDEN_SEED42_PRE_NETSTORM_DIGEST: u64 = 0xae7c_4615_e9a3_39ad;
-
-/// Digest of the full `render_report(42, repro all)`, `netstorm`
-/// included.
-const GOLDEN_SEED42_FULL_DIGEST: u64 = 0xf76f_7703_f72b_6770;
-
-#[test]
-fn repro_all_seed42_pre_storm_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_storm: Vec<_> = selection
-        .into_iter()
-        .filter(|e| {
-            e.id != "storm"
-                && e.id != "evalstorm"
-                && e.id != "fleet"
-                && e.id != "blame"
-                && e.id != "policylab"
-                && e.id != "netstorm"
-        })
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_storm, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_DIGEST,
-        "seed-42 pre-storm report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_DIGEST:#018x}. The benign orchestrator (or another change) perturbed a \
-         pre-existing experiment. If the change is intentional, update GOLDEN_SEED42_DIGEST."
-    );
+/// The block with this id, if the report has one.
+fn find<'a>(blocks: &[(&str, &'a str)], id: &str) -> Option<&'a str> {
+    blocks.iter().find(|b| b.0 == id).map(|b| b.1)
 }
 
 #[test]
-fn repro_all_seed42_pre_evalstorm_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_evalstorm: Vec<_> = selection
-        .into_iter()
-        .filter(|e| {
-            e.id != "evalstorm"
-                && e.id != "fleet"
-                && e.id != "blame"
-                && e.id != "policylab"
-                && e.id != "netstorm"
-        })
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_evalstorm, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_PRE_EVALSTORM_DIGEST,
-        "seed-42 pre-evalstorm report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_PRE_EVALSTORM_DIGEST:#018x}. The event-driven coordinator rewrite (or \
-         another change) perturbed a pre-existing experiment. If the change is intentional, \
-         update GOLDEN_SEED42_PRE_EVALSTORM_DIGEST."
-    );
-}
-
-#[test]
-fn repro_all_seed42_pre_fleet_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_fleet: Vec<_> = selection
-        .into_iter()
-        .filter(|e| e.id != "fleet" && e.id != "blame" && e.id != "policylab" && e.id != "netstorm")
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_fleet, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_PRE_FLEET_DIGEST,
-        "seed-42 pre-fleet report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_PRE_FLEET_DIGEST:#018x}. The streaming-generator/sketch-telemetry \
-         rewrite (or another change) perturbed a pre-existing experiment. If the change is \
-         intentional, update GOLDEN_SEED42_PRE_FLEET_DIGEST."
-    );
-}
-
-#[test]
-fn repro_all_seed42_pre_blame_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_blame: Vec<_> = selection
-        .into_iter()
-        .filter(|e| e.id != "blame" && e.id != "policylab" && e.id != "netstorm")
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_blame, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_PRE_BLAME_DIGEST,
-        "seed-42 pre-blame report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_PRE_BLAME_DIGEST:#018x}. The flight-recorder instrumentation (or \
-         another change) perturbed a pre-existing experiment. If the change is intentional, \
-         update GOLDEN_SEED42_PRE_BLAME_DIGEST."
-    );
-}
-
-#[test]
-fn repro_all_seed42_pre_policylab_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_policylab: Vec<_> = selection
-        .into_iter()
-        .filter(|e| e.id != "policylab" && e.id != "netstorm")
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_policylab, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_PRE_POLICYLAB_DIGEST,
-        "seed-42 pre-policylab report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_PRE_POLICYLAB_DIGEST:#018x}. The policy-object extraction (or another \
-         change) perturbed a pre-existing experiment. If the change is intentional, update \
-         GOLDEN_SEED42_PRE_POLICYLAB_DIGEST."
-    );
-}
-
-#[test]
-fn repro_all_seed42_pre_netstorm_prefix_matches_historical_digest() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let pre_netstorm: Vec<_> = selection
-        .into_iter()
-        .filter(|e| e.id != "netstorm")
-        .collect();
-    let runs =
-        acme::experiments::run_selection(&pre_netstorm, acme::experiments::RunParams::new(42), 4);
-    let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_PRE_NETSTORM_DIGEST,
-        "seed-42 pre-netstorm report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_PRE_NETSTORM_DIGEST:#018x}. The network substrate (or another change) \
-         perturbed a pre-existing experiment. If the change is intentional, update \
-         GOLDEN_SEED42_PRE_NETSTORM_DIGEST."
-    );
-}
-
-#[test]
-fn repro_all_seed42_matches_golden_digest() {
+fn repro_all_seed42_matches_golden_file() {
     let selection = acme::experiments::select(&["all".to_string()]).unwrap();
     let runs =
         acme::experiments::run_selection(&selection, acme::experiments::RunParams::new(42), 4);
     let report = acme_bench::render_report(42, &runs);
-    let digest = fnv1a_64(report.as_bytes());
-    assert_eq!(
-        digest, GOLDEN_SEED42_FULL_DIGEST,
-        "seed-42 report drifted: digest {digest:#018x}, expected \
-         {GOLDEN_SEED42_FULL_DIGEST:#018x}. If the change is intentional, update \
-         GOLDEN_SEED42_FULL_DIGEST."
-    );
+    if let Some(drift) = first_drift(GOLDEN, &report) {
+        panic!(
+            "seed-42 report differs from docs/repro_seed42.txt: {drift}\nIf the change is \
+             intentional, regenerate the file with `repro all --seed 42 > docs/repro_seed42.txt`."
+        );
+    }
 }
 
 #[test]
-fn report_is_jobs_invariant() {
-    let selection = acme::experiments::select(&["all".to_string()]).unwrap();
-    let p = acme::experiments::RunParams::new(42);
-    let seq = acme_bench::render_report(42, &acme::experiments::run_selection(&selection, p, 1));
-    let par = acme_bench::render_report(42, &acme::experiments::run_selection(&selection, p, 8));
-    assert_eq!(seq, par);
+fn first_drift_names_the_first_changed_block() {
+    assert_eq!(first_drift(GOLDEN, GOLDEN), None);
+    let (_, golden_blocks) = blocks(GOLDEN);
+    assert_eq!(golden_blocks.len(), 42);
+    assert_eq!(golden_blocks[0].0, "table1");
+
+    let drifted = GOLDEN.replacen("Seren    128", "Seren    129", 1);
+    let drift = first_drift(GOLDEN, &drifted).unwrap();
+    assert!(
+        drift.starts_with("### table1 drifted at its line 4:"),
+        "{drift}"
+    );
+
+    let fig6 = find(&golden_blocks, "fig6").unwrap();
+    let missing = GOLDEN.replacen(fig6, "", 1);
+    assert_eq!(
+        first_drift(GOLDEN, &missing).unwrap(),
+        "### fig6 is missing"
+    );
+
+    let extra = GOLDEN.replacen(fig6, &format!("### fig99 — doctored\nx\n\n{fig6}"), 1);
+    assert_eq!(first_drift(GOLDEN, &extra).unwrap(), "### fig99 is extra");
+
+    let header = GOLDEN.replacen("seed 42", "seed 7", 1);
+    assert!(first_drift(GOLDEN, &header)
+        .unwrap()
+        .starts_with("the report header drifted"));
 }

@@ -17,9 +17,9 @@
 //! * [`max_min_rates`] — flow-level max-min fair bandwidth sharing via
 //!   progressive filling, the fairness model flow-level simulators
 //!   (htsim-style) use;
-//! * [`FlowSim`] — an event-driven flow scheduler on the sim-core
-//!   calendar-queue engine: rates are recomputed at every arrival and
-//!   completion, so flow finish times are exact under max-min sharing;
+//! * [`FlowSim`] — an event-driven flow scheduler on the sim-core event
+//!   queue: rates are recomputed at every arrival and completion, so flow
+//!   finish times are exact under max-min sharing;
 //! * [`NetFabric`] — the pricing adapter. On a healthy, non-oversubscribed
 //!   tree its per-GPU bottleneck is **byte-identical** to
 //!   [`FabricSpec::bottleneck_gbps`] (the differential tests pin this), so
@@ -434,14 +434,14 @@ pub struct FlowOutcome {
 
 /// Event-driven flow-level simulation over a [`NetFabric`]: max-min rates
 /// are recomputed at every arrival and completion, scheduled through the
-/// sim-core calendar queue, so finish times are exact under fair sharing
+/// sim-core event queue, so finish times are exact under fair sharing
 /// and byte-reproducible across runs.
 #[derive(Debug)]
 pub struct FlowSim<'a> {
     fabric: &'a NetFabric,
 }
 
-/// Calendar-queue events the flow scheduler processes.
+/// Events the flow scheduler processes.
 #[derive(Debug, Clone, Copy)]
 enum FlowEvent {
     Arrive(usize),

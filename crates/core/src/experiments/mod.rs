@@ -319,9 +319,6 @@ pub fn all() -> Vec<Experiment> {
             desc: "Hit rates and saved work from caching tokenized eval data.",
             run: |p| extensions::cache(p.seed),
         },
-        // Keep the newest experiments last: the pre-existing registry must
-        // stay a stable prefix so historical `repro all` output is
-        // unchanged before them.
         Experiment {
             id: "storm",
             title: "§6.1 stress: fault-storm recovery-policy ablation",

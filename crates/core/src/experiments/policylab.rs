@@ -20,13 +20,13 @@
 //! fan out through the shard pool and aggregate in grid order, so stdout
 //! is byte-identical at any `--jobs`. Sweep cells render 24-line log
 //! bundles (the diagnosis signature lines are always present); the legacy
-//! arms keep their 150-line bundles so every historical golden digest is
+//! arms keep their 150-line bundles, so the `storm` experiment's output is
 //! unchanged.
 
 use acme_failure::storm::{StormConfig, StormEngine};
 use acme_policy::{
     CheckpointChoice, CordonPolicy, FrontierPoint, RepairModel, RetryPolicy, SweepCell, SweepGrid,
-    SweepHarness,
+    SweepHarness, SweepOutcome,
 };
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
@@ -41,6 +41,9 @@ const SWEEP_NOISE_LINES: usize = 24;
 
 /// The seed axis the ISSUE pins: every sweep runs these three seeds.
 const SWEEP_SEEDS: [u64; 3] = [42, 7, 3];
+
+/// Index of the deployed full orchestrator in [`sweep_bundles`].
+const FULL_ARM: usize = 2;
 
 /// The policy bundles the lab sweeps. The first three are the legacy
 /// storm arms (at sweep log depth); the rest vary one policy dimension
@@ -58,7 +61,7 @@ pub fn sweep_bundles() -> Vec<StormPolicies> {
         b
     })
     .collect();
-    let full = v[2];
+    let full = v[FULL_ARM];
 
     let mut b = full;
     b.label = "full + Young/Daly ckpt";
@@ -249,17 +252,43 @@ pub fn policylab(p: RunParams) -> String {
         ]);
     }
 
-    let frontier_labels: Vec<&str> = sweep.frontier.iter().map(|&i| bundles[i].label).collect();
+    let labels: Vec<&str> = bundles.iter().map(|b| b.label).collect();
     format!(
-        "{}{}{}Pareto frontier over (goodput, human actions, wasted GPU-h), \
-         averaged across the seed x intensity plane: {}. No swept policy \
-         dominates the deployed full orchestrator — each frontier bundle \
-         buys one axis with another (rush repair trades pages for goodput, \
-         Young/Daly trades rollback for checkpoint traffic)\n",
+        "{}{}{}{}",
         summary.render(),
         frontier_table.render(),
         stages.render(),
-        frontier_labels.join("; "),
+        frontier_claim(&labels, &sweep),
+    )
+}
+
+/// The closing sentence: the Pareto frontier, then either that no bundle
+/// dominates the deployed full orchestrator or which bundles do.
+fn frontier_claim(labels: &[&str], sweep: &SweepOutcome) -> String {
+    let frontier: Vec<&str> = sweep.frontier.iter().map(|&i| labels[i]).collect();
+    let full = &sweep.per_policy[FULL_ARM];
+    let dominators: Vec<&str> = sweep
+        .per_policy
+        .iter()
+        .zip(labels)
+        .filter(|(p, _)| p.dominates(full))
+        .map(|(_, &label)| label)
+        .collect();
+    let verdict = if dominators.is_empty() {
+        "No swept policy dominates the deployed full orchestrator — each frontier bundle \
+         buys one axis with another (rush repair trades pages for goodput, Young/Daly \
+         trades rollback for checkpoint traffic)"
+            .to_owned()
+    } else {
+        format!(
+            "The deployed full orchestrator is off the frontier, dominated by {}",
+            dominators.join("; ")
+        )
+    };
+    format!(
+        "Pareto frontier over (goodput, human actions, wasted GPU-h), averaged across the \
+         seed x intensity plane: {}. {verdict}\n",
+        frontier.join("; ")
     )
 }
 
@@ -309,6 +338,48 @@ mod tests {
         assert!(
             bundles.iter().any(|b| b.repair.rush) && bundles.iter().any(|b| !b.repair.rush),
             "repair dimension"
+        );
+    }
+
+    #[test]
+    fn closing_claim_names_what_dominates_the_full_arm() {
+        let point = |goodput, manual_interventions, wasted_gpu_hours| FrontierPoint {
+            goodput,
+            manual_interventions,
+            wasted_gpu_hours,
+        };
+        let labels = ["naive", "retry", "full", "rush"];
+        let outcome = |per_policy: Vec<FrontierPoint>| SweepOutcome {
+            per_cell: Vec::new(),
+            frontier: acme_policy::pareto_frontier(&per_policy),
+            per_policy,
+        };
+        // Full arm trades axes with rush: both on the frontier.
+        let kept = outcome(vec![
+            point(0.5, 9.0, 90.0),
+            point(0.6, 5.0, 80.0),
+            point(0.8, 2.0, 40.0),
+            point(0.9, 4.0, 40.0),
+        ]);
+        assert_eq!(
+            frontier_claim(&labels, &kept),
+            "Pareto frontier over (goodput, human actions, wasted GPU-h), averaged across the \
+             seed x intensity plane: full; rush. No swept policy dominates the deployed full \
+             orchestrator — each frontier bundle buys one axis with another (rush repair trades \
+             pages for goodput, Young/Daly trades rollback for checkpoint traffic)\n"
+        );
+        // Rush now matches full on pages and beats it on goodput.
+        let dominated = outcome(vec![
+            point(0.5, 9.0, 90.0),
+            point(0.6, 5.0, 80.0),
+            point(0.8, 2.0, 40.0),
+            point(0.9, 2.0, 40.0),
+        ]);
+        assert_eq!(
+            frontier_claim(&labels, &dominated),
+            "Pareto frontier over (goodput, human actions, wasted GPU-h), averaged across the \
+             seed x intensity plane: rush. The deployed full orchestrator is off the frontier, \
+             dominated by rush\n"
         );
     }
 

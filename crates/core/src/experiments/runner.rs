@@ -46,7 +46,7 @@ pub struct ExperimentRun {
     /// empty unless `RunParams::trace` was set and the experiment is
     /// instrumented.
     pub trace: Vec<acme_obs::TraceChunk>,
-    /// Event-queue activity (schedules/pops/resizes/peak depth) summed
+    /// Event-queue activity (schedules/pops/peak depth) summed
     /// over every queue the experiment dropped, for `--timings-json`.
     pub queue: acme_sim_core::stats::QueueStats,
     /// Network-substrate activity (flows routed through the fat tree,

@@ -281,9 +281,9 @@ mod tests {
 
     /// The coordinator keys its queue with [`SimTime::from_ordered_secs_f64`]
     /// — an order-preserving bit transform, not a quantization — so the
-    /// calendar queue's bucket math must keep exact `total_cmp` order and
-    /// FIFO ties for arbitrary `f64` second values. This pins the contract
-    /// the whole evaluation subsystem's determinism rests on.
+    /// event queue must pop in exact `total_cmp` order, with FIFO ties, for
+    /// arbitrary `f64` second values. This pins the contract the whole
+    /// evaluation subsystem's determinism rests on.
     #[test]
     fn ordered_f64_keys_drain_in_total_cmp_order() {
         let mut queue: EventQueue<usize> = EventQueue::new();

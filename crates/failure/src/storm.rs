@@ -124,7 +124,7 @@ pub struct NetStormEvent {
 }
 
 /// Knobs of the network fault surface, [`None`] by default so legacy
-/// campaigns (and every historical golden digest) are byte-identical.
+/// campaigns are byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetStormConfig {
     /// Fat-tree radix the fault coordinates index into (power of two

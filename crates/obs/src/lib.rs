@@ -19,11 +19,6 @@
 //! actually on. `repro all` without `--trace` must produce byte-identical
 //! stdout and indistinguishable wall time — CI's bench gate pins this.
 //!
-//! The [`Sink`] trait abstracts the destination: [`Recorder`] buffers
-//! events in memory (the only sink the harness uses), [`NullSink`] drops
-//! them (useful to type-erase "tracing off" where a `&mut dyn Sink` is
-//! required).
-//!
 //! # Determinism
 //!
 //! Events carry simulated timestamps, never wall-clock ones, so a recording
@@ -90,21 +85,6 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// Destination for recorded events.
-pub trait Sink {
-    /// Accept one event.
-    fn record(&mut self, ev: TraceEvent);
-}
-
-/// A sink that drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline]
-    fn record(&mut self, _ev: TraceEvent) {}
-}
-
 /// An in-memory event buffer — the recording side of the flight recorder.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -133,13 +113,6 @@ impl Recorder {
             label: label.into(),
             events: self.events,
         }
-    }
-}
-
-impl Sink for Recorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
     }
 }
 
@@ -185,7 +158,7 @@ impl<'a> Rec<'a> {
         args: &[(&'static str, ArgValue)],
     ) {
         if let Some(r) = self.0.as_deref_mut() {
-            r.record(TraceEvent {
+            r.events.push(TraceEvent {
                 ts_secs,
                 phase,
                 name: name.to_owned(),
@@ -460,15 +433,6 @@ mod tests {
         rec.counter(3.0, "z", 9);
         rec.end(4.0, "x");
         assert!(!rec.enabled());
-        // And a NullSink swallows events.
-        let mut null = NullSink;
-        null.record(TraceEvent {
-            ts_secs: 0.0,
-            phase: Phase::Instant,
-            name: "n".into(),
-            cat: "",
-            args: vec![],
-        });
     }
 
     #[test]

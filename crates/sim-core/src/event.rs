@@ -5,79 +5,58 @@
 //! many components schedule work at identical timestamps (e.g. a batch of
 //! evaluation trials submitted "simultaneously", exactly as §3.2 describes).
 //!
-//! # Implementation: a calendar queue
-//!
-//! [`EventQueue`] is a bucketed calendar queue (Brown 1988), not a binary
-//! heap. Pending events live in an arena of slots recycled through a free
-//! list, and a power-of-two array of buckets indexes them by *time slice*:
-//! slice `s = key >> width_shift` maps to bucket `s & (nbuckets - 1)`, so a
-//! bucket holds one slice per calendar "year". Scheduling is O(1): compute
-//! the bucket, push the slot index. Popping walks slices from the cursor
-//! (the slice of the last popped event) and extracts the `(time, seq)`
-//! minimum of the first slice that has one; with the adaptive sizing below,
-//! that walk touches O(1) buckets and O(1) entries on the workloads a
-//! simulation produces. The schedule→pop cycle allocates nothing once the
-//! arena and bucket vectors have warmed up.
-//!
-//! **Adaptive resize.** The bucket count doubles when occupancy exceeds two
-//! events per bucket and halves below one per four, and every resize
-//! re-derives the bucket width from the pending population: width ≈ 4× the
-//! mean inter-event gap, rounded to a power of two so the slice of a key is
-//! a shift, never a division. That makes a calendar year (nbuckets × width)
-//! span roughly the whole pending horizon, which is what keeps the pop walk
-//! short. If the next event is still beyond a year (a pathologically skewed
-//! schedule), pop falls back to a direct search for the global minimum.
-//!
-//! **Determinism.** The queue orders events by the total order
-//! `(time, seq)` where `seq` is the insertion sequence number; every
-//! extraction compares full `(time, seq)` keys, so the result order is
-//! independent of bucket internals, resize history, and hash-free by
-//! construction — exactly the order the historical binary-heap
-//! implementation produced. The bucket mapping uses the raw `u64` key only
-//! monotonically (shift and mask), so it is agnostic to what the key
-//! encodes: integer microseconds and the ordered-`f64` bit encoding used by
-//! the evaluation coordinator both work.
-//!
-//! The heap implementation survives as [`HeapEventQueue`] (compiled for
-//! tests and under the `heap-oracle` feature) and serves as the
-//! differential-testing oracle and the benchmark baseline.
+//! [`EventQueue`] is a binary heap ordered by the total order
+//! `(time, seq)`, where `seq` is the insertion sequence number. It compares
+//! raw `u64` keys only, so integer microseconds and the ordered-`f64` bit
+//! encoding used by the evaluation coordinator both pop in key order. No
+//! simulation in the workspace holds more than a few thousand pending
+//! events, where the heap's `O(log n)` is as fast as any bucketed queue
+//! (DESIGN.md §7).
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::stats::QueueStats;
 use crate::time::SimDuration;
 use crate::time::SimTime;
 
-/// Smallest bucket-array size; also the size the queue starts at.
-const MIN_BUCKETS: usize = 4;
-
-/// One pending event in the arena. `event` is `None` while the slot sits on
-/// the free list.
 #[derive(Debug)]
-struct Slot<E> {
+struct Scheduled<E> {
     time: SimTime,
     seq: u64,
-    event: Option<E>,
+    event: E,
 }
 
-/// A deterministic future-event list: a calendar queue with an arena/free
-/// list for its slots and exact `(time, seq)` FIFO tie-breaking.
+// BinaryHeap is a max-heap; invert the ordering to pop earliest-first,
+// breaking ties by insertion sequence.
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+/// A deterministic future-event list: a binary heap with exact
+/// `(time, seq)` FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Slot arena; indices in `buckets` and `free` point into it.
-    slots: Vec<Slot<E>>,
-    /// Recycled slot indices — reused before the arena grows.
-    free: Vec<u32>,
-    /// Power-of-two bucket array of slot indices.
-    buckets: Vec<Vec<u32>>,
-    /// `buckets.len() - 1`.
-    mask: usize,
-    /// log2 of the bucket width in raw key units.
-    width_shift: u32,
-    /// Slice the cursor is parked in. Invariant: every pending key is
-    /// `>= now`, hence in a slice `>= cur_slice`, so the pop walk never
-    /// needs to look behind it.
-    cur_slice: u64,
-    /// Pending event count (the arena may be larger).
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
     /// Lifetime activity counters, absorbed into the thread-local
@@ -104,34 +83,15 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with room for `capacity` pending events before any
-    /// arena reallocation — callers that know their event population (one
-    /// event per job, per trial, per failure) should prefer this
-    /// constructor.
+    /// reallocation — callers that know their event population (one event
+    /// per job, per trial, per failure) should prefer this constructor.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            mask: MIN_BUCKETS - 1,
-            // ~1 ms slices to start with; the first resize re-derives the
-            // width from the events actually pending.
-            width_shift: 10,
-            cur_slice: 0,
-            len: 0,
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
             stats: QueueStats::ZERO,
         }
-    }
-
-    /// This queue's lifetime activity counters.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Reserve room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional);
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -172,380 +132,44 @@ impl<E> EventQueue<E> {
     }
 
     #[inline]
-    fn slice_of(&self, key: u64) -> u64 {
-        key >> self.width_shift
-    }
-
-    #[inline]
-    fn bucket_of_slice(&self, slice: u64) -> usize {
-        (slice as usize) & self.mask
-    }
-
-    #[inline]
     fn push_unchecked(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
+        self.heap.push(Scheduled {
+            time: at,
+            seq: self.next_seq,
+            event,
+        });
         self.next_seq += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                s.time = at;
-                s.seq = seq;
-                s.event = Some(event);
-                i
-            }
-            None => {
-                debug_assert!(self.slots.len() < u32::MAX as usize);
-                let i = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    time: at,
-                    seq,
-                    event: Some(event),
-                });
-                i
-            }
-        };
-        let b = self.bucket_of_slice(self.slice_of(at.as_micros()));
-        self.buckets[b].push(idx);
-        self.len += 1;
         self.stats.schedules += 1;
-        self.stats.max_depth = self.stats.max_depth.max(self.len as u64);
-        if self.len > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locate the earliest pending event by `(time, seq)`: returns its
-    /// bucket and position there. `None` when the queue is empty.
-    ///
-    /// Walks slices forward from the cursor for at most one calendar year;
-    /// the adaptive width makes that walk short in practice. Beyond a year
-    /// (next event pathologically far out) it degrades to a direct search.
-    fn locate_next(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut slice = self.cur_slice;
-        for _ in 0..=self.mask {
-            let b = self.bucket_of_slice(slice);
-            let bucket = &self.buckets[b];
-            if !bucket.is_empty() {
-                // Extract the (time, seq) minimum among this slice's
-                // entries; entries of other years share the bucket and are
-                // skipped. Comparing full keys makes the result independent
-                // of bucket-internal order.
-                let mut best: Option<(usize, SimTime, u64)> = None;
-                for (pos, &idx) in bucket.iter().enumerate() {
-                    let s = &self.slots[idx as usize];
-                    if self.slice_of(s.time.as_micros()) == slice {
-                        let better = match best {
-                            Some((_, bt, bs)) => (s.time, s.seq) < (bt, bs),
-                            None => true,
-                        };
-                        if better {
-                            best = Some((pos, s.time, s.seq));
-                        }
-                    }
-                }
-                if let Some((pos, _, _)) = best {
-                    return Some((b, pos));
-                }
-            }
-            slice = slice.wrapping_add(1);
-        }
-        // Nothing within a year of the cursor: direct search for the global
-        // minimum (len > 0 guarantees it exists).
-        let mut best: Option<(usize, usize, SimTime, u64)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (pos, &idx) in bucket.iter().enumerate() {
-                let s = &self.slots[idx as usize];
-                let better = match best {
-                    Some((_, _, bt, bs)) => (s.time, s.seq) < (bt, bs),
-                    None => true,
-                };
-                if better {
-                    best = Some((b, pos, s.time, s.seq));
-                }
-            }
-        }
-        best.map(|(b, pos, _, _)| (b, pos))
-    }
-
-    /// Remove the entry at `(bucket, pos)`, advancing the clock and cursor
-    /// to it and recycling its slot.
-    fn take(&mut self, b: usize, pos: usize) -> (SimTime, E) {
-        let idx = self.buckets[b].swap_remove(pos);
-        let slot = &mut self.slots[idx as usize];
-        let t = slot.time;
-        let e = slot.event.take().expect("bucket entry without an event");
-        self.free.push(idx);
-        self.len -= 1;
-        self.stats.pops += 1;
-        self.now = t;
-        self.cur_slice = self.slice_of(t.as_micros());
-        (t, e)
-    }
-
-    fn maybe_shrink(&mut self) {
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            self.resize(self.buckets.len() / 2);
-        }
-    }
-
-    /// Rebuild at `new_buckets` buckets, re-deriving the bucket width from
-    /// the pending population: ~4× the mean inter-event gap, rounded up to
-    /// a power of two. A calendar year then covers roughly the pending
-    /// horizon, keeping the pop walk short.
-    fn resize(&mut self, new_buckets: usize) {
-        debug_assert!(new_buckets.is_power_of_two());
-        self.stats.resizes += 1;
-        let mut entries: Vec<u32> = Vec::with_capacity(self.len);
-        let (mut min_k, mut max_k) = (u64::MAX, 0u64);
-        for bucket in &mut self.buckets {
-            for &idx in bucket.iter() {
-                let k = self.slots[idx as usize].time.as_micros();
-                min_k = min_k.min(k);
-                max_k = max_k.max(k);
-            }
-            entries.append(bucket);
-        }
-        if !entries.is_empty() {
-            let gap = ((max_k - min_k) / entries.len() as u64)
-                .saturating_mul(4)
-                .max(1);
-            // ceil(log2(gap)), capped so shifted slices stay meaningful.
-            self.width_shift = (64 - gap.leading_zeros()).min(62);
-        }
-        self.buckets.resize_with(new_buckets, Vec::new);
-        self.mask = new_buckets - 1;
-        self.cur_slice = self.slice_of(self.now.as_micros());
-        for idx in entries {
-            let b = self.bucket_of_slice(self.slice_of(self.slots[idx as usize].time.as_micros()));
-            self.buckets[b].push(idx);
-        }
+        self.stats.max_depth = self.stats.max_depth.max(self.heap.len() as u64);
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (b, pos) = self.locate_next()?;
-        let out = self.take(b, pos);
-        self.maybe_shrink();
-        Some(out)
-    }
-
-    /// Pop the earliest event only if it fires at or before `deadline`.
-    ///
-    /// The locate step and the removal share one walk — this is the
-    /// innermost loop of every simulation run.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (b, pos) = self.locate_next()?;
-        if self.slots[self.buckets[b][pos] as usize].time > deadline {
-            return None;
-        }
-        let out = self.take(b, pos);
-        self.maybe_shrink();
-        Some(out)
+        let s = self.heap.pop()?;
+        self.stats.pops += 1;
+        self.now = s.time;
+        Some((s.time, s.event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_next()
-            .map(|(b, pos)| self.slots[self.buckets[b][pos] as usize].time)
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop every pending event (the clock is left where it is).
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.slots.clear();
-        self.free.clear();
-        self.len = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The historical binary-heap implementation: the differential-test oracle
-// and benchmark baseline.
-// ---------------------------------------------------------------------------
-
-/// The pre-calendar `BinaryHeap` implementation of the event queue, kept as
-/// the differential-testing oracle and benchmark baseline. Semantics are
-/// identical to [`EventQueue`] — time order with `(time, seq)` FIFO
-/// tie-breaking — so any divergence between the two is a bug in the
-/// calendar queue.
-#[cfg(any(test, feature = "heap-oracle"))]
-pub use heap_oracle::HeapEventQueue;
-
-#[cfg(any(test, feature = "heap-oracle"))]
-mod heap_oracle {
-    use std::cmp::Ordering;
-    use std::collections::binary_heap::PeekMut;
-    use std::collections::BinaryHeap;
-
-    use crate::time::{SimDuration, SimTime};
-
-    #[derive(Debug)]
-    struct Scheduled<E> {
-        time: SimTime,
-        seq: u64,
-        event: E,
-    }
-
-    // BinaryHeap is a max-heap; invert the ordering to pop earliest-first,
-    // breaking ties by insertion sequence.
-    impl<E> Ord for Scheduled<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    impl<E> PartialOrd for Scheduled<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<E> PartialEq for Scheduled<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-
-    impl<E> Eq for Scheduled<E> {}
-
-    /// A deterministic future-event list over a binary heap.
-    #[derive(Debug)]
-    pub struct HeapEventQueue<E> {
-        heap: BinaryHeap<Scheduled<E>>,
-        next_seq: u64,
-        now: SimTime,
-    }
-
-    impl<E> Default for HeapEventQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> HeapEventQueue<E> {
-        /// An empty queue positioned at `t = 0`.
-        pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                now: SimTime::ZERO,
-            }
-        }
-
-        /// An empty queue with room for `capacity` pending events.
-        pub fn with_capacity(capacity: usize) -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::with_capacity(capacity),
-                next_seq: 0,
-                now: SimTime::ZERO,
-            }
-        }
-
-        /// The time of the most recently popped event.
-        pub fn now(&self) -> SimTime {
-            self.now
-        }
-
-        /// Schedule `event` at absolute time `at`.
-        ///
-        /// # Panics
-        /// Panics if `at` is in the simulated past.
-        pub fn schedule(&mut self, at: SimTime, event: E) {
-            assert!(
-                at >= self.now,
-                "scheduled into the past: {} < now {}",
-                at.as_micros(),
-                self.now.as_micros()
-            );
-            self.push_unchecked(at, event);
-        }
-
-        /// Schedule `event` after `delay` from the current clock.
-        #[inline]
-        pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-            let at = self.now + delay;
-            self.push_unchecked(at, event);
-        }
-
-        /// Schedule `event` at the current clock instant.
-        #[inline]
-        pub fn schedule_now(&mut self, event: E) {
-            self.push_unchecked(self.now, event);
-        }
-
-        #[inline]
-        fn push_unchecked(&mut self, at: SimTime, event: E) {
-            self.heap.push(Scheduled {
-                time: at,
-                seq: self.next_seq,
-                event,
-            });
-            self.next_seq += 1;
-        }
-
-        /// Pop the earliest event, advancing the clock to its timestamp.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|s| {
-                self.now = s.time;
-                (s.time, s.event)
-            })
-        }
-
-        /// Pop the earliest event only if it fires at or before `deadline`.
-        pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-            let head = self.heap.peek_mut()?;
-            if head.time > deadline {
-                return None;
-            }
-            let s = PeekMut::pop(head);
-            self.now = s.time;
-            Some((s.time, s.event))
-        }
-
-        /// Timestamp of the next event without popping it.
-        pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|s| s.time)
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// True when no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Drop every pending event.
-        pub fn clear(&mut self) {
-            self.heap.clear();
-        }
+        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -592,7 +216,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
         q.schedule(SimTime::from_secs(1), 1u8);
-        q.reserve(100);
         q.schedule(SimTime::from_secs(2), 2u8);
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
@@ -638,15 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "late");
-        assert!(q.pop_before(SimTime::from_secs(5)).is_none());
-        assert_eq!(q.pop_before(SimTime::from_secs(10)).unwrap().1, "late");
-    }
-
-    #[test]
-    fn peek_len_clear() {
+    fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert!(q.peek_time().is_none());
@@ -654,216 +269,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1), 2u8);
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        q.clear();
-        assert!(q.is_empty());
-        // The queue is fully usable after clear.
-        q.schedule(SimTime::from_secs(2), 3u8);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 3)));
-    }
-
-    // -- calendar-specific edge cases ------------------------------------
-
-    /// Same-instant ties scheduled around a bucket boundary: keys at
-    /// `width - 1` and `width` land in adjacent buckets (the initial width
-    /// is `1 << 10`), and within each instant FIFO order must hold even
-    /// when insertions interleave across the boundary.
-    #[test]
-    fn same_instant_ties_straddling_a_bucket_boundary() {
-        let width = 1u64 << 10; // initial bucket width in raw key units
-        let lo = SimTime::from_micros(width - 1);
-        let hi = SimTime::from_micros(width);
-        let mut q = EventQueue::new();
-        // Interleave: lo, hi, lo, hi, ... 20 of each.
-        for i in 0..40u32 {
-            if i % 2 == 0 {
-                q.schedule(lo, i);
-            } else {
-                q.schedule(hi, i);
-            }
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        // All lo events first (in insertion order: the evens), then all hi
-        // events (the odds) — exactly (time, seq) order.
-        let expect: Vec<u32> = (0..40)
-            .filter(|i| i % 2 == 0)
-            .chain((0..40).filter(|i| i % 2 == 1))
-            .collect();
-        assert_eq!(order, expect);
-    }
-
-    /// A tie set exactly on a bucket boundary key keeps FIFO order across
-    /// an adaptive resize (41 events forces at least one doubling).
-    #[test]
-    fn boundary_ties_survive_resize() {
-        let t = SimTime::from_micros(1u64 << 10);
-        let mut q = EventQueue::new();
-        for i in 0..41u32 {
-            q.schedule(t, i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..41).collect::<Vec<_>>());
-    }
-
-    /// `schedule_in(ZERO)` is exactly `schedule_now`: same instant, FIFO
-    /// after everything already pending at `now`, and the deadline-checked
-    /// pop sees it immediately.
-    #[test]
-    fn schedule_in_zero_is_schedule_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2), "kick");
-        q.pop();
-        q.schedule_in(SimDuration::ZERO, "x");
-        q.schedule_now("y");
-        q.schedule_in(SimDuration::ZERO, "z");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.pop_before(q.now()).unwrap().1, "x");
-        assert_eq!(q.pop_before(q.now()).unwrap().1, "y");
-        assert_eq!(q.pop_before(q.now()).unwrap().1, "z");
-        assert!(q.pop().is_none());
-    }
-
-    /// Far-future events (including the ordered-f64 key range, which lands
-    /// in the upper half of u64) coexist with near events and pop last.
-    #[test]
-    fn far_future_events_pop_last() {
-        let mut q = EventQueue::new();
-        let far = SimTime::from_ordered_secs_f64(1.5e300);
-        q.schedule(far, "far");
-        for i in 0..20u64 {
-            q.schedule(SimTime::from_micros(i), "near");
-        }
-        let mut got = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            got.push(e);
-        }
-        assert_eq!(got.len(), 21);
-        assert_eq!(*got.last().unwrap(), "far");
-        assert!(got[..20].iter().all(|&e| e == "near"));
-    }
-
-    /// Heavy churn through the free list: the arena never grows past the
-    /// peak pending population.
-    #[test]
-    fn steady_state_reuses_slots() {
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..64u64 {
-            q.schedule_in(SimDuration::from_micros(1 + i), i);
-        }
-        let peak = q.slots.len();
-        for i in 64..10_000u64 {
-            let (_, _) = q.pop().unwrap();
-            q.schedule_in(SimDuration::from_micros(1 + (i * 7) % 1000), i);
-        }
-        assert_eq!(q.slots.len(), peak, "arena grew during steady state");
-        assert_eq!(q.len(), 64);
-    }
-
-    // -- differential tests against the heap oracle ----------------------
-
-    /// Drive the calendar queue and the heap oracle through the same
-    /// deterministic operation stream; every pop must match exactly.
-    fn differential_run(ops: &[(u8, u64)]) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for &(mode, val) in ops {
-            match mode % 4 {
-                0 => {
-                    let at = cal.now() + SimDuration::from_micros(val);
-                    cal.schedule(at, val);
-                    heap.schedule(at, val);
-                }
-                1 => {
-                    cal.schedule_now(val);
-                    heap.schedule_now(val);
-                }
-                2 => {
-                    assert_eq!(cal.pop(), heap.pop());
-                    assert_eq!(cal.now(), heap.now());
-                }
-                _ => {
-                    let deadline = cal.now() + SimDuration::from_micros(val / 2);
-                    assert_eq!(cal.pop_before(deadline), heap.pop_before(deadline));
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.peek_time(), heap.peek_time());
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn differential_mixed_near_and_far() {
-        // A pseudo-random but deterministic op stream with offsets spanning
-        // 12 orders of magnitude (far-future events included).
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut ops = Vec::new();
-        for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let mode = (x % 4) as u8;
-            let mag = 1u64 << (x >> 32 & 0x2f); // up to 2^47 offsets
-            ops.push((mode, x % mag.max(1)));
-        }
-        differential_run(&ops);
-    }
-
-    #[test]
-    fn differential_all_same_instant() {
-        let ops: Vec<(u8, u64)> = (0..200).map(|i| ((i % 3 == 2) as u8 * 2, 0)).collect();
-        differential_run(&ops);
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Differential property: under arbitrary schedule/pop/pop_before
-            /// interleavings — near offsets, far-future offsets (up to
-            /// ~2^46), and past-due deadlines — the calendar queue and
-            /// the heap oracle produce identical `(time, seq)` pop
-            /// sequences. Exercised via `differential_run`, which also
-            /// cross-checks `len`, `now` and `peek_time` after every op.
-            #[test]
-            fn calendar_matches_heap_oracle(
-                ops in prop::collection::vec((0u8..4, 0u64..10_000, 0u32..34), 1..300),
-            ) {
-                let expanded: Vec<(u8, u64)> = ops
-                    .iter()
-                    .map(|&(mode, v, far)| (mode, v << (far / 11 * 11)))
-                    .collect();
-                differential_run(&expanded);
-            }
-
-            /// The calendar queue passes the reference-model check that the
-            /// heap historically passed, at ordered-f64 key magnitudes (the
-            /// evaluation coordinator's `SimTime` encoding).
-            #[test]
-            fn ordered_f64_keys_pop_in_order(
-                secs in prop::collection::vec(0.0f64..1e12, 1..100),
-            ) {
-                let mut cal = EventQueue::new();
-                let mut heap = HeapEventQueue::new();
-                for (i, &s) in secs.iter().enumerate() {
-                    let at = SimTime::from_ordered_secs_f64(s);
-                    cal.schedule(at, i);
-                    heap.schedule(at, i);
-                }
-                loop {
-                    let (a, b) = (cal.pop(), heap.pop());
-                    prop_assert_eq!(a, b);
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 2)));
+        assert_eq!(q.len(), 1);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`dist`] — the probability distributions used to calibrate workloads
 //!   and failures (exponential, log-normal, Pareto, Weibull, categorical);
 //! * [`event::EventQueue`] — a stable (FIFO tie-break) time-ordered event
-//!   queue, plus a tiny [`engine::Engine`] driver for components that want a
-//!   ready-made run loop.
+//!   queue over a binary heap, whose activity counters ([`stats`]) the
+//!   harness reports per experiment.
 //!
 //! The kernel deliberately has no dependencies: determinism is the core
 //! guarantee, and the fewer moving parts under it the easier that guarantee
@@ -20,15 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Process};
 pub use event::EventQueue;
-#[cfg(feature = "heap-oracle")]
-pub use event::HeapEventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

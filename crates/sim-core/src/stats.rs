@@ -1,10 +1,10 @@
 //! Event-queue activity counters.
 //!
-//! Every [`EventQueue`](crate::EventQueue) counts its schedules, pops,
-//! resizes, and peak pending depth in plain integer fields — four
-//! increments on paths that already touch the same cache lines, cheap
-//! enough to leave on unconditionally. When a queue is dropped it absorbs
-//! its counters into a thread-local accumulator; the experiment harness
+//! Every [`EventQueue`](crate::EventQueue) counts its schedules, pops and
+//! peak pending depth in plain integer fields — three updates on paths
+//! that already touch the same cache lines, cheap enough to leave on
+//! unconditionally. When a queue is dropped it absorbs its counters into
+//! a thread-local accumulator; the experiment harness
 //! drains that accumulator per experiment (and per shard, forwarding
 //! worker-thread totals to the calling thread) so `--timings-json` can
 //! report `events_processed` and `max_queue_depth` without any plumbing
@@ -17,10 +17,8 @@ use std::cell::Cell;
 pub struct QueueStats {
     /// Events scheduled (`schedule` / `schedule_in` / `schedule_now`).
     pub schedules: u64,
-    /// Events popped (`pop` / `pop_before` successes).
+    /// Events popped.
     pub pops: u64,
-    /// Adaptive bucket-array resizes (doublings and halvings).
-    pub resizes: u64,
     /// Peak number of simultaneously pending events.
     pub max_depth: u64,
 }
@@ -30,7 +28,6 @@ impl QueueStats {
     pub const ZERO: QueueStats = QueueStats {
         schedules: 0,
         pops: 0,
-        resizes: 0,
         max_depth: 0,
     };
 
@@ -41,7 +38,6 @@ impl QueueStats {
         QueueStats {
             schedules: self.schedules + other.schedules,
             pops: self.pops + other.pops,
-            resizes: self.resizes + other.resizes,
             max_depth: self.max_depth.max(other.max_depth),
         }
     }
@@ -50,7 +46,6 @@ impl QueueStats {
 thread_local! {
     static SCHEDULES: Cell<u64> = const { Cell::new(0) };
     static POPS: Cell<u64> = const { Cell::new(0) };
-    static RESIZES: Cell<u64> = const { Cell::new(0) };
     static MAX_DEPTH: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -59,7 +54,6 @@ thread_local! {
 pub fn absorb(stats: QueueStats) {
     SCHEDULES.with(|c| c.set(c.get() + stats.schedules));
     POPS.with(|c| c.set(c.get() + stats.pops));
-    RESIZES.with(|c| c.set(c.get() + stats.resizes));
     MAX_DEPTH.with(|c| c.set(c.get().max(stats.max_depth)));
 }
 
@@ -68,7 +62,6 @@ pub fn take() -> QueueStats {
     QueueStats {
         schedules: SCHEDULES.with(|c| c.replace(0)),
         pops: POPS.with(|c| c.replace(0)),
-        resizes: RESIZES.with(|c| c.replace(0)),
         max_depth: MAX_DEPTH.with(|c| c.replace(0)),
     }
 }
@@ -82,19 +75,16 @@ mod tests {
         let a = QueueStats {
             schedules: 10,
             pops: 8,
-            resizes: 1,
             max_depth: 5,
         };
         let b = QueueStats {
             schedules: 3,
             pops: 3,
-            resizes: 0,
             max_depth: 9,
         };
         let m = a.merge(b);
         assert_eq!(m.schedules, 13);
         assert_eq!(m.pops, 11);
-        assert_eq!(m.resizes, 1);
         assert_eq!(m.max_depth, 9);
         assert_eq!(QueueStats::ZERO.merge(a), a);
     }
@@ -105,13 +95,11 @@ mod tests {
         absorb(QueueStats {
             schedules: 2,
             pops: 1,
-            resizes: 0,
             max_depth: 4,
         });
         absorb(QueueStats {
             schedules: 5,
             pops: 5,
-            resizes: 2,
             max_depth: 3,
         });
         let got = take();
@@ -120,7 +108,6 @@ mod tests {
             QueueStats {
                 schedules: 7,
                 pops: 6,
-                resizes: 2,
                 max_depth: 4,
             }
         );
@@ -139,10 +126,6 @@ mod tests {
             for _ in 0..20 {
                 q.pop();
             }
-            assert_eq!(q.stats().schedules, 50);
-            assert_eq!(q.stats().pops, 20);
-            assert_eq!(q.stats().max_depth, 50);
-            assert!(q.stats().resizes >= 1, "50 events force a doubling");
         }
         let got = take();
         assert_eq!(got.schedules, 50);

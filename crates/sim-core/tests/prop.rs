@@ -25,53 +25,62 @@ proptest! {
         }
     }
 
-    /// The fast-path scheduling forms (`schedule_in`, `schedule_now`) are
-    /// interchangeable with checked `schedule` at the same instants: an
-    /// arbitrary interleaving of all three with pops matches a reference
-    /// model that sorts by (time, insertion sequence).
+    /// The queue pops in exact (time, insertion sequence) order under any
+    /// interleaving of pops with every scheduling form: checked `schedule`,
+    /// the fast paths `schedule_in` and `schedule_now`, and ordered-`f64`
+    /// keys (`SimTime::from_ordered_secs_f64`, the evaluation coordinator's
+    /// encoding). Offsets run from 0 (same-instant ties) to about 2^46 µs
+    /// (far-future keys). A sorted reference model also checks `len` and
+    /// `peek_time` after every operation.
     #[test]
     fn fast_path_scheduling_matches_reference_model(
-        ops in prop::collection::vec((0u8..3, 0u64..50, any::<bool>()), 1..100),
+        ops in prop::collection::vec((0u8..4, 0u64..50, 0u32..5, any::<bool>()), 1..200),
     ) {
         let mut q = EventQueue::new();
-        // Reference future-event list: (absolute micros, insertion seq).
+        // Reference future-event list: (raw key, insertion seq).
         let mut pending: Vec<(u64, usize)> = Vec::new();
-        let mut now = 0u64;
-        for (seq, &(mode, offset, pop_after)) in ops.iter().enumerate() {
+        let mut now = SimTime::ZERO;
+        for (seq, &(mode, offset, far, pop_after)) in ops.iter().enumerate() {
+            let offset = offset << (far * 10);
             let at = match mode {
                 0 => {
-                    q.schedule(SimTime::from_micros(now + offset), seq);
-                    now + offset
+                    let at = now + SimDuration::from_micros(offset);
+                    q.schedule(at, seq);
+                    at
                 }
                 1 => {
                     q.schedule_in(SimDuration::from_micros(offset), seq);
-                    now + offset
+                    now + SimDuration::from_micros(offset)
                 }
-                _ => {
+                2 => {
                     q.schedule_now(seq);
                     now
                 }
+                _ => {
+                    let secs = now.as_ordered_secs_f64() + offset as f64 * 1e-6;
+                    let at = SimTime::from_ordered_secs_f64(secs);
+                    q.schedule(at, seq);
+                    at
+                }
             };
-            pending.push((at, seq));
+            pending.push((at.as_micros(), seq));
             if pop_after {
-                let k = pending
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &key)| key)
-                    .map(|(k, _)| k)
-                    .unwrap();
+                let k = (0..pending.len()).min_by_key(|&k| pending[k]).unwrap();
                 let (rt, rs) = pending.remove(k);
                 let (t, s) = q.pop().unwrap();
-                prop_assert_eq!(t.as_micros(), rt);
-                prop_assert_eq!(s, rs);
-                now = rt;
+                prop_assert_eq!((t.as_micros(), s), (rt, rs));
+                now = t;
             }
+            prop_assert_eq!(q.len(), pending.len());
+            prop_assert_eq!(
+                q.peek_time().map(SimTime::as_micros),
+                pending.iter().min().map(|p| p.0)
+            );
         }
         pending.sort_unstable();
         for (rt, rs) in pending {
             let (t, s) = q.pop().unwrap();
-            prop_assert_eq!(t.as_micros(), rt);
-            prop_assert_eq!(s, rs);
+            prop_assert_eq!((t.as_micros(), s), (rt, rs));
         }
         prop_assert!(q.pop().is_none());
     }
