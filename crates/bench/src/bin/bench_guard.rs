@@ -249,31 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_the_sweep_section() {
-        // The policy-lab PR added a per-cell `sweep` section after
-        // `shards`; its objects carry `ms` but no `id`, so the scanner's
-        // stop-at-first-`]` rule is what keeps them invisible here.
-        let with_sweep = r#"{
-  "seed": 42,
-  "jobs": 8,
-  "wall_ms": 400.0,
-  "experiments": [
-    {"id": "policylab", "ms": 350.000, "events_processed": 0, "max_queue_depth": 0}
-  ],
-  "shards": [
-    {"experiment": "policylab", "shard": "cell/retry + backoff/s42/i1", "ms": 4.000}
-  ],
-  "sweep": [
-    {"experiment": "policylab", "policy": "retry + backoff", "seed": 42, "intensity": 1, "ms": 4.000}
-  ]
-}
-"#;
-        let t = parse_timings(with_sweep).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t["policylab"], 350.0);
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(parse_timings("{}").is_err());
         assert!(parse_timings("{\"experiments\": []}").is_err());

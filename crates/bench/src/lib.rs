@@ -237,40 +237,21 @@ pub fn journal_path(trace_path: &str) -> String {
     }
 }
 
-/// One parsed policy-sweep cell timing: the `policylab` experiment labels
-/// its shards `cell/{policy}/s{seed}/i{intensity}`, and the timings dump
-/// breaks those back into columns so the bench trajectory can track
-/// per-cell cost along each sweep axis. Policy labels may themselves
-/// contain `/` (e.g. `full + Young/Daly ckpt`), so the label is parsed
-/// from the *right*.
-pub fn parse_sweep_label(label: &str) -> Option<(&str, u64, u32)> {
-    let rest = label.strip_prefix("cell/")?;
-    let (rest, intensity) = rest.rsplit_once("/i")?;
-    let (policy, seed) = rest.rsplit_once("/s")?;
-    Some((policy, seed.parse().ok()?, intensity.parse().ok()?))
-}
-
 /// Machine-readable timing dump (hand-rolled JSON; no serde in-tree).
 /// Schema: `{seed, jobs, wall_ms, peak_rss_bytes, experiments:
 /// [{id, ms, events_processed, max_queue_depth, flows_routed,
 /// max_link_utilization}, ...], shards:
-/// [{experiment, shard, ms}, ...], sweep:
-/// [{experiment, policy, seed, intensity, ms}, ...]}` with experiments in
-/// selection order and shards in per-experiment execution order. The flat
-/// `shards` and `sweep` sections come *after* the experiments array, so
-/// scanners that stop at the array's closing bracket (the `bench_guard`
-/// parser) are unaffected; their objects deliberately carry no `id` key.
-/// The `sweep` section re-exposes the policy-sweep cell shards (labels
-/// `cell/...`, parsed by [`parse_sweep_label`]) with the sweep axes split
-/// into columns; it is empty unless the selection ran `policylab`.
-/// `events_processed` and `max_queue_depth` come from the sim-core
-/// event-queue counters (`acme_sim_core::stats`): events popped and peak
-/// pending depth across every queue the experiment dropped — 0 for
-/// experiments that never touch the event queue. `flows_routed` and
-/// `max_link_utilization` come from the network-substrate counters
-/// (`acme_cluster::net::stats`): flows pushed through the fat-tree
-/// scheduler and the busiest link's time-averaged utilization — 0 for
-/// experiments that never route traffic. `peak_rss` is the
+/// [{experiment, shard, ms}, ...]}` with experiments in selection order
+/// and shards in per-experiment shard order. The flat `shards` section
+/// comes *after* the experiments array, so scanners that stop at the
+/// array's closing bracket (the `bench_guard` parser) are unaffected; its
+/// objects deliberately carry no `id` key. The counters come from
+/// `acme_sim_core::stats`: `events_processed` and `max_queue_depth` are
+/// events popped and peak pending depth across every event queue the
+/// experiment dropped, and `flows_routed` and `max_link_utilization` are
+/// flows pushed through the fat-tree scheduler and the busiest link's
+/// time-averaged utilization — 0 for experiments that never use the
+/// event queue or route traffic. `peak_rss` is the
 /// caller's [`peak_rss_bytes`] reading, taken as a parameter so the
 /// renderer stays a pure function.
 pub fn render_timings_json(
@@ -318,23 +299,6 @@ pub fn render_timings_json(
             s.wall.as_secs_f64() * 1e3
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"sweep\": [\n");
-    let sweep_rows: Vec<(&str, &str, u64, u32, f64)> = shard_rows
-        .iter()
-        .filter_map(|(id, s)| {
-            parse_sweep_label(&s.label).map(|(policy, seed, intensity)| {
-                (*id, policy, seed, intensity, s.wall.as_secs_f64() * 1e3)
-            })
-        })
-        .collect();
-    for (i, (id, policy, cell_seed, intensity, ms)) in sweep_rows.iter().enumerate() {
-        let comma = if i + 1 == sweep_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"experiment\": \"{id}\", \"policy\": \"{policy}\", \
-             \"seed\": {cell_seed}, \"intensity\": {intensity}, \"ms\": {ms:.3}}}{comma}\n",
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -358,7 +322,7 @@ mod tests {
             shards: Vec::new(),
             trace: Vec::new(),
             queue: acme_sim_core::stats::QueueStats::ZERO,
-            net: acme_cluster::net::stats::NetStats::ZERO,
+            net: acme_sim_core::stats::NetStats::ZERO,
         }
     }
 
@@ -509,7 +473,7 @@ mod tests {
             pops: 11,
             max_depth: 5,
         };
-        runs[1].net = acme_cluster::net::stats::NetStats {
+        runs[1].net = acme_sim_core::stats::NetStats {
             flows_routed: 64,
             max_link_utilization: 0.875,
         };
@@ -530,9 +494,8 @@ mod tests {
             "{\"id\": \"y\", \"ms\": 4.000, \"events_processed\": 11, \"max_queue_depth\": 5, \
              \"flows_routed\": 64, \"max_link_utilization\": 0.875}\n"
         ));
-        // Unsharded runs still emit the (empty) shards and sweep sections.
-        assert!(j.contains("\"shards\": [\n  ]"));
-        assert!(j.contains("\"sweep\": [\n  ]"));
+        // Unsharded runs still emit the (empty) shards section.
+        assert!(j.contains("\"shards\": [\n  ]\n}\n"));
         // Crude but effective: balanced braces/brackets, trailing newline.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
@@ -562,52 +525,6 @@ mod tests {
         assert!(j.find("\"shard\"").unwrap() > exp_end);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn sweep_labels_round_trip_even_with_slashes_in_policy_names() {
-        assert_eq!(
-            parse_sweep_label("cell/full + Young/Daly ckpt/s42/i3"),
-            Some(("full + Young/Daly ckpt", 42, 3))
-        );
-        assert_eq!(
-            parse_sweep_label("cell/naive always-restart/s7/i1"),
-            Some(("naive always-restart", 7, 1))
-        );
-        assert_eq!(parse_sweep_label("arm/full orchestrator (spares)"), None);
-        assert_eq!(parse_sweep_label("cell/broken/sX/i1"), None);
-    }
-
-    #[test]
-    fn timings_json_breaks_sweep_cells_into_columns() {
-        let mut sweep = fake_run("policylab", 20);
-        sweep.shards = vec![
-            acme::experiments::ShardTiming {
-                label: "cell/full + Young/Daly ckpt/s42/i2".to_owned(),
-                wall: Duration::from_millis(4),
-            },
-            acme::experiments::ShardTiming {
-                label: "cell/retry + backoff/s7/i1".to_owned(),
-                wall: Duration::from_millis(5),
-            },
-        ];
-        let runs = [sweep];
-        let j = render_timings_json(42, &runs, 2, Duration::from_millis(21), 0);
-        // Cells appear verbatim in the shards section…
-        assert!(j.contains("\"shard\": \"cell/full + Young/Daly ckpt/s42/i2\""));
-        // …and parsed into sweep-axis columns in the sweep section.
-        assert!(j.contains(
-            "{\"experiment\": \"policylab\", \"policy\": \"full + Young/Daly ckpt\", \
-             \"seed\": 42, \"intensity\": 2, \"ms\": 4.000},"
-        ));
-        assert!(j.contains(
-            "{\"experiment\": \"policylab\", \"policy\": \"retry + backoff\", \
-             \"seed\": 7, \"intensity\": 1, \"ms\": 5.000}\n"
-        ));
-        assert!(j.find("\"sweep\"").unwrap() > j.find("\"shards\"").unwrap());
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.ends_with("}\n"));
     }
 
     #[test]

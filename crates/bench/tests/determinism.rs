@@ -4,7 +4,7 @@
 //! (`select` → `run_selection` → `render_report`), so a pass here is a
 //! pass for the shipped tool.
 
-use acme::experiments::{run_selection, select, set_workers, RunParams};
+use acme::experiments::{run_selection, select, set_workers, ExperimentRun, RunParams};
 use acme_bench::render_report;
 
 fn full_report(seed: u64, jobs: usize) -> String {
@@ -66,15 +66,38 @@ const SHARDED: [&str; 10] = [
 fn intra_experiment_sharding_is_byte_identical() {
     let ids: Vec<String> = SHARDED.iter().map(|s| s.to_string()).collect();
     let selection = select(&ids).unwrap();
+    let labels =
+        |r: &ExperimentRun| -> Vec<String> { r.shards.iter().map(|s| s.label.clone()).collect() };
     for seed in [42, 7] {
         set_workers(1);
-        let inline = render_report(seed, &run_selection(&selection, RunParams::new(seed), 1));
+        let inline = run_selection(&selection, RunParams::new(seed), 1);
         set_workers(8);
-        let sharded = render_report(seed, &run_selection(&selection, RunParams::new(seed), 2));
+        let sharded = run_selection(&selection, RunParams::new(seed), 2);
         set_workers(1);
         assert!(
-            inline == sharded,
+            render_report(seed, &inline) == render_report(seed, &sharded),
             "8 shard workers diverged from inline at seed {seed}"
+        );
+        // Each experiment's tally comes back from the workers intact: the
+        // same counters and the same shards in the same order.
+        for (a, b) in inline.iter().zip(&sharded) {
+            assert_eq!(a.queue, b.queue, "{} queue counters, seed {seed}", a.id);
+            assert_eq!(a.net, b.net, "{} flow counters, seed {seed}", a.id);
+            assert_eq!(labels(a), labels(b), "{} shard labels, seed {seed}", a.id);
+        }
+        let net = inline
+            .iter()
+            .find(|r| r.id == "netstorm")
+            .expect("netstorm is selected")
+            .net;
+        assert!(
+            net.flows_routed > 0,
+            "netstorm routed no flows, seed {seed}"
+        );
+        assert!(
+            net.max_link_utilization > 0.0 && net.max_link_utilization <= 1.0,
+            "netstorm peak link utilization {} out of (0, 1], seed {seed}",
+            net.max_link_utilization
         );
     }
 }

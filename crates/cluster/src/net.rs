@@ -24,16 +24,16 @@
 //!   tree its per-GPU bottleneck is **byte-identical** to
 //!   [`FabricSpec::bottleneck_gbps`] (the differential tests pin this), so
 //!   every historical golden output is unchanged; under link/switch faults
-//!   and congestion the bottleneck degrades topologically;
-//! * [`stats`] — thread-local flow counters (`flows_routed`, peak link
-//!   utilization) drained per experiment/shard for `--timings-json`,
-//!   mirroring `acme_sim_core::stats`.
+//!   and congestion the bottleneck degrades topologically.
+//!
+//! Each [`FlowSim`] run deposits its flow count and busiest-link
+//! utilization into the thread's `acme_sim_core::stats` counters, next to
+//! the event-queue counters, for `--timings-json`.
 
+use acme_sim_core::stats::{self, Counters, NetStats};
 use acme_sim_core::{EventQueue, SimTime};
 
 use crate::comm::{Collective, FabricSpec};
-
-pub mod stats;
 
 /// Structured configuration errors, surfaced by `repro` arg parsing as
 /// usage errors (the same pattern `StormConfig::validate` follows).
@@ -458,7 +458,7 @@ impl<'a> FlowSim<'a> {
 
     /// Run every flow to completion (or stall) and return per-flow
     /// outcomes in input order. Deposits `flows_routed` and peak
-    /// time-averaged link utilization into [`stats`].
+    /// time-averaged link utilization into the thread's [`stats`] counters.
     pub fn run(&self, flows: &[Flow]) -> Vec<FlowOutcome> {
         let tree = self.fabric.tree();
         let paths: Vec<Vec<LinkId>> = flows
@@ -528,17 +528,25 @@ impl<'a> FlowSim<'a> {
             }
         }
 
-        // Peak time-averaged utilization of the busiest link.
+        // Peak time-averaged utilization of the busiest link. The max-min
+        // rates on a saturated link can sum to an ulp past its capacity, so
+        // the ratio is clamped to 1.
         let makespan = last.as_secs_f64();
         let mut peak = 0.0f64;
         if makespan > 0.0 {
             for (l, &gb) in carried.iter().enumerate() {
                 if capacity[l] > 0.0 {
-                    peak = peak.max(gb / (capacity[l] * makespan));
+                    peak = peak.max((gb / (capacity[l] * makespan)).min(1.0));
                 }
             }
         }
-        stats::record(flows.len() as u64, peak);
+        stats::absorb(Counters {
+            net: NetStats {
+                flows_routed: flows.len() as u64,
+                max_link_utilization: peak,
+            },
+            ..Counters::ZERO
+        });
         finish
             .into_iter()
             .map(|f| FlowOutcome { finish: f })

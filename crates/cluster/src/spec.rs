@@ -134,11 +134,6 @@ impl ClusterSpec {
         self.nodes * self.node.gpus
     }
 
-    /// Total logical CPUs in the cluster.
-    pub fn total_cpus(&self) -> u32 {
-        self.nodes * self.node.cpus
-    }
-
     /// Both Acme clusters, Seren first.
     pub fn acme() -> [ClusterSpec; 2] {
         [ClusterSpec::seren(), ClusterSpec::kalos()]

@@ -126,6 +126,43 @@ impl StormBlame {
         let rollback: f64 = self.rollback_secs.iter().sum();
         stages + rollback + self.degraded_loss_secs - self.overshoot_secs
     }
+
+    /// The storm table's stage columns summed over categories, seconds:
+    /// detect, localize, restart, rollback.
+    fn stage_totals(&self) -> [f64; 4] {
+        let mut totals = [0.0; 4];
+        for (stages, rollback) in self.stage_secs.iter().zip(&self.rollback_secs) {
+            for (total, secs) in totals.iter_mut().zip(stages) {
+                *total += secs;
+            }
+            totals[3] += rollback;
+        }
+        totals
+    }
+}
+
+/// The closing claim, from the storm's stage totals in hours (detect,
+/// localize, restart, rollback): the two largest stages, and whether
+/// diagnosis (detect + localize) or restart costs more — the larger of the
+/// two is where a faster recovery step buys back more goodput.
+fn stage_claim(hours: [f64; 4]) -> String {
+    const STAGES: [&str; 4] = ["detect", "localize", "restart", "rollback"];
+    let mut order = [0, 1, 2, 3];
+    order.sort_by(|&a, &b| hours[b].total_cmp(&hours[a]));
+    let diagnosis = hours[0] + hours[1];
+    let verdict = if diagnosis > hours[2] {
+        "more than restart, so faster diagnosis buys more goodput than faster reboots"
+    } else {
+        "less than restart, so faster reboots buy more goodput than faster diagnosis"
+    };
+    format!(
+        "{} ({} h) and {} ({} h) dominate; diagnosis (detect + localize, {} h) costs {verdict}",
+        STAGES[order[0]],
+        f(hours[order[0]], 1),
+        STAGES[order[1]],
+        f(hours[order[1]], 1),
+        f(diagnosis, 1),
+    )
 }
 
 /// Everything the blame analyzer distills from the evalstorm recording.
@@ -339,8 +376,7 @@ pub fn blame(p: RunParams) -> String {
          wasted GPU time: {} GPU-s recorded = {} GPU-s outcome, as in the \
          evalstorm ablation\n\
          blame: every lost second carries the fault category that caused it \
-         and the recovery stage that spent it — detect and restart dominate, \
-         so faster diagnosis buys more goodput than faster reboots\n",
+         and the recovery stage that spent it — {}\n",
         storm_out.incidents,
         storm_out.nodes_cordoned,
         st.render(),
@@ -357,6 +393,7 @@ pub fn blame(p: RunParams) -> String {
         et.render(),
         f(e_recorded, 0),
         f(e_outcome, 0),
+        stage_claim(sb.stage_totals().map(|secs| secs / HOUR)),
     )
 }
 
@@ -389,6 +426,22 @@ mod tests {
             o.wasted_gpu_secs
         );
         assert!(b.crashes > 0, "the default campaign injects trial crashes");
+    }
+
+    #[test]
+    fn closing_claim_follows_the_stage_totals() {
+        assert_eq!(
+            stage_claim([2.3, 4.3, 25.9, 21.8]),
+            "restart (25.9 h) and rollback (21.8 h) dominate; diagnosis (detect + localize, \
+             6.6 h) costs less than restart, so faster reboots buy more goodput than faster \
+             diagnosis"
+        );
+        assert_eq!(
+            stage_claim([9.0, 6.5, 4.0, 7.0]),
+            "detect (9.0 h) and rollback (7.0 h) dominate; diagnosis (detect + localize, \
+             15.5 h) costs more than restart, so faster diagnosis buys more goodput than \
+             faster reboots"
+        );
     }
 
     #[test]

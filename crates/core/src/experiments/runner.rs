@@ -3,25 +3,23 @@
 //! Every experiment is a pure function of its seed, so independent
 //! experiments can run on separate worker threads — the only requirement
 //! for bit-reproducibility (DESIGN.md §6) is that results are *emitted* in
-//! selection order, not *computed* in it. The runner buffers each
-//! experiment's output in a per-slot cell and hands back the slots in
-//! order, so `repro all --jobs N` is byte-identical to `--jobs 1`.
+//! selection order, not *computed* in it. The runner fans the selection
+//! out over the harness's one worker pool, `shard::fan_out`, which
+//! hands results back in selection order, so `repro all --jobs N` is
+//! byte-identical to `--jobs 1`. Each experiment's [`acme_obs::Tally`]
+//! (trace chunks, shard timings, counters) is taken on the thread that
+//! ran it.
 //!
 //! A panicking experiment does not take the selection down with it: each
 //! run is contained with `catch_unwind`, the panic becomes a `FAILED`
 //! report block ([`ExperimentRun::failed`]), and the remaining experiments
 //! still run — the `repro` binary turns any failed run into a nonzero
 //! exit.
-//!
-//! No thread pool dependency: workers are `std::thread::scope` threads
-//! pulling indices from one atomic counter (the same worker-fan-out shape
-//! the Berserker workload drivers use).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use super::shard::{self, ShardTiming};
+use super::shard::{fan_out, ShardTiming};
 use super::{Experiment, RunParams};
 
 /// One finished experiment: its formatted report plus the wall time the
@@ -52,7 +50,7 @@ pub struct ExperimentRun {
     /// Network-substrate activity (flows routed through the fat tree,
     /// peak link utilization) for `--timings-json`; zero for experiments
     /// that never touch `acme_cluster::net`.
-    pub net: acme_cluster::net::stats::NetStats,
+    pub net: acme_sim_core::stats::NetStats,
 }
 
 /// How many workers to use when the caller does not say: one per available
@@ -76,48 +74,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 fn run_one(e: &Experiment, params: RunParams) -> ExperimentRun {
-    // Drop whatever a previous (failed) run left in this thread's side
-    // channels, then collect what this experiment records: `run_shards`
-    // re-deposits everything on the thread that called it, which is
-    // exactly this one.
-    shard::take_timings();
-    acme_obs::take_chunks();
-    acme_sim_core::stats::take();
-    acme_cluster::net::stats::take();
+    // Drop whatever a previous (failed) run left in this thread's tally;
+    // everything this experiment deposits, including what `run_shards`
+    // carries back from its workers, then lands on this thread.
+    acme_obs::take();
     let started = Instant::now();
     let body = catch_unwind(AssertUnwindSafe(|| (e.run)(params)));
     let wall = started.elapsed();
-    let shards = shard::take_timings();
-    let trace = acme_obs::take_chunks();
-    let queue = acme_sim_core::stats::take();
-    let net = acme_cluster::net::stats::take();
-    match body {
-        Ok(body) => ExperimentRun {
-            id: e.id,
-            title: e.title,
-            output: format!("### {} — {}\n{}", e.id, e.title, body),
-            wall,
-            failed: false,
-            shards,
-            trace,
-            queue,
-            net,
-        },
-        Err(payload) => ExperimentRun {
-            id: e.id,
-            title: e.title,
-            output: format!(
+    let tally = acme_obs::take();
+    let (output, failed) = match body {
+        Ok(body) => (format!("### {} — {}\n{}", e.id, e.title, body), false),
+        Err(payload) => (
+            format!(
                 "### {} — FAILED\nexperiment panicked: {}\n",
                 e.id,
                 panic_message(payload.as_ref())
             ),
-            wall,
-            failed: true,
-            shards,
-            trace,
-            queue,
-            net,
-        },
+            true,
+        ),
+    };
+    ExperimentRun {
+        id: e.id,
+        title: e.title,
+        output,
+        wall,
+        failed,
+        shards: tally.shards,
+        trace: tally.chunks,
+        queue: tally.counters.queue,
+        net: tally.counters.net,
     }
 }
 
@@ -134,51 +119,13 @@ pub fn run_selection(
     params: RunParams,
     jobs: usize,
 ) -> Vec<ExperimentRun> {
-    let jobs = jobs.max(1).min(selection.len().max(1));
-    if jobs == 1 {
-        return selection.iter().map(|e| run_one(e, params)).collect();
-    }
-
-    // One pre-allocated slot per experiment; each is written by exactly one
-    // worker, so plain `Mutex<Option<_>>` cells are contention-free.
-    let slots: Vec<std::sync::Mutex<Option<ExperimentRun>>> = selection
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(e) = selection.get(i) else { break };
-                let run = run_one(e, params);
-                *slots[i].lock().expect("result slot poisoned") = Some(run);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .zip(selection)
-        .map(|(slot, e)| {
-            // `run_one` never panics (it contains the experiment), so the
-            // slot is always filled; the fallback is pure defence.
-            slot.into_inner()
-                .unwrap_or(None)
-                .unwrap_or_else(|| ExperimentRun {
-                    id: e.id,
-                    title: e.title,
-                    output: format!("### {} — FAILED\nworker exited without a result\n", e.id),
-                    wall: Duration::ZERO,
-                    failed: true,
-                    shards: Vec::new(),
-                    trace: Vec::new(),
-                    queue: acme_sim_core::stats::QueueStats::ZERO,
-                    net: acme_cluster::net::stats::NetStats::ZERO,
-                })
-        })
-        .collect()
+    fan_out(
+        jobs,
+        selection
+            .iter()
+            .map(|e| move || run_one(e, params))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
-//! Intra-experiment sharding: run independent pieces of *one* experiment
-//! on a small deterministic worker pool.
+//! The harness's one worker pool, and intra-experiment sharding on top of
+//! it.
 //!
-//! [`super::runner`] parallelizes *across* experiments; after PR 2 removed
-//! the quadratic kernels, wall time is pinned by the fattest individual
-//! experiments (`diag`, `pipeline`, `data`, `fig2`, `storm`). Those
-//! experiments contain internally independent pieces — per-policy ablation
-//! arms, per-datacenter CDF builds, independent dataloaders — that this
-//! module fans out with the same discipline the runner uses: scoped
-//! `std` threads pulling indices from one atomic counter, one pre-sized
-//! result slot per shard, results handed back **in shard order**.
+//! `fan_out` runs independent tasks on scoped `std` threads pulling from
+//! one shared queue and hands their results back **in task order**. The
+//! runner ([`super::run_selection`]) uses it across experiments;
+//! [`run_shards`] uses it inside the fattest experiments, whose
+//! internally independent pieces — per-policy ablation arms,
+//! per-datacenter CDF builds, independent dataloaders — run as shards.
 //!
 //! Determinism contract: a shard must be a pure function of its inputs
 //! (its own forked RNG stream, never a slice of a shared sequential
@@ -16,30 +14,21 @@
 //! those two rules stdout is byte-identical at any worker count —
 //! enforced by CI's sharded-determinism smoke.
 //!
-//! Worker count comes from a process-wide hint ([`set_workers`], set by
-//! `repro --jobs`); with one worker (or one shard) everything runs inline
-//! on the calling thread, which is the exact sequential path and costs no
-//! spawn at all. Per-shard wall times are recorded on the experiment's
-//! thread and drained by the runner into [`super::runner::ExperimentRun`],
-//! surfacing in `repro --timings-json`.
+//! Shard worker count comes from a process-wide hint ([`set_workers`],
+//! set by `repro --jobs`); with one worker (or one shard) everything runs
+//! inline on the calling thread, which is the exact sequential path and
+//! costs no spawn at all. Per-shard wall times travel in the
+//! [`acme_obs::Tally`] and the runner drains them into
+//! [`super::runner::ExperimentRun`], surfacing in `repro --timings-json`.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+pub use acme_obs::ShardTiming;
 
 /// One piece of an experiment: runs on a worker, returns its result.
 pub type ShardFn<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-/// Wall time of one named shard, for `--timings-json`.
-#[derive(Debug, Clone)]
-pub struct ShardTiming {
-    /// Shard label, unique within its experiment (`arm/naive-restart`,
-    /// `cdf/duration/Seren`, …).
-    pub label: String,
-    /// Wall-clock time the shard spent on its worker.
-    pub wall: Duration,
-}
 
 /// Worker-pool size hint; 0 means "unset, use `default_jobs()`".
 static WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -56,111 +45,70 @@ fn workers() -> usize {
     }
 }
 
-thread_local! {
-    /// Shard timings recorded on this thread since the last drain. Keyed
-    /// per thread so concurrent experiments on different runner workers
-    /// never mix their shards up.
-    static TIMINGS: RefCell<Vec<ShardTiming>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Drain the shard timings recorded on the calling thread.
-pub fn take_timings() -> Vec<ShardTiming> {
-    TIMINGS.with(|t| std::mem::take(&mut *t.borrow_mut()))
-}
-
-fn record(label: String, wall: Duration) {
-    TIMINGS.with(|t| t.borrow_mut().push(ShardTiming { label, wall }));
-}
-
-/// Run `shards` across the worker pool and return their results **in
-/// shard order** regardless of completion order.
+/// Run `tasks` on up to `workers` threads and return their results **in
+/// task order** regardless of completion order.
 ///
-/// With one worker or one shard this runs inline on the calling thread —
-/// the exact sequential execution. A panicking shard propagates after all
-/// workers have joined (the runner's `catch_unwind` turns it into the
-/// experiment's `FAILED` block).
-///
-/// Thread-local side channels (shard timings, flight-recorder chunks,
-/// event-queue counters) are drained per shard on the worker that ran it
-/// and re-deposited on the calling thread **in shard order** — so the
-/// byte-determinism contract extends beyond stdout to trace exports and
-/// `--timings-json` counters at any worker count.
-pub fn run_shards<'a, T: Send>(shards: Vec<(String, ShardFn<'a, T>)>) -> Vec<T> {
-    let n = shards.len();
-    if workers().min(n) <= 1 {
-        // Inline path: side channels accumulate on the calling thread in
-        // shard order naturally.
-        return shards
-            .into_iter()
-            .map(|(label, f)| {
-                let started = Instant::now();
-                let out = f();
-                record(label, started.elapsed());
-                out
-            })
-            .collect();
+/// With one worker or one task this runs inline on the calling thread —
+/// the exact sequential execution. Otherwise each task's
+/// [`acme_obs::Tally`] is taken on its worker right after it finishes and
+/// absorbed on the calling thread in task order, so trace exports and
+/// `--timings-json` counters match the inline run at any worker count. A
+/// panicking task propagates after all workers have joined (the runner's
+/// `catch_unwind` turns it into the experiment's `FAILED` block).
+pub(crate) fn fan_out<T: Send, F: FnOnce() -> T + Send>(workers: usize, tasks: Vec<F>) -> Vec<T> {
+    let n = tasks.len();
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return tasks.into_iter().map(|f| f()).collect();
     }
-
-    let mut labels = Vec::with_capacity(n);
-    let mut tasks: Vec<Mutex<Option<ShardFn<'a, T>>>> = Vec::with_capacity(n);
-    for (label, f) in shards {
-        labels.push(label);
-        tasks.push(Mutex::new(Some(f)));
-    }
-    /// Everything one shard produced on its worker.
-    type ShardYield<T> = (
-        T,
-        Duration,
-        Vec<acme_obs::TraceChunk>,
-        acme_sim_core::stats::QueueStats,
-        acme_cluster::net::stats::NetStats,
-    );
-    // One pre-allocated slot per shard; each is written by exactly one
-    // worker, so the mutexes are contention-free.
-    let slots: Vec<Mutex<Option<ShardYield<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let done = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
-        for _ in 0..workers().min(n) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = tasks.get(i) else { break };
-                let f = cell
-                    .lock()
-                    .expect("shard task poisoned")
-                    .take()
-                    .expect("shard claimed twice");
-                let started = Instant::now();
+                let Some((i, f)) = queue.lock().expect("task queue poisoned").next() else {
+                    break;
+                };
                 let out = f();
-                let wall = started.elapsed();
-                // Drain this shard's side channels before the next shard
-                // runs on this worker, so attribution stays per-shard.
-                let chunks = acme_obs::take_chunks();
-                let queue = acme_sim_core::stats::take();
-                let net = acme_cluster::net::stats::take();
-                *slots[i].lock().expect("shard slot poisoned") =
-                    Some((out, wall, chunks, queue, net));
+                // Take this task's tally before the next task runs on this
+                // worker, so attribution stays per task.
+                let tally = acme_obs::take();
+                done.lock().expect("results poisoned").push((i, out, tally));
             });
         }
     });
-
-    slots
-        .into_iter()
-        .zip(labels)
-        .map(|(slot, label)| {
-            let (out, wall, chunks, queue, net) = slot
-                .into_inner()
-                .expect("shard slot poisoned")
-                .expect("worker exited without a result");
-            record(label, wall);
-            for chunk in chunks {
-                acme_obs::deposit(chunk);
-            }
-            acme_sim_core::stats::absorb(queue);
-            acme_cluster::net::stats::absorb(net);
+    let mut done = done.into_inner().expect("results poisoned");
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    done.into_iter()
+        .map(|(_, out, tally)| {
+            acme_obs::absorb(tally);
             out
         })
         .collect()
+}
+
+/// Run `shards` across the shard worker pool ([`set_workers`]) and return
+/// their results **in shard order**, recording each shard's wall time in
+/// the tally after whatever the shard deposited itself.
+pub fn run_shards<'a, T: Send>(shards: Vec<(String, ShardFn<'a, T>)>) -> Vec<T> {
+    let tasks = shards
+        .into_iter()
+        .map(|(label, f)| {
+            move || {
+                let started = Instant::now();
+                let out = f();
+                acme_obs::absorb(acme_obs::Tally {
+                    shards: vec![ShardTiming {
+                        label,
+                        wall: started.elapsed(),
+                    }],
+                    ..Default::default()
+                });
+                out
+            }
+        })
+        .collect();
+    fan_out(workers(), tasks)
 }
 
 /// Convenience: box a closure as a [`ShardFn`].
@@ -192,18 +140,21 @@ mod tests {
     #[test]
     fn timings_are_recorded_in_shard_order() {
         set_workers(4);
-        take_timings();
+        acme_obs::take();
         let _ = run_shards(vec![
             shard("alpha", || 1),
             shard("beta", || 2),
             shard("gamma", || 3),
         ]);
-        let t = take_timings();
+        let t = acme_obs::take().shards;
         assert_eq!(
             t.iter().map(|s| s.label.as_str()).collect::<Vec<_>>(),
             ["alpha", "beta", "gamma"]
         );
-        assert!(take_timings().is_empty(), "drain leaves nothing behind");
+        assert!(
+            acme_obs::take().shards.is_empty(),
+            "drain leaves nothing behind"
+        );
         set_workers(1);
     }
 

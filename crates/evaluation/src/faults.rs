@@ -311,11 +311,6 @@ impl FaultPlan {
         let u = (h.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < self.metric_flake_prob
     }
-
-    /// Total fault events (crashes + node failures).
-    pub fn fault_count(&self) -> usize {
-        self.crashes.len() + self.node_failures.len()
-    }
 }
 
 /// The recovery-policy ablation arms.

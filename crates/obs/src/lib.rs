@@ -1,12 +1,13 @@
-//! `acme-obs`: the sim-time flight recorder.
+//! `acme-obs`: the sim-time flight recorder and the harness's one side
+//! channel.
 //!
 //! Every simulation in this workspace runs end-to-end and emits only final
 //! tables; the only debugging tool has been diffing stdout. This crate adds
 //! structured, machine-readable telemetry *in simulated time*: spans
-//! (enter/exit at a [`SimTime`] or raw simulated seconds), instant events,
-//! and counters, recorded into per-site buffers and exported as Chrome
-//! trace-event JSON (viewable in Perfetto / `chrome://tracing`) plus a
-//! compact line-oriented journal.
+//! (enter/exit at simulated seconds), instant events, and counters,
+//! recorded into per-site buffers and exported as Chrome trace-event JSON
+//! (viewable in Perfetto / `chrome://tracing`) plus a compact
+//! line-oriented journal.
 //!
 //! # The overhead contract
 //!
@@ -19,21 +20,31 @@
 //! actually on. `repro all` without `--trace` must produce byte-identical
 //! stdout and indistinguishable wall time — CI's bench gate pins this.
 //!
+//! # The tally
+//!
+//! Everything an experiment reports beside its text — trace chunks
+//! ([`deposit`]), shard wall times, and the event-queue and flow counters
+//! that code below this crate deposits in `acme_sim_core::stats` —
+//! accumulates on the thread that produced it. [`take`] drains all of it
+//! as one [`Tally`] and [`absorb`] deposits a tally on the calling thread.
+//! The worker pool takes each task's tally on its worker and absorbs them
+//! on the caller **in task order**, and the runner takes one tally per
+//! experiment.
+//!
 //! # Determinism
 //!
 //! Events carry simulated timestamps, never wall-clock ones, so a recording
 //! is a pure function of the experiment seed. Sharded experiments record
-//! into one [`Recorder`] per shard, convert it to a [`TraceChunk`], and
-//! deposit it in a thread-local store ([`deposit`]); the shard pool drains
-//! worker-thread chunks and re-deposits them on the calling thread **in
-//! shard order**, mirroring the stdout discipline — so the exported files
-//! are byte-identical across reruns and any `--jobs` value.
+//! into one [`Recorder`] per shard and deposit it as a [`TraceChunk`];
+//! because tallies travel in task order, the exported files are
+//! byte-identical across reruns and any `--jobs` value, like stdout.
 
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
+use std::time::Duration;
 
-use acme_sim_core::SimTime;
+use acme_sim_core::stats::{self, Counters};
 
 /// One argument value attached to a trace event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +118,7 @@ impl Recorder {
         self.events.is_empty()
     }
 
-    /// Convert into a labelled chunk for the thread-local store.
+    /// Convert into a labelled chunk for [`deposit`].
     pub fn into_chunk(self, label: impl Into<String>) -> TraceChunk {
         TraceChunk {
             label: label.into(),
@@ -186,28 +197,6 @@ impl<'a> Rec<'a> {
         self.push(ts_secs, Phase::End, name, "", &[]);
     }
 
-    /// Enter a span at a [`SimTime`].
-    #[inline]
-    pub fn begin_at(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        cat: &'static str,
-        args: &[(&'static str, ArgValue)],
-    ) {
-        if self.enabled() {
-            self.begin(at.as_secs_f64(), name, cat, args);
-        }
-    }
-
-    /// Exit the innermost open span at a [`SimTime`].
-    #[inline]
-    pub fn end_at(&mut self, at: SimTime, name: &str) {
-        if self.enabled() {
-            self.end(at.as_secs_f64(), name);
-        }
-    }
-
     /// Record an instant event.
     #[inline]
     pub fn instant(
@@ -243,21 +232,59 @@ pub struct TraceChunk {
     pub events: Vec<TraceEvent>,
 }
 
+/// Wall time of one named shard, for `--timings-json`.
+#[derive(Debug, Clone)]
+pub struct ShardTiming {
+    /// Shard label, unique within its experiment (`arm/naive-restart`,
+    /// `cdf/duration/Seren`, …).
+    pub label: String,
+    /// Wall-clock time the shard spent on its worker.
+    pub wall: Duration,
+}
+
+/// Everything deposited on one thread since the last [`take`], in deposit
+/// order.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Trace chunks.
+    pub chunks: Vec<TraceChunk>,
+    /// Shard wall times.
+    pub shards: Vec<ShardTiming>,
+    /// Event-queue and flow counters.
+    pub counters: Counters,
+}
+
 thread_local! {
-    /// Chunks deposited on this thread since the last drain. Keyed per
-    /// thread so concurrent experiments on different runner workers never
-    /// mix their recordings up (the same discipline as shard timings).
-    static CHUNKS: RefCell<Vec<TraceChunk>> = const { RefCell::new(Vec::new()) };
+    /// Chunks and shard timings deposited on this thread since the last
+    /// [`take`]; the counters live in sim-core's cell. Keyed per thread so
+    /// concurrent experiments on different workers never mix their
+    /// deposits up.
+    static PENDING: RefCell<(Vec<TraceChunk>, Vec<ShardTiming>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Deposit a finished chunk on the calling thread.
 pub fn deposit(chunk: TraceChunk) {
-    CHUNKS.with(|c| c.borrow_mut().push(chunk));
+    PENDING.with_borrow_mut(|(chunks, _)| chunks.push(chunk));
 }
 
-/// Drain every chunk deposited on the calling thread, in deposit order.
-pub fn take_chunks() -> Vec<TraceChunk> {
-    CHUNKS.with(|c| std::mem::take(&mut *c.borrow_mut()))
+/// Drain everything deposited on the calling thread.
+pub fn take() -> Tally {
+    let (chunks, shards) = PENDING.take();
+    Tally {
+        chunks,
+        shards,
+        counters: stats::take(),
+    }
+}
+
+/// Deposit `tally` on the calling thread, after what is already there.
+pub fn absorb(tally: Tally) {
+    PENDING.with_borrow_mut(|(chunks, shards)| {
+        chunks.extend(tally.chunks);
+        shards.extend(tally.shards);
+    });
+    stats::absorb(tally.counters);
 }
 
 /// One Perfetto "process": an experiment and its chunks (one "thread" per
@@ -453,24 +480,42 @@ mod tests {
     }
 
     #[test]
-    fn begin_at_uses_sim_seconds() {
-        let mut r = Recorder::new();
-        let mut rec = Rec::on(&mut r);
-        rec.begin_at(SimTime::from_secs(90), "span", "c", &[]);
-        rec.end_at(SimTime::from_secs(100), "span");
-        assert_eq!(r.events()[0].ts_secs, 90.0);
-        assert_eq!(r.events()[1].ts_secs, 100.0);
-    }
-
-    #[test]
-    fn chunk_store_drains_in_deposit_order() {
-        take_chunks();
-        for label in ["s0", "s1", "s2"] {
-            deposit(Recorder::new().into_chunk(label));
-        }
-        let got: Vec<String> = take_chunks().into_iter().map(|c| c.label).collect();
-        assert_eq!(got, ["s0", "s1", "s2"]);
-        assert!(take_chunks().is_empty(), "drain leaves nothing behind");
+    fn take_and_absorb_keep_deposit_order() {
+        take(); // isolate from deposits earlier on this thread
+        let timing = |label: &str| ShardTiming {
+            label: label.to_owned(),
+            wall: Duration::from_millis(1),
+        };
+        deposit(Recorder::new().into_chunk("c0"));
+        absorb(Tally {
+            chunks: vec![Recorder::new().into_chunk("c1")],
+            shards: vec![timing("s0")],
+            counters: Counters {
+                queue: stats::QueueStats {
+                    schedules: 3,
+                    pops: 2,
+                    max_depth: 1,
+                },
+                ..Counters::ZERO
+            },
+        });
+        deposit(Recorder::new().into_chunk("c2"));
+        absorb(Tally {
+            shards: vec![timing("s1")],
+            ..Tally::default()
+        });
+        let got = take();
+        let chunks: Vec<&str> = got.chunks.iter().map(|c| c.label.as_str()).collect();
+        let shards: Vec<&str> = got.shards.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(chunks, ["c0", "c1", "c2"]);
+        assert_eq!(shards, ["s0", "s1"]);
+        assert_eq!(got.counters.queue.pops, 2);
+        let empty = take();
+        assert!(
+            empty.chunks.is_empty() && empty.shards.is_empty(),
+            "take drains"
+        );
+        assert_eq!(empty.counters, Counters::ZERO);
     }
 
     #[test]

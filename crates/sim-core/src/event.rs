@@ -16,7 +16,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::stats::QueueStats;
+use crate::stats::{Counters, QueueStats};
 use crate::time::SimDuration;
 use crate::time::SimTime;
 
@@ -59,14 +59,17 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
-    /// Lifetime activity counters, absorbed into the thread-local
-    /// accumulator ([`crate::stats`]) when the queue is dropped.
+    /// Lifetime activity counters, deposited into the thread's
+    /// [`crate::stats`] totals when the queue is dropped.
     stats: QueueStats,
 }
 
 impl<E> Drop for EventQueue<E> {
     fn drop(&mut self) {
-        crate::stats::absorb(self.stats);
+        crate::stats::absorb(Counters {
+            queue: self.stats,
+            ..Counters::ZERO
+        });
     }
 }
 

@@ -10,8 +10,10 @@
 //! * [`dist`] — the probability distributions used to calibrate workloads
 //!   and failures (exponential, log-normal, Pareto, Weibull, categorical);
 //! * [`event::EventQueue`] — a stable (FIFO tie-break) time-ordered event
-//!   queue over a binary heap, whose activity counters ([`stats`]) the
-//!   harness reports per experiment.
+//!   queue over a binary heap;
+//! * [`stats`] — the per-thread activity counters that the event queue and
+//!   the fat-tree flow scheduler deposit and the harness reports per
+//!   experiment.
 //!
 //! The kernel deliberately has no dependencies: determinism is the core
 //! guarantee, and the fewer moving parts under it the easier that guarantee

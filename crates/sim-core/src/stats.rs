@@ -1,14 +1,14 @@
-//! Event-queue activity counters.
+//! Activity counters deposited from below the experiment harness.
 //!
 //! Every [`EventQueue`](crate::EventQueue) counts its schedules, pops and
 //! peak pending depth in plain integer fields — three updates on paths
 //! that already touch the same cache lines, cheap enough to leave on
-//! unconditionally. When a queue is dropped it absorbs its counters into
-//! a thread-local accumulator; the experiment harness
-//! drains that accumulator per experiment (and per shard, forwarding
-//! worker-thread totals to the calling thread) so `--timings-json` can
-//! report `events_processed` and `max_queue_depth` without any plumbing
-//! through simulation code.
+//! unconditionally — and deposits them when it is dropped. The fat-tree
+//! flow scheduler (`acme_cluster::net::FlowSim`) deposits its flow count
+//! and busiest-link utilization after each run. Both land in one
+//! thread-local [`Counters`] cell, which `acme_obs::take` drains with the
+//! rest of an experiment's tally, so `--timings-json` reports them without
+//! any plumbing through simulation code.
 
 use std::cell::Cell;
 
@@ -30,88 +30,97 @@ impl QueueStats {
         pops: 0,
         max_depth: 0,
     };
+}
 
-    /// Combine two totals: counts add, peak depths take the maximum (the
-    /// queues were live at different times or in different shards; summing
-    /// depths would overstate the peak).
-    pub fn merge(self, other: QueueStats) -> QueueStats {
-        QueueStats {
-            schedules: self.schedules + other.schedules,
-            pops: self.pops + other.pops,
-            max_depth: self.max_depth.max(other.max_depth),
-        }
-    }
+/// Flow-scheduler totals from one or more fat-tree flow runs.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct NetStats {
+    /// Flows routed through a fat tree.
+    pub flows_routed: u64,
+    /// Peak time-averaged utilization (0..=1) of the busiest link across
+    /// runs.
+    pub max_link_utilization: f64,
+}
+
+impl NetStats {
+    /// All-zero counters.
+    pub const ZERO: NetStats = NetStats {
+        flows_routed: 0,
+        max_link_utilization: 0.0,
+    };
+}
+
+/// Every counter deposited from below the harness.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Counters {
+    /// Event-queue activity.
+    pub queue: QueueStats,
+    /// Fat-tree flow activity.
+    pub net: NetStats,
+}
+
+impl Counters {
+    /// All-zero counters.
+    pub const ZERO: Counters = Counters {
+        queue: QueueStats::ZERO,
+        net: NetStats::ZERO,
+    };
 }
 
 thread_local! {
-    static SCHEDULES: Cell<u64> = const { Cell::new(0) };
-    static POPS: Cell<u64> = const { Cell::new(0) };
-    static MAX_DEPTH: Cell<u64> = const { Cell::new(0) };
+    static COUNTERS: Cell<Counters> = const { Cell::new(Counters::ZERO) };
 }
 
-/// Fold `stats` into the calling thread's accumulator. Called by
-/// `EventQueue::drop`; harness code normally only needs [`take`].
-pub fn absorb(stats: QueueStats) {
-    SCHEDULES.with(|c| c.set(c.get() + stats.schedules));
-    POPS.with(|c| c.set(c.get() + stats.pops));
-    MAX_DEPTH.with(|c| c.set(c.get().max(stats.max_depth)));
+/// Fold `c` into the calling thread's totals. Counts add; peaks take the
+/// maximum, because the deposits come from queues and flow runs that were
+/// live at different times or in different shards, and summing peaks would
+/// overstate them.
+pub fn absorb(c: Counters) {
+    let t = COUNTERS.get();
+    COUNTERS.set(Counters {
+        queue: QueueStats {
+            schedules: t.queue.schedules + c.queue.schedules,
+            pops: t.queue.pops + c.queue.pops,
+            max_depth: t.queue.max_depth.max(c.queue.max_depth),
+        },
+        net: NetStats {
+            flows_routed: t.net.flows_routed + c.net.flows_routed,
+            max_link_utilization: t.net.max_link_utilization.max(c.net.max_link_utilization),
+        },
+    });
 }
 
-/// Drain the calling thread's accumulated totals, resetting them to zero.
-pub fn take() -> QueueStats {
-    QueueStats {
-        schedules: SCHEDULES.with(|c| c.replace(0)),
-        pops: POPS.with(|c| c.replace(0)),
-        max_depth: MAX_DEPTH.with(|c| c.replace(0)),
-    }
+/// Drain the calling thread's totals, resetting them to zero.
+pub fn take() -> Counters {
+    COUNTERS.replace(Counters::ZERO)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn merge_adds_counts_and_maxes_depth() {
-        let a = QueueStats {
-            schedules: 10,
-            pops: 8,
-            max_depth: 5,
-        };
-        let b = QueueStats {
-            schedules: 3,
-            pops: 3,
-            max_depth: 9,
-        };
-        let m = a.merge(b);
-        assert_eq!(m.schedules, 13);
-        assert_eq!(m.pops, 11);
-        assert_eq!(m.max_depth, 9);
-        assert_eq!(QueueStats::ZERO.merge(a), a);
+    fn counters(schedules: u64, pops: u64, max_depth: u64, flows: u64, util: f64) -> Counters {
+        Counters {
+            queue: QueueStats {
+                schedules,
+                pops,
+                max_depth,
+            },
+            net: NetStats {
+                flows_routed: flows,
+                max_link_utilization: util,
+            },
+        }
     }
 
     #[test]
     fn absorb_take_roundtrip() {
         take(); // isolate from queues dropped earlier on this thread
-        absorb(QueueStats {
-            schedules: 2,
-            pops: 1,
-            max_depth: 4,
-        });
-        absorb(QueueStats {
-            schedules: 5,
-            pops: 5,
-            max_depth: 3,
-        });
-        let got = take();
-        assert_eq!(
-            got,
-            QueueStats {
-                schedules: 7,
-                pops: 6,
-                max_depth: 4,
-            }
-        );
-        assert_eq!(take(), QueueStats::ZERO, "take drains");
+        absorb(counters(2, 1, 4, 5, 0.4));
+        absorb(counters(5, 5, 3, 2, 0.8));
+        // Counts add; peak depth and peak utilization take the maximum.
+        assert_eq!(take(), counters(7, 6, 4, 7, 0.8));
+        assert_eq!(take(), Counters::ZERO, "take drains");
     }
 
     #[test]
@@ -127,7 +136,7 @@ mod tests {
                 q.pop();
             }
         }
-        let got = take();
+        let got = take().queue;
         assert_eq!(got.schedules, 50);
         assert_eq!(got.pops, 20);
         assert_eq!(got.max_depth, 50);

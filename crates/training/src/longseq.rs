@@ -30,14 +30,6 @@ pub fn attention_compute_fraction(model: &ModelConfig, seq: u32) -> f64 {
     attn / flops_per_token_at_seq(model, seq)
 }
 
-/// Per-GPU activation bytes for one sequence of length `seq` under a
-/// hierarchical-ZeRO placement with recomputation (the long-sequence
-/// regime the paper's InternEvo paper targets).
-pub fn activation_bytes_per_sequence(model: &ModelConfig, seq: u32) -> f64 {
-    // Boundary checkpoints only: 2 bytes/token/layer at hidden width.
-    2.0 * model.hidden as f64 * model.layers as f64 * seq as f64
-}
-
 /// The longest single sequence one 80 GB GPU can hold, given the strategy's
 /// static footprint and the recompute activation model.
 pub fn max_seq_on_one_gpu(model: &ModelConfig, strategy: &Strategy) -> u32 {

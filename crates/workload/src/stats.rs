@@ -289,23 +289,6 @@ impl<'a> TraceStats<'a> {
         Cdf::from_samples(self.jobs.iter().map(|j| j.duration.as_mins_f64()).collect()).unwrap()
     }
 
-    /// CDF of queue delays in minutes (Figure 6b) — meaningful after the
-    /// scheduler simulation fills `queue_delay` in.
-    pub fn queue_delay_cdf(&self) -> Cdf {
-        Cdf::from_samples(
-            self.jobs
-                .iter()
-                .map(|j| j.queue_delay.as_mins_f64())
-                .collect(),
-        )
-        .unwrap()
-    }
-
-    /// Jobs of one type.
-    pub fn of_type(&self, ty: JobType) -> Vec<&JobRecord> {
-        self.jobs.iter().filter(|j| j.job_type == ty).collect()
-    }
-
     /// `(type, count_share, gpu_time_share)` rows — Figure 4. Types absent
     /// from the trace are omitted. Each type's accumulator received
     /// exactly the additions the historical per-type map made, in job

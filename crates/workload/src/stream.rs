@@ -208,11 +208,6 @@ impl FleetStream {
     pub fn candidates(&self) -> u64 {
         self.candidates
     }
-
-    /// The arrival clock after the most recent yield, in seconds.
-    pub fn current_secs(&self) -> f64 {
-        self.t_secs
-    }
 }
 
 impl Iterator for FleetStream {
