@@ -18,10 +18,10 @@
 //!
 //! Every cell is a pure function of its (seed, intensity, bundle) — cells
 //! fan out through the shard pool and aggregate in grid order, so stdout
-//! is byte-identical at any `--jobs`. Sweep cells render 24-line log
-//! bundles (the diagnosis signature lines are always present); the legacy
-//! arms keep their 150-line bundles, so the `storm` experiment's output is
-//! unchanged.
+//! is byte-identical at any `--jobs`. Sweep cells draw 24-line log
+//! bundles and the legacy arms 150-line ones. The depth never changes a
+//! diagnosis, but it picks the rng stream: 150 keeps the `storm`
+//! experiment's output and 24 the sweep's as the golden report pins them.
 
 use acme_failure::storm::{StormConfig, StormEngine};
 use acme_policy::{

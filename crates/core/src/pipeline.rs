@@ -19,8 +19,8 @@ use acme_data::pipeline::{DataPipeline, PipelineStats};
 use acme_evaluation::coordinator::{run as run_eval, Scheduler};
 use acme_failure::taxonomy::FailureCategory;
 use acme_failure::{
-    DiagnosisPipeline, FailureInjector, FailureReason, LogBundle, NcclTester, OrchestratorConfig,
-    RecoveryAction, RecoveryOrchestrator, Watchdog, WatchdogState,
+    DiagnosisMemo, FailureInjector, FailureReason, NcclTester, OrchestratorConfig, RecoveryAction,
+    RecoveryOrchestrator, Watchdog, WatchdogState,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_sim_core::dist::Categorical;
@@ -28,6 +28,8 @@ use acme_sim_core::{SimDuration, SimRng, SimTime};
 use acme_training::checkpoint::{
     CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
 };
+
+use crate::storm::manual_delay;
 
 /// What interrupted the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +169,7 @@ impl FaultTolerantTrainer {
             CheckpointMode::Asynchronous,
             self.checkpoint_interval.as_secs_f64(),
         );
-        let mut pipeline = DiagnosisPipeline::with_all_rules();
+        let mut diagnoses = DiagnosisMemo::default();
         let mut orchestrator = RecoveryOrchestrator::new(self.orchestrator);
 
         let mut incidents = Vec::new();
@@ -192,11 +194,8 @@ impl FaultTolerantTrainer {
 
             let (action, diagnose_mins) = match kind {
                 Interruption::Error(reason) => {
-                    let bundle = LogBundle::generate(reason, 150, rng);
-                    let report = pipeline
-                        .diagnose(&bundle.lines)
-                        .expect("generated logs are diagnosable");
-                    (orchestrator.decide(at, &report).action, 2.0)
+                    let report = diagnoses.diagnose(reason, 150, rng);
+                    (orchestrator.decide(at, report).action, 2.0)
                 }
                 Interruption::SilentHang => {
                     // The watchdog fires after its timeout of silence.
@@ -310,22 +309,6 @@ impl FaultTolerantTrainer {
             rollback_secs: rollback,
             useful_secs: trained.as_secs_f64() - rollback,
         }
-    }
-}
-
-/// Human reaction time: short in the day, until-morning at night (§5.3).
-fn manual_delay(at: SimTime, rng: &mut SimRng) -> SimDuration {
-    let hour = (at.as_secs() / 3600) % 24;
-    if (8..23).contains(&hour) {
-        SimDuration::from_mins(rng.range_u64(15, 45))
-    } else {
-        let secs_into_day = at.as_secs() % 86_400;
-        let to_morning = if secs_into_day < 8 * 3600 {
-            8 * 3600 - secs_into_day
-        } else {
-            86_400 - secs_into_day + 8 * 3600
-        };
-        SimDuration::from_secs(to_morning) + SimDuration::from_mins(rng.range_u64(10, 40))
     }
 }
 
@@ -494,7 +477,7 @@ mod tests {
         // infinite retry budget, no corruption handling and no strike
         // cordons, the stateful orchestrator must reproduce the stateless
         // RecoveryManager's decision for every incident of a campaign.
-        use acme_failure::RecoveryManager;
+        use acme_failure::{DiagnosisPipeline, LogBundle, RecoveryManager};
         use acme_sim_core::dist::Categorical;
 
         let mut rng = SimRng::new(1234);

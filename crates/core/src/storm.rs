@@ -31,8 +31,7 @@
 use acme_cluster::SparePool;
 use acme_failure::storm::StormCampaign;
 use acme_failure::{
-    DiagnosisPipeline, LogBundle, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator,
-    RetryPolicy, Watchdog,
+    DiagnosisMemo, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, RetryPolicy, Watchdog,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel};
@@ -102,10 +101,10 @@ pub struct StormPolicies {
     pub repair: RepairModel,
     /// Checkpoint-cadence strategy.
     pub checkpoint: CheckpointChoice,
-    /// Noise lines per generated incident log bundle. The legacy arms use
-    /// 150 (pinned by the golden outputs); sweep cells use a shallower
-    /// bundle — the diagnostic signature lines are always present, so the
-    /// diagnosis is identical, only cheaper to render.
+    /// Noise lines per incident log bundle. The depth never changes a
+    /// diagnosis (see [`DiagnosisMemo`]), but every noise line consumes rng
+    /// draws, so it selects the replay's draw stream: the legacy arms use
+    /// 150 and sweep cells 24, the streams the golden outputs pin.
     pub noise_lines: usize,
 }
 
@@ -405,7 +404,7 @@ impl StormRunner {
             mttf_secs,
             cascade_fraction,
         );
-        let mut pipeline = DiagnosisPipeline::with_all_rules();
+        let mut diagnoses = DiagnosisMemo::default();
         let mut orch = RecoveryOrchestrator::new(policies.orchestrator);
         let mut fleet = Fleet::new(
             self.fleet_nodes,
@@ -458,16 +457,13 @@ impl StormRunner {
 
             // Diagnose: the cascade's secondary errors are exactly what the
             // log renderer buries the root cause under.
-            let bundle = LogBundle::generate(e.reason, policies.noise_lines, rng);
-            let report = pipeline
-                .diagnose(&bundle.lines)
-                .expect("generated logs are diagnosable");
+            let report = diagnoses.diagnose(e.reason, policies.noise_lines, rng);
 
-            let base_needs_human = acme_failure::RecoveryManager.decide(&report).needs_human();
+            let base_needs_human = acme_failure::RecoveryManager.decide(report).needs_human();
             let decision = if policies.naive {
                 None
             } else {
-                Some(orch.decide(e.at, &report))
+                Some(orch.decide(e.at, report))
             };
 
             let mut wait = DIAGNOSE;
@@ -876,11 +872,11 @@ mod tests {
 
     #[test]
     fn shallow_log_bundles_remain_diagnosable() {
-        // Sweep cells render 24 noise lines instead of 150: the diagnosis
-        // signature lines are always present, so every incident still
-        // diagnoses (the runner would panic otherwise) at a sixth of the
-        // render cost. The rng stream advances differently, which is why
-        // the legacy arms pin 150 for golden byte-compatibility.
+        // Sweep cells draw 24-line log bundles instead of 150: the
+        // diagnosis signature lines are always present, so every incident
+        // still diagnoses (the runner would panic otherwise). The rng
+        // stream advances differently, which is why the legacy arms pin 150
+        // for golden byte-compatibility.
         let campaign = storm(42);
         let runner = StormRunner::deployed(campaign.fleet_nodes);
         let mut shallow = StormPolicies::for_arm(StormPolicy::FullOrchestrator);

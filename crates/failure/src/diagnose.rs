@@ -16,7 +16,10 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use acme_sim_core::SimRng;
+
 use crate::compress::{normalize_into, LogAgent, LogCompressor};
+use crate::logs::LogBundle;
 use crate::taxonomy::{FailureCategory, FailureReason};
 
 /// Embedding dimensionality for the hashed bag-of-words.
@@ -36,7 +39,7 @@ pub enum DiagnosisSource {
 }
 
 /// The pipeline's verdict for one failed job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisReport {
     /// Root cause.
     pub reason: FailureReason,
@@ -373,11 +376,69 @@ impl DiagnosisPipeline {
     }
 }
 
+/// Full-rule diagnoses of generated logs, one per root cause, for the
+/// campaign replays that would otherwise render and diagnose every
+/// incident's log.
+///
+/// With every rule installed, the report on a [`LogBundle`] depends on
+/// its root cause alone:
+/// * every rule pattern occurs only in the log's error block, the
+///   secondary signatures plus the root signature;
+/// * the block's random rank numbers normalize to `#`, and the one
+///   raw-matched pattern, `S3StorageError`, cannot be formed from them;
+/// * no noise line contains a pattern, and the compressor never strips a
+///   protected (`ERROR`/`Error`/`Traceback`) line.
+///
+/// So neither the draws, nor the noise depth, nor the compressor's learned
+/// filter rules can change the report. The first incident of each root
+/// cause renders its log and diagnoses it; every later one calls
+/// [`LogBundle::draw`], which consumes the same rng draws and formats
+/// nothing. The caller's rng stream is the one the text path leaves.
+#[derive(Debug)]
+pub struct DiagnosisMemo {
+    pipeline: DiagnosisPipeline,
+    reports: [Option<DiagnosisReport>; FailureReason::ALL.len()],
+}
+
+impl Default for DiagnosisMemo {
+    fn default() -> Self {
+        DiagnosisMemo {
+            pipeline: DiagnosisPipeline::with_all_rules(),
+            reports: [const { None }; FailureReason::ALL.len()],
+        }
+    }
+}
+
+impl DiagnosisMemo {
+    /// The full-rule report on the log [`LogBundle::generate`] would
+    /// render for `root_cause` at `noise_lines` from `rng`, leaving `rng`
+    /// where that render leaves it.
+    pub fn diagnose(
+        &mut self,
+        root_cause: FailureReason,
+        noise_lines: usize,
+        rng: &mut SimRng,
+    ) -> &DiagnosisReport {
+        match &mut self.reports[root_cause as usize] {
+            Some(report) => {
+                LogBundle::draw(root_cause, noise_lines, rng);
+                report
+            }
+            slot @ None => {
+                let bundle = LogBundle::generate(root_cause, noise_lines, rng);
+                let report = self
+                    .pipeline
+                    .diagnose(&bundle.lines)
+                    .expect("generated logs are diagnosable");
+                slot.insert(report)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logs::LogBundle;
-    use acme_sim_core::SimRng;
 
     fn bundle(reason: FailureReason, seed: u64) -> LogBundle {
         let mut rng = SimRng::new(seed);

@@ -11,6 +11,8 @@
 //! the compression + diagnosis pipeline can be measured against ground
 //! truth.
 
+use std::fmt;
+
 use acme_sim_core::SimRng;
 
 use crate::taxonomy::FailureReason;
@@ -122,59 +124,90 @@ impl LogBundle {
         use std::fmt::Write as _;
         let mut used = 0usize;
         // Reuse the String at the cursor when one exists, extend otherwise.
-        macro_rules! out {
-            ($($arg:tt)*) => {{
-                if used == lines.len() {
-                    lines.push(String::new());
-                }
-                let line = &mut lines[used];
-                line.clear();
-                write!(line, $($arg)*).expect("write! to String is infallible");
-                used += 1;
-            }};
-        }
-        out!("INFO colossal launcher: initializing distributed environment");
-        out!(
-            "INFO topo: world_size={} tp=8 pp=4 zero=1",
-            8 * (1 + rng.below(256))
-        );
-        out!("INFO dataloader: on-the-fly tokenization enabled");
-        for i in 0..noise_lines {
-            // Per-step metric records: the bulk of real logs, and exactly
-            // what the Filter Rules must learn to strip.
-            let step = i as u64 + 1;
-            match i % 4 {
-                0 => out!(
-                    "INFO train: step={step} loss={:.4} lr={:.2e} tgs={:.1}",
-                    8.0 / (step as f64).sqrt() + rng.f64() * 0.05,
-                    4e-4 * (1.0 - step as f64 * 1e-6),
-                    3950.0 + rng.f64() * 100.0
-                ),
-                1 => out!(
-                    "INFO memory: step={step} allocated={:.1}GB reserved={:.1}GB",
-                    55.0 + rng.f64() * 5.0,
-                    71.0 + rng.f64() * 2.0
-                ),
-                2 => out!("INFO grad_norm: step={step} norm={:.3}", 1.0 + rng.f64()),
-                _ => out!(
-                    "DEBUG ckpt: step={step} snapshot staged in {:.0}ms",
-                    180.0 + rng.f64() * 40.0
-                ),
+        render(root_cause, noise_lines, rng, |args| {
+            if used == lines.len() {
+                lines.push(String::new());
             }
-        }
-        for s in secondary_signatures(root_cause) {
-            out!("ERROR rank {}: {s}", rng.below(2048));
-        }
-        out!("Traceback (most recent call last):");
-        out!("  File \"train.py\", line 412, in main");
-        out!("ERROR rank {}: {}", rng.below(2048), signature(root_cause));
+            let line = &mut lines[used];
+            line.clear();
+            line.write_fmt(args)
+                .expect("writing to a String is infallible");
+            used += 1;
+        });
         lines.truncate(used);
+    }
+
+    /// Advance `rng` exactly as [`LogBundle::generate`] would for the same
+    /// arguments, formatting nothing: the draw stream of a log whose text
+    /// is not needed.
+    pub fn draw(root_cause: FailureReason, noise_lines: usize, rng: &mut SimRng) {
+        render(root_cause, noise_lines, rng, |_| {});
     }
 
     /// Total rendered size in bytes.
     pub fn byte_len(&self) -> usize {
         self.lines.iter().map(|l| l.len() + 1).sum()
     }
+}
+
+/// The one renderer behind [`LogBundle::generate_into`] and
+/// [`LogBundle::draw`]: `noise_lines` of regular output, then the
+/// (secondary + root) error block and a traceback, one `emit` per line.
+/// Every rng draw is an argument of the `format_args!` that fills its
+/// line, so the draws happen in the same order whether or not `emit`
+/// formats anything.
+fn render(
+    root_cause: FailureReason,
+    noise_lines: usize,
+    rng: &mut SimRng,
+    mut emit: impl FnMut(fmt::Arguments<'_>),
+) {
+    emit(format_args!(
+        "INFO colossal launcher: initializing distributed environment"
+    ));
+    emit(format_args!(
+        "INFO topo: world_size={} tp=8 pp=4 zero=1",
+        8 * (1 + rng.below(256))
+    ));
+    emit(format_args!(
+        "INFO dataloader: on-the-fly tokenization enabled"
+    ));
+    for i in 0..noise_lines {
+        // Per-step metric records: the bulk of real logs, and exactly
+        // what the Filter Rules must learn to strip.
+        let step = i as u64 + 1;
+        match i % 4 {
+            0 => emit(format_args!(
+                "INFO train: step={step} loss={:.4} lr={:.2e} tgs={:.1}",
+                8.0 / (step as f64).sqrt() + rng.f64() * 0.05,
+                4e-4 * (1.0 - step as f64 * 1e-6),
+                3950.0 + rng.f64() * 100.0
+            )),
+            1 => emit(format_args!(
+                "INFO memory: step={step} allocated={:.1}GB reserved={:.1}GB",
+                55.0 + rng.f64() * 5.0,
+                71.0 + rng.f64() * 2.0
+            )),
+            2 => emit(format_args!(
+                "INFO grad_norm: step={step} norm={:.3}",
+                1.0 + rng.f64()
+            )),
+            _ => emit(format_args!(
+                "DEBUG ckpt: step={step} snapshot staged in {:.0}ms",
+                180.0 + rng.f64() * 40.0
+            )),
+        }
+    }
+    for s in secondary_signatures(root_cause) {
+        emit(format_args!("ERROR rank {}: {s}", rng.below(2048)));
+    }
+    emit(format_args!("Traceback (most recent call last):"));
+    emit(format_args!("  File \"train.py\", line 412, in main"));
+    emit(format_args!(
+        "ERROR rank {}: {}",
+        rng.below(2048),
+        signature(root_cause)
+    ));
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use acme_failure::compress::{normalize, LogAgent, LogCompressor};
 use acme_failure::storm::{StormConfig, StormEngine};
-use acme_failure::{DiagnosisPipeline, FailureReason, LogBundle, NcclTester};
+use acme_failure::{DiagnosisMemo, DiagnosisPipeline, FailureReason, LogBundle, NcclTester};
 use acme_sim_core::SimRng;
 use proptest::prelude::*;
 
@@ -45,16 +45,39 @@ proptest! {
         }
     }
 
-    /// The full-rule pipeline classifies every generated log exactly.
+    /// The full-rule pipeline classifies every generated log exactly, and
+    /// the storm replays' memo stands in for it: `LogBundle::draw` consumes
+    /// exactly `generate`'s rng draws, and one `DiagnosisMemo` fed incidents
+    /// of mixed causes and depths returns the reports one persistent
+    /// pipeline gives on the rendered text, leaving the same rng state.
     #[test]
-    fn diagnosis_exact_with_full_rules(seed in any::<u64>(), reason_idx in 0usize..29) {
+    fn diagnosis_exact_with_full_rules(
+        seed in any::<u64>(),
+        reason_idx in 0usize..29,
+        depth in 0usize..200,
+        incidents in prop::collection::vec((0usize..29, 0usize..200), 30..50),
+    ) {
         let reason = FailureReason::ALL[reason_idx];
         let mut rng = SimRng::new(seed);
-        let bundle = LogBundle::generate(reason, 60, &mut rng);
+        let mut drawn = rng.clone();
+        let bundle = LogBundle::generate(reason, depth, &mut rng);
+        LogBundle::draw(reason, depth, &mut drawn);
+        prop_assert_eq!(drawn.next_u64(), rng.clone().next_u64());
         let mut p = DiagnosisPipeline::with_all_rules();
         let report = p.diagnose(&bundle.lines);
         prop_assert!(report.is_some());
         prop_assert_eq!(report.unwrap().reason, reason);
+
+        // 30+ incidents over 29 causes: the memo's draw-only path runs.
+        let mut memo = DiagnosisMemo::default();
+        let mut memo_rng = rng.clone();
+        for &(idx, depth) in &incidents {
+            let reason = FailureReason::ALL[idx];
+            let text = LogBundle::generate(reason, depth, &mut rng);
+            let expected = p.diagnose(&text.lines);
+            prop_assert_eq!(Some(memo.diagnose(reason, depth, &mut memo_rng)), expected.as_ref());
+        }
+        prop_assert_eq!(memo_rng.next_u64(), rng.next_u64());
     }
 
     /// The two-round NCCL test identifies exactly the faulty set whenever
