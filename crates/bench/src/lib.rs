@@ -1,4 +1,4 @@
-//! `acme-bench`: the experiment harness and performance benchmarks.
+//! `acme-bench`: the experiment harness and its regression guard.
 //!
 //! * The `repro` binary regenerates every table and figure:
 //!
@@ -17,11 +17,8 @@
 //!   goes to stderr, and `--timings-json PATH` writes a machine-readable
 //!   dump for the bench trajectory (`BENCH_repro_all.json`).
 //!
-//! * `cargo bench -p acme-bench` runs the Criterion suites:
-//!   `kernel` (event queue, RNG, distributions, trace generation),
-//!   `systems` (scheduler, diagnosis pipeline, evaluation coordinator,
-//!   checkpoint model, step timelines) and `repro_all` (the end-to-end
-//!   harness itself, sequential vs parallel).
+//! * The `bench_guard` binary compares such a dump against a checked-in
+//!   baseline and fails when an experiment got slower than a set factor.
 
 #![warn(missing_docs)]
 

@@ -12,8 +12,8 @@
 //! from the threshold so banding is *exact*, not probabilistic (see
 //! [`MinHashDeduper::band_rows`]), and every banded candidate is still
 //! verified with [`Signature::similarity`], so [`MinHashDeduper::dedup`]
-//! makes **identical keep/drop decisions** to the all-pairs reference
-//! [`MinHashDeduper::dedup_allpairs`] — a property test holds them equal.
+//! makes **identical keep/drop decisions** to an all-pairs scan — the
+//! tests keep that scan as an oracle, and a property test holds them equal.
 
 use std::collections::HashMap;
 
@@ -154,8 +154,8 @@ impl MinHashDeduper {
     ///
     /// LSH-banded: candidate kept documents come from shared band buckets
     /// (see [`band_rows`](Self::band_rows)); only candidates pay the exact
-    /// signature comparison. Decisions are identical to
-    /// [`dedup_allpairs`](Self::dedup_allpairs).
+    /// signature comparison. Decisions are identical to comparing every
+    /// document against every kept signature.
     pub fn dedup(&self, docs: Vec<Document>) -> (Vec<Document>, Vec<Document>) {
         let rows = self.band_rows();
         let bands = SIGNATURE_LEN / rows;
@@ -193,29 +193,6 @@ impl MinHashDeduper {
         }
         (kept, dropped)
     }
-
-    /// The all-pairs reference: compare every document against every kept
-    /// signature. Quadratic in kept-corpus size; retained as the
-    /// differential-testing and benchmarking baseline for
-    /// [`dedup`](Self::dedup).
-    pub fn dedup_allpairs(&self, docs: Vec<Document>) -> (Vec<Document>, Vec<Document>) {
-        let mut kept: Vec<Document> = Vec::new();
-        let mut kept_sigs: Vec<Signature> = Vec::new();
-        let mut dropped = Vec::new();
-        for doc in docs {
-            let sig = self.signature(&doc.text);
-            let is_dup = kept_sigs
-                .iter()
-                .any(|s| s.similarity(&sig) >= self.threshold);
-            if is_dup {
-                dropped.push(doc);
-            } else {
-                kept.push(doc);
-                kept_sigs.push(sig);
-            }
-        }
-        (kept, dropped)
-    }
 }
 
 impl Default for MinHashDeduper {
@@ -229,6 +206,26 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusGenerator;
     use acme_sim_core::SimRng;
+    use proptest::prelude::*;
+
+    /// The all-pairs oracle for [`MinHashDeduper::dedup`]: compare every
+    /// document against every kept signature. Quadratic in kept-corpus size.
+    fn dedup_allpairs(d: &MinHashDeduper, docs: Vec<Document>) -> (Vec<Document>, Vec<Document>) {
+        let mut kept: Vec<Document> = Vec::new();
+        let mut kept_sigs: Vec<Signature> = Vec::new();
+        let mut dropped = Vec::new();
+        for doc in docs {
+            let sig = d.signature(&doc.text);
+            let is_dup = kept_sigs.iter().any(|s| s.similarity(&sig) >= d.threshold);
+            if is_dup {
+                dropped.push(doc);
+            } else {
+                kept.push(doc);
+                kept_sigs.push(sig);
+            }
+        }
+        (kept, dropped)
+    }
 
     #[test]
     fn identical_texts_have_identical_signatures() {
@@ -306,7 +303,7 @@ mod tests {
             for threshold in [0.3, 0.6, 0.85] {
                 let d = MinHashDeduper::with_params(5, threshold);
                 let (k1, x1) = d.dedup(docs.clone());
-                let (k2, x2) = d.dedup_allpairs(docs.clone());
+                let (k2, x2) = dedup_allpairs(&d, docs.clone());
                 let ids = |v: &[Document]| v.iter().map(|d| d.id).collect::<Vec<_>>();
                 assert_eq!(ids(&k1), ids(&k2), "seed {seed} threshold {threshold}");
                 assert_eq!(ids(&x1), ids(&x2), "seed {seed} threshold {threshold}");
@@ -342,5 +339,49 @@ mod tests {
         let s = d.signature("tiny");
         assert_eq!(s.similarity(&d.signature("tiny")), 1.0);
         assert!(s.similarity(&d.signature("other")) < 0.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The banded LSH dedup makes exactly the same keep/drop decisions
+        /// as the exhaustive all-pairs scan, across loose and strict
+        /// thresholds.
+        #[test]
+        fn lsh_dedup_matches_allpairs(
+            texts in prop::collection::vec(crate::arb_text(), 1..40),
+            seed in any::<u64>(),
+            threshold_pick in 0usize..3,
+        ) {
+            let mut rng = SimRng::new(seed);
+            // Mix in near-duplicates so the threshold actually bites.
+            let mut docs: Vec<Document> = texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| Document { id: i as u64, text: t.clone(), duplicate_of: None, toxic: false })
+                .collect();
+            let n = docs.len();
+            for k in 0..(n / 3).max(1) {
+                let src = rng.below(n as u64) as usize;
+                let mut text = docs[src].text.clone();
+                if rng.below(2) == 0 {
+                    text.push_str(" extra tail words here");
+                }
+                docs.push(Document {
+                    id: (n + k) as u64,
+                    text,
+                    duplicate_of: Some(src as u64),
+                    toxic: false,
+                });
+            }
+
+            let mut d = MinHashDeduper::new();
+            d.threshold = [0.3, 0.6, 0.9][threshold_pick];
+            let (lsh_kept, lsh_dropped) = d.dedup(docs.clone());
+            let (ap_kept, ap_dropped) = dedup_allpairs(&d, docs);
+            let ids = |v: &[Document]| v.iter().map(|doc| doc.id).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&lsh_kept), ids(&ap_kept));
+            prop_assert_eq!(ids(&lsh_dropped), ids(&ap_dropped));
+        }
     }
 }

@@ -32,3 +32,11 @@ pub use detox::Detoxifier;
 pub use loader::{DataLoader, LoaderStrategy};
 pub use pipeline::{DataPipeline, PipelineStats};
 pub use tokenizer::BpeTokenizer;
+
+/// Words over a small alphabet so BPE has merge opportunities and dedup
+/// sees shared shingles: the text strategy of the differential proptests.
+#[cfg(test)]
+fn arb_text() -> impl proptest::strategy::Strategy<Value = String> {
+    use proptest::prelude::*;
+    prop::collection::vec("[abcdef]{1,8}", 1..60).prop_map(|ws| ws.join(" "))
+}

@@ -11,10 +11,8 @@
 //! words containing each pair are maintained across merges, so each merge
 //! touches only the words it changes instead of recounting every pair in
 //! the corpus ([`BpeTokenizer::train`]). The original recount-everything
-//! trainer is kept as [`BpeTokenizer::train_reference`] — the differential
-//! tests hold both to the same merge list, and the `scaling` bench holds
-//! the incremental trainer to near-linear growth where the reference grows
-//! quadratically.
+//! trainer is kept in this module's tests as the oracle the differential
+//! tests hold the incremental trainer to, merge for merge.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -25,11 +23,10 @@ pub type TokenId = u32;
 /// A trained BPE tokenizer.
 #[derive(Debug, Clone)]
 pub struct BpeTokenizer {
-    /// Merge rules in priority order: `(left, right) -> merged`.
-    merges: Vec<((TokenId, TokenId), TokenId)>,
     /// Byte sequence for every token id.
     token_bytes: Vec<Vec<u8>>,
-    /// Fast pair lookup.
+    /// Merge rules: `(left, right) -> (priority rank, merged id)`. A merged
+    /// pair can never become adjacent again, so each pair is ranked once.
     merge_map: HashMap<(TokenId, TokenId), (u32, TokenId)>,
 }
 
@@ -137,7 +134,7 @@ impl BpeTokenizer {
     /// winning pair from a max-heap, rewrites only the words that contain
     /// it (via the per-pair occurrence index), and patches the neighbour
     /// pair counts in place — no corpus-wide recount. Produces exactly the
-    /// merge list of [`train_reference`](Self::train_reference).
+    /// merges of the recount-everything trainer the tests keep as an oracle.
     ///
     /// # Panics
     /// Panics if `vocab_size < 256` (the byte alphabet is the floor).
@@ -150,7 +147,7 @@ impl BpeTokenizer {
         let mut index = PairIndex::build(&words);
 
         let mut token_bytes: Vec<Vec<u8>> = (0..BYTE_TOKENS).map(|b| vec![b as u8]).collect();
-        let mut merges = Vec::new();
+        let mut merge_map = HashMap::new();
         // Scratch buffers reused across merges.
         let mut touched: Vec<(TokenId, TokenId)> = Vec::new();
         let mut sites: Vec<u32> = Vec::new();
@@ -166,7 +163,7 @@ impl BpeTokenizer {
             let mut bytes = token_bytes[pair.0 as usize].clone();
             bytes.extend_from_slice(&token_bytes[pair.1 as usize]);
             token_bytes.push(bytes);
-            merges.push((pair, new_id));
+            merge_map.insert(pair, (merge_map.len() as u32, new_id));
 
             // Rewrite only the words that (may) contain the pair.
             sites.clear();
@@ -217,66 +214,7 @@ impl BpeTokenizer {
             index.refresh(&mut touched);
         }
 
-        Self::from_parts(merges, token_bytes)
-    }
-
-    /// The original trainer: recount every adjacent pair over the whole
-    /// word table for each merge. Quadratic in corpus size × merge count;
-    /// kept as the differential-testing and benchmarking baseline for
-    /// [`train`](Self::train).
-    ///
-    /// # Panics
-    /// Panics if `vocab_size < 256` (the byte alphabet is the floor).
-    pub fn train_reference<S: AsRef<str>>(corpus: &[S], vocab_size: usize) -> Self {
-        assert!(
-            vocab_size >= BYTE_TOKENS,
-            "vocab must cover the byte alphabet"
-        );
-        let mut words = word_table(corpus);
-        let mut token_bytes: Vec<Vec<u8>> = (0..BYTE_TOKENS).map(|b| vec![b as u8]).collect();
-        let mut merges = Vec::new();
-
-        while token_bytes.len() < vocab_size {
-            // Count adjacent pairs, weighted by word frequency.
-            let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
-            for (toks, f) in &words {
-                for w in toks.windows(2) {
-                    *pair_counts.entry((w[0], w[1])).or_insert(0) += f;
-                }
-            }
-            // Most frequent pair; ties break toward the smaller pair so
-            // training is deterministic.
-            let Some((&pair, &count)) = pair_counts
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            else {
-                break;
-            };
-            if count < 2 {
-                break; // nothing left worth merging
-            }
-            let new_id = token_bytes.len() as TokenId;
-            let mut bytes = token_bytes[pair.0 as usize].clone();
-            bytes.extend_from_slice(&token_bytes[pair.1 as usize]);
-            token_bytes.push(bytes);
-            merges.push((pair, new_id));
-            // Apply the merge to every word.
-            for (toks, _) in &mut words {
-                Self::apply_merge(toks, pair, new_id);
-            }
-        }
-
-        Self::from_parts(merges, token_bytes)
-    }
-
-    fn from_parts(merges: Vec<((TokenId, TokenId), TokenId)>, token_bytes: Vec<Vec<u8>>) -> Self {
-        let merge_map = merges
-            .iter()
-            .enumerate()
-            .map(|(rank, &(pair, id))| (pair, (rank as u32, id)))
-            .collect();
         BpeTokenizer {
-            merges,
             token_bytes,
             merge_map,
         }
@@ -304,16 +242,6 @@ impl BpeTokenizer {
     /// Vocabulary size (bytes + learned merges).
     pub fn vocab_size(&self) -> usize {
         self.token_bytes.len()
-    }
-
-    /// Number of learned merges.
-    pub fn merge_count(&self) -> usize {
-        self.merges.len()
-    }
-
-    /// The learned merge list, in priority order (for differential tests).
-    pub fn merges(&self) -> &[((TokenId, TokenId), TokenId)] {
-        &self.merges
     }
 
     /// Encode text into token ids (whitespace becomes word boundaries; a
@@ -376,6 +304,55 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusGenerator;
     use acme_sim_core::SimRng;
+    use proptest::prelude::*;
+
+    /// The original trainer, kept as the differential oracle for
+    /// [`BpeTokenizer::train`]: recount every adjacent pair over the whole
+    /// word table for each merge. Quadratic in corpus size × merge count.
+    fn train_reference<S: AsRef<str>>(corpus: &[S], vocab_size: usize) -> BpeTokenizer {
+        assert!(
+            vocab_size >= BYTE_TOKENS,
+            "vocab must cover the byte alphabet"
+        );
+        let mut words = word_table(corpus);
+        let mut token_bytes: Vec<Vec<u8>> = (0..BYTE_TOKENS).map(|b| vec![b as u8]).collect();
+        let mut merge_map = HashMap::new();
+
+        while token_bytes.len() < vocab_size {
+            // Count adjacent pairs, weighted by word frequency.
+            let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
+            for (toks, f) in &words {
+                for w in toks.windows(2) {
+                    *pair_counts.entry((w[0], w[1])).or_insert(0) += f;
+                }
+            }
+            // Most frequent pair; ties break toward the smaller pair so
+            // training is deterministic.
+            let Some((&pair, &count)) = pair_counts
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            else {
+                break;
+            };
+            if count < 2 {
+                break; // nothing left worth merging
+            }
+            let new_id = token_bytes.len() as TokenId;
+            let mut bytes = token_bytes[pair.0 as usize].clone();
+            bytes.extend_from_slice(&token_bytes[pair.1 as usize]);
+            token_bytes.push(bytes);
+            merge_map.insert(pair, (merge_map.len() as u32, new_id));
+            // Apply the merge to every word.
+            for (toks, _) in &mut words {
+                BpeTokenizer::apply_merge(toks, pair, new_id);
+            }
+        }
+
+        BpeTokenizer {
+            token_bytes,
+            merge_map,
+        }
+    }
 
     fn sample_corpus() -> Vec<String> {
         let mut rng = SimRng::new(1);
@@ -390,7 +367,7 @@ mod tests {
     fn trains_to_requested_vocab() {
         let tok = BpeTokenizer::train(&sample_corpus(), 512);
         assert_eq!(tok.vocab_size(), 512);
-        assert_eq!(tok.merge_count(), 256);
+        assert_eq!(tok.merge_map.len(), 256);
     }
 
     #[test]
@@ -436,7 +413,7 @@ mod tests {
         let corpus = sample_corpus();
         let a = BpeTokenizer::train(&corpus, 400);
         let b = BpeTokenizer::train(&corpus, 400);
-        assert_eq!(a.merges, b.merges);
+        assert_eq!(a.merge_map, b.merge_map);
         assert_eq!(a.encode(&corpus[3]), b.encode(&corpus[3]));
     }
 
@@ -445,8 +422,8 @@ mod tests {
         let corpus = sample_corpus();
         for vocab in [256, 300, 512, 900] {
             let fast = BpeTokenizer::train(&corpus, vocab);
-            let slow = BpeTokenizer::train_reference(&corpus, vocab);
-            assert_eq!(fast.merges, slow.merges, "vocab {vocab}");
+            let slow = train_reference(&corpus, vocab);
+            assert_eq!(fast.merge_map, slow.merge_map, "vocab {vocab}");
             assert_eq!(fast.token_bytes, slow.token_bytes, "vocab {vocab}");
         }
     }
@@ -458,8 +435,8 @@ mod tests {
         // where the previous written token is the freshly merged one.
         let corpus = vec!["aaaaaaa aaaa aa a".to_owned(); 9];
         let fast = BpeTokenizer::train(&corpus, 270);
-        let slow = BpeTokenizer::train_reference(&corpus, 270);
-        assert_eq!(fast.merges, slow.merges);
+        let slow = train_reference(&corpus, 270);
+        assert_eq!(fast.merge_map, slow.merge_map);
         assert_eq!(fast.encode("aaaaaaa"), slow.encode("aaaaaaa"));
     }
 
@@ -468,8 +445,8 @@ mod tests {
         let tok = BpeTokenizer::train(&["ab"], 10_000);
         // Only one pair exists; training stops far short of the target.
         assert!(tok.vocab_size() < 300);
-        let slow = BpeTokenizer::train_reference(&["ab"], 10_000);
-        assert_eq!(tok.merges, slow.merges);
+        let slow = train_reference(&["ab"], 10_000);
+        assert_eq!(tok.merge_map, slow.merge_map);
     }
 
     #[test]
@@ -478,5 +455,23 @@ mod tests {
         assert!(tok.encode("").is_empty());
         assert_eq!(tok.decode(&[]), "");
         assert_eq!(tok.bytes_per_token(""), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The incremental trainer learns exactly the reference trainer's
+        /// merges (same pairs, same ranks, same ids) on arbitrary corpora.
+        #[test]
+        fn incremental_trainer_matches_reference(
+            train in prop::collection::vec(crate::arb_text(), 1..25),
+            extra_vocab in 0usize..400,
+        ) {
+            let vocab = 256 + extra_vocab;
+            let fast = BpeTokenizer::train(&train, vocab);
+            let slow = train_reference(&train, vocab);
+            prop_assert_eq!(&fast.merge_map, &slow.merge_map);
+            prop_assert_eq!(fast.vocab_size(), slow.vocab_size());
+        }
     }
 }

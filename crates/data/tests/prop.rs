@@ -68,58 +68,4 @@ proptest! {
         prop_assert!(kept.iter().all(|d| d.id != n as u64) || !dropped.is_empty());
         prop_assert!(dropped.iter().any(|d| d.id == n as u64));
     }
-
-    /// The banded LSH dedup makes exactly the same keep/drop decisions as
-    /// the exhaustive all-pairs scan, across loose and strict thresholds.
-    #[test]
-    fn lsh_dedup_matches_allpairs(
-        texts in prop::collection::vec(arb_text(), 1..40),
-        seed in any::<u64>(),
-        threshold_pick in 0usize..3,
-    ) {
-        use acme_data::corpus::Document;
-        let mut rng = SimRng::new(seed);
-        // Mix in near-duplicates so the threshold actually bites.
-        let mut docs: Vec<Document> = texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| Document { id: i as u64, text: t.clone(), duplicate_of: None, toxic: false })
-            .collect();
-        let n = docs.len();
-        for k in 0..(n / 3).max(1) {
-            let src = rng.below(n as u64) as usize;
-            let mut text = docs[src].text.clone();
-            if rng.below(2) == 0 {
-                text.push_str(" extra tail words here");
-            }
-            docs.push(Document {
-                id: (n + k) as u64,
-                text,
-                duplicate_of: Some(src as u64),
-                toxic: false,
-            });
-        }
-
-        let mut d = MinHashDeduper::new();
-        d.threshold = [0.3, 0.6, 0.9][threshold_pick];
-        let (lsh_kept, lsh_dropped) = d.dedup(docs.clone());
-        let (ap_kept, ap_dropped) = d.dedup_allpairs(docs);
-        let ids = |v: &[Document]| v.iter().map(|doc| doc.id).collect::<Vec<_>>();
-        prop_assert_eq!(ids(&lsh_kept), ids(&ap_kept));
-        prop_assert_eq!(ids(&lsh_dropped), ids(&ap_dropped));
-    }
-
-    /// The incremental trainer learns exactly the reference trainer's merge
-    /// list (same pairs, same order, same ids) on arbitrary corpora.
-    #[test]
-    fn incremental_trainer_matches_reference(
-        train in prop::collection::vec(arb_text(), 1..25),
-        extra_vocab in 0usize..400,
-    ) {
-        let vocab = 256 + extra_vocab;
-        let fast = BpeTokenizer::train(&train, vocab);
-        let slow = BpeTokenizer::train_reference(&train, vocab);
-        prop_assert_eq!(fast.merges(), slow.merges());
-        prop_assert_eq!(fast.vocab_size(), slow.vocab_size());
-    }
 }

@@ -13,10 +13,11 @@
 //! Hot-path notes: rule lookup is a hash-set probe on the normalized
 //! template (not a scan), normalization reuses one output buffer across
 //! lines ([`normalize_into`]), and template mining counts into a `HashMap`
-//! that only allocates a key per *unique* template. Results are sorted
-//! before they leave, so everything observable stays deterministic.
+//! that only allocates a key per *unique* template. No hash order leaks
+//! out: mining returns only a count and compression keeps line order, so
+//! everything observable stays deterministic.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Replace every digit run (including decimals, exponents, hex fragments)
 /// with `#`, producing the line's template.
@@ -73,19 +74,9 @@ impl LogCompressor {
         self.rules.len()
     }
 
-    /// Install one template rule.
-    pub fn add_rule(&mut self, template: String) {
-        self.rules.insert(template);
-    }
-
     /// Install many rules (e.g., transferred from a similar past task).
     pub fn add_rules(&mut self, templates: impl IntoIterator<Item = String>) {
         self.rules.extend(templates);
-    }
-
-    /// Whether a line would be stripped.
-    pub fn matches(&self, line: &str) -> bool {
-        !is_protected(line) && self.rules.contains(&normalize(line))
     }
 
     /// Strip regular output; keep everything else (order preserved).
@@ -138,97 +129,19 @@ impl Default for LogAgent {
 }
 
 impl LogAgent {
-    /// Mine filter-rule templates from a log, with self-consistency: the
-    /// log is split into segments, each segment proposes its frequent
-    /// templates, and only templates proposed by at least
-    /// `votes_required` segments are accepted (the deterministic analogue
-    /// of having another LLM vote over repeated Log-Agent passes).
+    /// Mine filter-rule templates from a log and install them in the
+    /// compressor; returns how many new rules were learned.
     ///
-    /// The returned list is sorted, making the result independent of hash
-    /// order even though counting uses `HashMap` internally.
-    pub fn mine_rules(&self, lines: &[String]) -> Vec<String> {
-        assert!(self.segments >= self.votes_required && self.votes_required >= 1);
-        if lines.is_empty() {
-            return vec![];
-        }
-        let seg_len = lines.len().div_ceil(self.segments);
-        let mut votes: HashMap<String, usize> = HashMap::new();
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        let mut buf = String::new();
-        for seg in lines.chunks(seg_len.max(1)) {
-            counts.clear();
-            for line in seg {
-                if is_protected(line) {
-                    continue;
-                }
-                normalize_into(line, &mut buf);
-                // Allocate the key string only on first sight of a template.
-                match counts.get_mut(buf.as_str()) {
-                    Some(c) => *c += 1,
-                    None => {
-                        counts.insert(buf.clone(), 1);
-                    }
-                }
-            }
-            for (tpl, &c) in &counts {
-                if c >= self.min_count {
-                    match votes.get_mut(tpl.as_str()) {
-                        Some(v) => *v += 1,
-                        None => {
-                            votes.insert(tpl.clone(), 1);
-                        }
-                    }
-                }
-            }
-        }
-        let mut accepted: Vec<String> = votes
-            .into_iter()
-            .filter(|&(_, v)| v >= self.votes_required)
-            .map(|(tpl, _)| tpl)
-            .collect();
-        accepted.sort_unstable();
-        accepted
-    }
-
-    /// The pre-index reference implementation of [`mine_rules`]: `BTreeMap`
-    /// counting with a fresh `String` per line. Retained as the
-    /// differential-testing and benchmarking baseline.
-    pub fn mine_rules_reference(&self, lines: &[String]) -> Vec<String> {
-        assert!(self.segments >= self.votes_required && self.votes_required >= 1);
-        if lines.is_empty() {
-            return vec![];
-        }
-        let seg_len = lines.len().div_ceil(self.segments);
-        let mut votes: BTreeMap<String, usize> = BTreeMap::new();
-        for seg in lines.chunks(seg_len.max(1)) {
-            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            for line in seg {
-                if is_protected(line) {
-                    continue;
-                }
-                *counts.entry(normalize(line)).or_insert(0) += 1;
-            }
-            for (tpl, c) in counts {
-                if c >= self.min_count {
-                    *votes.entry(tpl).or_insert(0) += 1;
-                }
-            }
-        }
-        votes
-            .into_iter()
-            .filter(|&(_, v)| v >= self.votes_required)
-            .map(|(tpl, _)| tpl)
-            .collect()
-    }
-
-    /// Mine rules and install them in one step; returns how many new rules
-    /// were learned.
+    /// Self-consistency: the log is split into `segments`, each segment
+    /// proposes the templates it sees at least `min_count` times, and only
+    /// templates proposed by at least `votes_required` segments are
+    /// accepted (the deterministic analogue of having another LLM vote
+    /// over repeated Log-Agent passes). Protected lines never vote.
     ///
-    /// Equivalent to `add_rules(mine_rules(lines))`, but templates the
-    /// compressor already holds are skipped during counting: re-adding an
-    /// existing rule is a no-op, so once the rule set has converged (the
-    /// steady state when streaming many similar logs) the voting machinery
-    /// touches only genuinely new templates.
+    /// Templates the compressor already holds are skipped during counting:
+    /// re-adding an existing rule is a no-op, so once the rule set has
+    /// converged (the steady state when streaming many similar logs) the
+    /// voting machinery touches only genuinely new templates.
     pub fn learn_into(&self, compressor: &mut LogCompressor, lines: &[String]) -> usize {
         assert!(self.segments >= self.votes_required && self.votes_required >= 1);
         let before = compressor.rule_count();
@@ -249,6 +162,7 @@ impl LogAgent {
                 if compressor.rules.contains(buf.as_str()) {
                     continue;
                 }
+                // Allocate the key string only on first sight of a template.
                 match counts.get_mut(buf.as_str()) {
                     Some(c) => *c += 1,
                     None => {
@@ -277,40 +191,73 @@ impl LogAgent {
     }
 }
 
-/// The pre-index reference compressor: `BTreeSet` rules, a fresh
-/// normalization `String` per line. Behaviour-identical to
-/// [`LogCompressor`]; retained as a benchmarking baseline.
-#[derive(Debug, Clone, Default)]
-pub struct LogCompressorReference {
-    rules: BTreeSet<String>,
-}
-
-impl LogCompressorReference {
-    /// An empty reference compressor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install many rules.
-    pub fn add_rules(&mut self, templates: impl IntoIterator<Item = String>) {
-        self.rules.extend(templates);
-    }
-
-    /// Strip regular output; keep everything else (order preserved).
-    pub fn compress<'a>(&self, lines: &'a [String]) -> Vec<&'a String> {
-        lines
-            .iter()
-            .filter(|l| is_protected(l) || !self.rules.contains(&normalize(l)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logs::LogBundle;
     use crate::taxonomy::FailureReason;
     use acme_sim_core::SimRng;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The pre-index rule miner, kept as the differential oracle for
+    /// [`LogAgent::learn_into`]: `BTreeMap` counting with a fresh `String`
+    /// per line, returning the accepted templates sorted.
+    fn mine_rules_reference(agent: &LogAgent, lines: &[String]) -> Vec<String> {
+        if lines.is_empty() {
+            return vec![];
+        }
+        let seg_len = lines.len().div_ceil(agent.segments);
+        let mut votes: BTreeMap<String, usize> = BTreeMap::new();
+        for seg in lines.chunks(seg_len.max(1)) {
+            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+            for line in seg {
+                if is_protected(line) {
+                    continue;
+                }
+                *counts.entry(normalize(line)).or_insert(0) += 1;
+            }
+            for (tpl, c) in counts {
+                if c >= agent.min_count {
+                    *votes.entry(tpl).or_insert(0) += 1;
+                }
+            }
+        }
+        votes
+            .into_iter()
+            .filter(|&(_, v)| v >= agent.votes_required)
+            .map(|(tpl, _)| tpl)
+            .collect()
+    }
+
+    /// The pre-index compressor, kept as the differential oracle for
+    /// [`LogCompressor::compress`]: `BTreeSet` rules and a fresh
+    /// normalization `String` per line.
+    fn compress_reference<'a>(rules: &BTreeSet<String>, lines: &'a [String]) -> Vec<&'a String> {
+        lines
+            .iter()
+            .filter(|l| is_protected(l) || !rules.contains(&normalize(l)))
+            .collect()
+    }
+
+    /// A compressor's rules, sorted.
+    fn sorted_rules(c: &LogCompressor) -> Vec<String> {
+        let mut rules: Vec<String> = c.rules.iter().cloned().collect();
+        rules.sort_unstable();
+        rules
+    }
+
+    /// One log line from a small template alphabet: the number varies, the
+    /// template does not. The last two templates are protected lines.
+    fn template_line(template: usize, n: u32) -> String {
+        match template {
+            0 => format!("INFO train: step={n} loss={}.{}", n % 7, n % 1000),
+            1 => format!("INFO grad_norm: step={n}"),
+            2 => format!("WARN dataloader: retry {n}"),
+            3 => format!("ERROR rank {n}: CUDA error: boom"),
+            _ => format!("  File \"train.py\", line {n}, in step"),
+        }
+    }
 
     #[test]
     fn normalize_abstracts_numbers() {
@@ -342,49 +289,23 @@ mod tests {
     fn agent_learns_metric_templates_not_errors() {
         let mut rng = SimRng::new(1);
         let bundle = LogBundle::generate(FailureReason::CudaError, 300, &mut rng);
-        let rules = LogAgent::default().mine_rules(&bundle.lines);
-        assert!(rules.len() >= 3, "learned {} rules", rules.len());
-        assert!(rules.iter().all(|r| !r.contains("Error")), "{rules:?}");
-    }
-
-    #[test]
-    fn mine_rules_matches_reference() {
-        let agent = LogAgent::default();
-        let mut rng = SimRng::new(9);
-        for reason in [
-            FailureReason::CudaError,
-            FailureReason::NvLinkError,
-            FailureReason::KeyError,
-        ] {
-            let bundle = LogBundle::generate(reason, 400, &mut rng);
-            assert_eq!(
-                agent.mine_rules(&bundle.lines),
-                agent.mine_rules_reference(&bundle.lines),
-                "{reason:?}"
-            );
-        }
+        let mut c = LogCompressor::new();
+        let learned = LogAgent::default().learn_into(&mut c, &bundle.lines);
+        assert!(learned >= 3, "learned {learned} rules");
+        assert!(c.rules.iter().all(|r| !r.contains("Error")), "{c:?}");
     }
 
     #[test]
     fn compress_matches_reference() {
         let mut rng = SimRng::new(10);
         let bundle = LogBundle::generate(FailureReason::EccError, 500, &mut rng);
-        let rules = LogAgent::default().mine_rules(&bundle.lines);
         let mut fast = LogCompressor::new();
-        fast.add_rules(rules.clone());
-        let mut slow = LogCompressorReference::new();
-        slow.add_rules(rules);
-        let a: Vec<&str> = fast
-            .compress(&bundle.lines)
-            .iter()
-            .map(|s| s.as_str())
-            .collect();
-        let b: Vec<&str> = slow
-            .compress(&bundle.lines)
-            .iter()
-            .map(|s| s.as_str())
-            .collect();
-        assert_eq!(a, b);
+        LogAgent::default().learn_into(&mut fast, &bundle.lines);
+        let slow: BTreeSet<String> = fast.rules.iter().cloned().collect();
+        assert_eq!(
+            fast.compress(&bundle.lines),
+            compress_reference(&slow, &bundle.lines)
+        );
     }
 
     #[test]
@@ -428,9 +349,10 @@ mod tests {
 
     #[test]
     fn protected_lines_never_match_even_if_ruled() {
+        let line = "ERROR rank 3: CUDA error: boom 1".to_owned();
         let mut c = LogCompressor::new();
-        c.add_rule(normalize("ERROR rank 3: CUDA error: boom 1"));
-        assert!(!c.matches("ERROR rank 3: CUDA error: boom 1"));
+        c.add_rules([normalize(&line)]);
+        assert_eq!(c.compress(std::slice::from_ref(&line)), [&line]);
     }
 
     #[test]
@@ -449,7 +371,9 @@ mod tests {
             segments: 3,
             votes_required: 2,
         };
-        let rules = agent.mine_rules(&lines);
+        let mut c = LogCompressor::new();
+        agent.learn_into(&mut c, &lines);
+        let rules = sorted_rules(&c);
         assert!(rules.iter().any(|r| r.starts_with("INFO steady")));
         assert!(
             !rules.iter().any(|r| r.starts_with("WARN burst")),
@@ -459,8 +383,47 @@ mod tests {
 
     #[test]
     fn empty_log_yields_nothing() {
-        assert!(LogAgent::default().mine_rules(&[]).is_empty());
-        let c = LogCompressor::new();
+        let mut c = LogCompressor::new();
+        assert_eq!(LogAgent::default().learn_into(&mut c, &[]), 0);
         assert_eq!(c.compression_ratio(&[]), 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `learn_into` mines exactly the reference miner's rules on random
+        /// logs and agent settings: into a fresh compressor, and into one
+        /// carried across logs, which ends up holding the union and counts
+        /// only the templates each log adds.
+        #[test]
+        fn learn_into_matches_reference(
+            logs in prop::collection::vec(
+                prop::collection::vec((0usize..5, any::<u32>()), 0..60),
+                1..4,
+            ),
+            min_count in 1usize..5,
+            segments in 1usize..5,
+            votes_pick in 0usize..4,
+        ) {
+            let agent = LogAgent {
+                min_count,
+                segments,
+                votes_required: 1 + votes_pick % segments,
+            };
+            let mut carried = LogCompressor::new();
+            let mut union: BTreeSet<String> = BTreeSet::new();
+            for log in &logs {
+                let lines: Vec<String> = log.iter().map(|&(t, n)| template_line(t, n)).collect();
+                let expect = mine_rules_reference(&agent, &lines);
+                let mut fresh = LogCompressor::new();
+                agent.learn_into(&mut fresh, &lines);
+                prop_assert_eq!(sorted_rules(&fresh), expect.clone(), "{:?}", agent);
+                let before = union.len();
+                union.extend(expect);
+                let learned = agent.learn_into(&mut carried, &lines);
+                prop_assert_eq!(learned, union.len() - before, "{:?}", agent);
+            }
+            prop_assert_eq!(sorted_rules(&carried), union.into_iter().collect::<Vec<_>>());
+        }
     }
 }

@@ -40,7 +40,7 @@ pub mod storm;
 pub mod taxonomy;
 pub mod watchdog;
 
-pub use compress::{LogAgent, LogCompressor, LogCompressorReference};
+pub use compress::{LogAgent, LogCompressor};
 pub use detect::{NcclTester, TwoRoundResult};
 pub use diagnose::{DiagnosisMemo, DiagnosisPipeline, DiagnosisReport, DiagnosisSource};
 pub use inject::{FailureEvent, FailureInjector};

@@ -8,9 +8,7 @@
 //! radix-sorts large inputs by their IEEE-754 bit patterns (a monotone
 //! transform makes unsigned order equal `total_cmp` order; see
 //! [`radix_sort_f64`]), falls back to a comparison sort for small ones,
-//! validates NaN-freedom and accumulates the mean in one pass, and
-//! [`Cdf::from_sorted`] lets callers with already-ordered series skip the
-//! sort entirely.
+//! and validates NaN-freedom and accumulates the mean in one pass.
 
 /// An empirical CDF over `f64` samples. NaNs are rejected at construction.
 #[derive(Debug, Clone)]
@@ -113,29 +111,6 @@ impl Cdf {
         })
     }
 
-    /// Trust path for series that are already sorted ascending (e.g. a
-    /// quantile sweep or a merge of sorted shards): skips the sort, keeping
-    /// only the single NaN-checking pass. Returns `None` when empty.
-    ///
-    /// # Panics
-    /// Panics if any sample is NaN. Sortedness itself is the caller's
-    /// contract; it is verified in debug builds only.
-    pub fn from_sorted(samples: Vec<f64>) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        let sum = checked_sum(&samples);
-        debug_assert!(
-            samples.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
-            "Cdf::from_sorted given unsorted samples"
-        );
-        let mean = sum / samples.len() as f64;
-        Some(Cdf {
-            sorted: samples,
-            mean,
-        })
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -220,19 +195,12 @@ mod tests {
     #[test]
     fn empty_is_none() {
         assert!(Cdf::from_samples(vec![]).is_none());
-        assert!(Cdf::from_sorted(vec![]).is_none());
     }
 
     #[test]
     #[should_panic(expected = "NaN sample")]
     fn nan_rejected() {
         Cdf::from_samples(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN sample")]
-    fn nan_rejected_on_trust_path() {
-        Cdf::from_sorted(vec![1.0, f64::NAN]);
     }
 
     #[test]
@@ -244,18 +212,6 @@ mod tests {
         assert_eq!(c.median(), 2.5);
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn from_sorted_matches_from_samples() {
-        let shuffled = vec![5.0, -1.0, 3.0, 3.0, 0.5];
-        let via_sort = Cdf::from_samples(shuffled).unwrap();
-        let via_trust = Cdf::from_sorted(via_sort.samples().to_vec()).unwrap();
-        assert_eq!(via_sort.samples(), via_trust.samples());
-        assert_eq!(via_sort.mean(), via_trust.mean());
-        for p in [0.0, 0.1, 0.5, 0.9, 1.0] {
-            assert_eq!(via_sort.quantile(p), via_trust.quantile(p));
-        }
     }
 
     #[test]
