@@ -75,11 +75,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let requested_jobs = args.jobs.unwrap_or_else(acme::experiments::default_jobs);
-    let jobs = requested_jobs.min(selection.len().max(1));
-    // Sharded experiments fan out internally on the same budget, so a
-    // small selection still uses every requested worker.
-    acme::experiments::set_workers(requested_jobs);
+    // `run_selection` sizes both the experiment pool and each sharded
+    // experiment's shard pool from this one count.
+    let jobs = args.jobs.unwrap_or_else(acme::experiments::default_jobs);
     let params = acme::experiments::RunParams::with_scale(args.seed, args.scale)
         .with_fleet_jobs(args.fleet_jobs)
         .with_trace(args.trace.is_some());

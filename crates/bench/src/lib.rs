@@ -166,7 +166,7 @@ pub fn render_report(seed: u64, runs: &[ExperimentRun]) -> String {
 }
 
 /// The stderr wall-time report: one line per experiment (slowest first),
-/// then totals. `jobs` is the worker count actually used.
+/// then totals. `jobs` is the worker count `run_selection` was given.
 pub fn render_timings(runs: &[ExperimentRun], jobs: usize, elapsed: std::time::Duration) -> String {
     let mut by_cost: Vec<&ExperimentRun> = runs.iter().collect();
     by_cost.sort_by(|a, b| b.wall.cmp(&a.wall).then(a.id.cmp(b.id)));

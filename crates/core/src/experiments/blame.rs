@@ -272,7 +272,7 @@ fn replay_evalstorm(p: RunParams) -> (CampaignOutcome, Recorder) {
 /// experiments use, so the totals reconcile with their printed numbers.
 pub fn blame(p: RunParams) -> String {
     // The two replays are independent pure functions of the seed: shards.
-    let mut pieces = run_shards(vec![
+    let replays = vec![
         shard("replay/storm", move || {
             let (o, r) = replay_storm(p);
             Piece::Storm(Box::new(o), r)
@@ -281,7 +281,8 @@ pub fn blame(p: RunParams) -> String {
             let (o, r) = replay_evalstorm(p);
             Piece::Eval(Box::new(o), r)
         }),
-    ]);
+    ];
+    let mut pieces = run_shards(p.workers, replays);
     let eval_piece = pieces.pop().expect("two shards");
     let storm_piece = pieces.pop().expect("two shards");
     let (Piece::Storm(storm_out, storm_rec), Piece::Eval(eval_out, eval_rec)) =

@@ -98,6 +98,7 @@ pub fn evalstorm(p: RunParams) -> String {
     // mechanism, never by the adversity they face — so each arm is an
     // independent shard (results consumed in policy order).
     let outcomes = run_shards(
+        p.workers,
         CampaignPolicy::ALL
             .iter()
             .map(|&policy| {

@@ -45,7 +45,7 @@ pub fn data(p: RunParams) -> String {
 
     // Appendix A.2: dataloader strategies. The two loaders consume
     // identical forks of the seed stream, so they are independent shards.
-    let mut loaders = run_shards(vec![
+    let loaders = vec![
         shard("loader/metadata-preload", || {
             let mut r = SimRng::new(seed).fork(602);
             DataLoader::new(&dataset, LoaderStrategy::MetadataPreload, 512, &mut r)
@@ -59,7 +59,8 @@ pub fn data(p: RunParams) -> String {
                 &mut r,
             )
         }),
-    ]);
+    ];
+    let mut loaders = run_shards(p.workers, loaders);
     let stream = loaders.pop().expect("two shards");
     let preload = loaders.pop().expect("two shards");
     let mut l = Table::new(["dataloader", "resident bytes", "relative"]);
@@ -225,7 +226,7 @@ pub fn pipeline(p: RunParams) -> String {
             Piece::Campaign(Box::new(report))
         }
     };
-    let mut pieces = run_shards(vec![
+    let pieces = vec![
         shard("stage/pipeline-report", || {
             Piece::Report(Box::new(
                 DevelopmentPipeline::with_scale(seed, p.scale).run(),
@@ -233,7 +234,8 @@ pub fn pipeline(p: RunParams) -> String {
         }),
         shard("campaign/fault-tolerant", campaign_arm(true)),
         shard("campaign/manual-baseline", campaign_arm(false)),
-    ]);
+    ];
+    let mut pieces = run_shards(p.workers, pieces);
     let manual = pieces.pop().expect("three shards");
     let auto = pieces.pop().expect("three shards");
     let report = pieces.pop().expect("three shards");

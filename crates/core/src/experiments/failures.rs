@@ -145,6 +145,7 @@ pub fn diag(p: super::RunParams) -> String {
         const NCCL_CHUNKS: usize = 4;
         let per = cordon_targets.len().div_ceil(NCCL_CHUNKS);
         run_shards(
+            p.workers,
             cordon_targets
                 .chunks(per)
                 .enumerate()

@@ -49,7 +49,7 @@ pub fn fleet(p: RunParams) -> String {
         })
         .collect();
     let mut merged = FleetShardStats::new(config.tenants);
-    for s in run_shards(shards) {
+    for s in run_shards(p.workers, shards) {
         merged.merge(&s);
     }
 
@@ -148,7 +148,6 @@ pub fn fleet(p: RunParams) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::set_workers;
 
     fn small(seed: u64) -> RunParams {
         RunParams::new(seed).with_fleet_jobs(30_000)
@@ -173,11 +172,11 @@ mod tests {
 
     #[test]
     fn fleet_output_is_independent_of_worker_count() {
-        set_workers(1);
         let sequential = fleet(small(42));
-        set_workers(4);
-        let parallel = fleet(small(42));
-        set_workers(1);
+        let parallel = fleet(RunParams {
+            workers: 4,
+            ..small(42)
+        });
         assert_eq!(sequential, parallel);
     }
 

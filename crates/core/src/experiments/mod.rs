@@ -48,6 +48,10 @@ pub struct RunParams {
     /// Must never change any experiment's stdout: recording happens beside
     /// the simulation, not inside its control flow.
     pub trace: bool,
+    /// Shard worker count for the experiments that fan out internally
+    /// ([`shard::run_shards`]). 1 (inline) from every constructor;
+    /// [`run_selection`] sets it from its `jobs`.
+    pub(crate) workers: usize,
 }
 
 /// Default arrival count for `repro fleet`: ~267 simulated days of the
@@ -62,6 +66,7 @@ impl RunParams {
             scale: 1,
             fleet_jobs: DEFAULT_FLEET_JOBS,
             trace: false,
+            workers: 1,
         }
     }
 
@@ -119,7 +124,7 @@ pub fn all() -> Vec<Experiment> {
             id: "fig2",
             title: "Figure 2: job duration & GPU utilization across datacenters",
             desc: "CDFs of job runtime and GPU utilization against Philly/Helios.",
-            run: |p| workload::fig2(p.seed),
+            run: workload::fig2,
         },
         Experiment {
             id: "fig3",

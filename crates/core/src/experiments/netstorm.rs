@@ -166,6 +166,7 @@ pub fn netstorm(p: RunParams) -> String {
     // so the arms differ only by policy, never by draw order — which also
     // makes them independent shards (results consumed in arm order).
     let outcomes = run_shards(
+        p.workers,
         arms()
             .iter()
             .enumerate()

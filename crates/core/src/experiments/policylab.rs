@@ -165,6 +165,7 @@ pub fn policylab(p: RunParams) -> String {
     // Fan every cell out through the shard pool; results come back in
     // grid (policy-major) order regardless of worker count.
     let outcomes: Vec<StormOutcome> = run_shards(
+        p.workers,
         cells
             .iter()
             .map(|&c| {

@@ -110,15 +110,22 @@ fn run_one(e: &Experiment, params: RunParams) -> ExperimentRun {
 /// returning results **in selection order** regardless of completion
 /// order.
 ///
-/// `jobs` is clamped to `[1, selection.len()]`; `jobs == 1` runs inline on
-/// the calling thread (no spawn overhead, the exact sequential path).
-/// Panicking experiments are contained either way: they yield a `FAILED`
-/// run and the rest of the selection still executes.
+/// `jobs` is the one worker count: it sizes the pool across experiments,
+/// clamped to `[1, selection.len()]`, and each sharded experiment's own
+/// shard pool, clamped only to ≥ 1 so a small selection still uses every
+/// worker. `jobs <= 1` runs everything inline on the calling thread (no
+/// spawn overhead, the exact sequential path). Panicking experiments are
+/// contained either way: they yield a `FAILED` run and the rest of the
+/// selection still executes.
 pub fn run_selection(
     selection: &[Experiment],
     params: RunParams,
     jobs: usize,
 ) -> Vec<ExperimentRun> {
+    let params = RunParams {
+        workers: jobs.max(1),
+        ..params
+    };
     fan_out(
         jobs,
         selection
@@ -157,6 +164,20 @@ mod tests {
         let r = run_selection(one, RunParams::new(7), 0);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, one[0].id);
+        // `jobs` alone sizes the shard pool: the constructors run inline,
+        // and a selection of one still hands its experiment every worker.
+        let probe = Experiment {
+            run: |p| p.workers.to_string(),
+            ..one[0]
+        };
+        assert_eq!((probe.run)(RunParams::new(7)), "1");
+        for (jobs, workers) in [(0, "1"), (3, "3")] {
+            let r = run_selection(&[probe], RunParams::new(7), jobs);
+            assert!(
+                r[0].output.ends_with(&format!("\n{workers}")),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]
@@ -168,10 +189,8 @@ mod tests {
     fn wall_times_are_recorded() {
         let subset = &all()[..2];
         for run in run_selection(subset, RunParams::new(42), 2) {
-            assert!(!run.output.is_empty());
-            // Duration is non-negative by type; just confirm it was set by
-            // checking the output header matches the experiment.
             assert!(run.output.starts_with(&format!("### {}", run.id)));
+            assert!(run.wall > Duration::ZERO, "{} was not timed", run.id);
         }
     }
 

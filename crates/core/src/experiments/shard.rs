@@ -14,14 +14,14 @@
 //! those two rules stdout is byte-identical at any worker count —
 //! enforced by CI's sharded-determinism smoke.
 //!
-//! Shard worker count comes from a process-wide hint ([`set_workers`],
-//! set by `repro --jobs`); with one worker (or one shard) everything runs
-//! inline on the calling thread, which is the exact sequential path and
-//! costs no spawn at all. Per-shard wall times travel in the
-//! [`acme_obs::Tally`] and the runner drains them into
+//! Each sharded experiment passes its `RunParams::workers` to
+//! [`run_shards`], and [`super::run_selection`] sets that count from its
+//! `jobs`, so one argument sizes both pools. With one worker (or one
+//! shard) everything runs inline on the calling thread, which is the
+//! exact sequential path and costs no spawn at all. Per-shard wall times
+//! travel in the [`acme_obs::Tally`] and the runner drains them into
 //! [`super::runner::ExperimentRun`], surfacing in `repro --timings-json`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -30,20 +30,10 @@ pub use acme_obs::ShardTiming;
 /// One piece of an experiment: runs on a worker, returns its result.
 pub type ShardFn<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// Worker-pool size hint; 0 means "unset, use `default_jobs()`".
-static WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the shard worker-pool size for the whole process (from `--jobs`).
-pub fn set_workers(n: usize) {
-    WORKERS.store(n.max(1), Ordering::Relaxed);
-}
-
-fn workers() -> usize {
-    match WORKERS.load(Ordering::Relaxed) {
-        0 => super::runner::default_jobs(),
-        n => n,
-    }
-}
+/// Does nothing: the shard worker count is [`super::run_selection`]'s
+/// `jobs`. Kept only so `perfbench/tracer`, which still calls it, builds
+/// unchanged.
+pub fn set_workers(_: usize) {}
 
 /// Run `tasks` on up to `workers` threads and return their results **in
 /// task order** regardless of completion order.
@@ -87,10 +77,10 @@ pub(crate) fn fan_out<T: Send, F: FnOnce() -> T + Send>(workers: usize, tasks: V
         .collect()
 }
 
-/// Run `shards` across the shard worker pool ([`set_workers`]) and return
-/// their results **in shard order**, recording each shard's wall time in
-/// the tally after whatever the shard deposited itself.
-pub fn run_shards<'a, T: Send>(shards: Vec<(String, ShardFn<'a, T>)>) -> Vec<T> {
+/// Run `shards` on up to `workers` threads and return their results **in
+/// shard order**, recording each shard's wall time in the tally after
+/// whatever the shard deposited itself.
+pub fn run_shards<'a, T: Send>(workers: usize, shards: Vec<(String, ShardFn<'a, T>)>) -> Vec<T> {
     let tasks = shards
         .into_iter()
         .map(|(label, f)| {
@@ -108,7 +98,7 @@ pub fn run_shards<'a, T: Send>(shards: Vec<(String, ShardFn<'a, T>)>) -> Vec<T> 
             }
         })
         .collect();
-    fan_out(workers(), tasks)
+    fan_out(workers, tasks)
 }
 
 /// Convenience: box a closure as a [`ShardFn`].
@@ -125,27 +115,39 @@ mod tests {
 
     #[test]
     fn results_come_back_in_shard_order() {
+        let caller = std::thread::current().id();
         for workers in [1, 2, 8] {
-            set_workers(workers);
-            let out = run_shards(
+            let (squares, inline): (Vec<_>, Vec<_>) = run_shards(
+                workers,
                 (0..16)
-                    .map(|i| shard(format!("s{i}"), move || i * i))
+                    .map(|i| {
+                        shard(format!("s{i}"), move || {
+                            (i * i, std::thread::current().id() == caller)
+                        })
+                    })
                     .collect(),
+            )
+            .into_iter()
+            .unzip();
+            assert_eq!(squares, (0..16).map(|i| i * i).collect::<Vec<_>>());
+            assert!(
+                workers > 1 || inline.iter().all(|&x| x),
+                "one worker runs every shard inline"
             );
-            assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
         }
-        set_workers(1);
     }
 
     #[test]
     fn timings_are_recorded_in_shard_order() {
-        set_workers(4);
         acme_obs::take();
-        let _ = run_shards(vec![
-            shard("alpha", || 1),
-            shard("beta", || 2),
-            shard("gamma", || 3),
-        ]);
+        let _ = run_shards(
+            4,
+            vec![
+                shard("alpha", || 1),
+                shard("beta", || 2),
+                shard("gamma", || 3),
+            ],
+        );
         let t = acme_obs::take().shards;
         assert_eq!(
             t.iter().map(|s| s.label.as_str()).collect::<Vec<_>>(),
@@ -155,19 +157,17 @@ mod tests {
             acme_obs::take().shards.is_empty(),
             "drain leaves nothing behind"
         );
-        set_workers(1);
     }
 
     #[test]
     fn borrows_from_the_caller_are_allowed() {
-        set_workers(2);
         let data = [10u64, 20, 30];
         let out = run_shards(
+            2,
             data.iter()
                 .map(|x| shard("borrow", move || x + 1))
                 .collect(),
         );
         assert_eq!(out, vec![11, 21, 31]);
-        set_workers(1);
     }
 }

@@ -70,6 +70,7 @@ pub fn storm(p: RunParams) -> String {
     // so the arms differ only by policy, never by draw order — which also
     // makes them independent shards (results consumed in policy order).
     let outcomes = run_shards(
+        p.workers,
         policies
             .iter()
             .map(|&policy| {

@@ -10,6 +10,7 @@ use acme_workload::datacenters::{table2 as table2_rows, RefDatacenter};
 use acme_workload::{TraceStats, WorkloadGenerator};
 
 use super::shard::{run_shards, shard};
+use super::RunParams;
 
 /// Quantiles printed for CDF-style figures.
 const QS: [f64; 7] = [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99];
@@ -117,8 +118,8 @@ pub fn table2(seed: u64) -> String {
 }
 
 /// Figure 2 — duration and utilization CDFs across the four datacenters.
-pub fn fig2(seed: u64) -> String {
-    let mut rng = SimRng::new(seed).fork(103);
+pub fn fig2(p: RunParams) -> String {
+    let mut rng = SimRng::new(p.seed).fork(103);
     let n = 40_000;
     let dcs = [
         RefDatacenter::acme_cluster("Seren", 97.0),
@@ -164,7 +165,7 @@ pub fn fig2(seed: u64) -> String {
             summarize(xs)
         }));
     }
-    let mut summaries = run_shards(shards);
+    let mut summaries = run_shards(p.workers, shards);
     let util_summaries = summaries.split_off(dcs.len());
 
     let durations: Vec<(&str, SampleSummary)> = dcs
@@ -300,7 +301,7 @@ mod tests {
 
     #[test]
     fn fig2_has_both_panels() {
-        let s = fig2(1);
+        let s = fig2(RunParams::new(1));
         assert!(s.contains("(a) GPU job duration"));
         assert!(s.contains("(b) GPU utilization"));
         assert!(s.contains("Seren") && s.contains("Philly"));
