@@ -72,11 +72,16 @@ pub fn fleet(p: RunParams) -> String {
         pct(merged.acceptance_ratio()),
         pct(1.0 / (1.0 + config.burst_amp)),
     ));
-    out.push_str(&render_quantiles(
-        "inter-arrival gap (s)",
-        &[("fleet", &merged.gap_sketch)],
-        &QS,
-    ));
+    // A gap needs two arrivals in one shard; `--fleet-jobs 1` has none.
+    if merged.gap_sketch.is_empty() {
+        out.push_str("inter-arrival gap (s): none (no shard has two arrivals)\n");
+    } else {
+        out.push_str(&render_quantiles(
+            "inter-arrival gap (s)",
+            &[("fleet", &merged.gap_sketch)],
+            &QS,
+        ));
+    }
 
     // Tenant skew: the Zipf head against the long tail.
     let mut skew = Table::new(["tenants", "job share", "GPU-time share"]);
@@ -186,5 +191,9 @@ mod tests {
         let b = fleet(RunParams::new(7).with_fleet_jobs(40_000));
         assert_ne!(a, b);
         assert!(b.contains("40000 jobs"));
+        // One arrival has no inter-arrival gap to report.
+        let one = fleet(RunParams::new(7).with_fleet_jobs(1));
+        assert!(one.contains("open-system fleet: 1 jobs"));
+        assert!(one.contains("inter-arrival gap (s): none"));
     }
 }

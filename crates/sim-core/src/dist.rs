@@ -260,12 +260,18 @@ impl Categorical {
 /// jobs while a long tail of small tenants submits the rest, matching the
 /// multi-tenant traffic shape the paper describes for Acme.
 ///
-/// Sampling reuses the [`Categorical`] cumulative table (O(log n), one
-/// uniform draw), so the stream layout is a single `f64()` per sample and
-/// the sampler is deterministic for a given `(n, s)`.
+/// Sampling inverts the [`Categorical`] cumulative table with one uniform
+/// draw, so the stream layout is a single `f64()` per sample and the
+/// sampler is deterministic for a given `(n, s)`. A guide table (Chen &
+/// Asau 1974) starts the search next to the answer: expected O(1) probes,
+/// and always the index [`Categorical::sample_index`] returns for the same
+/// `u`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     ranks: Categorical,
+    /// `guide[j]`: the first index whose cumulative weight exceeds
+    /// `j / guide.len()`; the length is a power of two.
+    guide: Vec<u32>,
     mean_rank: f64,
 }
 
@@ -285,15 +291,33 @@ impl Zipf {
             .map(|(i, w)| (i + 1) as f64 * w)
             .sum::<f64>()
             / total;
+        let ranks = Categorical::new(&weights);
+        let m = (4 * n).next_power_of_two();
+        let guide = (0..m)
+            .map(|j| {
+                let floor = j as f64 / m as f64;
+                ranks.cumulative.partition_point(|&c| c <= floor) as u32
+            })
+            .collect();
         Zipf {
-            ranks: Categorical::new(&weights),
+            ranks,
+            guide,
             mean_rank,
         }
     }
 
     /// Draw a 0-based rank index in `0..n` (index 0 is the heaviest rank).
     pub fn sample_index(&self, rng: &mut SimRng) -> usize {
-        self.ranks.sample_index(rng)
+        let u = rng.f64();
+        // `u · m` and `j / m` are exact for a power-of-two `m`, so the
+        // guide entry never passes `partition_point(|c| c <= u)`, and the
+        // last cumulative entry is 1.0 > u, so the scan always stops.
+        let cumulative = &self.ranks.cumulative;
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while cumulative[i] <= u {
+            i += 1;
+        }
+        i
     }
 
     /// Number of ranks.

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel.
 
-use acme_sim_core::dist::{Categorical, Distribution, Exponential, LogNormal, Pareto};
+use acme_sim_core::dist::{Categorical, Distribution, Exponential, LogNormal, Pareto, Zipf};
 use acme_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -138,6 +138,23 @@ proptest! {
             let i = c.sample_index(&mut rng);
             prop_assert!(i < weights.len());
             prop_assert!(weights[i] > 0.0, "picked zero-weight bucket {}", i);
+        }
+    }
+
+    /// Zipf's guide-table search returns the index a plain binary search
+    /// over the same `k^-s` weights returns, draw for draw.
+    #[test]
+    fn zipf_guide_table_matches_binary_search(
+        seed in any::<u64>(),
+        n in 1usize..2048,
+        s in 0.0f64..=3.0,
+    ) {
+        let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
+        let oracle = Categorical::new(&weights);
+        let zipf = Zipf::new(n, s);
+        let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+        for _ in 0..256 {
+            prop_assert_eq!(zipf.sample_index(&mut a), oracle.sample_index(&mut b));
         }
     }
 

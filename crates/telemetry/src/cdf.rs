@@ -34,17 +34,19 @@ const RADIX_MIN_LEN: usize = 1024;
 
 /// Map an `f64`'s bits to a `u64` whose unsigned order equals `total_cmp`
 /// order: flip the sign bit for non-negatives, all bits for negatives.
-/// Monotone and injective, so sorting by the key sorts by `total_cmp`
-/// (including `-0.0 < +0.0`); NaN-freedom is guaranteed by `checked_sum`.
+/// Monotone and injective over every bit pattern, so sorting or comparing
+/// keys sorts or compares by `total_cmp` (including `-0.0 < +0.0`). The
+/// radix sort and [`QuantileSketch`](crate::QuantileSketch)'s levels both
+/// work on these keys.
 #[inline]
-fn sort_key(x: f64) -> u64 {
+pub(crate) fn sort_key(x: f64) -> u64 {
     let b = x.to_bits();
     b ^ (((b as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
 }
 
 /// Inverse of [`sort_key`].
 #[inline]
-fn key_to_f64(k: u64) -> f64 {
+pub(crate) fn key_to_f64(k: u64) -> f64 {
     let mask = if k & 0x8000_0000_0000_0000 != 0 {
         0x8000_0000_0000_0000 // was non-negative: undo the sign flip
     } else {

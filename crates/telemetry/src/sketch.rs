@@ -29,15 +29,26 @@
 //! works out to roughly `log2(n/k) · n/k ≈ 10⁴` ranks — about 1% of `n` —
 //! and in practice lands far lower because most compactions happen at the
 //! cheap low levels.
+//!
+//! Levels store each sample as its `u64` order key
+//! ([`sort_key`](crate::cdf::sort_key)), whose unsigned order is
+//! `total_cmp` order, so compaction sorts plain integers. Level 0 holds
+//! inserts in arrival order and takes an unstable sort; every higher level
+//! holds its straggler plus a few sorted runs promoted from below, which
+//! the stable sort detects and merges. Equal keys are equal samples, so
+//! neither sort can reorder anything observable.
+
+use crate::cdf::{key_to_f64, sort_key};
 
 /// Default per-level compactor capacity.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
-/// One compactor level: items of weight `2^level`, plus the parity bit
-/// that deterministically alternates which half a compaction keeps.
+/// One compactor level: items of weight `2^level` as order keys, plus the
+/// parity bit that deterministically alternates which half a compaction
+/// keeps.
 #[derive(Debug, Clone, Default)]
 struct Level {
-    items: Vec<f64>,
+    items: Vec<u64>,
     parity: bool,
 }
 
@@ -98,7 +109,7 @@ impl QuantileSketch {
         if x > self.max {
             self.max = x;
         }
-        self.levels[0].items.push(x);
+        self.levels[0].items.push(sort_key(x));
         self.compact_from(0);
     }
 
@@ -110,8 +121,13 @@ impl QuantileSketch {
             if l + 1 == self.levels.len() {
                 self.levels.push(Level::default());
             }
-            let level = &mut self.levels[l];
-            level.items.sort_unstable_by(f64::total_cmp);
+            let (below, above) = self.levels.split_at_mut(l + 1);
+            let (level, next) = (&mut below[l], &mut above[0]);
+            if l == 0 {
+                level.items.sort_unstable();
+            } else {
+                level.items.sort();
+            }
             // Compact pairs only: an odd straggler (always the current
             // maximum, deterministically) stays behind at this level so
             // total weight is conserved exactly.
@@ -122,21 +138,15 @@ impl QuantileSketch {
             };
             let offset = usize::from(level.parity);
             level.parity = !level.parity;
-            let kept: Vec<f64> = level
-                .items
-                .iter()
-                .copied()
-                .skip(offset)
-                .step_by(2)
-                .collect();
+            // Each promoted item doubles in weight; the discarded half of
+            // each pair shifts any fixed rank query by at most 2^l.
+            next.items
+                .extend(level.items.iter().skip(offset).step_by(2));
             level.items.clear();
             if let Some(s) = straggler {
                 level.items.push(s);
             }
-            // Each promoted item doubles in weight; the discarded half of
-            // each pair shifts any fixed rank query by at most 2^l.
             self.error_bound += 1u64 << l;
-            self.levels[l + 1].items.extend(kept);
             l += 1;
         }
     }
@@ -247,7 +257,7 @@ impl QuantileSketch {
         let mut out: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
         for (l, level) in self.levels.iter().enumerate() {
             let w = 1u64 << l;
-            out.extend(level.items.iter().map(|&x| (x, w)));
+            out.extend(level.items.iter().map(|&key| (key_to_f64(key), w)));
         }
         out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         out
@@ -255,16 +265,12 @@ impl QuantileSketch {
 
     /// Estimated number of inserted samples ≤ `x`.
     pub fn estimated_rank(&self, x: f64) -> u64 {
+        let key = sort_key(x);
         self.levels
             .iter()
             .enumerate()
             .map(|(l, level)| {
-                (1u64 << l)
-                    * level
-                        .items
-                        .iter()
-                        .filter(|&&v| v.total_cmp(&x).is_le())
-                        .count() as u64
+                (1u64 << l) * level.items.iter().filter(|&&k| k <= key).count() as u64
             })
             .sum()
     }
@@ -325,9 +331,174 @@ impl crate::table::Quantiles for QuantileSketch {
 mod tests {
     use super::*;
     use crate::cdf::Cdf;
+    use proptest::prelude::*;
 
     fn exact_rank(sorted: &[f64], x: f64) -> u64 {
         sorted.partition_point(|&s| s.total_cmp(&x).is_le()) as u64
+    }
+
+    /// The `f64` compaction the order-key one replaced, kept as the
+    /// differential oracle for [`QuantileSketch`]: every overflowing level
+    /// is sorted with `sort_unstable_by(f64::total_cmp)` and its kept half
+    /// collected into a fresh vector.
+    #[derive(Clone)]
+    struct Reference {
+        k: usize,
+        /// `(items, parity)` per level.
+        levels: Vec<(Vec<f64>, bool)>,
+        count: u64,
+        error_bound: u64,
+    }
+
+    impl Reference {
+        fn new(k: usize) -> Self {
+            Reference {
+                k,
+                levels: vec![(Vec::new(), false)],
+                count: 0,
+                error_bound: 0,
+            }
+        }
+
+        fn insert(&mut self, x: f64) {
+            self.count += 1;
+            self.levels[0].0.push(x);
+            self.compact_from(0);
+        }
+
+        fn compact_from(&mut self, start: usize) {
+            let mut l = start;
+            while l < self.levels.len() && self.levels[l].0.len() > self.k {
+                if l + 1 == self.levels.len() {
+                    self.levels.push((Vec::new(), false));
+                }
+                let (items, parity) = &mut self.levels[l];
+                items.sort_unstable_by(f64::total_cmp);
+                let straggler = if items.len() % 2 == 1 {
+                    items.pop()
+                } else {
+                    None
+                };
+                let offset = usize::from(*parity);
+                *parity = !*parity;
+                let kept: Vec<f64> = items.iter().copied().skip(offset).step_by(2).collect();
+                items.clear();
+                items.extend(straggler);
+                self.error_bound += 1u64 << l;
+                self.levels[l + 1].0.extend(kept);
+                l += 1;
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            if other.count == 0 {
+                return;
+            }
+            while self.levels.len() < other.levels.len() {
+                self.levels.push((Vec::new(), false));
+            }
+            for (l, (items, _)) in other.levels.iter().enumerate() {
+                self.levels[l].0.extend_from_slice(items);
+            }
+            self.count += other.count;
+            self.error_bound += other.error_bound;
+            for l in 0..self.levels.len() {
+                self.compact_from(l);
+            }
+        }
+
+        fn items(&self) -> Vec<(f64, u64)> {
+            let mut out = Vec::new();
+            for (l, (items, _)) in self.levels.iter().enumerate() {
+                out.extend(items.iter().map(|&x| (x, 1u64 << l)));
+            }
+            out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            out
+        }
+    }
+
+    /// Samples that reach every corner of the key map: signed zeros,
+    /// infinities, subnormals, small integers (so duplicates are common),
+    /// and arbitrary non-NaN bit patterns of either sign.
+    fn edge_sample() -> impl Strategy<Value = f64> {
+        (0u8..5, any::<u64>()).prop_map(|(kind, bits)| match kind {
+            0 => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][(bits % 4) as usize],
+            // Exponent bits cleared: a subnormal (or a signed zero).
+            1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            2 => (bits % 7) as f64 - 3.0,
+            // Clearing the top exponent bit rules out NaN.
+            _ => f64::from_bits(bits & !(1 << 62)),
+        })
+    }
+
+    fn assert_matches_reference(
+        sketch: &QuantileSketch,
+        reference: &Reference,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let bits = |items: Vec<(f64, u64)>| -> Vec<(u64, u64)> {
+            items.into_iter().map(|(x, w)| (x.to_bits(), w)).collect()
+        };
+        let expected = reference.items();
+        prop_assert_eq!(bits(sketch.items()), bits(expected.clone()));
+        prop_assert_eq!(sketch.error_bound(), reference.error_bound);
+        prop_assert_eq!(sketch.count(), reference.count);
+        prop_assert_eq!(sketch.retained(), expected.len());
+        prop_assert_eq!(
+            sketch.max_item_weight(),
+            1u64 << (reference.levels.len() - 1)
+        );
+        for &(x, _) in &expected {
+            let rank: u64 = expected
+                .iter()
+                .filter(|(v, _)| v.total_cmp(&x).is_le())
+                .map(|&(_, w)| w)
+                .sum();
+            prop_assert_eq!(sketch.estimated_rank(x), rank, "rank of {}", x);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Insert batches, merges of fresh sketches and self-merges, at
+        /// several capacities: the order-key sketch retains exactly the
+        /// items, bits and weights the `f64` compaction retains.
+        #[test]
+        fn order_key_compaction_matches_the_f64_reference(
+            ops in prop::collection::vec(
+                (0u8..4, prop::collection::vec(edge_sample(), 0..48)),
+                1..20,
+            )
+        ) {
+            for k in [2, 3, 8] {
+                let mut sketch = QuantileSketch::with_capacity(k);
+                let mut reference = Reference::new(k);
+                for (op, batch) in &ops {
+                    match op {
+                        0 => {
+                            let mut other = QuantileSketch::with_capacity(k);
+                            let mut other_ref = Reference::new(k);
+                            for &x in batch {
+                                other.insert(x);
+                                other_ref.insert(x);
+                            }
+                            sketch.merge(&other);
+                            reference.merge(&other_ref);
+                        }
+                        1 => {
+                            sketch.merge(&sketch.clone());
+                            reference.merge(&reference.clone());
+                        }
+                        _ => {
+                            for &x in batch {
+                                sketch.insert(x);
+                                reference.insert(x);
+                            }
+                        }
+                    }
+                    assert_matches_reference(&sketch, &reference)?;
+                }
+            }
+        }
     }
 
     /// The core invariant: every retained item's estimated rank is within

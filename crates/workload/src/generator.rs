@@ -336,7 +336,7 @@ impl ProfileSampler {
     ) -> JobRecord {
         let gpus = profile.demand[self.demand.sample_index(rng)].0;
         let status_idx = self.status.sample_index(rng);
-        let status = [JobStatus::Completed, JobStatus::Failed, JobStatus::Canceled][status_idx];
+        let status = JobStatus::ALL[status_idx];
         let mins = self.duration.sample(rng) * profile.status_duration_mult[status_idx];
         // Floor at 5 simulated seconds: even instantly failing jobs occupy
         // the scheduler briefly.

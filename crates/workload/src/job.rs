@@ -152,6 +152,14 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
+        // The stats tables index by discriminant: `ALL` must list every
+        // variant in declaration order.
+        for (i, &t) in JobType::ALL.iter().enumerate() {
+            assert_eq!(t as usize, i, "{t:?}");
+        }
+        for (i, &s) in JobStatus::ALL.iter().enumerate() {
+            assert_eq!(s as usize, i, "{s:?}");
+        }
         let labels: std::collections::HashSet<_> = JobType::ALL.iter().map(|t| t.label()).collect();
         assert_eq!(labels.len(), JobType::ALL.len());
         let s: std::collections::HashSet<_> = JobStatus::ALL.iter().map(|s| s.label()).collect();

@@ -79,17 +79,13 @@ impl StreamTraceStats {
         let gs = j.gpu_seconds();
         self.total_gpu_seconds += gs;
 
-        let ti = JobType::ALL
-            .iter()
-            .position(|&t| t == j.job_type)
-            .expect("type outside JobType::ALL");
+        // `JobType::ALL` and `JobStatus::ALL` list variants in declaration
+        // order, so a discriminant is its table index.
+        let ti = j.job_type as usize;
         self.type_counts[ti] += 1;
         self.type_gpu_secs[ti] += gs;
 
-        let si = JobStatus::ALL
-            .iter()
-            .position(|&s| s == j.status)
-            .expect("status outside JobStatus::ALL");
+        let si = j.status as usize;
         self.status_counts[si] += 1;
         self.status_gpu_secs[si] += gs;
 
@@ -317,11 +313,7 @@ impl<'a> TraceStats<'a> {
     fn partition_by_type(&self, f: impl Fn(&JobRecord) -> f64) -> Vec<Vec<f64>> {
         let mut per: Vec<Vec<f64>> = (0..JobType::ALL.len()).map(|_| Vec::new()).collect();
         for j in self.jobs {
-            let i = JobType::ALL
-                .iter()
-                .position(|&t| t == j.job_type)
-                .expect("type outside JobType::ALL");
-            per[i].push(f(j));
+            per[j.job_type as usize].push(f(j));
         }
         per
     }
