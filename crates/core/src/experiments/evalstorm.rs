@@ -130,6 +130,7 @@ pub fn evalstorm(p: RunParams) -> String {
     let mut full_inflation = 0.0;
     let mut naive_wasted = 0.0;
     let mut full_wasted = 0.0;
+    let mut full_coverage = 0.0;
     for (policy, o) in CampaignPolicy::ALL.into_iter().zip(outcomes) {
         let inflation = o.inflation_vs(clean.makespan_secs);
         match policy {
@@ -140,6 +141,7 @@ pub fn evalstorm(p: RunParams) -> String {
             CampaignPolicy::FaultTolerant => {
                 full_inflation = inflation;
                 full_wasted = o.wasted_gpu_secs;
+                full_coverage = o.coverage();
             }
             CampaignPolicy::RetryOnly => {}
         }
@@ -158,15 +160,63 @@ pub fn evalstorm(p: RunParams) -> String {
     }
 
     format!(
-        "{}{}fault-tolerant evaluation under the same storm: retries with \
+        "{}{}{}",
+        summary.render(),
+        ablation.render(),
+        closing_claim(
+            full_inflation,
+            naive_inflation,
+            naive_wasted / full_wasted.max(1.0),
+            full_coverage,
+        ),
+    )
+}
+
+/// The closing sentence, from the fault-tolerant arm's numbers. Its last
+/// clause claims every dataset's metric landed exactly once only when the
+/// arm's coverage is complete; otherwise it prints the measured share.
+fn closing_claim(
+    full_inflation: f64,
+    naive_inflation: f64,
+    waste_cut: f64,
+    coverage: f64,
+) -> String {
+    let landed = if coverage >= 1.0 {
+        "every dataset's metric".to_owned()
+    } else {
+        format!("{} of dataset metrics", pct(coverage))
+    };
+    format!(
+        "fault-tolerant evaluation under the same storm: retries with \
          backoff, dataset-granular completion tracking, speculative \
          re-execution and elastic re-packing hold makespan inflation to \
          {}x (naive restart-the-campaign: {}x) and cut wasted GPU-seconds \
-         {}x, with every dataset's metric landing exactly once\n",
-        summary.render(),
-        ablation.render(),
+         {}x, with {landed} landing exactly once\n",
         f(full_inflation, 2),
         f(naive_inflation, 2),
-        f(naive_wasted / full_wasted.max(1.0), 1),
+        f(waste_cut, 1),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn closing_claim_says_every_metric_at_full_coverage() {
+        assert_eq!(
+            closing_claim(1.42, 3.17, 5.06, 1.0),
+            "fault-tolerant evaluation under the same storm: retries with backoff, \
+             dataset-granular completion tracking, speculative re-execution and elastic \
+             re-packing hold makespan inflation to 1.42x (naive restart-the-campaign: 3.17x) \
+             and cut wasted GPU-seconds 5.1x, with every dataset's metric landing exactly \
+             once\n"
+        );
+    }
+
+    #[test]
+    fn closing_claim_prints_the_measured_share_below_full_coverage() {
+        assert!(closing_claim(1.42, 3.17, 5.06, 0.984)
+            .ends_with("5.1x, with 98.4% of dataset metrics landing exactly once\n"));
+    }
 }

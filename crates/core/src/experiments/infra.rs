@@ -20,10 +20,8 @@ fn stores(seed: u64) -> (MetricStore, MetricStore) {
 }
 
 fn two_cluster_panel(title: &str, m: &str, seren: &MetricStore, kalos: &MetricStore) -> String {
-    // Threshold-aware summaries: exact (and byte-identical to the old
-    // Cdf path) at these sample counts, sketch-backed at fleet scale.
-    let sc = seren.summary(m).unwrap();
-    let kc = kalos.summary(m).unwrap();
+    let sc = seren.cdf(m).unwrap();
+    let kc = kalos.cdf(m).unwrap();
     render_quantiles(title, &[("Seren", &sc), ("Kalos", &kc)], &QS)
 }
 
@@ -61,8 +59,8 @@ pub fn fig7(seed: u64) -> String {
         &seren,
         &kalos,
     ));
-    let ib_send = seren.summary(metric::IB_SEND).unwrap();
-    let ib_recv = seren.summary(metric::IB_RECV).unwrap();
+    let ib_send = seren.cdf(metric::IB_SEND).unwrap();
+    let ib_recv = seren.cdf(metric::IB_RECV).unwrap();
     out.push_str(&render_quantiles(
         "(d) normalized IB bandwidth (Seren)",
         &[("send", &ib_send), ("recv", &ib_recv)],
@@ -70,7 +68,7 @@ pub fn fig7(seed: u64) -> String {
     ));
     out.push_str(&format!(
         "notes: Kalos GPUs >60GB: {}; Seren IB idle share: {}\n",
-        pct(1.0 - kalos.summary(metric::FB_USED_GB).unwrap().fraction_le(60.0)),
+        pct(1.0 - kalos.cdf(metric::FB_USED_GB).unwrap().fraction_le(60.0)),
         pct(ib_send.fraction_le(0.001)),
     ));
     out
@@ -80,14 +78,13 @@ pub fn fig7(seed: u64) -> String {
 pub fn fig8(seed: u64) -> String {
     let (seren, kalos) = stores(seed);
     let mut out = two_cluster_panel("(a) GPU power (W)", metric::GPU_POWER_W, &seren, &kalos);
-    let over_tdp =
-        |s: &MetricStore| 1.0 - s.summary(metric::GPU_POWER_W).unwrap().fraction_le(400.0);
+    let over_tdp = |s: &MetricStore| 1.0 - s.cdf(metric::GPU_POWER_W).unwrap().fraction_le(400.0);
     out.push_str(&format!(
         "share above TDP (400 W): Seren {} (paper 22.1%), Kalos {} (paper 12.5%)\n",
         pct(over_tdp(&seren)),
         pct(over_tdp(&kalos)),
     ));
-    let server = seren.summary(metric::SERVER_POWER_W).unwrap();
+    let server = seren.cdf(metric::SERVER_POWER_W).unwrap();
     out.push_str(&render_quantiles(
         "(b) Seren server power (W)",
         &[("GPU servers", &server)],
@@ -144,8 +141,8 @@ pub fn fig18(_seed: u64) -> String {
 /// Figure 21 — GPU core and memory temperature CDFs.
 pub fn fig21(seed: u64) -> String {
     let (seren, _) = stores(seed);
-    let core = seren.summary(metric::GPU_TEMP_C).unwrap();
-    let mem = seren.summary(metric::GPU_MEM_TEMP_C).unwrap();
+    let core = seren.cdf(metric::GPU_TEMP_C).unwrap();
+    let mem = seren.cdf(metric::GPU_MEM_TEMP_C).unwrap();
     let mut out = render_quantiles(
         "GPU temperature (°C)",
         &[("core", &core), ("memory", &mem)],
@@ -162,7 +159,7 @@ pub fn fig21(seed: u64) -> String {
 pub fn carbon(seed: u64) -> String {
     let mut rng = SimRng::new(seed).fork(303);
     let store = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut rng, 96, 6);
-    let mean_server_w = store.summary(metric::SERVER_POWER_W).unwrap().mean();
+    let mean_server_w = store.cdf(metric::SERVER_POWER_W).unwrap().mean();
     let nodes = ClusterSpec::seren().nodes as f64;
     // One month of wall time.
     let monthly_mwh = mean_server_w * nodes * 730.0 / 1e9 * 1e3; // W→MW × hours

@@ -310,13 +310,8 @@ mod tests {
         assert_eq!(labels.len(), bundles.len());
         // ≥ 4 policy dimensions actually vary across the sweep.
         assert!(bundles.iter().any(|b| b.naive) && bundles.iter().any(|b| !b.naive));
-        let checkpoints: std::collections::BTreeSet<&str> = bundles
-            .iter()
-            .map(|b| {
-                use acme_policy::CheckpointPolicy;
-                b.checkpoint.label()
-            })
-            .collect();
+        let checkpoints: std::collections::BTreeSet<&str> =
+            bundles.iter().map(|b| b.checkpoint.label()).collect();
         assert!(checkpoints.len() >= 3, "checkpoint dimension");
         assert!(
             bundles

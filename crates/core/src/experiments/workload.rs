@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use acme_cluster::ClusterSpec;
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
-use acme_telemetry::{SampleAccum, SampleSummary, Table};
+use acme_telemetry::{Cdf, Table};
 use acme_workload::datacenters::{table2 as table2_rows, RefDatacenter};
 use acme_workload::{TraceStats, WorkloadGenerator};
 
@@ -129,11 +129,8 @@ pub fn fig2(p: RunParams) -> String {
         RefDatacenter::pai(),
     ];
     // Sampling threads one sequential rng stream, so it stays on this
-    // thread; the O(n log n) summary builds are pure per-series work and
-    // fan out as shards (one per datacenter and panel, consumed in
-    // order). At 40K samples the accumulators stay in the exact regime,
-    // so the output is byte-identical to the historical Cdf path; a
-    // fleet-scaled n would spill to sketches without touching this code.
+    // thread; the O(n log n) CDF builds are pure per-series work and fan
+    // out as shards (one per datacenter and panel, consumed in order).
     let dur_samples: Vec<Vec<f64>> = dcs
         .iter()
         .map(|dc| {
@@ -147,41 +144,34 @@ pub fn fig2(p: RunParams) -> String {
         .iter()
         .map(|dc| dc.sample_utilization(&mut rng, n))
         .collect();
-    let summarize = |xs: Vec<f64>| {
-        let mut acc = SampleAccum::new();
-        for x in xs {
-            acc.push(x);
-        }
-        acc.finish()
-    };
     let mut shards = Vec::new();
     for (dc, xs) in dcs.iter().zip(dur_samples) {
         shards.push(shard(format!("cdf/duration/{}", dc.name), move || {
-            summarize(xs)
+            Cdf::from_samples(xs)
         }));
     }
     for (dc, xs) in dcs.iter().zip(util_samples) {
         shards.push(shard(format!("cdf/utilization/{}", dc.name), move || {
-            summarize(xs)
+            Cdf::from_samples(xs)
         }));
     }
-    let mut summaries = run_shards(p.workers, shards);
-    let util_summaries = summaries.split_off(dcs.len());
+    let mut cdfs = run_shards(p.workers, shards);
+    let util_cdfs = cdfs.split_off(dcs.len());
 
-    let durations: Vec<(&str, SampleSummary)> = dcs
+    let durations: Vec<(&str, Cdf)> = dcs
         .iter()
-        .zip(summaries)
+        .zip(cdfs)
         .map(|(dc, c)| (dc.name, c.unwrap()))
         .collect();
-    let dur_refs: Vec<(&str, &SampleSummary)> = durations.iter().map(|(n, c)| (*n, c)).collect();
+    let dur_refs: Vec<(&str, &Cdf)> = durations.iter().map(|(n, c)| (*n, c)).collect();
     let mut out = render_quantiles("(a) GPU job duration, minutes", &dur_refs, &QS);
 
-    let utils: Vec<(&str, SampleSummary)> = dcs
+    let utils: Vec<(&str, Cdf)> = dcs
         .iter()
-        .zip(util_summaries)
+        .zip(util_cdfs)
         .filter_map(|(dc, c)| c.map(|c| (dc.name, c)))
         .collect();
-    let util_refs: Vec<(&str, &SampleSummary)> = utils.iter().map(|(n, c)| (*n, c)).collect();
+    let util_refs: Vec<(&str, &Cdf)> = utils.iter().map(|(n, c)| (*n, c)).collect();
     out.push_str(&render_quantiles(
         "(b) GPU utilization, percent (source trace lacks utilization for one datacenter)",
         &util_refs,

@@ -17,7 +17,7 @@ use acme_sim_core::dist::Categorical;
 use acme_sim_core::{SimRng, SimTime};
 use acme_telemetry::counters::metric;
 use acme_telemetry::series::MONITOR_CADENCE;
-use acme_telemetry::{MetricSink, MetricStore};
+use acme_telemetry::MetricStore;
 
 /// Which operating regime a sampled GPU is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,24 +94,8 @@ impl ClusterMonitor {
     /// fresh store. Each sweep records every GPU of every sampled node plus
     /// node-level CPU/memory/IB/power gauges, 15 s apart.
     pub fn sample(&self, rng: &mut SimRng, nodes_sampled: u32, rounds: u32) -> MetricStore {
-        let mut store = MetricStore::new();
-        self.sample_into(rng, nodes_sampled, rounds, &mut store);
-        store
-    }
-
-    /// The same sweep as [`Self::sample`] recording into any
-    /// [`MetricSink`] — one loop, one RNG draw sequence, two memory
-    /// regimes: a [`MetricStore`] retains every sample, a
-    /// [`acme_telemetry::SummaryStore`] folds each into a bounded-memory
-    /// accumulator for fleet-duration monitoring.
-    pub fn sample_into<S: MetricSink>(
-        &self,
-        rng: &mut SimRng,
-        nodes_sampled: u32,
-        rounds: u32,
-        store: &mut S,
-    ) {
         assert!(nodes_sampled > 0 && rounds > 0, "need nodes and rounds");
+        let mut store = MetricStore::new();
         let mixture = GpuMixture::for_cluster(&self.spec);
         let picker = Categorical::new(&[mixture.idle, mixture.busy, mixture.peak]);
         let kalos = self.spec.name == "Kalos";
@@ -185,6 +169,7 @@ impl ClusterMonitor {
                 store.record(metric::SERVER_POWER_W, node_idx, t, server_w);
             }
         }
+        store
     }
 
     fn draw_activity(&self, state: GpuState, kalos: bool, rng: &mut SimRng) -> GpuActivity {
@@ -222,23 +207,6 @@ impl ClusterMonitor {
                 }
             }
         }
-    }
-}
-
-/// Record a training step's SM-utilization profile into a metric store as
-/// 1 ms DCGM samples — the §4.1 fine-grained profiling path ("we collect
-/// GPU performance counters like DCGM metrics at 1 ms intervals"). Every
-/// rank of the sampled GPU group sees the same phase structure, so one
-/// representative entity is recorded per profile.
-pub fn record_step_profile(
-    store: &mut MetricStore,
-    entity: u32,
-    timeline: &acme_training::StepTimeline,
-    start: SimTime,
-) {
-    for (ms, util) in timeline.samples(1.0) {
-        let t = start + acme_sim_core::SimDuration::from_micros((ms * 1_000.0) as u64);
-        store.record(metric::SM_ACTIVE, entity, t, util / 100.0);
     }
 }
 
@@ -369,53 +337,6 @@ mod tests {
         assert!(p.min() > 800.0, "min {:.0}", p.min());
         assert!(p.max() < 7000.0, "max {:.0}", p.max());
         assert!(p.median() > 2000.0);
-    }
-
-    #[test]
-    fn step_profile_lands_in_the_store() {
-        use acme_training::{ModelConfig, StepTimeline, Strategy};
-        let tl = StepTimeline::dense(
-            &ModelConfig::dense_123b(),
-            &Strategy::three_d_paper(2048),
-            4 * 1024 * 1024,
-        );
-        let mut store = MetricStore::new();
-        record_step_profile(&mut store, 0, &tl, SimTime::ZERO);
-        let series = store.series(metric::SM_ACTIVE, 0).unwrap();
-        // One sample per millisecond of the step.
-        assert!((series.len() as f64 - tl.step_ms()).abs() <= 1.0);
-        // The recorded mean matches the timeline's own accounting.
-        let mean = series.mean().unwrap() * 100.0;
-        assert!(
-            (mean - tl.mean_sm_util()).abs() < 2.0,
-            "{mean} vs {}",
-            tl.mean_sm_util()
-        );
-        // The profile starts inside the warmup bubble.
-        assert_eq!(series.value_at(SimTime::ZERO), Some(0.02));
-    }
-
-    #[test]
-    fn summary_sink_sees_the_same_population() {
-        use acme_telemetry::SummaryStore;
-        let mut r1 = SimRng::new(11);
-        let mut r2 = SimRng::new(11);
-        let m = ClusterMonitor::new(ClusterSpec::kalos());
-        let full = m.sample(&mut r1, 32, 4);
-        let mut summary = SummaryStore::new();
-        m.sample_into(&mut r2, 32, 4, &mut summary);
-        // Identical draw sequence, so the value multisets agree exactly:
-        // sorted quantiles are bit-equal even though the summary folds in
-        // time-major order and the store gathers entity-major.
-        for name in [metric::GPU_POWER_W, metric::SM_ACTIVE, metric::IB_SEND] {
-            let cdf = full.cdf(name).unwrap();
-            let s = summary.summary(name).unwrap();
-            assert!(s.is_exact());
-            assert_eq!(s.len(), cdf.len());
-            for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
-                assert_eq!(s.quantile(q).to_bits(), cdf.quantile(q).to_bits());
-            }
-        }
     }
 
     #[test]

@@ -97,14 +97,6 @@ pub struct FaultTolerantTrainer {
     /// Whether the automatic system is active; when false every incident
     /// is handled like the early manual workflow.
     pub automatic: bool,
-    /// Nodes in the fleet (for the NCCL localizer).
-    pub fleet_nodes: usize,
-    /// The recovery-orchestrator configuration the campaign runs under.
-    /// The friendly-world defaults use [`OrchestratorConfig::benign`]:
-    /// every ladder rung disabled, reproducing the historical stateless
-    /// `RecoveryManager` decision-for-decision (the differential test
-    /// pins this). Adversarial policies are swept by `repro policylab`.
-    pub orchestrator: OrchestratorConfig,
 }
 
 impl FaultTolerantTrainer {
@@ -114,8 +106,6 @@ impl FaultTolerantTrainer {
         FaultTolerantTrainer {
             checkpoint_interval: SimDuration::from_mins(30),
             automatic: true,
-            fleet_nodes: 302,
-            orchestrator: OrchestratorConfig::benign(),
         }
     }
 
@@ -124,8 +114,6 @@ impl FaultTolerantTrainer {
         FaultTolerantTrainer {
             checkpoint_interval: SimDuration::from_hours(5),
             automatic: false,
-            fleet_nodes: 302,
-            orchestrator: OrchestratorConfig::benign(),
         }
     }
 
@@ -153,6 +141,8 @@ impl FaultTolerantTrainer {
         horizon: SimDuration,
         rec: &mut Rec<'_>,
     ) -> CampaignReport {
+        // Nodes the NCCL localizer searches: a Kalos-sized fleet.
+        const FLEET_NODES: usize = 302;
         let times = FailureInjector::pretrain_schedule(rng, mean_between, horizon);
         // Infrastructure-heavy mix, as §5.2 observes for pretraining, with
         // a sprinkle of hangs and loss spikes.
@@ -170,7 +160,10 @@ impl FaultTolerantTrainer {
             self.checkpoint_interval.as_secs_f64(),
         );
         let mut diagnoses = DiagnosisMemo::default();
-        let mut orchestrator = RecoveryOrchestrator::new(self.orchestrator);
+        // Benign disables every ladder rung, so the orchestrator decides
+        // exactly as the stateless `RecoveryManager` does (the
+        // differential test below pins this incident for incident).
+        let mut orchestrator = RecoveryOrchestrator::new(OrchestratorConfig::benign());
 
         let mut incidents = Vec::new();
         let mut manual = 0;
@@ -229,9 +222,8 @@ impl FaultTolerantTrainer {
             }
             if self.automatic {
                 if let RecoveryAction::AutoRestart { cordon_nodes: true } = action {
-                    let faulty =
-                        std::iter::once(rng.below(self.fleet_nodes as u64) as usize).collect();
-                    let result = NcclTester::new(self.fleet_nodes).run(&faulty);
+                    let faulty = std::iter::once(rng.below(FLEET_NODES as u64) as usize).collect();
+                    let result = NcclTester::new(FLEET_NODES).run(&faulty);
                     cordoned += result.identified.len() as u32;
                     wait += SimDuration::from_mins(5); // two NCCL rounds
                     localize += SimDuration::from_mins(5);

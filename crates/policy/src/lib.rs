@@ -10,7 +10,7 @@
 //! * [`RetryPolicy`] — retry budget and exponential backoff ladders (the
 //!   canonical definition; `acme-failure`'s orchestrator re-exports it);
 //! * [`CordonPolicy`] — per-node strike thresholds feeding cordons;
-//! * [`CheckpointPolicy`] — checkpoint-cadence strategies: fixed interval,
+//! * [`CheckpointChoice`] — checkpoint-cadence strategies: fixed interval,
 //!   Young/Daly MTTF-optimal, adaptive-on-cascade;
 //! * [`SpeculationPolicy`] / [`RepackPolicy`] — the evaluation
 //!   coordinator's watchdog-speculation and elastic re-packing mechanisms;
@@ -395,7 +395,7 @@ impl NetRecoveryPolicy {
 // Checkpoint cadence policies
 // ---------------------------------------------------------------------------
 
-/// What a [`CheckpointPolicy`] sees when choosing a cadence.
+/// What a [`CheckpointChoice`] sees when choosing a cadence.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointContext {
     /// The deployment's configured (historical) interval, seconds.
@@ -411,38 +411,6 @@ pub struct CheckpointContext {
     pub cascade_fraction: f64,
 }
 
-/// A checkpoint-cadence strategy: maps observed campaign conditions to a
-/// checkpoint interval.
-pub trait CheckpointPolicy {
-    /// The chosen interval, seconds (always strictly positive).
-    fn interval_secs(&self, ctx: &CheckpointContext) -> f64;
-    /// Short human-readable label.
-    fn label(&self) -> &'static str;
-}
-
-/// Checkpoint every `default_secs` of the context, unconditionally — the
-/// historical hardwired behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedInterval;
-
-impl CheckpointPolicy for FixedInterval {
-    fn interval_secs(&self, ctx: &CheckpointContext) -> f64 {
-        ctx.default_secs
-    }
-
-    fn label(&self) -> &'static str {
-        "fixed interval"
-    }
-}
-
-/// Young/Daly MTTF-optimal cadence: interval = √(2 · δ · MTTF), where δ
-/// is the checkpoint cost and MTTF the observed mean time to failure
-/// (Meta's "Revisiting Reliability" formulation). Clamped to at least one
-/// minute so a pathological context cannot demand continuous
-/// checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct YoungDaly;
-
 /// The Young/Daly interval √(2 · δ · MTTF) in seconds, floored at 60 s.
 pub fn young_daly_interval_secs(checkpoint_cost_secs: f64, mttf_secs: f64) -> f64 {
     (2.0 * checkpoint_cost_secs.max(0.0) * mttf_secs.max(0.0))
@@ -450,98 +418,64 @@ pub fn young_daly_interval_secs(checkpoint_cost_secs: f64, mttf_secs: f64) -> f6
         .max(60.0)
 }
 
-impl CheckpointPolicy for YoungDaly {
-    fn interval_secs(&self, ctx: &CheckpointContext) -> f64 {
-        young_daly_interval_secs(ctx.checkpoint_cost_secs, ctx.mttf_secs)
-    }
-
-    fn label(&self) -> &'static str {
-        "Young/Daly"
-    }
-}
-
-/// Adaptive-on-cascade cadence: when more than `cascade_threshold` of the
-/// observed primaries cascade (correlated storms), shrink the default
-/// interval by `shrink` — cheaper rollbacks exactly when incidents
-/// cluster, at the price of extra checkpoint traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOnCascade {
-    /// Cascade fraction above which the cadence tightens.
-    pub cascade_threshold: f64,
-    /// Multiplier applied to the default interval when tightened
-    /// (`0 < shrink ≤ 1`).
-    pub shrink: f64,
-}
-
-impl AdaptiveOnCascade {
-    /// The lab default: halve the interval once a quarter of primaries
-    /// cascade.
-    pub fn halving() -> Self {
-        AdaptiveOnCascade {
-            cascade_threshold: 0.25,
-            shrink: 0.5,
-        }
-    }
-}
-
-impl CheckpointPolicy for AdaptiveOnCascade {
-    fn interval_secs(&self, ctx: &CheckpointContext) -> f64 {
-        if ctx.cascade_fraction >= self.cascade_threshold {
-            (ctx.default_secs * self.shrink).max(60.0)
-        } else {
-            ctx.default_secs
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "adaptive-on-cascade"
-    }
-}
-
-/// Enum dispatch over the checkpoint strategies, so policy bundles stay
-/// `Copy` and shard-friendly while the trait keeps the strategy surface
-/// open.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A checkpoint-cadence strategy: maps observed campaign conditions to a
+/// checkpoint interval. Plain `Copy` data, so policy bundles stay
+/// shard-friendly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointChoice {
-    /// [`FixedInterval`].
-    Fixed(FixedInterval),
-    /// [`YoungDaly`].
-    YoungDaly(YoungDaly),
-    /// [`AdaptiveOnCascade`].
-    Adaptive(AdaptiveOnCascade),
+    /// Checkpoint every `default_secs` of the context, unconditionally —
+    /// the historical hardwired behavior.
+    Fixed,
+    /// Young/Daly MTTF-optimal cadence: interval = √(2 · δ · MTTF), where
+    /// δ is the checkpoint cost and MTTF the observed mean time to failure
+    /// (Meta's "Revisiting Reliability" formulation). Floored at one
+    /// minute so a pathological context cannot demand continuous
+    /// checkpointing.
+    YoungDaly,
+    /// Adaptive-on-cascade cadence: once a quarter of the observed
+    /// primaries cascade (correlated storms), halve the default interval
+    /// (floored at one minute) — cheaper rollbacks exactly when incidents
+    /// cluster, at the price of extra checkpoint traffic.
+    Adaptive,
 }
 
 impl CheckpointChoice {
     /// The historical fixed-cadence default.
     pub fn fixed() -> Self {
-        CheckpointChoice::Fixed(FixedInterval)
+        CheckpointChoice::Fixed
     }
 
     /// Young/Daly MTTF-optimal cadence.
     pub fn young_daly() -> Self {
-        CheckpointChoice::YoungDaly(YoungDaly)
+        CheckpointChoice::YoungDaly
     }
 
-    /// Adaptive-on-cascade with the halving default.
+    /// Adaptive-on-cascade: halve the interval once a quarter of
+    /// primaries cascade.
     pub fn adaptive() -> Self {
-        CheckpointChoice::Adaptive(AdaptiveOnCascade::halving())
+        CheckpointChoice::Adaptive
     }
-}
 
-impl CheckpointPolicy for CheckpointChoice {
-    fn interval_secs(&self, ctx: &CheckpointContext) -> f64 {
+    /// The chosen interval, seconds (always strictly positive).
+    pub fn interval_secs(&self, ctx: &CheckpointContext) -> f64 {
         match self {
-            CheckpointChoice::Fixed(p) => p.interval_secs(ctx),
-            CheckpointChoice::YoungDaly(p) => p.interval_secs(ctx),
-            CheckpointChoice::Adaptive(p) => p.interval_secs(ctx),
+            CheckpointChoice::Fixed => ctx.default_secs,
+            CheckpointChoice::YoungDaly => {
+                young_daly_interval_secs(ctx.checkpoint_cost_secs, ctx.mttf_secs)
+            }
+            CheckpointChoice::Adaptive if ctx.cascade_fraction >= 0.25 => {
+                (ctx.default_secs * 0.5).max(60.0)
+            }
+            CheckpointChoice::Adaptive => ctx.default_secs,
         }
     }
 
-    fn label(&self) -> &'static str {
+    /// Short human-readable label.
+    pub fn label(&self) -> &'static str {
         match self {
-            CheckpointChoice::Fixed(p) => p.label(),
-            CheckpointChoice::YoungDaly(p) => p.label(),
-            CheckpointChoice::Adaptive(p) => p.label(),
+            CheckpointChoice::Fixed => "fixed interval",
+            CheckpointChoice::YoungDaly => "Young/Daly",
+            CheckpointChoice::Adaptive => "adaptive-on-cascade",
         }
     }
 }

@@ -7,7 +7,7 @@
 //! CDFs over hundreds of thousands of monitor samples — so `from_samples`
 //! radix-sorts large inputs by their IEEE-754 bit patterns (a monotone
 //! transform makes unsigned order equal `total_cmp` order; see
-//! [`radix_sort_f64`]), falls back to a comparison sort for small ones,
+//! `radix_sort_f64`), falls back to a comparison sort for small ones,
 //! and validates NaN-freedom and accumulates the mean in one pass.
 
 /// An empirical CDF over `f64` samples. NaNs are rejected at construction.

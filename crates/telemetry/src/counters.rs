@@ -10,20 +10,8 @@ use std::collections::BTreeMap;
 
 use acme_sim_core::SimTime;
 
-use crate::accum::{SampleAccum, SampleSummary};
 use crate::cdf::Cdf;
 use crate::series::TimeSeries;
-
-/// Anything a monitor can record metric samples into. [`MetricStore`]
-/// retains every sample (timestamps included) for the exact small-n
-/// figures; [`SummaryStore`] folds each sample straight into a
-/// [`SampleAccum`] so fleet-scale monitoring stays bounded-memory. Monitors
-/// are generic over this, so both regimes share one sampling loop (and
-/// therefore one RNG draw sequence).
-pub trait MetricSink {
-    /// Record one sample for `(metric, entity)` at time `t`.
-    fn record(&mut self, metric: &str, entity: EntityId, t: SimTime, value: f64);
-}
 
 /// Well-known metric names (mirroring the DCGM fields the paper cites).
 pub mod metric {
@@ -116,20 +104,6 @@ impl MetricStore {
         Cdf::from_samples(self.all_values(metric))
     }
 
-    /// Threshold-aware summary of all values under `metric`, built by
-    /// pushing in [`Self::all_values`] order. Below the exactness
-    /// threshold this answers bit-identically to [`Self::cdf`].
-    pub fn summary(&self, metric: &str) -> Option<SampleSummary> {
-        let by_entity = self.metrics.get(metric)?;
-        let mut accum = SampleAccum::new();
-        for series in by_entity.values() {
-            for v in series.values() {
-                accum.push(v);
-            }
-        }
-        accum.finish()
-    }
-
     /// Number of `(metric, entity)` series held.
     pub fn len(&self) -> usize {
         self.metrics.values().map(BTreeMap::len).sum()
@@ -138,61 +112,6 @@ impl MetricStore {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-}
-
-impl MetricSink for MetricStore {
-    fn record(&mut self, metric: &str, entity: EntityId, t: SimTime, value: f64) {
-        MetricStore::record(self, metric, entity, t, value);
-    }
-}
-
-/// A bounded-memory metric sink: each metric folds into one
-/// [`SampleAccum`] as samples arrive, discarding timestamps and per-entity
-/// structure. The fleet-scale replacement for [`MetricStore`] wherever a
-/// monitor's output is only ever reduced to quantiles.
-#[derive(Debug, Default)]
-pub struct SummaryStore {
-    metrics: BTreeMap<String, SampleAccum>,
-}
-
-impl SummaryStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Threshold-aware summary of everything recorded under `metric`.
-    pub fn summary(&self, metric: &str) -> Option<SampleSummary> {
-        self.metrics.get(metric).cloned()?.finish()
-    }
-
-    /// Number of samples recorded under `metric`.
-    pub fn samples(&self, metric: &str) -> usize {
-        self.metrics.get(metric).map_or(0, SampleAccum::len)
-    }
-
-    /// Number of distinct metrics recorded.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-}
-
-impl MetricSink for SummaryStore {
-    fn record(&mut self, metric: &str, _entity: EntityId, _t: SimTime, value: f64) {
-        match self.metrics.get_mut(metric) {
-            Some(a) => a.push(value),
-            None => self
-                .metrics
-                .entry(metric.to_owned())
-                .or_default()
-                .push(value),
-        }
     }
 }
 
@@ -234,44 +153,6 @@ mod tests {
         assert_eq!(c.min(), 0.0);
         assert_eq!(c.max(), 9.0);
         assert!(m.cdf("missing").is_none());
-    }
-
-    #[test]
-    fn summary_matches_cdf_below_threshold() {
-        let mut m = MetricStore::new();
-        for i in 0..200u32 {
-            m.record(
-                "p",
-                i % 7,
-                SimTime::from_secs(u64::from(i)),
-                f64::from(i % 31),
-            );
-        }
-        let cdf = m.cdf("p").unwrap();
-        let summary = m.summary("p").unwrap();
-        assert!(summary.is_exact());
-        for &p in &[0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(summary.quantile(p).to_bits(), cdf.quantile(p).to_bits());
-        }
-        assert_eq!(summary.mean().to_bits(), cdf.mean().to_bits());
-        assert!(m.summary("missing").is_none());
-    }
-
-    #[test]
-    fn summary_store_aggregates_per_metric() {
-        let mut s = SummaryStore::new();
-        assert!(s.is_empty());
-        for i in 0..100u32 {
-            MetricSink::record(&mut s, "a", i % 3, SimTime::ZERO, f64::from(i));
-            MetricSink::record(&mut s, "b", 0, SimTime::ZERO, 5.0);
-        }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.samples("a"), 100);
-        let a = s.summary("a").unwrap();
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 99.0);
-        assert_eq!(s.summary("b").unwrap().quantile(0.5), 5.0);
-        assert!(s.summary("zzz").is_none());
     }
 
     #[test]

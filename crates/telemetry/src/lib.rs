@@ -2,33 +2,29 @@
 //! DCGM / Prometheus / IPMI stack plus the statistics its figures are built
 //! from.
 //!
-//! * [`cdf::Cdf`] — empirical CDFs and quantiles (Figures 2, 3, 6, 7, 8, 21);
+//! * [`cdf::Cdf`] — empirical CDFs and quantiles (Figures 2, 3, 6, 7, 8, 21),
+//!   the one summary for closed-world series;
+//! * [`sketch::QuantileSketch`] — deterministic mergeable quantile sketch,
+//!   the one summary for the fleet's 10⁶⁺-sample stream;
 //! * [`boxplot::BoxplotStats`] — quartiles with 1.5×IQR whiskers (Figure 5);
-//! * [`histogram::Histogram`] — fixed-bin frequency counts;
 //! * [`series::TimeSeries`] — timestamped gauges sampled at the paper's 15 s
-//!   monitoring cadence (Figures 10, 13, 14, 22);
+//!   monitoring cadence;
 //! * [`counters::MetricStore`] — a DCGM-like registry of per-entity metrics;
-//! * [`sketch::QuantileSketch`] — deterministic mergeable quantile sketch for
-//!   fleet-scale (10⁶⁺-sample) series;
-//! * [`accum::SampleAccum`] — exact below a size threshold, sketch above;
-//! * [`table`] — plain-text rendering for the repro harness output.
+//! * [`table`] — plain-text rendering for the repro harness output; exact
+//!   CDFs and sketches print through one [`table::render_quantiles`].
 
 #![warn(missing_docs)]
 
-pub mod accum;
 pub mod boxplot;
 pub mod cdf;
 pub mod counters;
-pub mod histogram;
 pub mod series;
 pub mod sketch;
 pub mod table;
 
-pub use accum::{SampleAccum, SampleSummary, EXACT_MAX};
 pub use boxplot::BoxplotStats;
 pub use cdf::Cdf;
-pub use counters::{MetricSink, MetricStore, SummaryStore};
-pub use histogram::Histogram;
+pub use counters::MetricStore;
 pub use series::TimeSeries;
 pub use sketch::QuantileSketch;
 pub use table::{Quantiles, Table};

@@ -1,8 +1,7 @@
 //! Timestamped metric series.
 //!
-//! The paper samples infrastructure metrics every 15 seconds (§2.3) and
-//! profiles representative jobs at 1 ms; both cadences are just different
-//! step sizes over the same [`TimeSeries`].
+//! The paper samples infrastructure metrics every 15 seconds (§2.3); a
+//! [`TimeSeries`] holds one entity's samples of one metric.
 
 use acme_sim_core::{SimDuration, SimTime};
 
@@ -67,60 +66,6 @@ impl TimeSeries {
         self.values()
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
     }
-
-    /// Value at time `t` under zero-order hold (last sample at or before
-    /// `t`); `None` before the first sample.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.points[idx - 1].1)
-        }
-    }
-
-    /// Time-weighted average over `[start, end)` under zero-order hold.
-    /// Returns `None` if the window is empty or starts before the first
-    /// sample.
-    pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        if end <= start {
-            return None;
-        }
-        self.value_at(start)?;
-        let mut acc = 0.0;
-        let mut cur_t = start;
-        let mut cur_v = self.value_at(start).unwrap();
-        for &(t, v) in self.points.iter().filter(|&&(t, _)| t > start && t < end) {
-            acc += cur_v * (t - cur_t).as_secs_f64();
-            cur_t = t;
-            cur_v = v;
-        }
-        acc += cur_v * (end - cur_t).as_secs_f64();
-        Some(acc / (end - start).as_secs_f64())
-    }
-
-    /// Resample under zero-order hold at a fixed cadence over `[start, end]`.
-    pub fn resample(&self, start: SimTime, end: SimTime, step: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!step.is_zero(), "resample step must be positive");
-        let mut out = Vec::new();
-        let mut t = start;
-        while t <= end {
-            if let Some(v) = self.value_at(t) {
-                out.push((t, v));
-            }
-            t += step;
-        }
-        out
-    }
-
-    /// Fraction of samples for which `pred` holds; `None` when empty.
-    pub fn fraction_where(&self, pred: impl Fn(f64) -> bool) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let hits = self.values().filter(|&v| pred(v)).count();
-        Some(hits as f64 / self.points.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -149,62 +94,5 @@ mod tests {
         let mut s = TimeSeries::new();
         s.push(SimTime::from_secs(10), 1.0);
         s.push(SimTime::from_secs(5), 2.0);
-    }
-
-    #[test]
-    fn value_at_zero_order_hold() {
-        let s = ts(&[(10, 1.0), (20, 2.0)]);
-        assert_eq!(s.value_at(SimTime::from_secs(5)), None);
-        assert_eq!(s.value_at(SimTime::from_secs(10)), Some(1.0));
-        assert_eq!(s.value_at(SimTime::from_secs(15)), Some(1.0));
-        assert_eq!(s.value_at(SimTime::from_secs(25)), Some(2.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_span() {
-        // 1.0 for 10 s then 3.0 for 10 s → mean 2.0 over [0, 20).
-        let s = ts(&[(0, 1.0), (10, 3.0)]);
-        let m = s
-            .time_weighted_mean(SimTime::ZERO, SimTime::from_secs(20))
-            .unwrap();
-        assert!((m - 2.0).abs() < 1e-12);
-        // Over [0, 10) only the first value counts.
-        let m2 = s
-            .time_weighted_mean(SimTime::ZERO, SimTime::from_secs(10))
-            .unwrap();
-        assert!((m2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_edge_cases() {
-        let s = ts(&[(10, 1.0)]);
-        assert!(s
-            .time_weighted_mean(SimTime::ZERO, SimTime::from_secs(5))
-            .is_none());
-        assert!(s
-            .time_weighted_mean(SimTime::from_secs(20), SimTime::from_secs(20))
-            .is_none());
-    }
-
-    #[test]
-    fn resample_at_cadence() {
-        let s = ts(&[(0, 1.0), (30, 2.0)]);
-        let r = s.resample(SimTime::ZERO, SimTime::from_secs(45), MONITOR_CADENCE);
-        assert_eq!(
-            r,
-            vec![
-                (SimTime::ZERO, 1.0),
-                (SimTime::from_secs(15), 1.0),
-                (SimTime::from_secs(30), 2.0),
-                (SimTime::from_secs(45), 2.0),
-            ]
-        );
-    }
-
-    #[test]
-    fn fraction_where_counts() {
-        let s = ts(&[(0, 0.0), (1, 50.0), (2, 100.0), (3, 100.0)]);
-        assert_eq!(s.fraction_where(|v| v >= 100.0), Some(0.5));
-        assert_eq!(TimeSeries::new().fraction_where(|_| true), None);
     }
 }

@@ -25,13 +25,13 @@
 //!   proptests enforce exactly this inequality against a materialized
 //!   sample set.
 //!
-//! With the default capacity `k = 1024` and `n = 10⁶` inserts the bound
+//! With the fleet's capacity `k = 1024` and `n = 10⁶` inserts the bound
 //! works out to roughly `log2(n/k) · n/k ≈ 10⁴` ranks — about 1% of `n` —
 //! and in practice lands far lower because most compactions happen at the
 //! cheap low levels.
 //!
 //! Levels store each sample as its `u64` order key
-//! ([`sort_key`](crate::cdf::sort_key)), whose unsigned order is
+//! (`cdf::sort_key`), whose unsigned order is
 //! `total_cmp` order, so compaction sorts plain integers. Level 0 holds
 //! inserts in arrival order and takes an unstable sort; every higher level
 //! holds its straggler plus a few sorted runs promoted from below, which
@@ -39,9 +39,6 @@
 //! neither sort can reorder anything observable.
 
 use crate::cdf::{key_to_f64, sort_key};
-
-/// Default per-level compactor capacity.
-pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// One compactor level: items of weight `2^level` as order keys, plus the
 /// parity bit that deterministically alternates which half a compaction
@@ -64,18 +61,7 @@ pub struct QuantileSketch {
     error_bound: u64,
 }
 
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl QuantileSketch {
-    /// A sketch with the default per-level capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
     /// A sketch whose levels each hold up to `k` items before compacting.
     /// Larger `k` means lower rank error and more memory.
     ///
@@ -275,16 +261,6 @@ impl QuantileSketch {
             .sum()
     }
 
-    /// Estimated fraction of samples ≤ `x` (the CDF evaluated at `x`),
-    /// within `error_bound / count` of the true fraction.
-    ///
-    /// # Panics
-    /// Panics on an empty sketch.
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        assert!(self.count > 0, "empty sketch has no CDF");
-        self.estimated_rank(x) as f64 / self.count as f64
-    }
-
     /// Quantile estimate for `p ∈ [0, 1]`: the smallest retained value
     /// whose estimated rank reaches `p · count`. Its true rank is within
     /// `error_bound + max_item_weight` of the target. Monotone in `p`;
@@ -313,11 +289,6 @@ impl QuantileSketch {
             }
         }
         self.max
-    }
-
-    /// The median (`quantile(0.5)`).
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
     }
 }
 
@@ -620,13 +591,14 @@ mod tests {
 
     #[test]
     fn memory_is_sublinear() {
-        let mut s = QuantileSketch::new();
+        let k = 1024;
+        let mut s = QuantileSketch::with_capacity(k);
         for i in 0..1_000_000u64 {
             s.insert((i.wrapping_mul(2654435761) % 1_000_003) as f64);
         }
         // k · (levels + slack): a million inserts retain ~10 levels of
         // ≤ 1024 items each, not a million samples.
-        assert!(s.retained() <= 16 * DEFAULT_CAPACITY, "{}", s.retained());
+        assert!(s.retained() <= 16 * k, "{}", s.retained());
         // And the hard bound stays around the 1% design point.
         assert!(
             s.error_bound() < s.count() / 50,
@@ -665,7 +637,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN sample")]
     fn nan_rejected() {
-        QuantileSketch::new().insert(f64::NAN);
+        QuantileSketch::with_capacity(1024).insert(f64::NAN);
     }
 
     #[test]
@@ -678,6 +650,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sketch")]
     fn empty_quantile_panics() {
-        QuantileSketch::new().quantile(0.5);
+        QuantileSketch::with_capacity(1024).quantile(0.5);
     }
 }

@@ -3,8 +3,6 @@
 //! The repro harness prints each paper table/figure as aligned text so that
 //! `EXPERIMENTS.md` can record paper-vs-measured without any plotting stack.
 
-use std::fmt::Write as _;
-
 /// A simple column-aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -94,21 +92,11 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Render a `(x, y)` series as `x<TAB>y` lines with a header comment.
-pub fn render_series(name: &str, points: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# series: {name} ({} points)", points.len());
-    for &(x, y) in points {
-        let _ = writeln!(out, "{x:.6}\t{y:.6}");
-    }
-    out
-}
-
 /// Anything that can answer quantile queries — an exact
-/// [`Cdf`](crate::cdf::Cdf), a [`QuantileSketch`](crate::sketch::QuantileSketch),
-/// or a [`SampleSummary`](crate::accum::SampleSummary) that is one of the
-/// two depending on sample count. Rendering is generic over this so the
-/// exact and sketched regimes share one byte-level print path.
+/// [`Cdf`](crate::cdf::Cdf) or a
+/// [`QuantileSketch`](crate::sketch::QuantileSketch). Rendering is generic
+/// over this so the exact and sketched summaries share one byte-level
+/// print path.
 pub trait Quantiles {
     /// The `p`-quantile of the summarized samples, `p ∈ [0, 1]`.
     fn quantile(&self, p: f64) -> f64;
@@ -141,17 +129,6 @@ pub fn render_quantiles<Q: Quantiles>(
         );
     }
     format!("== {title} ==\n{}", t.render())
-}
-
-/// Render several labelled CDF quantiles side by side. Kept as the named
-/// entry point for the exact regime; delegates to [`render_quantiles`] so
-/// the output bytes are provably shared with the sketch path.
-pub fn render_cdf_quantiles(
-    title: &str,
-    labelled: &[(&str, &crate::cdf::Cdf)],
-    quantiles: &[f64],
-) -> String {
-    render_quantiles(title, labelled, quantiles)
 }
 
 #[cfg(test)]
@@ -188,17 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn series_rendering() {
-        let s = render_series("demo", &[(0.0, 0.5), (1.0, 1.0)]);
-        assert!(s.starts_with("# series: demo (2 points)"));
-        assert_eq!(s.lines().count(), 3);
-    }
-
-    #[test]
     fn cdf_quantile_grid() {
         let a = Cdf::from_samples(vec![1.0, 2.0, 3.0]).unwrap();
         let b = Cdf::from_samples(vec![10.0, 20.0, 30.0]).unwrap();
-        let s = render_cdf_quantiles("demo", &[("a", &a), ("b", &b)], &[0.5]);
+        let s = render_quantiles("demo", &[("a", &a), ("b", &b)], &[0.5]);
         assert!(s.contains("== demo =="));
         assert!(s.contains("p50"));
         assert!(s.contains("2.000"));

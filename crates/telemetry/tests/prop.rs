@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics toolkit.
 
-use acme_telemetry::{BoxplotStats, Cdf, Histogram, QuantileSketch};
+use acme_telemetry::{BoxplotStats, Cdf, QuantileSketch};
 use proptest::prelude::*;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
@@ -62,18 +62,6 @@ proptest! {
         prop_assert!(b.outliers < n);
     }
 
-    /// Histogram counts account for every recorded sample.
-    #[test]
-    fn histogram_conserves_samples(xs in finite_samples(), lo in -100.0f64..0.0, width in 1.0f64..1000.0) {
-        let mut h = Histogram::new(lo, lo + width, 16);
-        for &x in &xs {
-            h.record(x);
-        }
-        let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-        prop_assert_eq!(h.total(), xs.len() as u64);
-    }
-
     /// Differential check against the exact CDF: the sketch's rank
     /// estimate honors its self-reported `error_bound` at every inserted
     /// value, and each `quantile(p)` lands inside the value window the
@@ -133,20 +121,5 @@ proptest! {
         // Weight conservation: retained items account for every sample.
         let total: u64 = merged.items().iter().map(|&(_, w)| w).sum();
         prop_assert_eq!(total, all.len() as u64);
-    }
-
-    /// The histogram CDF approximation is monotone.
-    #[test]
-    fn histogram_fraction_monotone(xs in prop::collection::vec(0.0f64..100.0, 1..100)) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs {
-            h.record(x);
-        }
-        let mut last = 0.0;
-        for i in 0..=20 {
-            let f = h.fraction_le(i as f64 * 5.0);
-            prop_assert!(f >= last - 1e-12);
-            last = f;
-        }
     }
 }

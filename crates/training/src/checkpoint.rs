@@ -14,7 +14,7 @@
 //! The blocking-time ratio between the two is the paper's headline
 //! **3.6×** (7B) to **58.7×** (123B) reduction at a 30-minute interval.
 
-use acme_policy::{CheckpointContext, CheckpointPolicy};
+use acme_policy::{CheckpointChoice, CheckpointContext};
 
 use crate::model::ModelConfig;
 
@@ -285,19 +285,19 @@ impl DurabilityTracker {
         }
     }
 
-    /// Track checkpoints at the cadence a [`CheckpointPolicy`] chooses for
+    /// Track checkpoints at the cadence a [`CheckpointChoice`] picks for
     /// the observed campaign conditions. The policy sees the deployment's
     /// default interval, the engine's time-to-durable under `mode` (the δ
     /// of the Young/Daly formula — what a checkpoint actually *costs*, not
     /// just its blocking stall), the observed MTTF and the cascade
     /// fraction.
     ///
-    /// `with_policy(engine, mode, &FixedInterval, d, …)` is exactly
-    /// `new(engine, mode, d)` — the differential tests pin that.
+    /// `with_policy(engine, mode, &CheckpointChoice::Fixed, d, …)` is
+    /// exactly `new(engine, mode, d)` — the differential tests pin that.
     pub fn with_policy(
         engine: CheckpointEngine,
         mode: CheckpointMode,
-        policy: &dyn CheckpointPolicy,
+        policy: &CheckpointChoice,
         default_interval_secs: f64,
         mttf_secs: f64,
         cascade_fraction: f64,
@@ -398,14 +398,14 @@ mod durability_tests {
 
     #[test]
     fn fixed_policy_reproduces_the_plain_constructor() {
-        // The differential guarantee for the policy hook: a FixedInterval
-        // policy is byte-identical to `new` at the same interval.
+        // The differential guarantee for the policy hook: a Fixed policy
+        // is byte-identical to `new` at the same interval.
         let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
         let direct = DurabilityTracker::new(engine, CheckpointMode::Asynchronous, 1800.0);
         let via_policy = DurabilityTracker::with_policy(
             engine,
             CheckpointMode::Asynchronous,
-            &acme_policy::FixedInterval,
+            &CheckpointChoice::Fixed,
             1800.0,
             21_600.0,
             0.5,
@@ -428,7 +428,7 @@ mod durability_tests {
         let t = DurabilityTracker::with_policy(
             engine,
             CheckpointMode::Asynchronous,
-            &acme_policy::YoungDaly,
+            &CheckpointChoice::YoungDaly,
             1800.0,
             21_600.0,
             0.5,
@@ -448,7 +448,7 @@ mod durability_tests {
         let stormy = DurabilityTracker::with_policy(
             engine,
             CheckpointMode::Asynchronous,
-            &acme_policy::AdaptiveOnCascade::halving(),
+            &CheckpointChoice::Adaptive,
             1800.0,
             21_600.0,
             0.5,
@@ -457,7 +457,7 @@ mod durability_tests {
         let calm = DurabilityTracker::with_policy(
             engine,
             CheckpointMode::Asynchronous,
-            &acme_policy::AdaptiveOnCascade::halving(),
+            &CheckpointChoice::Adaptive,
             1800.0,
             21_600.0,
             0.1,

@@ -21,7 +21,7 @@
 //!   Poisson process, two RNG draws per candidate, no inverse integrals.
 //! * **Per-job attribute draws reuse the closed-world samplers.** After
 //!   tenant and cluster are chosen, type/demand/status/duration come from
-//!   the exact [`ProfileSampler`] sequence `WorkloadGenerator::generate`
+//!   the exact `ProfileSampler` sequence `WorkloadGenerator::generate`
 //!   uses, so fleet jobs are distributionally the same population the
 //!   calibrated figures were validated against.
 //!
