@@ -71,11 +71,6 @@ impl Acme {
             failures,
         }
     }
-
-    /// The paper's full six-month trace.
-    pub fn run_six_months(&self) -> AcmeTrace {
-        self.run_days(183.0)
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn six_month_scale_matches_section23() {
-        let t = Acme::new(2).run_six_months();
+        let t = Acme::new(2).run_days(183.0);
         let s = TraceStats::new(&t.seren.jobs);
         let k = TraceStats::new(&t.kalos.jobs);
         // §2.3: Seren 664K GPU jobs, Kalos 20K GPU jobs.

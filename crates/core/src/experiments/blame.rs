@@ -31,7 +31,7 @@ use acme_telemetry::Table;
 use super::evalstorm::{MODEL_GB, NODES};
 use super::shard::{run_shards, shard};
 use super::RunParams;
-use crate::storm::{StormOutcome, StormPolicy, StormRunner};
+use crate::storm::{StormOutcome, StormPolicies, StormPolicy, StormRunner};
 
 /// Category rows, in taxonomy order ([`acme_failure::taxonomy`]).
 const CATEGORIES: [&str; 3] = ["Infrastructure", "Framework", "Script"];
@@ -229,7 +229,12 @@ fn replay_storm(p: RunParams) -> (StormOutcome, Recorder) {
     let policy = StormPolicy::FullOrchestrator;
     let mut arm_rng = SimRng::new(p.seed).fork(1002 + policy as u64);
     let mut r = Recorder::new();
-    let o = runner.run_traced(&campaign, policy, &mut arm_rng, &mut Rec::on(&mut r));
+    let o = runner.run_with_traced(
+        &campaign,
+        &StormPolicies::for_arm(policy),
+        &mut arm_rng,
+        &mut Rec::on(&mut r),
+    );
     (o, r)
 }
 
@@ -471,7 +476,11 @@ mod tests {
         let campaign = StormEngine::new(config).generate(&mut rng);
         let runner = StormRunner::deployed(campaign.fleet_nodes);
         let mut arm_rng = SimRng::new(p.seed).fork(1002 + StormPolicy::FullOrchestrator as u64);
-        let bare = runner.run(&campaign, StormPolicy::FullOrchestrator, &mut arm_rng);
+        let bare = runner.run_with(
+            &campaign,
+            &StormPolicies::for_arm(StormPolicy::FullOrchestrator),
+            &mut arm_rng,
+        );
         assert_eq!(traced.useful_secs, bare.useful_secs);
         assert_eq!(traced.incidents, bare.incidents);
         assert_eq!(traced.downtime, bare.downtime);

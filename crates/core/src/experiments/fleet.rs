@@ -5,11 +5,11 @@
 //! experiment runs both clusters side by side for simulated *months* —
 //! 10⁶ jobs by default, ~267 days at the calibrated 3 740 jobs/day — and
 //! never materializes a single shard: arrivals stream out of
-//! [`FleetStream`] one record at a time and fold into mergeable
-//! bounded-memory aggregates ([`FleetShardStats`]: flat counter tables
-//! plus KLL-style quantile sketches). Peak RSS is O(shards × sketch k),
-//! independent of job count; the CI smoke test pins it below 256 MiB and
-//! asserts it barely moves between 10⁵ and 10⁶ jobs.
+//! [`FleetStream`](acme_workload::FleetStream) one record at a time and
+//! fold into mergeable bounded-memory aggregates ([`FleetShardStats`]:
+//! flat counter tables plus KLL-style quantile sketches). Peak RSS is
+//! O(shards × sketch k), independent of job count; the CI smoke test pins
+//! it below 256 MiB and asserts it barely moves between 10⁵ and 10⁶ jobs.
 //!
 //! Shards are pure functions of `(seed, shard index)` and merge in shard
 //! order, so the output is byte-identical at any `--jobs` worker count.

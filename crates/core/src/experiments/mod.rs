@@ -117,7 +117,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "table2",
             title: "Table 2: datacenter comparison",
-            desc: "LLM vs prior DL datacenter traces: scale, duration, utilization.",
+            desc: "LLM vs prior DL datacenter traces: duration, jobs, GPUs per job, fleet GPUs.",
             run: |p| workload::table2(p.seed),
         },
         Experiment {
@@ -195,7 +195,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "fig14",
             title: "Figure 14: training progress with manual recovery",
-            desc: "Loss-vs-time staircase of a run interrupted by manual restarts.",
+            desc: "Kept vs lost iterations, downtime and restarts: manual vs automatic recovery.",
             run: |p| training::fig14(p.seed),
         },
         Experiment {
@@ -213,7 +213,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "fig16r",
             title: "Figure 16 (right): baseline vs decoupled evaluation makespan",
-            desc: "Evaluation makespan with and without decoupled model loading.",
+            desc: "Makespan, speedup, remote loads and occupancy of four schedulers at 1/4 nodes.",
             run: |p| evaluation::fig16r(p.seed),
         },
         Experiment {
@@ -327,7 +327,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "storm",
             title: "§6.1 stress: fault-storm recovery-policy ablation",
-            desc: "Month-long fault storm replayed under four recovery policies.",
+            desc: "14-day fault storm (x --scale) replayed under three recovery policies.",
             run: storm::storm,
         },
         Experiment {

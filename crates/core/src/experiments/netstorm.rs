@@ -53,18 +53,14 @@ fn arms() -> [NetRecoveryPolicy; 3] {
 }
 
 /// Validate every netstorm input for a `--scale` value: the fat-tree
-/// shape, the recovery-policy arms and the scaled storm config (with its
-/// net surface). The `repro` arg path calls this before dispatching
-/// `netstorm`, so a degenerate configuration surfaces as a structured
-/// usage error instead of a panic mid-replay.
+/// shape and the scaled storm config (with its net surface). The `repro`
+/// arg path calls this before dispatching `netstorm`, so a degenerate
+/// configuration surfaces as a structured usage error instead of a panic
+/// mid-replay.
 pub fn validate_inputs(scale: u32) -> Result<(), String> {
     NetConfig::for_fabric(&FabricSpec::kalos(), RADIX)
         .validate()
         .map_err(|e| format!("netstorm fabric: {e}"))?;
-    for p in arms() {
-        p.validate()
-            .map_err(|e| format!("netstorm policy '{}': {e}", p.label))?;
-    }
     storm_config(scale.max(1))
         .validate()
         .map_err(|e| format!("netstorm storm: {e}"))?;
@@ -173,7 +169,7 @@ pub fn netstorm(p: RunParams) -> String {
             .map(|(i, &policy)| {
                 let runner = &runner;
                 let campaign = &campaign;
-                shard(format!("arm/{}", policy.label), move || {
+                shard(format!("arm/{}", policy.label()), move || {
                     let mut arm_rng = SimRng::new(p.seed).fork(4000 + i as u64);
                     runner.run(campaign, &policy, &mut arm_rng)
                 })
@@ -207,7 +203,7 @@ pub fn netstorm(p: RunParams) -> String {
             aware_humans = o.human_actions();
         }
         ablation.row([
-            policy.label.to_owned(),
+            policy.label().to_owned(),
             o.net_faults.to_string(),
             o.reroutes.to_string(),
             o.restarts.to_string(),

@@ -14,7 +14,7 @@ use acme_telemetry::Table;
 
 use super::shard::{run_shards, shard};
 use super::RunParams;
-use crate::storm::{StormPolicy, StormRunner};
+use crate::storm::{StormPolicies, StormPolicy, StormRunner};
 
 /// `storm` — generate the default storm for the seed (horizon scaled by
 /// `scale`) and report each recovery policy's outcome. Deterministic in
@@ -77,19 +77,20 @@ pub fn storm(p: RunParams) -> String {
                 let runner = &runner;
                 let campaign = &campaign;
                 shard(format!("arm/{}", policy.label()), move || {
+                    let policies = StormPolicies::for_arm(policy);
                     let mut arm_rng = SimRng::new(p.seed).fork(1002 + policy as u64);
                     if p.trace {
                         let mut r = acme_obs::Recorder::new();
-                        let o = runner.run_traced(
+                        let o = runner.run_with_traced(
                             campaign,
-                            policy,
+                            &policies,
                             &mut arm_rng,
                             &mut acme_obs::Rec::on(&mut r),
                         );
                         acme_obs::deposit(r.into_chunk(format!("arm/{}", policy.label())));
                         o
                     } else {
-                        runner.run(campaign, policy, &mut arm_rng)
+                        runner.run_with(campaign, &policies, &mut arm_rng)
                     }
                 })
             })

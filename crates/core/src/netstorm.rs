@@ -56,6 +56,9 @@ const STEP_COMPUTE_SECS: f64 = 0.35;
 /// overlap cannot hide).
 const STEP_ALLREDUCE_BYTES: f64 = 0.25e9;
 
+/// Async checkpoint cadence, matching the storm deployment.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
+
 /// What one recovery policy achieved against one network storm.
 #[derive(Debug, Clone)]
 pub struct NetStormOutcome {
@@ -105,18 +108,13 @@ impl NetStormOutcome {
 pub struct NetStormRunner {
     /// Fat-tree radix (fleet = `k³/4` hosts).
     pub radix: u32,
-    /// Checkpoint cadence.
-    pub checkpoint_interval: SimDuration,
 }
 
 impl NetStormRunner {
-    /// The deployed shape: a k=8 tree (128 hosts, 1024 GPUs) with
-    /// 30-minute async checkpoints, matching the storm deployment.
+    /// The deployed shape on a radix-`radix` tree (k=8: 128 hosts, 1024
+    /// GPUs), with 30-minute async checkpoints as in the storm deployment.
     pub fn deployed(radix: u32) -> Self {
-        NetStormRunner {
-            radix,
-            checkpoint_interval: SimDuration::from_mins(30),
-        }
+        NetStormRunner { radix }
     }
 
     /// Price one localization round over the live fabric: each probe
@@ -165,7 +163,7 @@ impl NetStormRunner {
             engine,
             CheckpointMode::Asynchronous,
             &CheckpointChoice::fixed(),
-            self.checkpoint_interval.as_secs_f64(),
+            CHECKPOINT_INTERVAL.as_secs_f64(),
             campaign.horizon.as_secs_f64() / events_n,
             0.0,
         );
@@ -232,13 +230,13 @@ impl NetStormRunner {
                                 gpus,
                                 &hosts,
                             );
-                            if policy.reroute {
+                            if policy.reroutes() {
                                 // ECMP around the dead uplink. The blind
                                 // arm first burns a probe sweep proving no
                                 // node is at fault; the aware arm reads
                                 // the link telemetry straight off.
                                 let mut wait = REROUTE;
-                                if !policy.topology_aware {
+                                if !policy.sees_fault_domains() {
                                     wait += DIAGNOSE
                                         + Self::probe_round_secs(
                                             &fabric,
@@ -279,7 +277,7 @@ impl NetStormRunner {
                             // continues at reduced width.
                             let width_loss = domain.len() as f64 / f64::from(tree_hosts);
 
-                            if policy.topology_aware {
+                            if policy.sees_fault_domains() {
                                 // Round one of the probe pattern blankets
                                 // the fleet; the tree maps the failing
                                 // worlds onto ONE fault domain. Drain the
@@ -305,7 +303,7 @@ impl NetStormRunner {
                                 out.restarts += 1;
                                 out.downtime += wait;
                                 out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                            } else if policy.reroute {
+                            } else if policy.reroutes() {
                                 // Topology-blind ladder: the two-round
                                 // sweep correctly names every stranded
                                 // node, then cordons them one by one —
@@ -360,13 +358,13 @@ impl NetStormRunner {
                                 gpus,
                                 &hosts,
                             );
-                            if policy.reroute {
+                            if policy.reroutes() {
                                 // Nothing is unreachable — reroute. The
                                 // blind arm still pays a full two-round
                                 // sweep (which names nobody) plus a
                                 // restart before concluding that.
                                 let mut wait = REROUTE;
-                                if !policy.topology_aware {
+                                if !policy.sees_fault_domains() {
                                     wait += DIAGNOSE
                                         + Self::probe_round_secs(
                                             &fabric,
@@ -409,12 +407,12 @@ impl NetStormRunner {
                                 gpus,
                                 &hosts,
                             );
-                            if policy.degrade_on_congestion {
+                            if policy.degrades_on_congestion() {
                                 // Link telemetry says "hot, not broken":
                                 // ride the window out degraded. No
                                 // downtime, no humans.
                                 out.degraded_loss_secs += dur.as_secs_f64() * (1.0 - factor);
-                            } else if policy.reroute {
+                            } else if policy.reroutes() {
                                 // The ladder probes for a faulty node; the
                                 // sweep names nobody (nothing is down) and
                                 // the straggler escalates to a page.

@@ -83,10 +83,9 @@ impl StormPolicy {
 }
 
 /// The full recovery-policy bundle one storm replay runs under: every
-/// hardwired choice of the legacy three-arm ablation lifted into a policy
-/// object. [`StormPolicies::for_arm`] reproduces each legacy arm exactly
-/// (the differential tests pin that byte for byte); the policy lab sweeps
-/// the other combinations.
+/// choice of the three-arm ablation as a policy object.
+/// [`StormPolicies::for_arm`] builds each arm (the golden outputs pin them
+/// byte for byte); the policy lab sweeps the other combinations.
 #[derive(Debug, Clone, Copy)]
 pub struct StormPolicies {
     /// Table / shard label.
@@ -103,14 +102,13 @@ pub struct StormPolicies {
     pub checkpoint: CheckpointChoice,
     /// Noise lines per incident log bundle. The depth never changes a
     /// diagnosis (see [`DiagnosisMemo`]), but every noise line consumes rng
-    /// draws, so it selects the replay's draw stream: the legacy arms use
-    /// 150 and sweep cells 24, the streams the golden outputs pin.
+    /// draws, so it selects the replay's draw stream: the ablation arms
+    /// use 150 and sweep cells 24, the streams the golden outputs pin.
     pub noise_lines: usize,
 }
 
 impl StormPolicies {
-    /// The policy bundle of one legacy ablation arm — the hardwired
-    /// constants of the original three-arm storm, now explicit.
+    /// The policy bundle of one ablation arm.
     pub fn for_arm(policy: StormPolicy) -> Self {
         StormPolicies {
             label: policy.label(),
@@ -159,10 +157,10 @@ pub struct StormOutcome {
     /// GPU-seconds of checkpoint write traffic over the horizon:
     /// (horizon / interval) × time-to-durable. Shorter intervals buy
     /// cheaper rollbacks with more of this — the waste axis the Pareto
-    /// sweep trades against. Not printed by the legacy storm tables.
+    /// sweep trades against. Not printed by the storm tables.
     pub checkpoint_traffic_secs: f64,
     /// Rush repair dispatches: one field-engineer page per cordon under an
-    /// expedited [`RepairModel`]. Zero for the legacy arms.
+    /// expedited [`RepairModel`]. Zero for the three ablation arms.
     pub rush_dispatches: u32,
     /// Total detect-stage seconds across incidents (diagnosis + watchdog
     /// timeouts). Mirrors the flight recorder's stage instants, but is
@@ -227,11 +225,11 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn new(total: u32, spares: u32, repair_model: RepairModel) -> Self {
+    fn new(total: u32, spares: SparePool, repair_model: RepairModel) -> Self {
         Fleet {
             total,
             lost: 0,
-            spares: SparePool::new(spares),
+            spares,
             repair_model,
             repairs: std::collections::BinaryHeap::new(),
         }
@@ -314,54 +312,28 @@ fn accrue(
     }
 }
 
-/// Replays a [`StormCampaign`] under a policy.
+/// The deployment's configured checkpoint cadence (async writes); the
+/// bundle's [`CheckpointChoice`] starts from it.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
+
+/// Replays a [`StormCampaign`] under a policy bundle, on the Kalos-default
+/// hot-spare pool (drawn from only when the bundle uses spares).
 #[derive(Debug, Clone, Copy)]
 pub struct StormRunner {
     /// Nodes in the training fleet.
     pub fleet_nodes: u32,
-    /// Hot spares provisioned (only the full orchestrator uses them).
-    pub spares: u32,
-    /// Checkpoint cadence.
-    pub checkpoint_interval: SimDuration,
 }
 
 impl StormRunner {
     /// The deployed shape: the storm's fleet, the Kalos-default spare
     /// pool, 30-minute async checkpoints.
     pub fn deployed(fleet_nodes: u32) -> Self {
-        StormRunner {
-            fleet_nodes,
-            spares: SparePool::kalos_default().total(),
-            checkpoint_interval: SimDuration::from_mins(30),
-        }
+        StormRunner { fleet_nodes }
     }
 
-    /// Run `campaign` under a legacy arm. Deterministic in (campaign,
-    /// policy, rng-seed).
-    pub fn run(
-        &self,
-        campaign: &StormCampaign,
-        policy: StormPolicy,
-        rng: &mut SimRng,
-    ) -> StormOutcome {
-        self.run_traced(campaign, policy, rng, &mut Rec::off())
-    }
-
-    /// [`Self::run`] with a flight recorder attached. Delegates to the
-    /// generalized [`Self::run_with_traced`] through the arm's policy
-    /// bundle — the differential tests pin that this path reproduces the
-    /// historical hardwired arms byte for byte.
-    pub fn run_traced(
-        &self,
-        campaign: &StormCampaign,
-        policy: StormPolicy,
-        rng: &mut SimRng,
-        rec: &mut Rec<'_>,
-    ) -> StormOutcome {
-        self.run_with_traced(campaign, &StormPolicies::for_arm(policy), rng, rec)
-    }
-
-    /// Run `campaign` under an arbitrary policy bundle.
+    /// Run `campaign` under a policy bundle ([`StormPolicies::for_arm`]
+    /// for one of the three ablation arms). Deterministic in (campaign,
+    /// bundle, rng-seed).
     pub fn run_with(
         &self,
         campaign: &StormCampaign,
@@ -400,7 +372,7 @@ impl StormRunner {
             engine,
             CheckpointMode::Asynchronous,
             &policies.checkpoint,
-            self.checkpoint_interval.as_secs_f64(),
+            CHECKPOINT_INTERVAL.as_secs_f64(),
             mttf_secs,
             cascade_fraction,
         );
@@ -408,7 +380,11 @@ impl StormRunner {
         let mut orch = RecoveryOrchestrator::new(policies.orchestrator);
         let mut fleet = Fleet::new(
             self.fleet_nodes,
-            if policies.use_spares { self.spares } else { 0 },
+            if policies.use_spares {
+                SparePool::kalos_default()
+            } else {
+                SparePool::new(0)
+            },
             policies.repair,
         );
 
@@ -757,7 +733,11 @@ mod tests {
     fn outcome(seed: u64, policy: StormPolicy) -> StormOutcome {
         let campaign = storm(seed);
         let mut rng = SimRng::new(seed).fork(2000 + policy as u64);
-        StormRunner::deployed(campaign.fleet_nodes).run(&campaign, policy, &mut rng)
+        StormRunner::deployed(campaign.fleet_nodes).run_with(
+            &campaign,
+            &StormPolicies::for_arm(policy),
+            &mut rng,
+        )
     }
 
     #[test]
@@ -836,47 +816,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_bundles_reproduce_the_legacy_arms_exactly() {
-        // The differential guarantee of the tentpole: the generalized
-        // bundle path is decision-for-decision identical to the legacy
-        // hardwired arms, across seeds.
-        for seed in [42, 7, 3] {
-            for policy in [
-                StormPolicy::NaiveRestart,
-                StormPolicy::RetryBackoff,
-                StormPolicy::FullOrchestrator,
-            ] {
-                let campaign = storm(seed);
-                let runner = StormRunner::deployed(campaign.fleet_nodes);
-                let legacy = {
-                    let mut rng = SimRng::new(seed).fork(2000 + policy as u64);
-                    runner.run(&campaign, policy, &mut rng)
-                };
-                let bundled = {
-                    let mut rng = SimRng::new(seed).fork(2000 + policy as u64);
-                    runner.run_with(&campaign, &StormPolicies::for_arm(policy), &mut rng)
-                };
-                assert_eq!(legacy.incidents, bundled.incidents);
-                assert_eq!(legacy.manual_interventions, bundled.manual_interventions);
-                assert_eq!(legacy.escalations, bundled.escalations);
-                assert_eq!(legacy.crash_loop_restarts, bundled.crash_loop_restarts);
-                assert_eq!(legacy.nodes_cordoned, bundled.nodes_cordoned);
-                assert_eq!(legacy.spares_used, bundled.spares_used);
-                assert_eq!(legacy.downtime, bundled.downtime);
-                assert_eq!(legacy.rollback_secs, bundled.rollback_secs);
-                assert_eq!(legacy.useful_secs, bundled.useful_secs);
-                assert_eq!(legacy.degraded_secs, bundled.degraded_secs);
-            }
-        }
-    }
-
-    #[test]
     fn shallow_log_bundles_remain_diagnosable() {
         // Sweep cells draw 24-line log bundles instead of 150: the
         // diagnosis signature lines are always present, so every incident
         // still diagnoses (the runner would panic otherwise). The rng
-        // stream advances differently, which is why the legacy arms pin 150
-        // for golden byte-compatibility.
+        // stream advances differently, which is why the ablation arms pin
+        // 150 for golden byte-compatibility.
         let campaign = storm(42);
         let runner = StormRunner::deployed(campaign.fleet_nodes);
         let mut shallow = StormPolicies::for_arm(StormPolicy::FullOrchestrator);

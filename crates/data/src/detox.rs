@@ -18,13 +18,6 @@ impl Detoxifier {
         }
     }
 
-    /// A filter over a custom wordlist.
-    pub fn with_terms<S: Into<String>>(terms: impl IntoIterator<Item = S>) -> Self {
-        Detoxifier {
-            terms: terms.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// Whether a text trips the filter.
     pub fn is_toxic(&self, text: &str) -> bool {
         text.split_whitespace().any(|w| self.terms.contains(w))
@@ -68,12 +61,5 @@ mod tests {
         assert_eq!(removed.len(), toxic_truth);
         assert!(clean.iter().all(|d| !d.toxic));
         assert!(removed.iter().all(|d| d.toxic));
-    }
-
-    #[test]
-    fn custom_wordlist() {
-        let d = Detoxifier::with_terms(["bad"]);
-        assert!(d.is_toxic("a bad word"));
-        assert!(!d.is_toxic("a zzxcurse word"), "default list not active");
     }
 }

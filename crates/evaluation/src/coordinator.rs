@@ -244,19 +244,12 @@ pub fn run(
     })
 }
 
-/// Convenience: the §6.2 experiment — all four schedulers at `nodes` nodes
-/// over the full 63-dataset suite with a 7B model (14 GB of weights).
-pub fn section62_experiment(nodes: u32) -> Vec<(Scheduler, EvalRun)> {
-    section62_experiment_with_model(nodes, 14.0)
-}
-
-/// The §6.2 sweep with an explicit checkpoint size in GB — the paper's 7B
-/// run ships 14 GB of weights ([`section62_experiment`]), but the campaign
-/// shape holds for any size.
+/// The §6.2 experiment: all four schedulers at `nodes` nodes over the full
+/// 63-dataset suite with a 7B model (14 GB of weights).
 ///
 /// # Panics
 /// Panics if `nodes == 0`: the §6.2 sweep is defined over at least one node.
-pub fn section62_experiment_with_model(nodes: u32, model_gb: f64) -> Vec<(Scheduler, EvalRun)> {
+pub fn section62_experiment(nodes: u32) -> Vec<(Scheduler, EvalRun)> {
     let datasets = crate::benchmarks::registry();
     let storage = SharedStorage::seren();
     [
@@ -267,7 +260,7 @@ pub fn section62_experiment_with_model(nodes: u32, model_gb: f64) -> Vec<(Schedu
     ]
     .into_iter()
     .map(|s| {
-        let outcome = run(s, &datasets, nodes, &storage, model_gb)
+        let outcome = run(s, &datasets, nodes, &storage, 14.0)
             .expect("the registry is non-empty, so only zero nodes can fail here");
         (s, outcome)
     })

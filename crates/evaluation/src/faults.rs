@@ -1,5 +1,5 @@
 //! Deterministic fault injection for evaluation campaigns, and the
-//! fault-tolerant coordinator that survives it.
+//! recovery policies that survive it.
 //!
 //! The paper's Table 3 shows evaluation-style short jobs failing constantly
 //! — environment errors, loading errors, flaky storage — while §6.2's
@@ -13,26 +13,24 @@
 //!    Appendix-B lore), degraded remote-storage bandwidth windows, and
 //!    flaky CPU metric jobs. The plan is fixed before the campaign starts,
 //!    so every recovery policy faces *exactly* the same adversity.
-//! 2. A **fault-tolerant coordinator** ([`FaultTolerantCoordinator`]):
-//!    a discrete-event campaign simulation with switchable recovery
-//!    mechanisms — per-trial retry with the exponential-backoff ladder
-//!    shape of `failure::orchestrator`, dataset-granular completion
-//!    tracking (a retried trial re-runs only missing datasets), a
-//!    watchdog that speculatively re-executes stragglers, elastic
+//! 2. A **campaign replay** ([`run_campaign`]): a discrete-event
+//!    simulation of the §6.2 full-coordinator schedule under one
+//!    [`CampaignPolicy`] arm, mirroring the fault-storm study. Naive
+//!    restart resubmits the whole campaign on any loss. Retry-only retries
+//!    each crashed trial in place on the exponential-backoff ladder of
+//!    `failure::orchestrator`. The fault-tolerant arm adds dataset-granular
+//!    completion tracking (a retried trial re-runs only missing datasets),
+//!    a watchdog that speculatively re-executes stragglers, elastic
 //!    re-packing of work stranded on dead nodes onto survivors, and
 //!    idempotent result dedup when a speculative copy and the original
 //!    both finish.
-//!
-//! The ablation arms ([`CampaignPolicy`]) mirror the fault-storm study:
-//! naive restart-the-whole-campaign, retry-only, and the full coordinator.
 
 use std::collections::VecDeque;
 
 use acme_cluster::SharedStorage;
-use acme_failure::orchestrator::RetryPolicy;
 use acme_failure::taxonomy::{FailureCategory, FailureReason};
 use acme_obs::{ArgValue, Rec};
-use acme_policy::{RepackPolicy, SpeculationPolicy};
+use acme_policy::RetryPolicy;
 use acme_sim_core::dist::{Distribution, Exponential};
 use acme_sim_core::rng::SplitMix64;
 use acme_sim_core::{EventQueue, SimRng, SimTime};
@@ -45,6 +43,11 @@ const RESTART_DELAY_SECS: f64 = 5.0;
 /// Metric flake chains are cut after this many attempts (the CPU pool
 /// pages a human instead); keeps every chain finite.
 const MAX_METRIC_ATTEMPTS: u32 = 8;
+/// The straggler watchdog fires at this multiple of an item's expected
+/// work, plus [`WATCHDOG_SLACK_SECS`].
+const WATCHDOG_FACTOR: f64 = 2.0;
+/// Fixed slack added to the watchdog deadline, seconds.
+const WATCHDOG_SLACK_SECS: f64 = 1.0;
 
 /// The Table-3 failure mix restricted to reasons that strike evaluation
 /// trials: environment and script errors, loading failures, and flaky
@@ -343,132 +346,30 @@ impl CampaignPolicy {
         }
     }
 
-    /// The mechanism switches this arm runs with.
-    pub fn coordinator(self) -> FaultTolerantCoordinator {
-        match self {
-            CampaignPolicy::NaiveRestart => FaultTolerantCoordinator::naive(),
-            CampaignPolicy::RetryOnly => FaultTolerantCoordinator::retry_only(),
-            CampaignPolicy::FaultTolerant => FaultTolerantCoordinator::full(),
-        }
-    }
-}
-
-/// The fault-tolerant evaluation coordinator: switchable recovery
-/// mechanisms layered over the §6.2 full-coordinator schedule (staged
-/// loading, decoupled metrics, prior packing).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultTolerantCoordinator {
-    /// Abort and resubmit the whole campaign on any trial loss (the
-    /// naive arm; overrides every other mechanism).
-    pub restart_whole_campaign: bool,
-    /// Per-trial retry ladder (the `failure::orchestrator` escalation
-    /// shape: budget, doubling backoff, escalation past the budget).
-    pub retry: RetryPolicy,
-    /// Commit each dataset's result the moment it lands, so a retried
-    /// trial re-runs only missing datasets. Off: results commit only when
-    /// the whole consolidated trial ends, and a crash loses all of them.
-    pub dataset_tracking: bool,
-    /// Watchdog-driven straggler detection with speculative re-execution.
-    pub speculation: SpeculationPolicy,
-    /// Elastic re-packing of work stranded on dead nodes. Fixed-width:
-    /// stranded work waits for a manual resubmission wave after the rest
-    /// of the campaign drains.
-    pub repack: RepackPolicy,
-}
-
-impl FaultTolerantCoordinator {
-    /// Naive arm: restart the whole campaign on any loss.
-    pub fn naive() -> Self {
-        FaultTolerantCoordinator {
-            restart_whole_campaign: true,
-            retry: RetryPolicy::infinite(),
-            dataset_tracking: false,
-            speculation: SpeculationPolicy::disabled(),
-            repack: RepackPolicy::fixed_width(),
-        }
+    /// Any trial loss aborts and resubmits the whole campaign.
+    fn restarts_whole_campaign(self) -> bool {
+        matches!(self, CampaignPolicy::NaiveRestart)
     }
 
-    /// Retry-only arm: the backoff ladder, nothing else.
-    pub fn retry_only() -> Self {
-        Self::retry_only_with(RetryPolicy::evaluation())
+    /// Each dataset's result commits the moment it lands, so a retried
+    /// trial re-runs only missing datasets. Otherwise results commit only
+    /// when the whole consolidated trial ends, and a crash loses all of
+    /// them.
+    fn tracks_datasets(self) -> bool {
+        matches!(self, CampaignPolicy::FaultTolerant)
     }
 
-    /// Retry-only arm with an explicit ladder (the policy lab sweeps
-    /// these; [`Self::retry_only`] pins the historical default).
-    pub fn retry_only_with(retry: RetryPolicy) -> Self {
-        FaultTolerantCoordinator {
-            restart_whole_campaign: false,
-            retry,
-            dataset_tracking: false,
-            speculation: SpeculationPolicy::disabled(),
-            repack: RepackPolicy::fixed_width(),
-        }
+    /// A per-item watchdog launches a speculative twin of a straggler.
+    fn speculates(self) -> bool {
+        matches!(self, CampaignPolicy::FaultTolerant)
     }
 
-    /// Everything on.
-    pub fn full() -> Self {
-        Self::full_with(
-            RetryPolicy::evaluation(),
-            SpeculationPolicy::watchdog(),
-            RepackPolicy::elastic(),
-        )
-    }
-
-    /// The full coordinator with explicit policy objects ([`Self::full`]
-    /// pins the historical defaults: evaluation ladder, 2×+1 s watchdog,
-    /// elastic re-packing).
-    pub fn full_with(
-        retry: RetryPolicy,
-        speculation: SpeculationPolicy,
-        repack: RepackPolicy,
-    ) -> Self {
-        FaultTolerantCoordinator {
-            restart_whole_campaign: false,
-            retry,
-            dataset_tracking: true,
-            speculation,
-            repack,
-        }
-    }
-
-    /// Replay `plan` over the campaign and report the outcome.
-    ///
-    /// Deterministic: the outcome is a pure function of the inputs — the
-    /// simulation draws no randomness of its own.
-    pub fn run_campaign(
-        &self,
-        datasets: &[Dataset],
-        nodes: u32,
-        storage: &SharedStorage,
-        model_gb: f64,
-        plan: &FaultPlan,
-    ) -> Result<CampaignOutcome, CoordinatorError> {
-        self.run_campaign_traced(datasets, nodes, storage, model_gb, plan, &mut Rec::off())
-    }
-
-    /// [`Self::run_campaign`] with a flight recorder attached: trial
-    /// lifecycle (crashes, retries, speculation, re-packing, campaign
-    /// restarts) becomes instant events, every wasted GPU-second is
-    /// attributed to a fault category × recovery stage as it accrues, and
-    /// fault arrivals sample the event-queue depth. Recording never
-    /// touches the simulation: the outcome is identical to the untraced
-    /// run.
-    pub fn run_campaign_traced(
-        &self,
-        datasets: &[Dataset],
-        nodes: u32,
-        storage: &SharedStorage,
-        model_gb: f64,
-        plan: &FaultPlan,
-        rec: &mut Rec<'_>,
-    ) -> Result<CampaignOutcome, CoordinatorError> {
-        if datasets.is_empty() {
-            return Err(CoordinatorError::EmptyDatasets);
-        }
-        if nodes == 0 {
-            return Err(CoordinatorError::ZeroNodes);
-        }
-        Ok(CampaignSim::new(self, datasets, nodes, storage, model_gb, plan, rec.borrow()).run())
+    /// Work stranded on a dead node (or a crashed GPU) moves to survivors
+    /// at once. Otherwise a crashed trial retries on its own GPU and
+    /// stranded work waits for a resubmission wave after the rest of the
+    /// campaign drains.
+    fn repacks(self) -> bool {
+        matches!(self, CampaignPolicy::FaultTolerant)
     }
 }
 
@@ -519,7 +420,11 @@ impl CampaignOutcome {
     }
 }
 
-/// Convenience: run one ablation arm.
+/// Replay `plan` over the campaign under one ablation arm and report the
+/// outcome.
+///
+/// Deterministic: the outcome is a pure function of the inputs — the
+/// simulation draws no randomness of its own.
 pub fn run_campaign(
     policy: CampaignPolicy,
     datasets: &[Dataset],
@@ -528,12 +433,23 @@ pub fn run_campaign(
     model_gb: f64,
     plan: &FaultPlan,
 ) -> Result<CampaignOutcome, CoordinatorError> {
-    policy
-        .coordinator()
-        .run_campaign(datasets, nodes, storage, model_gb, plan)
+    run_campaign_traced(
+        policy,
+        datasets,
+        nodes,
+        storage,
+        model_gb,
+        plan,
+        &mut Rec::off(),
+    )
 }
 
-/// Convenience: run one ablation arm with a flight recorder attached.
+/// [`run_campaign`] with a flight recorder attached: trial lifecycle
+/// (crashes, retries, speculation, re-packing, campaign restarts) becomes
+/// instant events, every wasted GPU-second is attributed to a fault
+/// category × recovery stage as it accrues, and fault arrivals sample the
+/// event-queue depth. Recording never touches the simulation: the outcome
+/// is identical to the untraced run.
 pub fn run_campaign_traced(
     policy: CampaignPolicy,
     datasets: &[Dataset],
@@ -543,9 +459,22 @@ pub fn run_campaign_traced(
     plan: &FaultPlan,
     rec: &mut Rec<'_>,
 ) -> Result<CampaignOutcome, CoordinatorError> {
-    policy
-        .coordinator()
-        .run_campaign_traced(datasets, nodes, storage, model_gb, plan, rec)
+    if datasets.is_empty() {
+        return Err(CoordinatorError::EmptyDatasets);
+    }
+    if nodes == 0 {
+        return Err(CoordinatorError::ZeroNodes);
+    }
+    Ok(CampaignSim::new(
+        policy,
+        datasets,
+        nodes,
+        storage,
+        model_gb,
+        plan,
+        rec.borrow(),
+    )
+    .run())
 }
 
 // ---------------------------------------------------------------------------
@@ -614,7 +543,10 @@ fn key(secs: f64) -> SimTime {
 }
 
 struct CampaignSim<'a> {
-    ft: &'a FaultTolerantCoordinator,
+    policy: CampaignPolicy,
+    /// The crash-retry ladder of the retry-only and fault-tolerant arms
+    /// (the naive arm restarts the campaign before reaching it).
+    retry: RetryPolicy,
     plan: &'a FaultPlan,
     items: Vec<Dataset>,
     gpus: u32,
@@ -665,7 +597,7 @@ mod stage {
 
 impl<'a> CampaignSim<'a> {
     fn new(
-        ft: &'a FaultTolerantCoordinator,
+        policy: CampaignPolicy,
         datasets: &[Dataset],
         nodes: u32,
         storage: &SharedStorage,
@@ -687,7 +619,8 @@ impl<'a> CampaignSim<'a> {
         faults.sort_by(|a, b| a.at_secs().total_cmp(&b.at_secs()));
 
         CampaignSim {
-            ft,
+            policy,
+            retry: RetryPolicy::evaluation(),
             plan,
             gpus,
             shm_load: storage.local_load_secs(model_gb, 8.min(gpus)),
@@ -855,11 +788,9 @@ impl<'a> CampaignSim<'a> {
                     ("spec", ArgValue::Str(if w.spec { "yes" } else { "no" })),
                 ],
             );
-            if self.ft.speculation.enabled && !w.spec {
+            if self.policy.speculates() && !w.spec {
                 self.queue.schedule(
-                    key(now
-                        + base * self.ft.speculation.watchdog_factor
-                        + self.ft.speculation.slack_secs),
+                    key(now + base * WATCHDOG_FACTOR + WATCHDOG_SLACK_SECS),
                     Ev::Watchdog {
                         gpu: g,
                         item: w.item,
@@ -897,7 +828,7 @@ impl<'a> CampaignSim<'a> {
                 stage::DETECT,
                 b.work,
             );
-        } else if self.ft.dataset_tracking {
+        } else if self.policy.tracks_datasets() {
             self.commit(b.item, b.work, now);
         } else {
             self.gpu[gi].uncommitted.push((b.item, b.work));
@@ -1005,7 +936,7 @@ impl<'a> CampaignSim<'a> {
             cat,
             &[("gpu", ArgValue::U64(u64::from(c.gpu)))],
         );
-        if self.ft.restart_whole_campaign {
+        if self.policy.restarts_whole_campaign() {
             self.campaign_restart(now, cat);
             return;
         }
@@ -1030,11 +961,11 @@ impl<'a> CampaignSim<'a> {
 
         self.attempts[b.item] += 1;
         let attempt = self.attempts[b.item];
-        let escalated = attempt > self.ft.retry.budget;
+        let escalated = attempt > self.retry.budget;
         if escalated {
             self.escalations += 1;
         }
-        if escalated || self.ft.repack.elastic {
+        if escalated || self.policy.repacks() {
             // Migrate: any surviving GPU may pick the work up immediately.
             for w in requeue.into_iter().rev() {
                 self.global.push_front(w);
@@ -1050,7 +981,7 @@ impl<'a> CampaignSim<'a> {
         let backoff = if escalated {
             0.0
         } else {
-            self.ft.retry.backoff(attempt + 1).as_secs_f64()
+            self.retry.backoff(attempt + 1).as_secs_f64()
         };
         self.gpu[gi].state = GpuState::Backoff;
         let epoch = self.gpu[gi].epoch;
@@ -1102,9 +1033,9 @@ impl<'a> CampaignSim<'a> {
         if self.committed.iter().all(|&done| done) {
             return; // trials all finished; only CPU metric jobs remain
         }
-        if self.ft.restart_whole_campaign {
+        if self.policy.restarts_whole_campaign() {
             self.campaign_restart(now, infra);
-        } else if self.ft.repack.elastic {
+        } else if self.policy.repacks() {
             // Elastic re-packing: survivors absorb the stranded shards now.
             self.rec.instant(
                 now,
@@ -1213,6 +1144,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::registry;
     use crate::coordinator::run;
+    use acme_obs::Recorder;
 
     fn seren() -> SharedStorage {
         SharedStorage::seren()
@@ -1262,9 +1194,15 @@ mod tests {
     fn empty_plan_matches_the_fault_free_coordinator() {
         let datasets = registry();
         let clean = run(Scheduler::FullCoordinator, &datasets, 4, &seren(), 14.0).unwrap();
-        let o = FaultTolerantCoordinator::full()
-            .run_campaign(&datasets, 4, &seren(), 14.0, &FaultPlan::empty())
-            .unwrap();
+        let o = run_campaign(
+            CampaignPolicy::FaultTolerant,
+            &datasets,
+            4,
+            &seren(),
+            14.0,
+            &FaultPlan::empty(),
+        )
+        .unwrap();
         let rel = (o.makespan_secs - clean.makespan_secs).abs() / clean.makespan_secs;
         assert!(rel < 1e-9, "{} vs {}", o.makespan_secs, clean.makespan_secs);
         assert_eq!(o.remote_loads, clean.remote_loads);
@@ -1369,6 +1307,73 @@ mod tests {
             assert_eq!(o.coverage(), 1.0, "{policy:?}");
             assert!(o.wasted_gpu_secs > 0.0, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn each_arm_runs_only_its_own_mechanisms() {
+        let traced = |policy: CampaignPolicy, plan: &FaultPlan| {
+            let mut r = Recorder::new();
+            let o = run_campaign_traced(
+                policy,
+                &registry(),
+                2,
+                &seren(),
+                14.0,
+                plan,
+                &mut Rec::on(&mut r),
+            )
+            .unwrap();
+            (o, r)
+        };
+        let instants =
+            |r: &Recorder, name: &str| r.events().iter().filter(|e| e.name == name).count();
+
+        // A node failure: only the fault-tolerant arm re-packs the stranded
+        // trials, only the naive arm restarts the whole campaign.
+        let mut plan = FaultPlan::empty();
+        plan.node_failures.push(NodeFailure {
+            at_secs: 60.0,
+            node: 1,
+        });
+        for policy in CampaignPolicy::ALL {
+            let (o, r) = traced(policy, &plan);
+            let repacked = instants(&r, "repack") > 0;
+            assert_eq!(
+                repacked,
+                policy == CampaignPolicy::FaultTolerant,
+                "{policy:?}"
+            );
+            let restarted = o.campaign_restarts > 0;
+            assert_eq!(
+                restarted,
+                policy == CampaignPolicy::NaiveRestart,
+                "{policy:?}"
+            );
+        }
+
+        // A crash on GPU 0 mid-campaign: without dataset tracking the
+        // consolidated trial's finished-but-uncommitted items die with it,
+        // so retry-only wastes more than the crashed item's partial.
+        let mut plan = FaultPlan::empty();
+        plan.crashes.push(TrialCrash {
+            at_secs: 0.5 * fault_free_makespan(2),
+            gpu: 0,
+            reason: FailureReason::OsError,
+        });
+        let (retry, retry_rec) = traced(CampaignPolicy::RetryOnly, &plan);
+        let (full, full_rec) = traced(CampaignPolicy::FaultTolerant, &plan);
+        assert_eq!((retry.retries, full.retries), (1, 1));
+        assert_eq!(instants(&full_rec, "waste"), 1, "only the partial is lost");
+        assert!(
+            instants(&retry_rec, "waste") > 1,
+            "uncommitted items die too"
+        );
+        assert!(
+            retry.wasted_gpu_secs > full.wasted_gpu_secs,
+            "retry-only {} vs fault-tolerant {}",
+            retry.wasted_gpu_secs,
+            full.wasted_gpu_secs
+        );
     }
 
     #[test]

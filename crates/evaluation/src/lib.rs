@@ -17,9 +17,10 @@
 //!   1.3× / 1.8× makespan reductions of §6.2;
 //! * [`faults`] — deterministic fault injection for campaigns (the Table-3
 //!   evaluation failure mix, node losses, stragglers, degraded storage,
-//!   flaky metric jobs) and the fault-tolerant coordinator that retries,
-//!   tracks per-dataset completion, speculates on stragglers and
-//!   elastically re-packs stranded work.
+//!   flaky metric jobs) and the three recovery arms replayed against it,
+//!   up to the fault-tolerant one that retries, tracks per-dataset
+//!   completion, speculates on stragglers and elastically re-packs
+//!   stranded work.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,5 @@ pub mod trial;
 pub use benchmarks::{registry, Dataset, MetricKind};
 pub use cache::TokenCache;
 pub use coordinator::{CoordinatorError, EvalRun, Scheduler};
-pub use faults::{
-    run_campaign, CampaignOutcome, CampaignPolicy, FaultConfig, FaultPlan, FaultTolerantCoordinator,
-};
+pub use faults::{run_campaign, CampaignOutcome, CampaignPolicy, FaultConfig, FaultPlan};
 pub use trial::{StageKind, TrialProfile};

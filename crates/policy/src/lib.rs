@@ -1,24 +1,25 @@
-//! Pluggable recovery-policy objects and the Pareto sweep harness.
+//! Recovery-policy objects and the Pareto sweep harness.
 //!
-//! The storm (#37) and evalstorm (#38) ablations showed that recovery
-//! *policy* — when to checkpoint, how hard to retry, when to cordon or
-//! degrade — dominates delivered goodput under routine faults, but they
-//! compare three hardwired arms each. This crate extracts those hardwired
-//! choices into first-class policy objects so any combination can be
-//! swept:
+//! Recovery *policy* — when to checkpoint, how hard to retry, when to
+//! cordon or degrade — dominates delivered goodput under routine faults.
+//! The storm ablation's hardwired choices live here as policy objects, so
+//! the policy lab can sweep any combination of them:
 //!
 //! * [`RetryPolicy`] — retry budget and exponential backoff ladders (the
-//!   canonical definition; `acme-failure`'s orchestrator re-exports it);
+//!   canonical definition; `acme-failure`'s orchestrator re-exports it,
+//!   and the evaluation coordinator retries crashed trials on
+//!   [`RetryPolicy::evaluation`]);
 //! * [`CordonPolicy`] — per-node strike thresholds feeding cordons;
 //! * [`CheckpointChoice`] — checkpoint-cadence strategies: fixed interval,
 //!   Young/Daly MTTF-optimal, adaptive-on-cascade;
-//! * [`SpeculationPolicy`] / [`RepackPolicy`] — the evaluation
-//!   coordinator's watchdog-speculation and elastic re-packing mechanisms;
 //! * [`RepairModel`] — how long a cordoned node takes to return to
 //!   service (replacing a hardwired 36 h constant);
 //! * [`SweepHarness`] — runs a policy grid across seeds × fault
 //!   intensities and emits the Pareto frontier over (goodput, manual
 //!   interventions, wasted GPU-time).
+//!
+//! [`NetRecoveryPolicy`] names the three arms of the netstorm ablation:
+//! naive, topology-blind and topology-aware network recovery.
 //!
 //! Everything here is plain data + pure functions: deterministic,
 //! `Send`-able into shard workers, and cheap to copy into sweep cells.
@@ -328,66 +329,62 @@ impl RepairModel {
 /// How recovery reacts to faults on the network substrate (the netstorm
 /// ablation axis): does it see topology at all, and if so does it reroute
 /// around partial faults and ride out congestion degraded instead of
-/// restarting?
+/// restarting? Each arm strictly adds capability to the one before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetRecoveryPolicy {
-    /// Policy name, for tables and trace labels.
-    pub label: &'static str,
-    /// Maps localization results onto fault domains: a dead ToR is ONE
-    /// switch cordon, not one cordon per stranded node.
-    pub topology_aware: bool,
-    /// Reroutes around partial faults (link flaps, aggregation-switch
-    /// deaths) instead of restarting the job.
-    pub reroute: bool,
-    /// Rides out congestion windows at degraded throughput instead of
-    /// treating stragglers as failures.
-    pub degrade_on_congestion: bool,
+pub enum NetRecoveryPolicy {
+    /// Every network symptom is a crash: restart, and page a human when
+    /// restarts stop helping.
+    Naive,
+    /// The full escalation ladder localizes faulty *nodes* and cordons
+    /// them one by one, never seeing that they share a switch.
+    TopologyBlind,
+    /// Localization results map onto fault domains (cordon the switch,
+    /// one action), partial faults reroute, and congestion windows run
+    /// degraded instead of restarting.
+    TopologyAware,
 }
 
 impl NetRecoveryPolicy {
-    /// Naive: every network symptom is a crash — restart, and page a
-    /// human when restarts stop helping.
+    /// Naive always-restart.
     pub fn naive() -> Self {
-        NetRecoveryPolicy {
-            label: "naive restart",
-            topology_aware: false,
-            reroute: false,
-            degrade_on_congestion: false,
-        }
+        NetRecoveryPolicy::Naive
     }
 
-    /// Topology-blind orchestration: the full escalation ladder localizes
-    /// faulty *nodes* and cordons them one by one, never seeing that they
-    /// share a switch.
+    /// Topology-blind orchestration.
     pub fn topology_blind() -> Self {
-        NetRecoveryPolicy {
-            label: "topology-blind orchestrator",
-            topology_aware: false,
-            reroute: true,
-            degrade_on_congestion: false,
-        }
+        NetRecoveryPolicy::TopologyBlind
     }
 
-    /// Topology-aware orchestration: localization results map onto fault
-    /// domains (cordon the switch, one action), partial faults reroute,
-    /// and congestion windows run degraded instead of restarting.
+    /// Topology-aware orchestration.
     pub fn topology_aware() -> Self {
-        NetRecoveryPolicy {
-            label: "topology-aware orchestrator",
-            topology_aware: true,
-            reroute: true,
-            degrade_on_congestion: true,
+        NetRecoveryPolicy::TopologyAware
+    }
+
+    /// Policy name, for tables and trace labels.
+    pub fn label(&self) -> &'static str {
+        match self {
+            NetRecoveryPolicy::Naive => "naive restart",
+            NetRecoveryPolicy::TopologyBlind => "topology-blind orchestrator",
+            NetRecoveryPolicy::TopologyAware => "topology-aware orchestrator",
         }
     }
 
-    /// Structured validation, matching the other policy objects.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.label.is_empty() {
-            return Err(PolicyError::Empty {
-                field: "net recovery policy label",
-            });
-        }
-        Ok(())
+    /// Maps localization results onto fault domains: a dead ToR is ONE
+    /// switch cordon, not one cordon per stranded node.
+    pub fn sees_fault_domains(&self) -> bool {
+        matches!(self, NetRecoveryPolicy::TopologyAware)
+    }
+
+    /// Reroutes around partial faults (link flaps, aggregation-switch
+    /// deaths) instead of restarting the job.
+    pub fn reroutes(&self) -> bool {
+        !matches!(self, NetRecoveryPolicy::Naive)
+    }
+
+    /// Rides out congestion windows at degraded throughput instead of
+    /// treating stragglers as failures.
+    pub fn degrades_on_congestion(&self) -> bool {
+        matches!(self, NetRecoveryPolicy::TopologyAware)
     }
 }
 
@@ -477,82 +474,6 @@ impl CheckpointChoice {
             CheckpointChoice::YoungDaly => "Young/Daly",
             CheckpointChoice::Adaptive => "adaptive-on-cascade",
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation-coordinator policies
-// ---------------------------------------------------------------------------
-
-/// Watchdog-driven straggler speculation (the evaluation coordinator's
-/// mechanism): a per-item watchdog arms at `factor × expected + slack`
-/// and launches a speculative twin when it fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationPolicy {
-    /// Whether speculation runs at all.
-    pub enabled: bool,
-    /// Watchdog deadline as a multiple of the item's expected work.
-    pub watchdog_factor: f64,
-    /// Fixed slack added to the deadline, seconds.
-    pub slack_secs: f64,
-}
-
-impl SpeculationPolicy {
-    /// Speculation off (the naive and retry-only arms).
-    pub fn disabled() -> Self {
-        SpeculationPolicy {
-            enabled: false,
-            watchdog_factor: 2.0,
-            slack_secs: 1.0,
-        }
-    }
-
-    /// The deployed watchdog: 2× expected work plus one second of slack.
-    pub fn watchdog() -> Self {
-        SpeculationPolicy {
-            enabled: true,
-            watchdog_factor: 2.0,
-            slack_secs: 1.0,
-        }
-    }
-
-    /// Structured validation: a factor below 1 speculates on healthy
-    /// items, and a non-finite deadline never fires.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if !self.watchdog_factor.is_finite() {
-            return Err(PolicyError::NonFinite {
-                field: "speculation.watchdog_factor",
-                value: self.watchdog_factor,
-            });
-        }
-        if self.watchdog_factor < 1.0 {
-            return Err(PolicyError::Inverted {
-                field: "speculation.watchdog_factor",
-                lo: 1.0,
-                hi: self.watchdog_factor,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Elastic re-packing: whether work stranded on dead nodes migrates to
-/// survivors immediately or waits for a manual resubmission wave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepackPolicy {
-    /// Re-pack stranded work onto survivors immediately.
-    pub elastic: bool,
-}
-
-impl RepackPolicy {
-    /// No re-packing: stranded work waits for a manual wave.
-    pub fn fixed_width() -> Self {
-        RepackPolicy { elastic: false }
-    }
-
-    /// Elastic re-packing on.
-    pub fn elastic() -> Self {
-        RepackPolicy { elastic: true }
     }
 }
 
@@ -750,21 +671,15 @@ mod tests {
             NetRecoveryPolicy::topology_blind(),
             NetRecoveryPolicy::topology_aware(),
         ];
-        for a in &arms {
-            a.validate().unwrap();
-        }
-        let labels: std::collections::BTreeSet<&str> = arms.iter().map(|a| a.label).collect();
+        let labels: std::collections::BTreeSet<&str> = arms.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), 3);
         // The axis is monotone: each arm strictly adds capability.
-        assert!(!arms[0].reroute && !arms[0].topology_aware);
-        assert!(arms[1].reroute && !arms[1].topology_aware);
-        assert!(arms[2].reroute && arms[2].topology_aware && arms[2].degrade_on_congestion);
-        let mut bad = NetRecoveryPolicy::naive();
-        bad.label = "";
-        assert_eq!(
-            bad.validate().unwrap_err().to_string(),
-            "net recovery policy label cannot be empty"
-        );
+        assert!(!arms[0].reroutes() && !arms[0].sees_fault_domains());
+        assert!(!arms[0].degrades_on_congestion());
+        assert!(arms[1].reroutes() && !arms[1].sees_fault_domains());
+        assert!(!arms[1].degrades_on_congestion());
+        assert!(arms[2].reroutes() && arms[2].sees_fault_domains());
+        assert!(arms[2].degrades_on_congestion());
     }
 
     #[test]
@@ -881,30 +796,6 @@ mod tests {
         let p = CheckpointChoice::adaptive();
         assert_eq!(p.interval_secs(&calm), 1800.0);
         assert_eq!(p.interval_secs(&stormy), 900.0);
-    }
-
-    #[test]
-    fn speculation_and_repack_defaults() {
-        let s = SpeculationPolicy::watchdog();
-        assert!(s.enabled);
-        assert_eq!(s.watchdog_factor, 2.0);
-        assert_eq!(s.slack_secs, 1.0);
-        s.validate().unwrap();
-        assert!(!SpeculationPolicy::disabled().enabled);
-        assert!(SpeculationPolicy {
-            watchdog_factor: f64::NAN,
-            ..s
-        }
-        .validate()
-        .is_err());
-        assert!(SpeculationPolicy {
-            watchdog_factor: 0.5,
-            ..s
-        }
-        .validate()
-        .is_err());
-        assert!(RepackPolicy::elastic().elastic);
-        assert!(!RepackPolicy::fixed_width().elastic);
     }
 
     #[test]

@@ -134,20 +134,6 @@ impl SimRng {
             xs.swap(i, j);
         }
     }
-
-    /// Sample `k` distinct indices from `0..n` (order unspecified but
-    /// deterministic). `k` is clamped to `n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let k = k.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
-        // Partial Fisher–Yates: the first k entries are the sample.
-        for i in 0..k {
-            let j = i + self.below((n - i) as u64) as usize;
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -258,20 +244,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left input sorted"
         );
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut r = SimRng::new(13);
-        let s = r.sample_indices(50, 12);
-        assert_eq!(s.len(), 12);
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        assert_eq!(t.len(), 12);
-        assert!(s.iter().all(|&i| i < 50));
-        // k > n clamps.
-        assert_eq!(r.sample_indices(3, 10).len(), 3);
     }
 
     #[test]

@@ -236,8 +236,10 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    /// Panics with "SimDuration overflow" when the product does not fit,
+    /// in release builds too.
     fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
+        SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
     }
 }
 
@@ -301,6 +303,12 @@ mod tests {
         assert_eq!(d * 4, SimDuration::from_secs(12));
         assert_eq!(SimDuration::from_secs(9) / 3, SimDuration::from_secs(3));
         assert!((SimDuration::from_secs(1) / SimDuration::from_secs(4) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn mul_overflow_panics() {
+        let _ = SimDuration::from_days(14) * 15_250_285;
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alignment;
 pub mod checkpoint;
 pub mod hpo;
 pub mod lessons;

@@ -272,11 +272,6 @@ pub struct StreamingGenerator<'a> {
 }
 
 impl StreamingGenerator<'_> {
-    /// The submission clock after the most recent arrival.
-    pub fn current_time(&self) -> SimTime {
-        self.t
-    }
-
     /// The id the next yielded job will carry.
     pub fn next_id(&self) -> u64 {
         self.id
@@ -586,7 +581,6 @@ mod tests {
         let first = s.next().unwrap();
         assert_eq!(first.id, 0);
         assert_eq!(s.next_id(), 1);
-        assert!(s.current_time() >= first.submit);
         let rest: Vec<JobRecord> = s.by_ref().collect();
         assert!(!rest.is_empty());
         assert!(s.next().is_none(), "stays exhausted after the horizon");

@@ -23,7 +23,6 @@ pub mod generator;
 pub mod job;
 pub mod stats;
 pub mod stream;
-pub mod trace_io;
 
 pub use generator::{ClusterWorkload, StreamingGenerator, WorkloadGenerator};
 pub use job::{JobRecord, JobStatus, JobType};
