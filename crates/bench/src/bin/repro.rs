@@ -56,25 +56,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // The policy lab validates its whole sweep grid up front: a degenerate
-    // configuration (zero budgets, inverted thresholds, non-finite
-    // probabilities) is a usage error, not a panic 40 cells into the run.
-    if selection.iter().any(|e| e.id == "policylab") {
-        if let Err(e) = acme::experiments::validate_policylab(args.scale) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // Same pre-flight for the netstorm ablation: a degenerate fat tree
-    // (zero-capacity links, bad radix, out-of-range oversubscription) or
-    // storm surface is a usage error before any flow is routed.
-    if selection.iter().any(|e| e.id == "netstorm") {
-        if let Err(e) = acme::experiments::validate_netstorm(args.scale) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     // `run_selection` sizes both the experiment pool and each sharded
     // experiment's shard pool from this one count.
     let jobs = args.jobs.unwrap_or_else(acme::experiments::default_jobs);

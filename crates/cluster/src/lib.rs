@@ -26,7 +26,7 @@ pub mod thermal;
 
 pub use comm::{Collective, FabricSpec};
 pub use gpu::{GpuActivity, GpuDevice};
-pub use net::{FatTree, Flow, FlowSim, NetConfig, NetError, NetFabric};
+pub use net::{FatTree, Flow, FlowSim, NetConfig, NetFabric};
 pub use node::{HostMemoryBreakdown, Node};
 pub use power::{ServerPowerBreakdown, ServerPowerModel};
 pub use spares::SparePool;

@@ -12,16 +12,16 @@
 //!
 //! * [`NetConfig`] / [`FatTree`] — a classic k-ary fat-tree (k pods, k/2
 //!   edge + k/2 aggregation switches per pod, (k/2)² core switches, k³/4
-//!   hosts) with structured validation and deterministic ECMP-style
-//!   routing (the path is a pure function of `(src, dst, flow tag)`);
+//!   hosts) with deterministic ECMP-style routing (the path is a pure
+//!   function of `(src, dst, flow tag)`);
 //! * [`max_min_rates`] — flow-level max-min fair bandwidth sharing via
 //!   progressive filling, the fairness model flow-level simulators
 //!   (htsim-style) use;
 //! * [`FlowSim`] — an event-driven flow scheduler on the sim-core event
 //!   queue: rates are recomputed at every arrival and completion, so flow
 //!   finish times are exact under max-min sharing;
-//! * [`NetFabric`] — the pricing adapter. On a healthy, non-oversubscribed
-//!   tree its per-GPU bottleneck is **byte-identical** to
+//! * [`NetFabric`] — the pricing adapter. On a healthy tree its per-GPU
+//!   bottleneck is **byte-identical** to
 //!   [`FabricSpec::bottleneck_gbps`] (the differential tests pin this), so
 //!   every historical golden output is unchanged; under link/switch faults
 //!   and congestion the bottleneck degrades topologically.
@@ -35,48 +35,6 @@ use acme_sim_core::{EventQueue, SimTime};
 
 use crate::comm::{Collective, FabricSpec};
 
-/// Structured configuration errors, surfaced by `repro` arg parsing as
-/// usage errors (the same pattern `StormConfig::validate` follows).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NetError {
-    /// A link-capacity field is zero, negative, NaN or infinite.
-    ZeroCapacity {
-        /// The offending link tier (`host`, `edge uplink`, `agg uplink`).
-        link: &'static str,
-        /// The offending value, GB/s.
-        gbps: f64,
-    },
-    /// The fat-tree radix is not an even power of two ≥ 4.
-    BadRadix {
-        /// The offending radix.
-        radix: u32,
-    },
-    /// The oversubscription ratio lies outside `[1, 64]` (or is not
-    /// finite).
-    BadOversubscription {
-        /// The offending ratio.
-        ratio: f64,
-    },
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::ZeroCapacity { link, gbps } => {
-                write!(f, "{link} link capacity must be positive, got {gbps} GB/s")
-            }
-            NetError::BadRadix { radix } => {
-                write!(f, "fat-tree radix must be a power of two >= 4, got {radix}")
-            }
-            NetError::BadOversubscription { ratio } => {
-                write!(f, "oversubscription ratio must lie in [1, 64], got {ratio}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
 /// The fat-tree shape and per-tier link capacities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
@@ -85,20 +43,15 @@ pub struct NetConfig {
     pub radix: u32,
     /// Host ↔ edge-switch link capacity, GB/s (the node's IB uplink).
     pub host_gbps: f64,
-    /// Edge ↔ aggregation link capacity, GB/s, *before* oversubscription.
+    /// Edge ↔ aggregation link capacity, GB/s.
     pub edge_up_gbps: f64,
     /// Aggregation ↔ core link capacity, GB/s.
     pub agg_up_gbps: f64,
-    /// Edge-uplink oversubscription ratio (≥ 1): the deployed edge uplinks
-    /// carry `edge_up_gbps / oversubscription` each, so a fully loaded
-    /// edge switch cannot feed every host at line rate — the congestion
-    /// windows the netstorm experiment turns into stragglers.
-    pub oversubscription: f64,
 }
 
 impl NetConfig {
     /// The non-blocking tree for a [`FabricSpec`]: every tier at the
-    /// node-uplink line rate, no oversubscription. On this shape the
+    /// node-uplink line rate. On this shape the
     /// per-GPU bottleneck equals the analytic `ib_node_gbps /
     /// gpus_per_node` exactly (same floats, same arithmetic).
     pub fn for_fabric(fabric: &FabricSpec, radix: u32) -> Self {
@@ -107,34 +60,7 @@ impl NetConfig {
             host_gbps: fabric.ib_node_gbps,
             edge_up_gbps: fabric.ib_node_gbps,
             agg_up_gbps: fabric.ib_node_gbps,
-            oversubscription: 1.0,
         }
-    }
-
-    /// Structured validation: zero-capacity links, a non-power-of-two
-    /// radix and out-of-range oversubscription ratios are reported instead
-    /// of silently misbehaving. [`FatTree::new`] panics with the same
-    /// messages; the `repro netstorm` arg path surfaces them as usage
-    /// errors.
-    pub fn validate(&self) -> Result<(), NetError> {
-        if self.radix < 4 || !self.radix.is_power_of_two() {
-            return Err(NetError::BadRadix { radix: self.radix });
-        }
-        for (link, gbps) in [
-            ("host", self.host_gbps),
-            ("edge uplink", self.edge_up_gbps),
-            ("agg uplink", self.agg_up_gbps),
-        ] {
-            if !gbps.is_finite() || gbps <= 0.0 {
-                return Err(NetError::ZeroCapacity { link, gbps });
-            }
-        }
-        if !self.oversubscription.is_finite() || !(1.0..=64.0).contains(&self.oversubscription) {
-            return Err(NetError::BadOversubscription {
-                ratio: self.oversubscription,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -158,14 +84,14 @@ pub struct FatTree {
 }
 
 impl FatTree {
-    /// Build a tree. Panics on an invalid config with the same message
-    /// [`NetConfig::validate`] returns; callers wanting a structured error
-    /// validate first.
+    /// Build a tree. Panics unless the radix is a power of two ≥ 4: the
+    /// host, switch and link numbering assume it.
     pub fn new(config: NetConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
         let k = config.radix;
+        assert!(
+            k >= 4 && k.is_power_of_two(),
+            "fat-tree radix must be a power of two >= 4, got {k}"
+        );
         FatTree {
             config,
             half: k / 2,
@@ -292,14 +218,13 @@ impl FatTree {
             + pod
     }
 
-    /// Line-rate capacity of a directed link, GB/s, from the config (edge
-    /// uplinks pay the oversubscription ratio in both directions).
+    /// Line-rate capacity of a directed link, GB/s, from the config.
     pub fn line_rate(&self, link: LinkId) -> f64 {
         let c = &self.config;
         if link < 2 * self.hosts {
             c.host_gbps
         } else if link < 2 * self.hosts + 2 * self.edges * self.half {
-            c.edge_up_gbps / c.oversubscription
+            c.edge_up_gbps
         } else {
             c.agg_up_gbps
         }
@@ -671,9 +596,9 @@ impl NetFabric {
     /// host's edge-switch uplink tier split across participating hosts
     /// under that edge, and the pod's aggregation tier split across
     /// participating hosts in the pod (the latter two only when the ring
-    /// actually crosses that tier). On a healthy non-oversubscribed tree
-    /// every upper tier is at least the host line rate, so the minimum is
-    /// exactly `host_gbps / gpus_per_node` — the analytic price.
+    /// actually crosses that tier). On a healthy tree every upper tier is
+    /// at least the host line rate, so the minimum is exactly
+    /// `host_gbps / gpus_per_node` — the analytic price.
     pub fn bottleneck_gbps(&self, hosts: &[u32], gpus: u32, collective: Collective) -> f64 {
         let efficiency = match collective {
             Collective::AllToAll => self.fabric.a2a_efficiency,
@@ -796,63 +721,6 @@ mod tests {
 
     fn tree8() -> FatTree {
         FatTree::new(NetConfig::for_fabric(&FabricSpec::kalos(), 8))
-    }
-
-    #[test]
-    fn validate_reports_structured_errors() {
-        NetConfig::for_fabric(&FabricSpec::seren(), 8)
-            .validate()
-            .unwrap();
-        let mut c = NetConfig::for_fabric(&FabricSpec::seren(), 8);
-        c.radix = 6;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "fat-tree radix must be a power of two >= 4, got 6"
-        );
-        c.radix = 0;
-        assert!(matches!(c.validate(), Err(NetError::BadRadix { radix: 0 })));
-
-        let mut c = NetConfig::for_fabric(&FabricSpec::seren(), 8);
-        c.host_gbps = 0.0;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "host link capacity must be positive, got 0 GB/s"
-        );
-        c.host_gbps = f64::NAN;
-        assert!(matches!(c.validate(), Err(NetError::ZeroCapacity { .. })));
-
-        let mut c = NetConfig::for_fabric(&FabricSpec::seren(), 8);
-        c.edge_up_gbps = -1.0;
-        assert!(matches!(
-            c.validate(),
-            Err(NetError::ZeroCapacity {
-                link: "edge uplink",
-                ..
-            })
-        ));
-        let mut c = NetConfig::for_fabric(&FabricSpec::seren(), 8);
-        c.agg_up_gbps = f64::INFINITY;
-        assert!(matches!(
-            c.validate(),
-            Err(NetError::ZeroCapacity {
-                link: "agg uplink",
-                ..
-            })
-        ));
-
-        let mut c = NetConfig::for_fabric(&FabricSpec::seren(), 8);
-        c.oversubscription = 0.5;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "oversubscription ratio must lie in [1, 64], got 0.5"
-        );
-        c.oversubscription = 100.0;
-        assert!(c.validate().is_err());
-        c.oversubscription = f64::NAN;
-        assert!(matches!(
-            c.validate(),
-            Err(NetError::BadOversubscription { .. })
-        ));
     }
 
     #[test]
@@ -1066,16 +934,10 @@ mod tests {
     }
 
     #[test]
-    fn oversubscription_and_congestion_lower_the_bottleneck() {
+    fn congestion_lowers_the_bottleneck() {
         let fabric = FabricSpec::kalos();
-        let mut cfg = NetConfig::for_fabric(&fabric, 8);
-        cfg.oversubscription = 4.0;
-        let net = NetFabric::new(fabric, cfg);
         let hosts: Vec<u32> = (0..16).collect();
-        let over = net.bottleneck_gbps(&hosts, 128, Collective::AllReduce);
         let clean = fabric.bottleneck_gbps(128, Collective::AllReduce);
-        assert!(over < clean, "oversubscribed {over} vs clean {clean}");
-
         let mut net = NetFabric::new(fabric, NetConfig::for_fabric(&fabric, 8));
         net.congest_pod(0, 4.0);
         let congested = net.bottleneck_gbps(&hosts, 128, Collective::AllReduce);

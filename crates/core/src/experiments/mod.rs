@@ -21,8 +21,6 @@ mod storm;
 mod training;
 mod workload;
 
-pub use netstorm::validate_inputs as validate_netstorm;
-pub use policylab::validate_inputs as validate_policylab;
 pub use runner::{default_jobs, run_selection, ExperimentRun};
 pub use shard::{set_workers, ShardTiming};
 

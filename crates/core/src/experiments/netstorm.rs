@@ -52,21 +52,6 @@ fn arms() -> [NetRecoveryPolicy; 3] {
     ]
 }
 
-/// Validate every netstorm input for a `--scale` value: the fat-tree
-/// shape and the scaled storm config (with its net surface). The `repro`
-/// arg path calls this before dispatching `netstorm`, so a degenerate
-/// configuration surfaces as a structured usage error instead of a panic
-/// mid-replay.
-pub fn validate_inputs(scale: u32) -> Result<(), String> {
-    NetConfig::for_fabric(&FabricSpec::kalos(), RADIX)
-        .validate()
-        .map_err(|e| format!("netstorm fabric: {e}"))?;
-    storm_config(scale.max(1))
-        .validate()
-        .map_err(|e| format!("netstorm storm: {e}"))?;
-    Ok(())
-}
-
 /// Push the 123B checkpoint shards through the tree with the flow-level
 /// scheduler and return the max-min makespan in seconds: 32 writers,
 /// spread across the pods, each shipping its shard to the storage pod
@@ -100,9 +85,6 @@ fn checkpoint_makespan_secs(fabric: &NetFabric) -> f64 {
 /// topology-blind vs topology-aware recovery. Deterministic in
 /// (seed, scale) and byte-identical at any `--jobs`.
 pub fn netstorm(p: RunParams) -> String {
-    if let Err(e) = validate_inputs(p.scale) {
-        panic!("{e}");
-    }
     let config = storm_config(p.scale);
     let mut rng = SimRng::new(p.seed).fork(1101);
     let campaign = StormEngine::new(config).generate(&mut rng);
@@ -234,12 +216,6 @@ pub fn netstorm(p: RunParams) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn netstorm_inputs_validate() {
-        validate_inputs(1).unwrap();
-        validate_inputs(4).unwrap();
-    }
 
     #[test]
     fn aware_beats_naive_on_both_axes_at_the_pinned_seeds() {

@@ -3,7 +3,7 @@
 //! The storm (#37) and evalstorm (#38) ablations each compare three
 //! hardwired arms. This experiment is the generalization ROADMAP item 4
 //! asked for: every hardwired recovery choice is a policy object
-//! (`acme-policy`), and the sweep harness replays the fault storm for
+//! (`acme-policy`), and the sweep replays the fault storm for
 //! every (policy bundle, seed, fault intensity) combination — the
 //! intensity axis reuses `StormConfig::scaled`, stretching the campaign
 //! horizon 1×/2×/3× — then reports each bundle's position in the Pareto
@@ -26,7 +26,7 @@
 use acme_failure::storm::{StormConfig, StormEngine};
 use acme_policy::{
     CheckpointChoice, CordonPolicy, FrontierPoint, RepairModel, RetryPolicy, SweepCell, SweepGrid,
-    SweepHarness, SweepOutcome,
+    SweepOutcome,
 };
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
@@ -91,28 +91,6 @@ pub fn sweep_bundles() -> Vec<StormPolicies> {
     v
 }
 
-/// Validate every sweep input for a `--scale` value: each bundle's
-/// orchestrator/repair policies and each scaled storm config. The `repro`
-/// arg path calls this before dispatching `policylab`, so a degenerate
-/// configuration surfaces as a structured usage error instead of a panic
-/// mid-sweep.
-pub fn validate_inputs(scale: u32) -> Result<(), String> {
-    for b in sweep_bundles() {
-        b.orchestrator
-            .validate()
-            .map_err(|e| format!("policylab bundle '{}': {e}", b.label))?;
-        b.repair
-            .validate()
-            .map_err(|e| format!("policylab bundle '{}': {e}", b.label))?;
-    }
-    for intensity in [scale.max(1), 2 * scale.max(1), 3 * scale.max(1)] {
-        StormConfig::scaled(intensity)
-            .validate()
-            .map_err(|e| format!("policylab intensity {intensity}: {e}"))?;
-    }
-    Ok(())
-}
-
 /// Run one sweep cell: regenerate the storm for (seed, intensity), replay
 /// it under the bundle. Pure function of its arguments — the arm rng
 /// stream is forked per (policy, intensity) so no cell shares draws.
@@ -149,9 +127,6 @@ fn run_cell(
 /// (goodput, human actions, wasted GPU-time). Deterministic in
 /// (seed, scale) and byte-identical at any `--jobs`.
 pub fn policylab(p: RunParams) -> String {
-    if let Err(e) = validate_inputs(p.scale) {
-        panic!("{e}");
-    }
     let bundles = sweep_bundles();
     let intensities = vec![p.scale, 2 * p.scale, 3 * p.scale];
     let grid = SweepGrid {
@@ -159,7 +134,6 @@ pub fn policylab(p: RunParams) -> String {
         seeds: SWEEP_SEEDS.to_vec(),
         intensities: intensities.clone(),
     };
-    let harness = SweepHarness::new(grid.clone());
     let cells = grid.cells();
 
     // Fan every cell out through the shard pool; results come back in
@@ -188,7 +162,7 @@ pub fn policylab(p: RunParams) -> String {
             wasted_gpu_hours: o.wasted_gpu_secs() / 3600.0,
         })
         .collect();
-    let sweep = harness.collect(per_cell);
+    let sweep = grid.aggregate(per_cell);
 
     let mut summary = Table::new(["sweep axis", "value"]);
     summary.row(["policy bundles".to_owned(), bundles.len().to_string()]);
@@ -296,12 +270,6 @@ fn frontier_claim(labels: &[&str], sweep: &SweepOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_inputs_validate() {
-        validate_inputs(1).unwrap();
-        validate_inputs(4).unwrap();
-    }
 
     #[test]
     fn bundle_labels_are_unique_and_dimensions_covered() {

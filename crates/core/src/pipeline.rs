@@ -19,8 +19,8 @@ use acme_data::pipeline::{DataPipeline, PipelineStats};
 use acme_evaluation::coordinator::{run as run_eval, Scheduler};
 use acme_failure::taxonomy::FailureCategory;
 use acme_failure::{
-    DiagnosisMemo, FailureInjector, FailureReason, NcclTester, OrchestratorConfig, RecoveryAction,
-    RecoveryOrchestrator, Watchdog, WatchdogState,
+    DiagnosisMemo, FailureInjector, FailureReason, NcclTester, RecoveryAction, RecoveryManager,
+    Watchdog, WatchdogState,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_sim_core::dist::Categorical;
@@ -160,10 +160,6 @@ impl FaultTolerantTrainer {
             self.checkpoint_interval.as_secs_f64(),
         );
         let mut diagnoses = DiagnosisMemo::default();
-        // Benign disables every ladder rung, so the orchestrator decides
-        // exactly as the stateless `RecoveryManager` does (the
-        // differential test below pins this incident for incident).
-        let mut orchestrator = RecoveryOrchestrator::new(OrchestratorConfig::benign());
 
         let mut incidents = Vec::new();
         let mut manual = 0;
@@ -188,16 +184,16 @@ impl FaultTolerantTrainer {
             let (action, diagnose_mins) = match kind {
                 Interruption::Error(reason) => {
                     let report = diagnoses.diagnose(reason, 150, rng);
-                    (orchestrator.decide(at, report).action, 2.0)
+                    (RecoveryManager.decide(report), 2.0)
                 }
                 Interruption::SilentHang => {
                     // The watchdog fires after its timeout of silence.
                     let mut w = Watchdog::standard(at);
                     let noticed = at + SimDuration::from_mins(31);
                     assert_eq!(w.check(noticed), WatchdogState::Stuck);
-                    (orchestrator.decide_stuck(at).action, 31.0)
+                    (RecoveryManager.decide_stuck(), 31.0)
                 }
-                Interruption::LossSpike => (orchestrator.decide_loss_spike(at).action, 1.0),
+                Interruption::LossSpike => (RecoveryManager.decide_loss_spike(), 1.0),
             };
 
             // Rollback: to the durable checkpoint (one interval earlier
@@ -461,61 +457,6 @@ mod tests {
         assert!(report.pretraining.useful_secs > 0.0);
         assert!(report.alignment_gpu_hours > 0.0);
         assert!(report.evaluation_makespan_secs > 0.0);
-    }
-
-    #[test]
-    fn benign_orchestrator_matches_recovery_manager_incident_for_incident() {
-        // The differential guarantee behind the orchestrator swap: with an
-        // infinite retry budget, no corruption handling and no strike
-        // cordons, the stateful orchestrator must reproduce the stateless
-        // RecoveryManager's decision for every incident of a campaign.
-        use acme_failure::{DiagnosisPipeline, LogBundle, RecoveryManager};
-        use acme_sim_core::dist::Categorical;
-
-        let mut rng = SimRng::new(1234);
-        let times = FailureInjector::pretrain_schedule(
-            &mut rng,
-            SimDuration::from_hours(9),
-            SimDuration::from_days(28),
-        );
-        let infra: Vec<FailureReason> = FailureReason::ALL
-            .iter()
-            .copied()
-            .filter(|r| r.is_infrastructure())
-            .collect();
-        let weights: Vec<f64> = infra.iter().map(|r| r.spec().num as f64).collect();
-        let picker = Categorical::new(&weights);
-
-        let manager = RecoveryManager;
-        let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::benign());
-        let mut pipeline = DiagnosisPipeline::with_all_rules();
-        assert!(times.len() > 20, "campaign too quiet to be a real test");
-        for (i, &at) in times.iter().enumerate() {
-            match i % 5 {
-                3 => {
-                    let d = orch.decide_stuck(at);
-                    assert_eq!(d.action, manager.decide_stuck(), "incident {i}");
-                    assert_eq!(d.backoff, SimDuration::ZERO);
-                }
-                4 => {
-                    let d = orch.decide_loss_spike(at);
-                    assert_eq!(d.action, manager.decide_loss_spike(), "incident {i}");
-                }
-                _ => {
-                    let reason = infra[picker.sample_index(&mut rng)];
-                    let bundle = LogBundle::generate(reason, 120, &mut rng);
-                    let report = pipeline.diagnose(&bundle.lines).unwrap();
-                    let d = orch.decide(at, &report);
-                    assert_eq!(
-                        d.action,
-                        manager.decide(&report),
-                        "incident {i}: {reason:?}"
-                    );
-                    assert_eq!(d.backoff, SimDuration::ZERO);
-                    assert!(!d.escalated);
-                }
-            }
-        }
     }
 
     #[test]

@@ -70,14 +70,16 @@ impl StormPolicy {
 
     fn orchestrator_config(&self) -> OrchestratorConfig {
         match self {
-            // Never consulted for decisions, but constructed uniformly.
-            StormPolicy::NaiveRestart => OrchestratorConfig::benign(),
+            // The naive arm never consults its orchestrator; it carries the
+            // production config only so every bundle has one.
+            StormPolicy::NaiveRestart | StormPolicy::FullOrchestrator => {
+                OrchestratorConfig::production()
+            }
             StormPolicy::RetryBackoff => OrchestratorConfig {
                 retry: RetryPolicy::production(),
                 cordon: CordonPolicy::disabled(),
                 validate_checkpoints: true,
             },
-            StormPolicy::FullOrchestrator => OrchestratorConfig::production(),
         }
     }
 }

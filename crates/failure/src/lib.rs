@@ -46,7 +46,7 @@ pub use diagnose::{DiagnosisMemo, DiagnosisPipeline, DiagnosisReport, DiagnosisS
 pub use inject::{FailureEvent, FailureInjector};
 pub use logs::LogBundle;
 pub use orchestrator::{
-    IncidentKey, OrchestratedDecision, OrchestratorConfig, RecoveryOrchestrator, RetryPolicy,
+    OrchestratedDecision, OrchestratorConfig, RecoveryOrchestrator, RetryPolicy,
 };
 pub use recovery::{RecoveryAction, RecoveryManager};
 pub use storm::{

@@ -17,17 +17,10 @@
 //! * **checkpoint validation** — a flag the campaign runner consults to
 //!   verify a checkpoint on load and fall back a generation when it is
 //!   corrupt (see `acme-training`'s `DurabilityTracker`).
-//!
-//! [`OrchestratorConfig::benign`] disables every ladder rung (infinite
-//! budget, no backoff, no strike cordons): in that configuration the
-//! orchestrator reproduces [`crate::RecoveryManager`]'s decisions
-//! incident-for-incident — the differential tests pin this down — which is
-//! what lets it replace the one-shot `decide` call in the development
-//! pipeline without perturbing any existing experiment.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use acme_policy::{CordonPolicy, PolicyError};
+use acme_policy::CordonPolicy;
 use acme_sim_core::{SimDuration, SimTime};
 
 use crate::diagnose::DiagnosisReport;
@@ -39,18 +32,6 @@ use crate::taxonomy::FailureReason;
 // re-exported here so existing `failure::orchestrator::RetryPolicy`
 // call sites keep working unchanged.
 pub use acme_policy::RetryPolicy;
-
-/// Identity of an incident for retry accounting: repeated *identical*
-/// trouble is what consumes the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum IncidentKey {
-    /// A diagnosed failure with this root cause.
-    Failure(FailureReason),
-    /// A watchdog-caught silent hang.
-    SilentHang,
-    /// A loss spike.
-    LossSpike,
-}
 
 /// Full orchestrator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -65,15 +46,6 @@ pub struct OrchestratorConfig {
 }
 
 impl OrchestratorConfig {
-    /// Ladder fully disabled: reproduces [`RecoveryManager`] exactly.
-    pub fn benign() -> Self {
-        OrchestratorConfig {
-            retry: RetryPolicy::infinite(),
-            cordon: CordonPolicy::disabled(),
-            validate_checkpoints: false,
-        }
-    }
-
     /// The deployed ladder: production retry policy, two strikes to
     /// cordon, checkpoints verified on load.
     pub fn production() -> Self {
@@ -82,15 +54,6 @@ impl OrchestratorConfig {
             cordon: CordonPolicy::two_strikes(),
             validate_checkpoints: true,
         }
-    }
-
-    /// Structured validation of every policy field: a zero retry budget
-    /// escalates each incident on sight, an inverted backoff pair clamps
-    /// silently, and a zero strike threshold cordons the fleet dry.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        self.retry.validate()?;
-        self.cordon.validate()?;
-        Ok(())
     }
 }
 
@@ -112,11 +75,12 @@ pub struct OrchestratedDecision {
 #[derive(Debug, Clone)]
 pub struct RecoveryOrchestrator {
     config: OrchestratorConfig,
-    manager: RecoveryManager,
     strikes: BTreeMap<u32, u32>,
     cordoned: BTreeSet<u32>,
     cordon_actions: u32,
-    last_seen: BTreeMap<IncidentKey, (SimTime, u32)>,
+    /// Retry accounting: repeated failures with the same root cause are
+    /// what consume the budget.
+    last_seen: BTreeMap<FailureReason, (SimTime, u32)>,
 }
 
 impl RecoveryOrchestrator {
@@ -124,7 +88,6 @@ impl RecoveryOrchestrator {
     pub fn new(config: OrchestratorConfig) -> Self {
         RecoveryOrchestrator {
             config,
-            manager: RecoveryManager,
             strikes: BTreeMap::new(),
             cordoned: BTreeSet::new(),
             cordon_actions: 0,
@@ -137,25 +100,23 @@ impl RecoveryOrchestrator {
         &self.config
     }
 
-    /// Run the ladder over a base action.
-    fn ladder(
-        &mut self,
-        at: SimTime,
-        key: IncidentKey,
-        base: RecoveryAction,
-    ) -> OrchestratedDecision {
+    /// Decide the action for a diagnosed failure at `at`: the stateless
+    /// manager's action, run through the retry ladder.
+    pub fn decide(&mut self, at: SimTime, report: &DiagnosisReport) -> OrchestratedDecision {
+        let base = RecoveryManager.decide(report);
+        let reason = report.reason;
         let window = self.config.retry.window;
-        let attempt = match self.last_seen.get(&key) {
+        let attempt = match self.last_seen.get(&reason) {
             Some(&(last, n)) if !window.is_zero() && at.saturating_since(last) <= window => n + 1,
             _ => 1,
         };
-        self.last_seen.insert(key, (at, attempt));
+        self.last_seen.insert(reason, (at, attempt));
 
         if attempt > self.config.retry.budget && !base.needs_human() {
             return OrchestratedDecision {
                 action: RecoveryAction::NotifyUser {
                     hint: format!(
-                        "retry budget exhausted: {attempt} identical incidents ({key:?}) \
+                        "retry budget exhausted: {attempt} identical incidents ({reason:?}) \
                          within the window; paging a human instead of restart-looping"
                     ),
                 },
@@ -170,24 +131,6 @@ impl RecoveryOrchestrator {
             attempt,
             escalated: false,
         }
-    }
-
-    /// Decide the action for a diagnosed failure at `at`.
-    pub fn decide(&mut self, at: SimTime, report: &DiagnosisReport) -> OrchestratedDecision {
-        let base = self.manager.decide(report);
-        self.ladder(at, IncidentKey::Failure(report.reason), base)
-    }
-
-    /// Decide the action for a watchdog-caught silent hang at `at`.
-    pub fn decide_stuck(&mut self, at: SimTime) -> OrchestratedDecision {
-        let base = self.manager.decide_stuck();
-        self.ladder(at, IncidentKey::SilentHang, base)
-    }
-
-    /// Decide the action for a loss spike at `at`.
-    pub fn decide_loss_spike(&mut self, at: SimTime) -> OrchestratedDecision {
-        let base = self.manager.decide_loss_spike();
-        self.ladder(at, IncidentKey::LossSpike, base)
     }
 
     /// Record a strike against a node; returns its strike count.
@@ -263,33 +206,6 @@ mod tests {
 
     fn t(mins: u64) -> SimTime {
         SimTime::from_secs(mins * 60)
-    }
-
-    #[test]
-    fn benign_orchestrator_equals_the_stateless_manager() {
-        // The differential guarantee: infinite budget + no strikes + no
-        // validation reproduces RecoveryManager incident-for-incident,
-        // even when the same failure repeats rapidly.
-        let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::benign());
-        let manager = RecoveryManager;
-        for (i, &reason) in FailureReason::ALL.iter().enumerate() {
-            let report = report_for(reason, i as u64);
-            for rep in 0..3u64 {
-                let at = t(i as u64 * 100 + rep);
-                let d = orch.decide(at, &report);
-                assert_eq!(d.action, manager.decide(&report), "{reason:?}");
-                assert_eq!(d.backoff, SimDuration::ZERO);
-                assert!(!d.escalated);
-            }
-        }
-        assert_eq!(
-            orch.decide_stuck(t(1)).action,
-            RecoveryManager.decide_stuck()
-        );
-        assert_eq!(
-            orch.decide_loss_spike(t(2)).action,
-            RecoveryManager.decide_loss_spike()
-        );
     }
 
     #[test]
@@ -383,36 +299,6 @@ mod tests {
         orch.mark_cordoned(9);
         orch.mark_cordoned(9);
         assert_eq!(orch.cordon_actions(), 3);
-    }
-
-    #[test]
-    fn config_validation_catches_degenerate_ladders() {
-        OrchestratorConfig::benign().validate().unwrap();
-        OrchestratorConfig::production().validate().unwrap();
-        let mut cfg = OrchestratorConfig::production();
-        cfg.retry.budget = 0;
-        assert!(matches!(
-            cfg.validate(),
-            Err(PolicyError::ZeroBudget { .. })
-        ));
-        let mut cfg = OrchestratorConfig::production();
-        cfg.retry.backoff_cap = SimDuration::ZERO;
-        assert!(matches!(cfg.validate(), Err(PolicyError::Inverted { .. })));
-        let mut cfg = OrchestratorConfig::production();
-        cfg.cordon = CordonPolicy::strikes(0);
-        assert!(matches!(
-            cfg.validate(),
-            Err(PolicyError::NonPositive { .. })
-        ));
-    }
-
-    #[test]
-    fn benign_config_never_strike_cordons() {
-        let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::benign());
-        for _ in 0..100 {
-            orch.record_strike(3);
-        }
-        assert!(!orch.should_cordon(3));
     }
 
     #[test]

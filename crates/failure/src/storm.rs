@@ -22,7 +22,6 @@
 //! Same seed → byte-identical campaign; no event (primary or secondary) is
 //! ever scheduled past the horizon.
 
-use acme_policy::{validate_probability, PolicyError};
 use acme_sim_core::dist::{Categorical, Distribution, Exponential};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
 
@@ -127,8 +126,8 @@ pub struct NetStormEvent {
 /// campaigns are byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetStormConfig {
-    /// Fat-tree radix the fault coordinates index into (power of two
-    /// ≥ 4; the topology layer validates the shape structurally).
+    /// Fat-tree radix the fault coordinates index into: a power of two
+    /// ≥ 4, the shapes `acme_cluster::FatTree` builds.
     pub radix: u32,
     /// Mean spacing between link flaps (Poisson arrivals).
     pub mean_between_flaps: SimDuration,
@@ -165,58 +164,6 @@ impl NetStormConfig {
             congestion_duration: SimDuration::from_hours(2),
             congestion_factor_pct: 400,
         }
-    }
-
-    /// Structured validation, following [`StormConfig::validate`]. The
-    /// tree *shape* (power-of-two radix, link capacities) is validated
-    /// separately by the topology layer's `NetConfig::validate`.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.radix == 0 {
-            return Err(PolicyError::Empty {
-                field: "net topology",
-            });
-        }
-        if self.mean_between_flaps.is_zero() {
-            return Err(PolicyError::NonPositive { field: "flap MTBF" });
-        }
-        if self.flap_secs_lo == 0 {
-            return Err(PolicyError::NonPositive {
-                field: "flap duration",
-            });
-        }
-        if self.flap_secs_lo > self.flap_secs_hi {
-            return Err(PolicyError::Inverted {
-                field: "flap duration",
-                lo: self.flap_secs_lo as f64,
-                hi: self.flap_secs_hi as f64,
-            });
-        }
-        if self.mean_between_switch_faults.is_zero() {
-            return Err(PolicyError::NonPositive {
-                field: "switch-fault MTBF",
-            });
-        }
-        if self.switch_repair.is_zero() {
-            return Err(PolicyError::NonPositive {
-                field: "switch repair time",
-            });
-        }
-        if self.mean_between_congestion.is_zero() {
-            return Err(PolicyError::NonPositive {
-                field: "congestion MTBF",
-            });
-        }
-        if self.congestion_duration.is_zero() {
-            return Err(PolicyError::NonPositive {
-                field: "congestion window",
-            });
-        }
-        if self.congestion_factor_pct <= 100 {
-            return Err(PolicyError::NonPositive {
-                field: "congestion slowdown (factor - 100%)",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -267,34 +214,6 @@ impl StormConfig {
         let mut c = Self::default_storm();
         c.horizon = c.horizon * scale.max(1) as u64;
         c
-    }
-
-    /// Structured validation: zero horizons/MTBFs, empty fleets, oversized
-    /// hot subsets and NaN probabilities are reported instead of silently
-    /// misbehaving. [`StormEngine::new`] panics with the same messages;
-    /// the policylab arg path surfaces them as usage errors.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.horizon.is_zero() {
-            return Err(PolicyError::NonPositive { field: "horizon" });
-        }
-        if self.mean_between.is_zero() {
-            return Err(PolicyError::NonPositive { field: "MTBF" });
-        }
-        if self.fleet_nodes == 0 {
-            return Err(PolicyError::Empty { field: "fleet" });
-        }
-        if self.hot_nodes == 0 || self.hot_nodes > self.fleet_nodes {
-            return Err(PolicyError::NotSubset {
-                field: "hot subset",
-            });
-        }
-        validate_probability("flap_prob", self.flap_prob)?;
-        validate_probability("corrupt_prob", self.corrupt_prob)?;
-        validate_probability("hang_prob", self.hang_prob)?;
-        if let Some(net) = &self.net {
-            net.validate()?;
-        }
-        Ok(())
     }
 }
 
@@ -390,13 +309,13 @@ const STORM_MIX: [(FailureReason, f64); 12] = [
 ];
 
 impl StormEngine {
-    /// Wrap a config. Panics on an invalid one with the same message
-    /// [`StormConfig::validate`] returns; callers wanting a structured
-    /// error validate first.
+    /// Wrap a config. Panics unless the hot subset is a non-empty subset
+    /// of the fleet: flapping faults draw their node ids from it.
     pub fn new(config: StormConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
+        assert!(
+            config.hot_nodes > 0 && config.hot_nodes <= config.fleet_nodes,
+            "hot subset must be a non-empty subset of the fleet"
+        );
         StormEngine { config }
     }
 
@@ -703,120 +622,10 @@ mod tests {
     }
 
     #[test]
-    fn net_config_validates_structurally() {
-        NetStormConfig::default_net().validate().unwrap();
-
-        let mut n = NetStormConfig::default_net();
-        n.radix = 0;
-        assert_eq!(
-            n.validate().unwrap_err().to_string(),
-            "net topology cannot be empty"
-        );
-
-        let mut n = NetStormConfig::default_net();
-        n.mean_between_flaps = SimDuration::ZERO;
-        assert_eq!(
-            n.validate().unwrap_err().to_string(),
-            "flap MTBF must be positive"
-        );
-
-        let mut n = NetStormConfig::default_net();
-        n.flap_secs_lo = 900;
-        assert!(matches!(
-            n.validate(),
-            Err(PolicyError::Inverted {
-                field: "flap duration",
-                ..
-            })
-        ));
-
-        let mut n = NetStormConfig::default_net();
-        n.switch_repair = SimDuration::ZERO;
-        assert_eq!(
-            n.validate().unwrap_err().to_string(),
-            "switch repair time must be positive"
-        );
-
-        let mut n = NetStormConfig::default_net();
-        n.congestion_factor_pct = 100;
-        assert_eq!(
-            n.validate().unwrap_err().to_string(),
-            "congestion slowdown (factor - 100%) must be positive"
-        );
-
-        // An invalid net surface fails the whole storm config.
-        let mut c = StormConfig::default_storm();
-        let mut n = NetStormConfig::default_net();
-        n.congestion_duration = SimDuration::ZERO;
-        c.net = Some(n);
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "congestion window must be positive"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "hot subset")]
     fn rejects_oversized_hot_subset() {
         let mut c = StormConfig::default_storm();
         c.hot_nodes = c.fleet_nodes + 1;
         StormEngine::new(c);
-    }
-
-    #[test]
-    fn validate_reports_structured_errors() {
-        StormConfig::default_storm().validate().unwrap();
-        StormConfig::scaled(3).validate().unwrap();
-
-        let mut c = StormConfig::default_storm();
-        c.horizon = SimDuration::ZERO;
-        let e = c.validate().unwrap_err();
-        assert!(matches!(e, PolicyError::NonPositive { field: "horizon" }));
-        assert_eq!(e.to_string(), "horizon must be positive");
-
-        let mut c = StormConfig::default_storm();
-        c.mean_between = SimDuration::ZERO;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "MTBF must be positive"
-        );
-
-        let mut c = StormConfig::default_storm();
-        c.fleet_nodes = 0;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "fleet cannot be empty"
-        );
-
-        let mut c = StormConfig::default_storm();
-        c.hot_nodes = c.fleet_nodes + 1;
-        assert_eq!(
-            c.validate().unwrap_err().to_string(),
-            "hot subset must be a non-empty subset of the fleet"
-        );
-
-        let mut c = StormConfig::default_storm();
-        c.flap_prob = f64::NAN;
-        assert!(matches!(
-            c.validate(),
-            Err(PolicyError::NonFinite {
-                field: "flap_prob",
-                ..
-            })
-        ));
-
-        let mut c = StormConfig::default_storm();
-        c.corrupt_prob = 1.5;
-        assert!(matches!(
-            c.validate(),
-            Err(PolicyError::OutOfRange {
-                field: "corrupt_prob",
-                ..
-            })
-        ));
-
-        let mut c = StormConfig::default_storm();
-        c.hang_prob = -0.1;
-        assert!(c.validate().is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Recovery-policy objects and the Pareto sweep harness.
+//! Recovery-policy objects and the Pareto sweep grid.
 //!
 //! Recovery *policy* — when to checkpoint, how hard to retry, when to
 //! cordon or degrade — dominates delivered goodput under routine faults.
@@ -14,9 +14,9 @@
 //!   Young/Daly MTTF-optimal, adaptive-on-cascade;
 //! * [`RepairModel`] — how long a cordoned node takes to return to
 //!   service (replacing a hardwired 36 h constant);
-//! * [`SweepHarness`] — runs a policy grid across seeds × fault
-//!   intensities and emits the Pareto frontier over (goodput, manual
-//!   interventions, wasted GPU-time).
+//! * [`SweepGrid`] — a policy grid across seeds × fault intensities; its
+//!   [`SweepGrid::aggregate`] turns per-cell results into the Pareto
+//!   frontier over (goodput, manual interventions, wasted GPU-time).
 //!
 //! [`NetRecoveryPolicy`] names the three arms of the netstorm ablation:
 //! naive, topology-blind and topology-aware network recovery.
@@ -29,96 +29,6 @@
 #![warn(missing_docs)]
 
 use acme_sim_core::{SimDuration, SimTime};
-
-// ---------------------------------------------------------------------------
-// Structured validation errors
-// ---------------------------------------------------------------------------
-
-/// A structured policy/configuration validation error: which field is
-/// wrong and how. `Display` renders the operator-facing message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PolicyError {
-    /// A quantity that must be strictly positive is zero (or negative).
-    NonPositive {
-        /// The offending field.
-        field: &'static str,
-    },
-    /// A collection or axis that must not be empty is empty.
-    Empty {
-        /// The offending field.
-        field: &'static str,
-    },
-    /// A retry budget of zero: every incident would escalate immediately.
-    ZeroBudget {
-        /// The offending field.
-        field: &'static str,
-    },
-    /// A threshold pair is inverted (lower bound above upper bound).
-    Inverted {
-        /// The offending field.
-        field: &'static str,
-        /// The lower value that should not exceed `hi`.
-        lo: f64,
-        /// The upper value.
-        hi: f64,
-    },
-    /// A probability or intensity is NaN/infinite.
-    NonFinite {
-        /// The offending field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A probability lies outside `[0, 1]`.
-    OutOfRange {
-        /// The offending field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A subset field does not describe a non-empty subset of its parent.
-    NotSubset {
-        /// The offending field.
-        field: &'static str,
-    },
-}
-
-impl std::fmt::Display for PolicyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PolicyError::NonPositive { field } => write!(f, "{field} must be positive"),
-            PolicyError::Empty { field } => write!(f, "{field} cannot be empty"),
-            PolicyError::ZeroBudget { field } => {
-                write!(f, "{field}: retry budget must be at least 1")
-            }
-            PolicyError::Inverted { field, lo, hi } => {
-                write!(f, "{field}: inverted threshold ({lo} > {hi})")
-            }
-            PolicyError::NonFinite { field, value } => {
-                write!(f, "{field} must be finite, got {value}")
-            }
-            PolicyError::OutOfRange { field, value } => {
-                write!(f, "{field} must lie in [0, 1], got {value}")
-            }
-            PolicyError::NotSubset { field } => {
-                write!(f, "{field} must be a non-empty subset of the fleet")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PolicyError {}
-
-/// Validate one probability field: finite and inside `[0, 1]`.
-pub fn validate_probability(field: &'static str, value: f64) -> Result<(), PolicyError> {
-    if !value.is_finite() {
-        return Err(PolicyError::NonFinite { field, value });
-    }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(PolicyError::OutOfRange { field, value });
-    }
-    Ok(())
-}
 
 // ---------------------------------------------------------------------------
 // Retry ladders
@@ -139,17 +49,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No ladder at all: infinite budget, zero backoff. The configuration
-    /// under which the orchestrator equals the stateless manager.
-    pub fn infinite() -> Self {
-        RetryPolicy {
-            budget: u32::MAX,
-            backoff_base: SimDuration::ZERO,
-            backoff_cap: SimDuration::ZERO,
-            window: SimDuration::ZERO,
-        }
-    }
-
     /// The production ladder: three identical incidents within four hours,
     /// backing off 1 → 2 → 4 → … minutes (capped at 16), then a human.
     pub fn production() -> Self {
@@ -200,24 +99,6 @@ impl RetryPolicy {
             raw
         }
     }
-
-    /// Structured validation: a zero budget would escalate every incident
-    /// immediately, and an inverted base/cap pair silently clamps.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.budget == 0 {
-            return Err(PolicyError::ZeroBudget {
-                field: "retry.budget",
-            });
-        }
-        if self.backoff_cap < self.backoff_base {
-            return Err(PolicyError::Inverted {
-                field: "retry.backoff",
-                lo: self.backoff_base.as_secs_f64(),
-                hi: self.backoff_cap.as_secs_f64(),
-            });
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,17 +140,6 @@ impl CordonPolicy {
     pub fn should_cordon(&self, strikes: u32) -> bool {
         strikes >= self.strike_threshold
     }
-
-    /// Structured validation: a zero threshold cordons a node before its
-    /// first strike, silently draining the fleet.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.strike_threshold == 0 {
-            return Err(PolicyError::NonPositive {
-                field: "cordon.strike_threshold",
-            });
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -308,17 +178,6 @@ impl RepairModel {
     /// When a node cordoned at `at` rejoins the fleet.
     pub fn return_at(&self, at: SimTime) -> SimTime {
         at + self.turnaround
-    }
-
-    /// Structured validation: a zero turnaround repairs nodes instantly,
-    /// which hides the entire cost of cordoning.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.turnaround.is_zero() {
-            return Err(PolicyError::NonPositive {
-                field: "repair.turnaround",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -517,7 +376,7 @@ pub fn pareto_frontier(points: &[FrontierPoint]) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep harness
+// Sweep grid
 // ---------------------------------------------------------------------------
 
 /// The sweep grid: every (policy, seed, intensity) combination.
@@ -544,7 +403,7 @@ pub struct SweepCell {
 
 impl SweepGrid {
     /// Every cell, policy-major then seed then intensity — the canonical
-    /// deterministic order the harness aggregates in.
+    /// deterministic order [`SweepGrid::aggregate`] reads.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells =
             Vec::with_capacity(self.n_policies * self.seeds.len() * self.intensities.len());
@@ -562,83 +421,17 @@ impl SweepGrid {
         cells
     }
 
-    /// Structured validation: every axis non-empty, every intensity
-    /// positive.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.n_policies == 0 {
-            return Err(PolicyError::Empty {
-                field: "sweep.policies",
-            });
-        }
-        if self.seeds.is_empty() {
-            return Err(PolicyError::Empty {
-                field: "sweep.seeds",
-            });
-        }
-        if self.intensities.is_empty() {
-            return Err(PolicyError::Empty {
-                field: "sweep.intensities",
-            });
-        }
-        if self.intensities.contains(&0) {
-            return Err(PolicyError::NonPositive {
-                field: "sweep.intensities",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The aggregated result of one sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepOutcome {
-    /// Per-cell metrics, in [`SweepGrid::cells`] order.
-    pub per_cell: Vec<FrontierPoint>,
-    /// Per-policy means across the seed × intensity plane.
-    pub per_policy: Vec<FrontierPoint>,
-    /// Indices (into `per_policy`) of the Pareto-non-dominated policies.
-    pub frontier: Vec<usize>,
-}
-
-/// Runs a policy grid across seeds × intensities and aggregates the
-/// Pareto frontier. Cell evaluation is supplied by the caller (the
-/// policylab experiment fans cells out through the shard pool; tests
-/// evaluate inline) — the harness owns cell ordering and aggregation, so
-/// both paths agree byte for byte.
-#[derive(Debug, Clone)]
-pub struct SweepHarness {
-    /// The grid.
-    pub grid: SweepGrid,
-}
-
-impl SweepHarness {
-    /// Wrap a grid. Panics on an invalid grid — callers wanting structured
-    /// errors run [`SweepGrid::validate`] first (the policylab arg path
-    /// does).
-    pub fn new(grid: SweepGrid) -> Self {
-        if let Err(e) = grid.validate() {
-            panic!("{e}");
-        }
-        SweepHarness { grid }
-    }
-
-    /// Evaluate every cell with `eval` (in [`SweepGrid::cells`] order) and
-    /// aggregate.
-    pub fn run(&self, eval: impl FnMut(&SweepCell) -> FrontierPoint) -> SweepOutcome {
-        let per_cell: Vec<FrontierPoint> = self.grid.cells().iter().map(eval).collect();
-        self.collect(per_cell)
-    }
-
-    /// Aggregate already-evaluated per-cell metrics (in
-    /// [`SweepGrid::cells`] order) into per-policy means and the frontier.
-    pub fn collect(&self, per_cell: Vec<FrontierPoint>) -> SweepOutcome {
-        let cells_per_policy = self.grid.seeds.len() * self.grid.intensities.len();
+    /// Aggregate per-cell metrics, evaluated in [`SweepGrid::cells`] order
+    /// by the caller (policylab fans cells out through the shard pool),
+    /// into per-policy means and the Pareto frontier.
+    pub fn aggregate(&self, per_cell: Vec<FrontierPoint>) -> SweepOutcome {
+        let cells_per_policy = self.seeds.len() * self.intensities.len();
         assert_eq!(
             per_cell.len(),
-            self.grid.n_policies * cells_per_policy,
+            self.n_policies * cells_per_policy,
             "per-cell metrics must cover the whole grid"
         );
-        let per_policy: Vec<FrontierPoint> = (0..self.grid.n_policies)
+        let per_policy: Vec<FrontierPoint> = (0..self.n_policies)
             .map(|p| {
                 let chunk = &per_cell[p * cells_per_policy..(p + 1) * cells_per_policy];
                 let n = chunk.len() as f64;
@@ -657,6 +450,17 @@ impl SweepHarness {
             frontier,
         }
     }
+}
+
+/// The aggregated result of one sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepOutcome {
+    /// Per-cell metrics, in [`SweepGrid::cells`] order.
+    pub per_cell: Vec<FrontierPoint>,
+    /// Per-policy means across the seed × intensity plane.
+    pub per_policy: Vec<FrontierPoint>,
+    /// Indices (into `per_policy`) of the Pareto-non-dominated policies.
+    pub frontier: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -694,53 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn named_ladders_validate() {
-        for p in [
-            RetryPolicy::infinite(),
-            RetryPolicy::production(),
-            RetryPolicy::evaluation(),
-            RetryPolicy::patient(),
-        ] {
-            p.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn zero_budget_is_a_structured_error() {
-        let mut p = RetryPolicy::production();
-        p.budget = 0;
-        let e = p.validate().unwrap_err();
-        assert_eq!(
-            e,
-            PolicyError::ZeroBudget {
-                field: "retry.budget"
-            }
-        );
-        assert!(e.to_string().contains("at least 1"));
-    }
-
-    #[test]
-    fn inverted_backoff_is_a_structured_error() {
-        let mut p = RetryPolicy::production();
-        p.backoff_cap = SimDuration::from_secs(1);
-        assert!(matches!(
-            p.validate(),
-            Err(PolicyError::Inverted {
-                field: "retry.backoff",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn cordon_threshold_semantics() {
         let c = CordonPolicy::two_strikes();
         assert!(!c.should_cordon(1));
         assert!(c.should_cordon(2));
         assert!(c.should_cordon(3));
         assert!(!CordonPolicy::disabled().should_cordon(1_000_000));
-        assert!(CordonPolicy::strikes(0).validate().is_err());
-        assert!(CordonPolicy::two_strikes().validate().is_ok());
     }
 
     #[test]
@@ -753,12 +516,6 @@ mod tests {
         let e = RepairModel::expedited();
         assert_eq!(e.turnaround, SimDuration::from_hours(12));
         assert!(e.rush);
-        assert!(RepairModel {
-            turnaround: SimDuration::ZERO,
-            rush: false
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -796,19 +553,6 @@ mod tests {
         let p = CheckpointChoice::adaptive();
         assert_eq!(p.interval_secs(&calm), 1800.0);
         assert_eq!(p.interval_secs(&stormy), 900.0);
-    }
-
-    #[test]
-    fn probability_validation_catches_nan_and_range() {
-        validate_probability("p", 0.3).unwrap();
-        assert!(matches!(
-            validate_probability("p", f64::NAN),
-            Err(PolicyError::NonFinite { field: "p", .. })
-        ));
-        assert!(matches!(
-            validate_probability("p", 1.5),
-            Err(PolicyError::OutOfRange { field: "p", .. })
-        ));
     }
 
     #[test]
@@ -874,49 +618,22 @@ mod tests {
     }
 
     #[test]
-    fn empty_axes_are_structured_errors() {
-        let grid = SweepGrid {
-            n_policies: 0,
-            seeds: vec![42],
-            intensities: vec![1],
-        };
-        assert!(matches!(
-            grid.validate(),
-            Err(PolicyError::Empty {
-                field: "sweep.policies"
-            })
-        ));
-        let grid = SweepGrid {
-            n_policies: 1,
-            seeds: vec![],
-            intensities: vec![1],
-        };
-        assert!(grid.validate().is_err());
-        let grid = SweepGrid {
-            n_policies: 1,
-            seeds: vec![42],
-            intensities: vec![1, 0],
-        };
-        assert!(matches!(
-            grid.validate(),
-            Err(PolicyError::NonPositive {
-                field: "sweep.intensities"
-            })
-        ));
-    }
-
-    #[test]
     fn harness_aggregates_per_policy_means() {
         let grid = SweepGrid {
             n_policies: 2,
             seeds: vec![1, 2],
             intensities: vec![1],
         };
-        let outcome = SweepHarness::new(grid).run(|c| FrontierPoint {
-            goodput: c.policy as f64 + c.seed as f64 / 10.0,
-            manual_interventions: c.policy as f64,
-            wasted_gpu_hours: 1.0,
-        });
+        let per_cell = grid
+            .cells()
+            .iter()
+            .map(|c| FrontierPoint {
+                goodput: c.policy as f64 + c.seed as f64 / 10.0,
+                manual_interventions: c.policy as f64,
+                wasted_gpu_hours: 1.0,
+            })
+            .collect();
+        let outcome = grid.aggregate(per_cell);
         assert_eq!(outcome.per_cell.len(), 4);
         assert!((outcome.per_policy[0].goodput - 0.15).abs() < 1e-12);
         assert!((outcome.per_policy[1].goodput - 1.15).abs() < 1e-12);
@@ -983,8 +700,8 @@ mod tests {
                     wasted_gpu_hours: (x % 97) as f64,
                 }
             };
-            let a = SweepHarness::new(grid.clone()).run(eval);
-            let b = SweepHarness::new(grid).run(eval);
+            let a = grid.aggregate(grid.cells().iter().map(eval).collect());
+            let b = grid.aggregate(grid.cells().iter().map(eval).collect());
             prop_assert_eq!(a, b);
         }
     }
