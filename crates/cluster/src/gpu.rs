@@ -70,16 +70,6 @@ impl GpuDevice {
         self.activity = activity.clamped(&self.spec);
     }
 
-    /// Return to idle.
-    pub fn release(&mut self) {
-        self.activity = GpuActivity::IDLE;
-    }
-
-    /// Whether any work is resident.
-    pub fn is_idle(&self) -> bool {
-        self.activity.sm_active == 0.0 && self.activity.memory_used_gb == 0.0
-    }
-
     /// Instantaneous power draw, W.
     ///
     /// * idle → `idle_power_w` (~60 W);
@@ -91,11 +81,6 @@ impl GpuDevice {
         let sm_term = (s.tdp_w - s.idle_power_w) * self.activity.sm_active;
         let tc_term = (s.max_power_w - s.tdp_w) * self.activity.tensor_active;
         (s.idle_power_w + sm_term + tc_term).min(s.max_power_w)
-    }
-
-    /// Fraction of framebuffer in use.
-    pub fn memory_fraction(&self) -> f64 {
-        self.activity.memory_used_gb / self.spec.memory_gb
     }
 }
 
@@ -111,7 +96,7 @@ mod tests {
     #[test]
     fn idle_draws_idle_power() {
         let g = dev();
-        assert!(g.is_idle());
+        assert_eq!(g.activity(), GpuActivity::IDLE);
         assert_eq!(g.power_w(), 60.0);
     }
 
@@ -124,7 +109,6 @@ mod tests {
             memory_used_gb: 40.0,
         });
         assert_eq!(g.power_w(), 400.0);
-        assert!(!g.is_idle());
     }
 
     #[test]
@@ -162,7 +146,6 @@ mod tests {
         assert_eq!(a.sm_active, 1.0);
         assert_eq!(a.tensor_active, 1.0);
         assert_eq!(a.memory_used_gb, 80.0);
-        assert_eq!(g.memory_fraction(), 1.0);
     }
 
     #[test]
@@ -184,8 +167,8 @@ mod tests {
             tensor_active: 0.1,
             memory_used_gb: 10.0,
         });
-        g.release();
-        assert!(g.is_idle());
+        g.set_activity(GpuActivity::IDLE);
+        assert_eq!(g.activity(), GpuActivity::IDLE);
         assert_eq!(g.power_w(), 60.0);
     }
 

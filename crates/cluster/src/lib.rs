@@ -9,8 +9,9 @@
 //! Everything here is a *resource model*: state plus closed-form physics
 //! (power as a function of activity, temperature as a function of power,
 //! bandwidth shares under contention). The discrete-event crates
-//! (`acme-scheduler`, `acme-training`, `acme-evaluation`) drive these models
-//! and sample them through `acme-telemetry`.
+//! (`acme-scheduler`, `acme-training`, `acme-evaluation`) drive these models,
+//! and `acme::monitor` samples them for the utilization, power and
+//! temperature figures.
 
 #![warn(missing_docs)]
 

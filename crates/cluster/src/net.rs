@@ -35,31 +35,26 @@ use acme_sim_core::{EventQueue, SimTime};
 
 use crate::comm::{Collective, FabricSpec};
 
-/// The fat-tree shape and per-tier link capacities.
+/// The fat-tree shape and its link capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// Switch radix `k`: `k` pods, `k/2` hosts per edge switch, `k³/4`
     /// hosts total.
     pub radix: u32,
-    /// Host ↔ edge-switch link capacity, GB/s (the node's IB uplink).
-    pub host_gbps: f64,
-    /// Edge ↔ aggregation link capacity, GB/s.
-    pub edge_up_gbps: f64,
-    /// Aggregation ↔ core link capacity, GB/s.
-    pub agg_up_gbps: f64,
+    /// Capacity of every link, host uplinks and switch-to-switch alike,
+    /// GB/s: the tree is non-blocking.
+    pub line_gbps: f64,
 }
 
 impl NetConfig {
-    /// The non-blocking tree for a [`FabricSpec`]: every tier at the
-    /// node-uplink line rate. On this shape the
-    /// per-GPU bottleneck equals the analytic `ib_node_gbps /
-    /// gpus_per_node` exactly (same floats, same arithmetic).
+    /// The non-blocking tree for a [`FabricSpec`]: every link at the
+    /// node-uplink line rate. On this shape the per-GPU bottleneck equals
+    /// the analytic `ib_node_gbps / gpus_per_node` exactly (same floats,
+    /// same arithmetic).
     pub fn for_fabric(fabric: &FabricSpec, radix: u32) -> Self {
         NetConfig {
             radix,
-            host_gbps: fabric.ib_node_gbps,
-            edge_up_gbps: fabric.ib_node_gbps,
-            agg_up_gbps: fabric.ib_node_gbps,
+            line_gbps: fabric.ib_node_gbps,
         }
     }
 }
@@ -218,16 +213,9 @@ impl FatTree {
             + pod
     }
 
-    /// Line-rate capacity of a directed link, GB/s, from the config.
-    pub fn line_rate(&self, link: LinkId) -> f64 {
-        let c = &self.config;
-        if link < 2 * self.hosts {
-            c.host_gbps
-        } else if link < 2 * self.hosts + 2 * self.edges * self.half {
-            c.edge_up_gbps
-        } else {
-            c.agg_up_gbps
-        }
+    /// Line-rate capacity of every directed link, GB/s, from the config.
+    pub fn line_rate(&self) -> f64 {
+        self.config.line_gbps
     }
 
     /// Deterministic ECMP hash: which of the `k/2` aggregation (and core)
@@ -498,7 +486,7 @@ impl NetFabric {
     /// A healthy fabric over a tree shape.
     pub fn new(fabric: FabricSpec, config: NetConfig) -> Self {
         let tree = FatTree::new(config);
-        let capacity = (0..tree.link_count()).map(|l| tree.line_rate(l)).collect();
+        let capacity = vec![tree.line_rate(); tree.link_count() as usize];
         NetFabric {
             fabric,
             tree,
@@ -523,9 +511,7 @@ impl NetFabric {
 
     /// Restore every link to its configured line rate.
     pub fn heal(&mut self) {
-        for l in 0..self.tree.link_count() {
-            self.capacity[l as usize] = self.tree.line_rate(l);
-        }
+        self.capacity.fill(self.tree.line_rate());
     }
 
     /// Fail one edge→agg uplink (both directions) — a link flap while it
@@ -575,13 +561,12 @@ impl NetFabric {
     /// Panics if `factor < 1`.
     pub fn congest_pod(&mut self, pod: u32, factor: f64) {
         assert!(factor >= 1.0, "congestion factor must be >= 1");
+        let congested = self.tree.line_rate() / factor;
         for e in 0..self.tree.half {
             let edge = pod * self.tree.half + e;
             for a in 0..self.tree.half {
-                self.capacity[self.tree.edge_up(edge, a) as usize] =
-                    self.tree.line_rate(self.tree.edge_up(edge, a)) / factor;
-                self.capacity[self.tree.agg_down(pod, a, e) as usize] =
-                    self.tree.line_rate(self.tree.agg_down(pod, a, e)) / factor;
+                self.capacity[self.tree.edge_up(edge, a) as usize] = congested;
+                self.capacity[self.tree.agg_down(pod, a, e) as usize] = congested;
             }
         }
     }
@@ -596,9 +581,9 @@ impl NetFabric {
     /// host's edge-switch uplink tier split across participating hosts
     /// under that edge, and the pod's aggregation tier split across
     /// participating hosts in the pod (the latter two only when the ring
-    /// actually crosses that tier). On a healthy tree every upper tier is
-    /// at least the host line rate, so the minimum is exactly
-    /// `host_gbps / gpus_per_node` — the analytic price.
+    /// actually crosses that tier). On a healthy tree every link runs at
+    /// the line rate, so the minimum is exactly `line_gbps /
+    /// gpus_per_node` — the analytic price.
     pub fn bottleneck_gbps(&self, hosts: &[u32], gpus: u32, collective: Collective) -> f64 {
         let efficiency = match collective {
             Collective::AllToAll => self.fabric.a2a_efficiency,

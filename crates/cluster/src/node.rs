@@ -1,7 +1,8 @@
-//! Nodes: GPUs plus host-side resources.
+//! Nodes: GPUs plus the host CPU load, the two inputs of the server power
+//! model.
 //!
-//! Host memory is tracked as the breakdown Figure 18 reports for a Seren
-//! pretraining node: training processes, the on-the-fly dataloader,
+//! [`HostMemoryBreakdown`] is the host-memory split Figure 18 reports for a
+//! Seren pretraining node: training processes, the on-the-fly dataloader,
 //! TensorBoard, the distributed-file-system client daemon, and a small
 //! remainder of system services — typically ~123 GB of the 1 TB total,
 //! which is exactly the headroom the asynchronous checkpointer (§6.1)
@@ -42,18 +43,6 @@ impl HostMemoryBreakdown {
         }
     }
 
-    /// An idle node: only system services.
-    pub fn idle() -> Self {
-        HostMemoryBreakdown {
-            training_gb: 0.0,
-            dataloader_gb: 0.0,
-            tensorboard_gb: 0.0,
-            fs_client_gb: 2.0,
-            checkpoint_staging_gb: 0.0,
-            system_gb: 0.6,
-        }
-    }
-
     /// Total GB in use.
     pub fn total_gb(&self) -> f64 {
         self.training_gb
@@ -82,13 +71,8 @@ impl HostMemoryBreakdown {
 pub struct Node {
     spec: NodeSpec,
     gpus: Vec<GpuDevice>,
-    memory: HostMemoryBreakdown,
     /// CPU utilization fraction (0–1) across all 128 threads.
     cpu_util: f64,
-    /// Normalized IB send bandwidth (0–1 of line rate).
-    ib_send: f64,
-    /// Normalized IB receive bandwidth (0–1 of line rate).
-    ib_recv: f64,
 }
 
 impl Node {
@@ -98,10 +82,7 @@ impl Node {
         Node {
             spec,
             gpus,
-            memory: HostMemoryBreakdown::idle(),
             cpu_util: 0.0,
-            ib_send: 0.0,
-            ib_recv: 0.0,
         }
     }
 
@@ -123,35 +104,6 @@ impl Node {
         &mut self.gpus[idx]
     }
 
-    /// Host memory breakdown.
-    pub fn memory(&self) -> &HostMemoryBreakdown {
-        &self.memory
-    }
-
-    /// Replace the memory breakdown.
-    ///
-    /// # Panics
-    /// Panics if the new total exceeds the node's DRAM.
-    pub fn set_memory(&mut self, memory: HostMemoryBreakdown) {
-        assert!(
-            memory.total_gb() <= self.spec.host_memory_gb,
-            "host memory over-committed: {:.1} GB > {:.1} GB",
-            memory.total_gb(),
-            self.spec.host_memory_gb
-        );
-        self.memory = memory;
-    }
-
-    /// Free host memory, GB.
-    pub fn free_memory_gb(&self) -> f64 {
-        self.spec.host_memory_gb - self.memory.total_gb()
-    }
-
-    /// Host memory utilization fraction.
-    pub fn memory_fraction(&self) -> f64 {
-        self.memory.total_gb() / self.spec.host_memory_gb
-    }
-
     /// CPU utilization fraction.
     pub fn cpu_util(&self) -> f64 {
         self.cpu_util
@@ -162,27 +114,9 @@ impl Node {
         self.cpu_util = util.clamp(0.0, 1.0);
     }
 
-    /// Normalized IB (send, recv) bandwidth.
-    pub fn ib_bandwidth(&self) -> (f64, f64) {
-        (self.ib_send, self.ib_recv)
-    }
-
-    /// Set normalized IB bandwidth. LLM collectives are symmetric (Figure
-    /// 7d: the send and receive CDFs overlap), so most callers pass equal
-    /// values.
-    pub fn set_ib_bandwidth(&mut self, send: f64, recv: f64) {
-        self.ib_send = send.clamp(0.0, 1.0);
-        self.ib_recv = recv.clamp(0.0, 1.0);
-    }
-
     /// Sum of GPU power draws, W.
     pub fn gpu_power_w(&self) -> f64 {
         self.gpus.iter().map(|g| g.power_w()).sum()
-    }
-
-    /// Number of idle GPUs.
-    pub fn idle_gpus(&self) -> usize {
-        self.gpus.iter().filter(|g| g.is_idle()).count()
     }
 }
 
@@ -200,7 +134,7 @@ mod tests {
     fn new_node_is_idle() {
         let n = node();
         assert_eq!(n.gpus().len(), 8);
-        assert_eq!(n.idle_gpus(), 8);
+        assert!(n.gpus().iter().all(|g| g.activity() == GpuActivity::IDLE));
         assert_eq!(n.cpu_util(), 0.0);
         // 8 idle A100s at 60 W.
         assert_eq!(n.gpu_power_w(), 480.0);
@@ -222,22 +156,13 @@ mod tests {
 
     #[test]
     fn memory_accounting() {
-        let mut n = node();
-        n.set_memory(HostMemoryBreakdown::figure18_pretraining());
+        let m = HostMemoryBreakdown::figure18_pretraining();
+        let dram = ClusterSpec::seren().node.host_memory_gb;
         assert!(
-            n.memory_fraction() < 0.5,
+            m.total_gb() / dram < 0.5,
             "CPU memory stays under 50% (Fig 7b)"
         );
-        assert!(n.free_memory_gb() > 800.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "over-committed")]
-    fn memory_overcommit_panics() {
-        let mut n = node();
-        let mut m = HostMemoryBreakdown::idle();
-        m.checkpoint_staging_gb = 2000.0;
-        n.set_memory(m);
+        assert!(dram - m.total_gb() > 800.0);
     }
 
     #[test]
@@ -248,16 +173,15 @@ mod tests {
             tensor_active: 0.5,
             memory_used_gb: 60.0,
         });
-        assert_eq!(n.idle_gpus(), 7);
         assert!(n.gpu_power_w() > 480.0);
     }
 
     #[test]
-    fn clamps_cpu_and_ib() {
+    fn clamps_cpu() {
         let mut n = node();
         n.set_cpu_util(3.0);
         assert_eq!(n.cpu_util(), 1.0);
-        n.set_ib_bandwidth(-1.0, 2.0);
-        assert_eq!(n.ib_bandwidth(), (0.0, 1.0));
+        n.set_cpu_util(-1.0);
+        assert_eq!(n.cpu_util(), 0.0);
     }
 }

@@ -318,10 +318,9 @@ pub fn pipeline(p: RunParams) -> String {
 /// Thermally sensitive failure rates (NVLink, ECC) under normal cooling,
 /// the heat wave, and the post-upgrade configuration.
 pub fn thermal(seed: u64) -> String {
-    use crate::monitor::ClusterMonitor;
+    use crate::monitor::{ClusterMonitor, Metric};
     use acme_cluster::{ClusterSpec, ThermalModel};
     use acme_failure::FailureReason;
-    use acme_telemetry::counters::metric;
 
     let base_weekly =
         (FailureReason::NvLinkError.spec().num + FailureReason::EccError.spec().num) as f64 / 26.0;
@@ -340,13 +339,13 @@ pub fn thermal(seed: u64) -> String {
         ("after cooling upgrade", ThermalModel::upgraded_cooling()),
     ] {
         let mut rng = SimRng::new(seed).fork(701);
-        let store = ClusterMonitor::new(ClusterSpec::kalos())
+        let samples = ClusterMonitor::new(ClusterSpec::kalos())
             .with_thermal(model)
             .sample(&mut rng, 96, 4);
-        let mem = store.cdf(metric::GPU_MEM_TEMP_C).unwrap();
+        let mem = samples.cdf(Metric::GpuMemTempC);
         let hot_share = 1.0 - mem.fraction_le(65.0);
         // Average multiplier over the sampled power population.
-        let powers = store.all_values(metric::GPU_POWER_W);
+        let powers = samples.values(Metric::GpuPowerW);
         let mult = powers
             .iter()
             .map(|&p| model.failure_rate_multiplier(p))

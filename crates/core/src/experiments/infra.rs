@@ -3,15 +3,14 @@
 use acme_cluster::power::CarbonModel;
 use acme_cluster::{ClusterSpec, GpuActivity, HostMemoryBreakdown, Node, ServerPowerModel};
 use acme_sim_core::SimRng;
-use acme_telemetry::counters::metric;
 use acme_telemetry::table::{f, pct, render_quantiles};
-use acme_telemetry::{MetricStore, Table};
+use acme_telemetry::Table;
 
-use crate::monitor::ClusterMonitor;
+use crate::monitor::{ClusterMonitor, Metric, Samples};
 
 const QS: [f64; 7] = [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99];
 
-fn stores(seed: u64) -> (MetricStore, MetricStore) {
+fn both_clusters(seed: u64) -> (Samples, Samples) {
     let mut s_rng = SimRng::new(seed).fork(301);
     let mut k_rng = SimRng::new(seed).fork(302);
     let seren = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut s_rng, 96, 6);
@@ -19,48 +18,48 @@ fn stores(seed: u64) -> (MetricStore, MetricStore) {
     (seren, kalos)
 }
 
-fn two_cluster_panel(title: &str, m: &str, seren: &MetricStore, kalos: &MetricStore) -> String {
-    let sc = seren.cdf(m).unwrap();
-    let kc = kalos.cdf(m).unwrap();
+fn two_cluster_panel(title: &str, m: Metric, seren: &Samples, kalos: &Samples) -> String {
+    let sc = seren.cdf(m);
+    let kc = kalos.cdf(m);
     render_quantiles(title, &[("Seren", &sc), ("Kalos", &kc)], &QS)
 }
 
 /// Figure 7 — SM/TC activity, memory footprints, CPU and IB utilization.
 pub fn fig7(seed: u64) -> String {
-    let (seren, kalos) = stores(seed);
+    let (seren, kalos) = both_clusters(seed);
     let mut out = String::new();
     out.push_str(&two_cluster_panel(
         "(a) SM activity (fraction)",
-        metric::SM_ACTIVE,
+        Metric::SmActive,
         &seren,
         &kalos,
     ));
     out.push_str(&two_cluster_panel(
         "(a) TC activity (fraction)",
-        metric::TENSOR_ACTIVE,
+        Metric::TensorActive,
         &seren,
         &kalos,
     ));
     out.push_str(&two_cluster_panel(
         "(b) GPU memory used (GB)",
-        metric::FB_USED_GB,
+        Metric::FbUsedGb,
         &seren,
         &kalos,
     ));
     out.push_str(&two_cluster_panel(
         "(b) host memory used (GB)",
-        metric::HOST_MEM_GB,
+        Metric::HostMemGb,
         &seren,
         &kalos,
     ));
     out.push_str(&two_cluster_panel(
         "(c) CPU utilization (fraction)",
-        metric::CPU_UTIL,
+        Metric::CpuUtil,
         &seren,
         &kalos,
     ));
-    let ib_send = seren.cdf(metric::IB_SEND).unwrap();
-    let ib_recv = seren.cdf(metric::IB_RECV).unwrap();
+    let ib_send = seren.cdf(Metric::IbSend);
+    let ib_recv = seren.cdf(Metric::IbRecv);
     out.push_str(&render_quantiles(
         "(d) normalized IB bandwidth (Seren)",
         &[("send", &ib_send), ("recv", &ib_recv)],
@@ -68,7 +67,7 @@ pub fn fig7(seed: u64) -> String {
     ));
     out.push_str(&format!(
         "notes: Kalos GPUs >60GB: {}; Seren IB idle share: {}\n",
-        pct(1.0 - kalos.cdf(metric::FB_USED_GB).unwrap().fraction_le(60.0)),
+        pct(1.0 - kalos.cdf(Metric::FbUsedGb).fraction_le(60.0)),
         pct(ib_send.fraction_le(0.001)),
     ));
     out
@@ -76,15 +75,15 @@ pub fn fig7(seed: u64) -> String {
 
 /// Figure 8 — GPU power and server power CDFs.
 pub fn fig8(seed: u64) -> String {
-    let (seren, kalos) = stores(seed);
-    let mut out = two_cluster_panel("(a) GPU power (W)", metric::GPU_POWER_W, &seren, &kalos);
-    let over_tdp = |s: &MetricStore| 1.0 - s.cdf(metric::GPU_POWER_W).unwrap().fraction_le(400.0);
+    let (seren, kalos) = both_clusters(seed);
+    let mut out = two_cluster_panel("(a) GPU power (W)", Metric::GpuPowerW, &seren, &kalos);
+    let over_tdp = |s: &Samples| 1.0 - s.cdf(Metric::GpuPowerW).fraction_le(400.0);
     out.push_str(&format!(
         "share above TDP (400 W): Seren {} (paper 22.1%), Kalos {} (paper 12.5%)\n",
         pct(over_tdp(&seren)),
         pct(over_tdp(&kalos)),
     ));
-    let server = seren.cdf(metric::SERVER_POWER_W).unwrap();
+    let server = seren.cdf(Metric::ServerPowerW);
     out.push_str(&render_quantiles(
         "(b) Seren server power (W)",
         &[("GPU servers", &server)],
@@ -140,9 +139,9 @@ pub fn fig18(_seed: u64) -> String {
 
 /// Figure 21 — GPU core and memory temperature CDFs.
 pub fn fig21(seed: u64) -> String {
-    let (seren, _) = stores(seed);
-    let core = seren.cdf(metric::GPU_TEMP_C).unwrap();
-    let mem = seren.cdf(metric::GPU_MEM_TEMP_C).unwrap();
+    let (seren, _) = both_clusters(seed);
+    let core = seren.cdf(Metric::GpuTempC);
+    let mem = seren.cdf(Metric::GpuMemTempC);
     let mut out = render_quantiles(
         "GPU temperature (°C)",
         &[("core", &core), ("memory", &mem)],
@@ -158,8 +157,8 @@ pub fn fig21(seed: u64) -> String {
 /// Appendix A.3 — energy and carbon accounting for Seren.
 pub fn carbon(seed: u64) -> String {
     let mut rng = SimRng::new(seed).fork(303);
-    let store = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut rng, 96, 6);
-    let mean_server_w = store.cdf(metric::SERVER_POWER_W).unwrap().mean();
+    let samples = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut rng, 96, 6);
+    let mean_server_w = samples.cdf(Metric::ServerPowerW).mean();
     let nodes = ClusterSpec::seren().nodes as f64;
     // One month of wall time.
     let monthly_mwh = mean_server_w * nodes * 730.0 / 1e9 * 1e3; // W→MW × hours

@@ -5,8 +5,8 @@
 //! * [`datacenter`] — builds the two clusters, their workload generators
 //!   and failure injector, and runs the six-month end-to-end simulation;
 //! * [`monitor`] — the infrastructure monitor: samples GPU/node state at
-//!   the paper's 15 s cadence into a DCGM-like metric store (Figures 7, 8,
-//!   21);
+//!   the paper's 15 s cadence into one vector per DCGM/IPMI metric
+//!   (Figures 7, 8, 21);
 //! * [`experiments`] — one function per paper table/figure, each returning
 //!   printable rows; the `repro` binary in `acme-bench` drives them;
 //! * [`storm`] — replays an adversarial fault storm under the recovery

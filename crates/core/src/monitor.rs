@@ -1,8 +1,9 @@
 //! The infrastructure monitor: DCGM/Prometheus/IPMI sampling (§2.3).
 //!
-//! Samples per-GPU and per-node state into an [`acme_telemetry::MetricStore`]
-//! at the 15-second cadence the paper's monitors use. GPU operating points
-//! are drawn from per-cluster mixtures calibrated to §3.3–3.4:
+//! Samples per-GPU and per-node gauges at the 15-second cadence the
+//! paper's monitors use, one vector of [`Samples`] per [`Metric`]. GPU
+//! operating points are drawn from per-cluster mixtures calibrated to
+//! §3.3–3.4:
 //!
 //! * ~30% of GPUs idle at ~60 W (Figure 8a);
 //! * median SM activity ≈ 40% — twice PAI's 20% (Figure 7a);
@@ -14,10 +15,80 @@
 
 use acme_cluster::{ClusterSpec, GpuActivity, GpuDevice, ServerPowerModel, ThermalModel};
 use acme_sim_core::dist::Categorical;
-use acme_sim_core::{SimRng, SimTime};
-use acme_telemetry::counters::metric;
-use acme_telemetry::series::MONITOR_CADENCE;
-use acme_telemetry::MetricStore;
+use acme_sim_core::SimRng;
+use acme_telemetry::Cdf;
+
+/// One monitored gauge, named after the DCGM / IPMI field it mirrors. The
+/// first six are sampled per GPU, the rest per node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// `PROF_SM_ACTIVE`: streaming-multiprocessor activity fraction (0–1).
+    SmActive,
+    /// `PROF_PIPE_TENSOR_ACTIVE`: tensor-core pipe activity fraction (0–1).
+    TensorActive,
+    /// `DEV_FB_USED`: GPU framebuffer memory used, GB.
+    FbUsedGb,
+    /// `DEV_POWER_USAGE`: GPU power draw, W.
+    GpuPowerW,
+    /// `DEV_GPU_TEMP`: GPU core temperature, °C.
+    GpuTempC,
+    /// `DEV_MEMORY_TEMP`: GPU memory temperature, °C.
+    GpuMemTempC,
+    /// `HOST_CPU_UTIL`: host CPU utilization fraction (0–1).
+    CpuUtil,
+    /// `HOST_MEM_USED`: host memory used, GB.
+    HostMemGb,
+    /// `IB_SEND_NORM`: IB HCA send bandwidth, normalized 0–1 of line rate.
+    IbSend,
+    /// `IB_RECV_NORM`: IB HCA receive bandwidth, normalized 0–1 of line rate.
+    IbRecv,
+    /// `IPMI_SERVER_POWER`: whole-server power, W.
+    ServerPowerW,
+}
+
+impl Metric {
+    /// Every metric, in declaration (and storage) order.
+    const ALL: [Metric; 11] = [
+        Metric::SmActive,
+        Metric::TensorActive,
+        Metric::FbUsedGb,
+        Metric::GpuPowerW,
+        Metric::GpuTempC,
+        Metric::GpuMemTempC,
+        Metric::CpuUtil,
+        Metric::HostMemGb,
+        Metric::IbSend,
+        Metric::IbRecv,
+        Metric::ServerPowerW,
+    ];
+
+    /// Sampled once per GPU rather than once per node.
+    fn per_gpu(self) -> bool {
+        (self as usize) <= Metric::GpuMemTempC as usize
+    }
+}
+
+/// What one [`ClusterMonitor::sample`] call observed: one vector per
+/// [`Metric`], entity-major. A sample sits at `entity × rounds + round`,
+/// where the entity is the GPU (`node × gpus_per_node + gpu`) for per-GPU
+/// metrics and the node for per-node ones.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Samples {
+    by_metric: [Vec<f64>; Metric::ALL.len()],
+}
+
+impl Samples {
+    /// Every sample of `metric`, entity-major.
+    pub fn values(&self, metric: Metric) -> &[f64] {
+        &self.by_metric[metric as usize]
+    }
+
+    /// Empirical CDF of every sample of `metric`.
+    pub fn cdf(&self, metric: Metric) -> Cdf {
+        Cdf::from_samples(self.values(metric).to_vec())
+            .expect("sample draws at least one round of one node")
+    }
+}
 
 /// Which operating regime a sampled GPU is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +132,7 @@ impl GpuMixture {
     }
 }
 
-/// Samples cluster state into a metric store.
+/// Samples cluster state into one vector per metric.
 #[derive(Debug)]
 pub struct ClusterMonitor {
     spec: ClusterSpec,
@@ -85,33 +156,34 @@ impl ClusterMonitor {
         self
     }
 
-    /// The cluster being monitored.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
-    /// Sample `rounds` monitoring sweeps over `nodes_sampled` nodes into a
-    /// fresh store. Each sweep records every GPU of every sampled node plus
-    /// node-level CPU/memory/IB/power gauges, 15 s apart.
-    pub fn sample(&self, rng: &mut SimRng, nodes_sampled: u32, rounds: u32) -> MetricStore {
+    /// Sample `rounds` monitoring sweeps, 15 s apart, over `nodes_sampled`
+    /// nodes. Each sweep records every GPU of every sampled node plus
+    /// node-level CPU/memory/IB/power gauges.
+    pub fn sample(&self, rng: &mut SimRng, nodes_sampled: u32, rounds: u32) -> Samples {
         assert!(nodes_sampled > 0 && rounds > 0, "need nodes and rounds");
-        let mut store = MetricStore::new();
+        let gpus = self.spec.node.gpus;
+        let node_samples = nodes_sampled as usize * rounds as usize;
+        let mut by_metric = Metric::ALL.map(|m| {
+            let per_entity = if m.per_gpu() { gpus as usize } else { 1 };
+            vec![0.0; node_samples * per_entity]
+        });
+        let mut put = |m: Metric, entity: u32, round: u32, value: f64| {
+            by_metric[m as usize][entity as usize * rounds as usize + round as usize] = value;
+        };
         let mixture = GpuMixture::for_cluster(&self.spec);
         let picker = Categorical::new(&[mixture.idle, mixture.busy, mixture.peak]);
         let kalos = self.spec.name == "Kalos";
 
         // One scratch node reused across every window: each iteration
-        // rewrites every GPU's activity and all node-level gauges, so
-        // reusing the buffers is safe and avoids a per-node-per-round
-        // allocation over the six simulated months of 15 s windows.
+        // rewrites every GPU's activity and the CPU gauge, which is all
+        // the server power model reads.
         let mut node = acme_cluster::Node::new(self.spec.node);
 
         for round in 0..rounds {
-            let t = SimTime::ZERO + MONITOR_CADENCE * round as u64;
             for node_idx in 0..nodes_sampled {
                 let mut busy_gpus = 0;
-                for g in 0..self.spec.node.gpus {
-                    let gpu_id = node_idx * self.spec.node.gpus + g;
+                for g in 0..gpus {
+                    let gpu_id = node_idx * gpus + g;
                     let state = match picker.sample_index(rng) {
                         0 => GpuState::Idle,
                         1 => GpuState::Busy,
@@ -124,15 +196,15 @@ impl ClusterMonitor {
                     node.gpu_mut(g as usize).set_activity(activity);
                     let dev: &GpuDevice = &node.gpus()[g as usize];
                     let p = dev.power_w();
-                    store.record(metric::SM_ACTIVE, gpu_id, t, activity.sm_active);
-                    store.record(metric::TENSOR_ACTIVE, gpu_id, t, activity.tensor_active);
-                    store.record(metric::FB_USED_GB, gpu_id, t, activity.memory_used_gb);
-                    store.record(metric::GPU_POWER_W, gpu_id, t, p);
-                    store.record(metric::GPU_TEMP_C, gpu_id, t, self.thermal.core_temp_c(p));
-                    store.record(
-                        metric::GPU_MEM_TEMP_C,
+                    put(Metric::SmActive, gpu_id, round, activity.sm_active);
+                    put(Metric::TensorActive, gpu_id, round, activity.tensor_active);
+                    put(Metric::FbUsedGb, gpu_id, round, activity.memory_used_gb);
+                    put(Metric::GpuPowerW, gpu_id, round, p);
+                    put(Metric::GpuTempC, gpu_id, round, self.thermal.core_temp_c(p));
+                    put(
+                        Metric::GpuMemTempC,
                         gpu_id,
-                        t,
+                        round,
                         self.thermal.memory_temp_c(p),
                     );
                 }
@@ -141,12 +213,12 @@ impl ClusterMonitor {
                 // (Figure 7c); dataloaders scale with busy GPUs.
                 let cpu = (0.02 + 0.015 * busy_gpus as f64 + rng.f64() * 0.05).min(1.0);
                 node.set_cpu_util(cpu);
-                store.record(metric::CPU_UTIL, node_idx, t, cpu);
+                put(Metric::CpuUtil, node_idx, round, cpu);
 
                 // Host memory: system + FS client + per-busy-GPU working
                 // set; far below 50% of either cluster's DRAM.
                 let host_gb = 48.0 + 14.0 * busy_gpus as f64 + rng.f64() * 40.0;
-                store.record(metric::HOST_MEM_GB, node_idx, t, host_gb);
+                put(Metric::HostMemGb, node_idx, round, host_gb);
 
                 // IB: symmetric; idle > 60% of samples, active share rarely
                 // past 25% of line rate (Figure 7d, Seren).
@@ -160,16 +232,15 @@ impl ClusterMonitor {
                         base
                     }
                 };
-                node.set_ib_bandwidth(ib, ib);
-                store.record(metric::IB_SEND, node_idx, t, ib);
-                store.record(metric::IB_RECV, node_idx, t, ib);
+                put(Metric::IbSend, node_idx, round, ib);
+                put(Metric::IbRecv, node_idx, round, ib);
 
                 // Whole-server power via IPMI.
                 let server_w = self.power.breakdown(&node).total_w();
-                store.record(metric::SERVER_POWER_W, node_idx, t, server_w);
+                put(Metric::ServerPowerW, node_idx, round, server_w);
             }
         }
-        store
+        Samples { by_metric }
     }
 
     fn draw_activity(&self, state: GpuState, kalos: bool, rng: &mut SimRng) -> GpuActivity {
@@ -214,7 +285,7 @@ impl ClusterMonitor {
 mod tests {
     use super::*;
 
-    fn store(spec: ClusterSpec, seed: u64) -> MetricStore {
+    fn sampled(spec: ClusterSpec, seed: u64) -> Samples {
         let mut rng = SimRng::new(seed);
         ClusterMonitor::new(spec).sample(&mut rng, 64, 8)
     }
@@ -222,8 +293,8 @@ mod tests {
     #[test]
     fn sm_activity_median_near_40_percent() {
         for spec in [ClusterSpec::seren(), ClusterSpec::kalos()] {
-            let s = store(spec, 1);
-            let med = s.cdf(metric::SM_ACTIVE).unwrap().median();
+            let s = sampled(spec, 1);
+            let med = s.cdf(Metric::SmActive).median();
             // §3.3: "median SM activity in both clusters is approximately 40%".
             assert!((0.30..0.55).contains(&med), "median SM {med:.2}");
         }
@@ -231,8 +302,8 @@ mod tests {
 
     #[test]
     fn kalos_memory_half_above_60gb() {
-        let s = store(ClusterSpec::kalos(), 2);
-        let cdf = s.cdf(metric::FB_USED_GB).unwrap();
+        let s = sampled(ClusterSpec::kalos(), 2);
+        let cdf = s.cdf(Metric::FbUsedGb);
         let above_60 = 1.0 - cdf.fraction_le(60.0);
         // §3.3: "50% of GPUs consume over 75% of GPU memory (60 GB)".
         assert!(
@@ -243,11 +314,10 @@ mod tests {
 
     #[test]
     fn power_distribution_matches_fig8a() {
-        let seren = store(ClusterSpec::seren(), 3);
-        let kalos = store(ClusterSpec::kalos(), 4);
-        let idle_share = |s: &MetricStore| s.cdf(metric::GPU_POWER_W).unwrap().fraction_le(65.0);
-        let over_tdp =
-            |s: &MetricStore| 1.0 - s.cdf(metric::GPU_POWER_W).unwrap().fraction_le(400.0);
+        let seren = sampled(ClusterSpec::seren(), 3);
+        let kalos = sampled(ClusterSpec::kalos(), 4);
+        let idle_share = |s: &Samples| s.cdf(Metric::GpuPowerW).fraction_le(65.0);
+        let over_tdp = |s: &Samples| 1.0 - s.cdf(Metric::GpuPowerW).fraction_le(400.0);
         // ~30% of GPUs idle around 60 W.
         assert!(
             (0.22..0.38).contains(&idle_share(&seren)),
@@ -261,24 +331,24 @@ mod tests {
         assert!((0.08..0.17).contains(&k_tdp), "Kalos over-TDP {k_tdp:.3}");
         assert!(s_tdp > k_tdp);
         // Nothing beyond the 600 W ceiling.
-        assert!(seren.cdf(metric::GPU_POWER_W).unwrap().max() <= 600.0);
+        assert!(seren.cdf(Metric::GpuPowerW).max() <= 600.0);
     }
 
     #[test]
     fn associated_resources_underutilized() {
-        let s = store(ClusterSpec::seren(), 5);
+        let s = sampled(ClusterSpec::seren(), 5);
         // CPU utilization low (Figure 7c).
-        let cpu_med = s.cdf(metric::CPU_UTIL).unwrap().median();
+        let cpu_med = s.cdf(Metric::CpuUtil).median();
         assert!(cpu_med < 0.25, "median CPU {cpu_med:.2}");
         // Host memory below 50% of 1 TB (Figure 7b).
-        let mem = s.cdf(metric::HOST_MEM_GB).unwrap();
+        let mem = s.cdf(Metric::HostMemGb);
         assert!(
             mem.quantile(0.95) < 512.0,
             "p95 host mem {:.0} GB",
             mem.quantile(0.95)
         );
         // IB idle > 60% of the time, active rarely past 25% of line rate.
-        let ib = s.cdf(metric::IB_SEND).unwrap();
+        let ib = s.cdf(Metric::IbSend);
         assert!(
             ib.fraction_le(0.001) > 0.55,
             "idle share {:.2}",
@@ -289,9 +359,9 @@ mod tests {
 
     #[test]
     fn ib_send_and_recv_symmetric() {
-        let s = store(ClusterSpec::seren(), 6);
-        let send = s.cdf(metric::IB_SEND).unwrap();
-        let recv = s.cdf(metric::IB_RECV).unwrap();
+        let s = sampled(ClusterSpec::seren(), 6);
+        let send = s.cdf(Metric::IbSend);
+        let recv = s.cdf(Metric::IbRecv);
         for q in [0.25, 0.5, 0.75, 0.9] {
             assert!((send.quantile(q) - recv.quantile(q)).abs() < 1e-9);
         }
@@ -299,9 +369,9 @@ mod tests {
 
     #[test]
     fn temperatures_track_fig21() {
-        let s = store(ClusterSpec::seren(), 7);
-        let core = s.cdf(metric::GPU_TEMP_C).unwrap();
-        let mem = s.cdf(metric::GPU_MEM_TEMP_C).unwrap();
+        let s = sampled(ClusterSpec::seren(), 7);
+        let core = s.cdf(Metric::GpuTempC);
+        let mem = s.cdf(Metric::GpuMemTempC);
         // Memory runs hotter than core at every quantile.
         for q in [0.1, 0.5, 0.9] {
             assert!(mem.quantile(q) > core.quantile(q));
@@ -320,7 +390,7 @@ mod tests {
         let wave = ClusterMonitor::new(ClusterSpec::kalos())
             .with_thermal(ThermalModel::heat_wave())
             .sample(&mut r2, 64, 4);
-        let hot = |s: &MetricStore| 1.0 - s.cdf(metric::GPU_MEM_TEMP_C).unwrap().fraction_le(65.0);
+        let hot = |s: &Samples| 1.0 - s.cdf(Metric::GpuMemTempC).fraction_le(65.0);
         assert!(
             hot(&wave) > hot(&normal) + 0.05,
             "wave {:.2} vs normal {:.2}",
@@ -331,8 +401,8 @@ mod tests {
 
     #[test]
     fn server_power_plausible() {
-        let s = store(ClusterSpec::seren(), 9);
-        let p = s.cdf(metric::SERVER_POWER_W).unwrap();
+        let s = sampled(ClusterSpec::seren(), 9);
+        let p = s.cdf(Metric::ServerPowerW);
         // 8×A100 servers: between ~1 kW idle-ish and ~6.5 kW flat out.
         assert!(p.min() > 800.0, "min {:.0}", p.min());
         assert!(p.max() < 7000.0, "max {:.0}", p.max());
@@ -344,11 +414,24 @@ mod tests {
         let mut a = SimRng::new(10);
         let mut b = SimRng::new(10);
         let m = ClusterMonitor::new(ClusterSpec::seren());
-        let s1 = m.sample(&mut a, 8, 2);
-        let s2 = m.sample(&mut b, 8, 2);
-        assert_eq!(
-            s1.all_values(metric::GPU_POWER_W),
-            s2.all_values(metric::GPU_POWER_W)
-        );
+        assert_eq!(m.sample(&mut a, 8, 2), m.sample(&mut b, 8, 2));
+    }
+
+    #[test]
+    fn samples_are_entity_major() {
+        // Round 0 draws first, so a one-round sweep equals round 0 of a
+        // two-round sweep from the same seed: each entity's samples sit
+        // together, at `entity × rounds + round`.
+        let m = ClusterMonitor::new(ClusterSpec::kalos());
+        let one = m.sample(&mut SimRng::new(11), 8, 1);
+        let two = m.sample(&mut SimRng::new(11), 8, 2);
+        for metric in Metric::ALL {
+            let entities = if metric.per_gpu() { 64 } else { 8 };
+            assert_eq!(one.values(metric).len(), entities);
+            assert_eq!(two.values(metric).len(), 2 * entities);
+            for e in 0..entities {
+                assert_eq!(two.values(metric)[2 * e], one.values(metric)[e]);
+            }
+        }
     }
 }

@@ -31,10 +31,10 @@
 use acme_cluster::SparePool;
 use acme_failure::storm::StormCampaign;
 use acme_failure::{
-    DiagnosisMemo, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, RetryPolicy, Watchdog,
+    DiagnosisMemo, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, Watchdog,
 };
 use acme_obs::{ArgValue, Rec};
-use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel};
+use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel, RetryPolicy};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
 use acme_training::checkpoint::{
     CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,

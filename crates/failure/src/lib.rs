@@ -45,9 +45,7 @@ pub use detect::{NcclTester, TwoRoundResult};
 pub use diagnose::{DiagnosisMemo, DiagnosisPipeline, DiagnosisReport, DiagnosisSource};
 pub use inject::{FailureEvent, FailureInjector};
 pub use logs::LogBundle;
-pub use orchestrator::{
-    OrchestratedDecision, OrchestratorConfig, RecoveryOrchestrator, RetryPolicy,
-};
+pub use orchestrator::{OrchestratedDecision, OrchestratorConfig, RecoveryOrchestrator};
 pub use recovery::{RecoveryAction, RecoveryManager};
 pub use storm::{
     NetFault, NetStormConfig, NetStormEvent, SecondaryEvent, StormCampaign, StormConfig,

@@ -20,18 +20,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use acme_policy::CordonPolicy;
+use acme_policy::{CordonPolicy, RetryPolicy};
 use acme_sim_core::{SimDuration, SimTime};
 
 use crate::diagnose::DiagnosisReport;
 use crate::recovery::{RecoveryAction, RecoveryManager};
 use crate::taxonomy::FailureReason;
-
-// The retry ladder is now a first-class policy object shared with the
-// policy lab; the canonical definition lives in `acme-policy` and is
-// re-exported here so existing `failure::orchestrator::RetryPolicy`
-// call sites keep working unchanged.
-pub use acme_policy::RetryPolicy;
 
 /// Full orchestrator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -224,17 +218,6 @@ mod tests {
             assert_eq!(d.action, RecoveryAction::AutoRestart { cordon_nodes: true });
         }
         assert_eq!(escalated_at, Some(budget + 1));
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::production();
-        assert_eq!(p.backoff(1), SimDuration::ZERO);
-        assert_eq!(p.backoff(2), SimDuration::from_mins(1));
-        assert_eq!(p.backoff(3), SimDuration::from_mins(2));
-        assert_eq!(p.backoff(4), SimDuration::from_mins(4));
-        assert_eq!(p.backoff(10), SimDuration::from_mins(16)); // capped
-        assert_eq!(p.backoff(40), SimDuration::from_mins(16)); // no overflow
     }
 
     #[test]

@@ -8,18 +8,13 @@ pub struct SchedulerConfig {
     /// Total schedulable GPUs.
     pub total_gpus: u32,
     /// GPUs reserved for pretraining (the quota). Must be ≤ `total_gpus`.
+    /// Zero is one undifferentiated pool (the Figure-6 ablation).
     pub reserved_gpus: u32,
-    /// When false, the reservation is ignored and all jobs share one pool
-    /// (the Figure-6 ablation).
-    pub reservation_enabled: bool,
-    /// Whether non-pretraining jobs larger than the shared pool may borrow
-    /// *idle* reserved GPUs (the best-effort mechanism of §2.2).
-    pub best_effort_borrowing: bool,
 }
 
 impl SchedulerConfig {
     /// A reservation policy holding back `reserved_fraction` of the GPUs
-    /// for pretraining, with best-effort borrowing on.
+    /// for pretraining.
     ///
     /// # Panics
     /// Panics if the fraction is outside `[0, 1]` or `total_gpus == 0`.
@@ -32,8 +27,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             total_gpus,
             reserved_gpus: (total_gpus as f64 * reserved_fraction).round() as u32,
-            reservation_enabled: true,
-            best_effort_borrowing: true,
         }
     }
 
@@ -43,18 +36,12 @@ impl SchedulerConfig {
         SchedulerConfig {
             total_gpus,
             reserved_gpus: 0,
-            reservation_enabled: false,
-            best_effort_borrowing: false,
         }
     }
 
     /// GPUs outside the reservation.
     pub fn shared_gpus(&self) -> u32 {
-        if self.reservation_enabled {
-            self.total_gpus - self.reserved_gpus
-        } else {
-            self.total_gpus
-        }
+        self.total_gpus - self.reserved_gpus
     }
 
     /// Scheduling priority: lower value schedules first. Pretraining is
@@ -80,7 +67,6 @@ mod tests {
         let c = SchedulerConfig::with_reservation(1000, 0.9);
         assert_eq!(c.reserved_gpus, 900);
         assert_eq!(c.shared_gpus(), 100);
-        assert!(c.reservation_enabled);
     }
 
     #[test]

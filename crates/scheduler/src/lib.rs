@@ -10,7 +10,7 @@
 //! delays.
 //!
 //! [`sim::ClusterScheduler`] is a discrete-event simulator implementing that
-//! policy (with a switch to disable reservation for the ablation), and
+//! policy (reserving no GPUs is the single-pool ablation), and
 //! [`sim::coalesce_eval_batches`] models the paper's observation that
 //! evaluation trials are submitted in simultaneous batches.
 

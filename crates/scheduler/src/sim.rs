@@ -9,8 +9,10 @@
 //! * pretraining draws from the reserved quota first and may overflow into
 //!   the shared pool;
 //! * other types draw from the shared pool;
-//! * if borrowing is enabled, a non-pretraining job that can never fit in
-//!   the shared pool alone may run best-effort on idle reserved GPUs.
+//! * a non-pretraining job that can never fit in the shared pool alone may
+//!   borrow idle reserved GPUs best-effort.
+//!
+//! With no GPUs reserved, every job draws from the one shared pool.
 
 use std::collections::VecDeque;
 
@@ -24,30 +26,8 @@ use crate::config::SchedulerConfig;
 pub struct ScheduleOutcome {
     /// The input jobs with `queue_delay` filled in, original order.
     pub jobs: Vec<JobRecord>,
-    /// `(time, gpus_in_use)` at every allocation change.
-    pub usage: Vec<(SimTime, u32)>,
     /// Makespan: when the last job finished.
     pub finished_at: SimTime,
-}
-
-impl ScheduleOutcome {
-    /// Mean GPU occupancy fraction over the schedule, weighted by time.
-    pub fn mean_occupancy(&self, total_gpus: u32) -> f64 {
-        if self.usage.len() < 2 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for w in self.usage.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            acc += w[0].1 as f64 * dt;
-        }
-        let span = (self.finished_at - self.usage[0].0).as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            acc / (span * total_gpus as f64)
-        }
-    }
 }
 
 /// Per-running-job allocation bookkeeping.
@@ -113,7 +93,6 @@ impl ClusterScheduler {
         let mut allocs: Vec<Option<Allocation>> = vec![None; jobs.len()];
         let mut used_reserved: u32 = 0;
         let mut used_shared: u32 = 0;
-        let mut usage: Vec<(SimTime, u32)> = Vec::new();
         let mut finished_at = SimTime::ZERO;
 
         while let Some((now, event)) = queue.pop() {
@@ -129,7 +108,6 @@ impl ClusterScheduler {
                     used_reserved -= a.reserved;
                     used_shared -= a.shared;
                     finished_at = finished_at.max(now);
-                    usage.push((now, used_reserved + used_shared));
                 }
             }
 
@@ -149,7 +127,6 @@ impl ClusterScheduler {
                             allocs[i] = Some(a);
                             jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
                             queue.schedule_in(jobs[i].duration, Event::Finish(i));
-                            usage.push((now, used_reserved + used_shared));
                         }
                         // Backfill: keep scanning smaller jobs behind it.
                         None => remaining.push_back(i),
@@ -163,11 +140,7 @@ impl ClusterScheduler {
             assert!(q.is_empty(), "priority-{p} queue never drained");
         }
 
-        ScheduleOutcome {
-            jobs,
-            usage,
-            finished_at,
-        }
+        ScheduleOutcome { jobs, finished_at }
     }
 
     /// Where would a job of this type/size run right now, if anywhere?
@@ -179,18 +152,6 @@ impl ClusterScheduler {
         used_shared: u32,
     ) -> Option<Allocation> {
         let c = &self.config;
-        if !c.reservation_enabled {
-            // Single pool, accounted entirely as "shared".
-            return if used_shared + gpus <= c.total_gpus {
-                Some(Allocation {
-                    reserved: 0,
-                    shared: gpus,
-                })
-            } else {
-                None
-            };
-        }
-
         let free_reserved = c.reserved_gpus - used_reserved;
         let free_shared = c.shared_gpus() - used_shared;
 
@@ -216,7 +177,7 @@ impl ClusterScheduler {
         }
         // Best-effort: a job that can NEVER fit in the shared pool may
         // borrow idle reserved GPUs wholesale.
-        if c.best_effort_borrowing && gpus > c.shared_gpus() && gpus <= free_reserved {
+        if gpus > c.shared_gpus() && gpus <= free_reserved {
             return Some(Allocation {
                 reserved: gpus,
                 shared: 0,
@@ -346,24 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_borrowing_rescues_oversized_debug_jobs() {
+    fn borrowing_rescues_oversized_debug_jobs() {
         // Shared pool is 10; a 50-GPU debug job can never fit there, but the
         // reserved quota is idle, so borrowing lets it run.
         let s = ClusterScheduler::new(SchedulerConfig::with_reservation(100, 0.9));
         let out = s.run(vec![job(0, JobType::Debug, 50, 0, 10)]);
         assert!(out.jobs[0].queue_delay.is_zero());
-
-        // With borrowing disabled the same trace would deadlock; the
-        // scheduler would panic on the undrained queue.
-        let mut cfg = SchedulerConfig::with_reservation(100, 0.9);
-        cfg.best_effort_borrowing = false;
-        let result = std::panic::catch_unwind(|| {
-            ClusterScheduler::new(cfg).run(vec![job(0, JobType::Debug, 50, 0, 10)])
-        });
-        assert!(
-            result.is_err(),
-            "queue should never drain without borrowing"
-        );
     }
 
     #[test]
@@ -399,15 +348,6 @@ mod tests {
     fn oversized_job_rejected() {
         let s = ClusterScheduler::new(SchedulerConfig::without_reservation(8));
         s.run(vec![job(0, JobType::Pretrain, 16, 0, 10)]);
-    }
-
-    #[test]
-    fn occupancy_accounting() {
-        let s = ClusterScheduler::new(SchedulerConfig::without_reservation(10));
-        // One job using all GPUs for the whole horizon → occupancy 1.0.
-        let out = s.run(vec![job(0, JobType::Debug, 10, 0, 100)]);
-        let occ = out.mean_occupancy(10);
-        assert!((occ - 1.0).abs() < 1e-9, "occ = {occ}");
     }
 
     #[test]

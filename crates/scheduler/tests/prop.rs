@@ -54,9 +54,23 @@ proptest! {
             prop_assert_eq!(before.id, after.id);
             prop_assert!(after.start() >= after.submit);
         }
-        // Usage never exceeds capacity.
-        for &(_, used) in &out.usage {
-            prop_assert!(used <= total);
+        // Capacity holds at every instant, read from the jobs' own start
+        // and end times: at equal times a finish frees its GPUs before a
+        // start claims them.
+        let mut edges: Vec<(SimTime, bool, u32)> = out
+            .jobs
+            .iter()
+            .flat_map(|j| [(j.start(), true, j.gpus), (j.end(), false, j.gpus)])
+            .collect();
+        edges.sort();
+        let mut used = 0;
+        for (_, starts, gpus) in edges {
+            if starts {
+                used += gpus;
+                prop_assert!(used <= total, "{} GPUs in use of {}", used, total);
+            } else {
+                used -= gpus;
+            }
         }
         // Makespan covers the longest-finishing job.
         let max_end = out.jobs.iter().map(|j| j.end()).max().unwrap();

@@ -8,10 +8,8 @@
 //! * [`LogNormal`] — job durations, time-to-failure, restart times (heavy
 //!   right tail with a well-defined median, matching the paper's avg≫median
 //!   rows in Table 3);
-//! * [`Pareto`] — the extreme GPU-time skew of Figure 3;
-//! * [`Weibull`] — wear-related hardware failures;
 //! * [`Categorical`] — weighted choices (job types, failure reasons);
-//! * [`Uniform`] / [`Constant`] — the trivial cases.
+//! * [`Zipf`] — the fleet's tenant skew.
 
 use crate::rng::SimRng;
 
@@ -24,47 +22,6 @@ pub trait Distribution {
     fn mean(&self) -> f64;
 }
 
-/// Point mass at a single value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> f64 {
-        self.0
-    }
-}
-
-/// Uniform over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// # Panics
-    /// Panics if `lo > hi` or either bound is not finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo <= hi,
-            "bad uniform bounds"
-        );
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// Exponential with rate `lambda` (mean `1/lambda`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
@@ -72,15 +29,14 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// From a rate. # Panics if the rate is not positive and finite.
-    pub fn with_rate(lambda: f64) -> Self {
+    /// From a mean.
+    ///
+    /// # Panics
+    /// Panics unless the rate `1/mean` is positive and finite.
+    pub fn with_mean(mean: f64) -> Self {
+        let lambda = 1.0 / mean;
         assert!(lambda > 0.0 && lambda.is_finite(), "bad exponential rate");
         Exponential { lambda }
-    }
-
-    /// From a mean. # Panics if the mean is not positive and finite.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::with_rate(1.0 / mean)
     }
 }
 
@@ -101,18 +57,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// From the underlying normal parameters.
-    ///
-    /// # Panics
-    /// Panics if `sigma < 0` or either parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "bad lognormal params"
-        );
-        LogNormal { mu, sigma }
-    }
-
     /// Fit a log-normal from its *median* and *mean* (the form the paper's
     /// tables report). Requires `mean >= median > 0`; the median fixes `mu`
     /// and the mean/median ratio fixes `sigma`.
@@ -150,60 +94,6 @@ impl Distribution for LogNormal {
     }
     fn mean(&self) -> f64 {
         (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-}
-
-/// Pareto (type I) with scale `x_min` and shape `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// # Panics
-    /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "bad pareto params");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.f64_open0().powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> f64 {
-        if self.alpha > 1.0 {
-            self.alpha * self.x_min / (self.alpha - 1.0)
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Weibull with scale `lambda` and shape `k`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    lambda: f64,
-    k: f64,
-}
-
-impl Weibull {
-    /// # Panics
-    /// Panics unless both parameters are positive.
-    pub fn new(lambda: f64, k: f64) -> Self {
-        assert!(lambda > 0.0 && k > 0.0, "bad weibull params");
-        Weibull { lambda, k }
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.lambda * (-rng.f64_open0().ln()).powf(1.0 / self.k)
-    }
-    fn mean(&self) -> f64 {
-        self.lambda * gamma(1.0 + 1.0 / self.k)
     }
 }
 
@@ -341,69 +231,6 @@ impl Distribution for Zipf {
     }
 }
 
-/// Lanczos approximation of the gamma function, used for Weibull means.
-#[allow(clippy::excessive_precision)] // published Lanczos coefficients
-fn gamma(x: f64) -> f64 {
-    // g = 7, n = 9 coefficients (Numerical Recipes / Boost parameterization).
-    const G: f64 = 7.0;
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula for the left half-plane.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-/// A boxed distribution plus multiplier, handy for calibration tables.
-#[derive(Clone, Debug)]
-pub enum Dist {
-    /// Point mass.
-    Constant(f64),
-    /// Uniform over `[lo, hi)`.
-    Uniform(f64, f64),
-    /// Exponential with the given mean.
-    ExpMean(f64),
-    /// Log-normal given (median, mean).
-    LogNormalMedianMean(f64, f64),
-    /// Pareto(x_min, alpha).
-    Pareto(f64, f64),
-    /// Weibull(scale, shape).
-    Weibull(f64, f64),
-}
-
-impl Dist {
-    /// Sample the described distribution.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        match *self {
-            Dist::Constant(v) => v,
-            Dist::Uniform(lo, hi) => Uniform::new(lo, hi).sample(rng),
-            Dist::ExpMean(m) => Exponential::with_mean(m).sample(rng),
-            Dist::LogNormalMedianMean(med, mean) => {
-                LogNormal::from_median_mean(med, mean).sample(rng)
-            }
-            Dist::Pareto(xm, a) => Pareto::new(xm, a).sample(rng),
-            Dist::Weibull(l, k) => Weibull::new(l, k).sample(rng),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,7 +250,7 @@ mod tests {
 
     #[test]
     fn exponential_is_nonnegative() {
-        let d = Exponential::with_rate(2.0);
+        let d = Exponential::with_mean(0.5);
         let mut rng = SimRng::new(2);
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) >= 0.0);
@@ -452,32 +279,6 @@ mod tests {
         for _ in 0..100 {
             assert!((d.sample(&mut rng) - 10.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let d = Pareto::new(2.0, 3.0);
-        let mut rng = SimRng::new(6);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 2.0);
-        }
-        assert!((d.mean() - 3.0).abs() < 1e-12);
-        assert!(Pareto::new(1.0, 0.5).mean().is_infinite());
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(4.0, 1.0);
-        let m = sample_mean(&d, 200_000, 7);
-        assert!((m - 4.0).abs() < 0.1, "mean = {m}");
-        assert!((d.mean() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-7);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
     }
 
     #[test]
@@ -556,17 +357,5 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zipf_rejects_zero_ranks() {
         Zipf::new(0, 1.0);
-    }
-
-    #[test]
-    fn dist_enum_dispatch() {
-        let mut rng = SimRng::new(10);
-        assert_eq!(Dist::Constant(3.5).sample(&mut rng), 3.5);
-        let u = Dist::Uniform(1.0, 2.0).sample(&mut rng);
-        assert!((1.0..2.0).contains(&u));
-        assert!(Dist::ExpMean(1.0).sample(&mut rng) >= 0.0);
-        assert!(Dist::LogNormalMedianMean(2.0, 3.0).sample(&mut rng) > 0.0);
-        assert!(Dist::Pareto(1.0, 2.0).sample(&mut rng) >= 1.0);
-        assert!(Dist::Weibull(1.0, 2.0).sample(&mut rng) >= 0.0);
     }
 }

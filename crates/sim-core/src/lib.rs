@@ -8,7 +8,7 @@
 //! * [`rng::SimRng`] — a seedable xoshiro256++ generator with cheap
 //!   independent substreams, so every experiment is bit-reproducible;
 //! * [`dist`] — the probability distributions used to calibrate workloads
-//!   and failures (exponential, log-normal, Pareto, Weibull, categorical);
+//!   and failures (exponential, log-normal, categorical, Zipf);
 //! * [`event::EventQueue`] — a stable (FIFO tie-break) time-ordered event
 //!   queue over a binary heap;
 //! * [`stats`] — the per-thread activity counters that the event queue and

@@ -234,22 +234,6 @@ mod tests {
     }
 }
 
-/// How much the system actually knows about a checkpoint's integrity.
-///
-/// A checkpoint whose background persist has completed is *assumed*
-/// durable — the bytes landed, but nobody has read them back. Only after a
-/// validation pass (a full re-read of every shard at remote-storage
-/// bandwidth) is it *verified*: guaranteed loadable. The distinction
-/// matters under adversity: an assumed-durable checkpoint can turn out
-/// corrupt on load, forcing a fallback to the previous generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// Persist completed *and* a validation re-read succeeded.
-    Verified,
-    /// Persist completed; integrity never checked.
-    Assumed,
-}
-
 /// Tracks which checkpoint is *properly saved* (§6.1.3) at any instant.
 ///
 /// Asynchronous checkpoints become durable only after the background
@@ -258,11 +242,10 @@ pub enum Durability {
 /// recovery system honors: it restarts "from the properly saved
 /// checkpoint", not merely the most recent snapshot.
 ///
-/// On top of the durable/not-durable split the tracker distinguishes
-/// *verified* from *assumed* durability (see [`Durability`]) and offers
-/// [`DurabilityTracker::fallback_position`] — the generation the recovery
-/// orchestrator drops to when the newest assumed-durable checkpoint is
-/// corrupt on load.
+/// The tracker also offers [`DurabilityTracker::fallback_position`] — the
+/// generation the recovery orchestrator drops to when the newest durable
+/// checkpoint is corrupt on load — and the validation re-read that detects
+/// the corruption ([`DurabilityTracker::validation_secs`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityTracker {
     engine: CheckpointEngine,
@@ -336,25 +319,6 @@ impl DurabilityTracker {
     pub fn validation_secs(&self) -> f64 {
         let s = self.engine.scenario();
         s.shard_gb() / s.remote_gbps_per_writer
-    }
-
-    /// The training-time position of the newest checkpoint that is
-    /// **verified** durable at wall time `t`: persisted *and* validated.
-    /// Always at or behind [`Self::durable_position_at`].
-    pub fn verified_position_at(&self, t: f64) -> f64 {
-        assert!(t >= 0.0, "time cannot be negative");
-        self.durable_position_at((t - self.validation_secs()).max(0.0))
-    }
-
-    /// The durability confidence of the newest durable checkpoint at wall
-    /// time `t`: [`Durability::Assumed`] while its validation re-read is
-    /// still in flight, [`Durability::Verified`] once it has completed.
-    pub fn durability_at(&self, t: f64) -> Durability {
-        if self.durable_position_at(t) <= self.verified_position_at(t) {
-            Durability::Verified
-        } else {
-            Durability::Assumed
-        }
     }
 
     /// One generation back from `position`: where recovery lands when the
@@ -508,32 +472,6 @@ mod durability_tests {
             (e - ideal).abs() < 0.05 * ideal,
             "expected {e:.0} vs {ideal:.0}"
         );
-    }
-
-    #[test]
-    fn verified_durability_lags_assumed() {
-        let t = tracker(CheckpointMode::Asynchronous);
-        let lag = t.engine.durable_secs(CheckpointMode::Asynchronous);
-        // Just after generation 2 becomes (assumed) durable, its
-        // validation re-read is still running: verified is a generation
-        // behind, and the tracker reports Assumed.
-        let at = 2.0 * 1800.0 + lag + 1.0;
-        assert_eq!(t.durable_position_at(at), 3600.0);
-        assert_eq!(t.verified_position_at(at), 1800.0);
-        assert_eq!(t.durability_at(at), Durability::Assumed);
-        // Once the validation window passes, the generations agree again.
-        let later = at + t.validation_secs();
-        assert_eq!(t.verified_position_at(later), 3600.0);
-        assert_eq!(t.durability_at(later), Durability::Verified);
-    }
-
-    #[test]
-    fn verified_never_ahead_of_assumed() {
-        let t = tracker(CheckpointMode::Asynchronous);
-        for i in 0..300 {
-            let at = i as f64 * 411.0;
-            assert!(t.verified_position_at(at) <= t.durable_position_at(at));
-        }
     }
 
     #[test]

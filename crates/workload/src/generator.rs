@@ -598,107 +598,3 @@ mod tests {
         assert!((eval.mean_gpus() - 1.8).abs() < 1e-9);
     }
 }
-
-/// A CPU-only job (§2.3: Seren carries 368K of them, Kalos 42K). The
-/// paper's analysis "concentrates predominantly on GPU jobs", so these are
-/// kept out of [`ClusterWorkload`] and generated separately — they matter
-/// for the Table-2 job totals and for CPU-side metric jobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuJobRecord {
-    /// Unique id.
-    pub id: u64,
-    /// Which cluster.
-    pub cluster: Cluster,
-    /// Submission time.
-    pub submit: SimTime,
-    /// Runtime.
-    pub duration: SimDuration,
-    /// Logical CPUs requested.
-    pub cpus: u32,
-}
-
-impl WorkloadGenerator {
-    /// CPU jobs submitted per day at calibration scale.
-    pub fn cpu_jobs_per_day(&self) -> f64 {
-        match self.cluster {
-            // 368K / 183 days and 42K / 183 days respectively.
-            Cluster::Seren => 2_010.0,
-            Cluster::Kalos => 230.0,
-        }
-    }
-
-    /// Generate `days` of CPU-only jobs (data preprocessing, metric
-    /// computation, tooling).
-    pub fn generate_cpu(&self, rng: &mut SimRng, days: f64, first_id: u64) -> Vec<CpuJobRecord> {
-        let horizon = SimDuration::from_secs_f64(days * 86_400.0);
-        let interarrival = Exponential::with_mean(86_400.0 / self.cpu_jobs_per_day());
-        let duration = LogNormal::from_median_mean(5.0, 45.0);
-        let cpus = Categorical::new(&[0.45, 0.25, 0.2, 0.1]);
-        const CPU_BUCKETS: [u32; 4] = [1, 4, 16, 64];
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let mut id = first_id;
-        loop {
-            t += SimDuration::from_secs_f64(interarrival.sample(rng));
-            if t.saturating_since(SimTime::ZERO) > horizon {
-                break;
-            }
-            out.push(CpuJobRecord {
-                id,
-                cluster: self.cluster,
-                submit: t,
-                duration: SimDuration::from_secs_f64((duration.sample(rng) * 60.0).max(1.0)),
-                cpus: CPU_BUCKETS[cpus.sample_index(rng)],
-            });
-            id += 1;
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod cpu_job_tests {
-    use super::*;
-
-    #[test]
-    fn six_month_cpu_job_counts_match_section23() {
-        let mut rng = SimRng::new(1);
-        let seren = WorkloadGenerator::seren().generate_cpu(&mut rng, 183.0, 0);
-        let kalos = WorkloadGenerator::kalos().generate_cpu(&mut rng, 183.0, 0);
-        // §2.3: 368K and 42K CPU jobs.
-        assert!(
-            (330_000..410_000).contains(&seren.len()),
-            "seren {}",
-            seren.len()
-        );
-        assert!(
-            (36_000..48_000).contains(&kalos.len()),
-            "kalos {}",
-            kalos.len()
-        );
-    }
-
-    #[test]
-    fn acme_total_job_count_matches_table2() {
-        let mut rng = SimRng::new(2);
-        let s = WorkloadGenerator::seren();
-        let k = WorkloadGenerator::kalos();
-        let total = s.generate(&mut rng, 183.0, 0).jobs.len()
-            + s.generate_cpu(&mut rng, 183.0, 0).len()
-            + k.generate(&mut rng, 183.0, 0).jobs.len()
-            + k.generate_cpu(&mut rng, 183.0, 0).len();
-        // Table 2: ~1.09M jobs across Acme.
-        assert!((950_000..1_250_000).contains(&total), "total {total}");
-    }
-
-    #[test]
-    fn cpu_jobs_are_modest_and_sorted() {
-        let mut rng = SimRng::new(3);
-        let jobs = WorkloadGenerator::kalos().generate_cpu(&mut rng, 30.0, 100);
-        assert!(jobs.iter().all(|j| j.cpus <= 64 && j.cpus >= 1));
-        for w in jobs.windows(2) {
-            assert!(w[1].submit >= w[0].submit);
-            assert_eq!(w[1].id, w[0].id + 1);
-        }
-    }
-}

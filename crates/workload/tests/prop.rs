@@ -67,18 +67,4 @@ proptest! {
         let full: Vec<_> = generator.stream(&mut full_rng, days, 3).collect();
         prop_assert_eq!(full, eager);
     }
-
-    /// CPU-job generation is well-formed too.
-    #[test]
-    fn cpu_jobs_well_formed(seed in any::<u64>(), days in 1.0f64..20.0) {
-        let mut rng = SimRng::new(seed);
-        let jobs = WorkloadGenerator::seren().generate_cpu(&mut rng, days, 0);
-        for j in &jobs {
-            prop_assert!(j.cpus >= 1 && j.cpus <= 128);
-            prop_assert!(j.duration >= SimDuration::from_secs(1));
-        }
-        for pair in jobs.windows(2) {
-            prop_assert!(pair[1].submit >= pair[0].submit);
-        }
-    }
 }

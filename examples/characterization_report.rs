@@ -6,9 +6,8 @@
 //! ```
 
 use acme::datacenter::Acme;
-use acme::monitor::ClusterMonitor;
+use acme::monitor::{ClusterMonitor, Metric};
 use acme_cluster::ClusterSpec;
-use acme_telemetry::counters::metric;
 use acme_workload::{JobStatus, TraceStats};
 
 fn main() {
@@ -64,15 +63,15 @@ fn main() {
 
         // Infrastructure snapshot.
         let mut rng = acme.rng(if spec.name == "Seren" { 71 } else { 72 });
-        let store = ClusterMonitor::new(if spec.name == "Seren" {
+        let samples = ClusterMonitor::new(if spec.name == "Seren" {
             ClusterSpec::seren()
         } else {
             ClusterSpec::kalos()
         })
         .sample(&mut rng, 64, 4);
-        let sm = store.cdf(metric::SM_ACTIVE).unwrap();
-        let power = store.cdf(metric::GPU_POWER_W).unwrap();
-        let mem = store.cdf(metric::FB_USED_GB).unwrap();
+        let sm = samples.cdf(Metric::SmActive);
+        let power = samples.cdf(Metric::GpuPowerW);
+        let mem = samples.cdf(Metric::FbUsedGb);
         println!("infrastructure:");
         println!(
             "  SM activity median {:.0}% | GPU memory median {:.0} GB | power median {:.0} W",

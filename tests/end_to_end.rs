@@ -3,12 +3,11 @@
 //! wired together the way the experiments use it.
 
 use acme::datacenter::Acme;
-use acme::monitor::ClusterMonitor;
+use acme::monitor::{ClusterMonitor, Metric};
 use acme_cluster::ClusterSpec;
 use acme_failure::{DiagnosisPipeline, LogBundle, RecoveryAction, RecoveryManager};
 use acme_scheduler::{coalesce_eval_batches, ClusterScheduler, SchedulerConfig};
 use acme_sim_core::{SimDuration, SimRng};
-use acme_telemetry::counters::metric;
 use acme_workload::{JobStatus, JobType, TraceStats};
 
 /// Generate → schedule → aggregate: the Figure-6 pipeline holds together
@@ -41,15 +40,15 @@ fn generate_schedule_aggregate() {
 #[test]
 fn monitor_is_consistent_with_characterization() {
     let mut rng = SimRng::new(12);
-    let store = ClusterMonitor::new(ClusterSpec::kalos()).sample(&mut rng, 48, 4);
-    let sm = store.cdf(metric::SM_ACTIVE).unwrap();
-    let cpu = store.cdf(metric::CPU_UTIL).unwrap();
+    let samples = ClusterMonitor::new(ClusterSpec::kalos()).sample(&mut rng, 48, 4);
+    let sm = samples.cdf(Metric::SmActive);
+    let cpu = samples.cdf(Metric::CpuUtil);
     // GPUs work harder than CPUs by a wide margin (Figure 7).
     assert!(sm.median() > 2.5 * cpu.median());
     // Power never exceeds the physical ceiling; temperature tracks power.
-    let p = store.cdf(metric::GPU_POWER_W).unwrap();
+    let p = samples.cdf(Metric::GpuPowerW);
     assert!(p.max() <= 600.0 && p.min() >= 55.0);
-    let t = store.cdf(metric::GPU_MEM_TEMP_C).unwrap();
+    let t = samples.cdf(Metric::GpuMemTempC);
     assert!(t.max() < 110.0, "thermal model out of physical range");
 }
 
