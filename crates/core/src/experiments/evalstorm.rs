@@ -10,9 +10,7 @@
 use acme_cluster::SharedStorage;
 use acme_evaluation::benchmarks::registry;
 use acme_evaluation::coordinator::{run as run_clean, Scheduler};
-use acme_evaluation::faults::{
-    run_campaign, run_campaign_traced, CampaignPolicy, FaultConfig, FaultPlan,
-};
+use acme_evaluation::faults::{run_campaign_traced, CampaignPolicy, FaultConfig, FaultPlan};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
@@ -103,25 +101,12 @@ pub fn evalstorm(p: RunParams) -> String {
             .iter()
             .map(|&policy| {
                 let (datasets, storage, plan) = (&datasets, &storage, &plan);
-                shard(format!("arm/{}", policy.label()), move || {
-                    if p.trace {
-                        let mut r = acme_obs::Recorder::new();
-                        let o = run_campaign_traced(
-                            policy,
-                            datasets,
-                            NODES,
-                            storage,
-                            MODEL_GB,
-                            plan,
-                            &mut acme_obs::Rec::on(&mut r),
-                        )
-                        .expect("the campaign inputs were already validated");
-                        acme_obs::deposit(r.into_chunk(format!("arm/{}", policy.label())));
-                        o
-                    } else {
-                        run_campaign(policy, datasets, NODES, storage, MODEL_GB, plan)
-                            .expect("the campaign inputs were already validated")
-                    }
+                let label = format!("arm/{}", policy.label());
+                shard(label.clone(), move || {
+                    acme_obs::recorded(p.trace, label, |rec| {
+                        run_campaign_traced(policy, datasets, NODES, storage, MODEL_GB, plan, rec)
+                    })
+                    .expect("the campaign inputs were already validated")
                 })
             })
             .collect(),

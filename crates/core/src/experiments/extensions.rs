@@ -210,19 +210,9 @@ pub fn pipeline(p: RunParams) -> String {
             } else {
                 "campaign/manual-baseline"
             };
-            let report = if p.trace {
-                let mut r = acme_obs::Recorder::new();
-                let report = trainer.run_campaign_traced(
-                    &mut rng,
-                    SimDuration::from_hours(15),
-                    horizon,
-                    &mut acme_obs::Rec::on(&mut r),
-                );
-                acme_obs::deposit(r.into_chunk(label.to_owned()));
-                report
-            } else {
-                trainer.run_campaign(&mut rng, SimDuration::from_hours(15), horizon)
-            };
+            let report = acme_obs::recorded(p.trace, label, |rec| {
+                trainer.run_campaign_traced(&mut rng, SimDuration::from_hours(15), horizon, rec)
+            });
             Piece::Campaign(Box::new(report))
         }
     };

@@ -31,20 +31,16 @@ pub fn fleet(p: RunParams) -> String {
         .map(|i| {
             let cfg = config.clone();
             let (lo, hi) = config.shard_range(i);
-            shard(format!("fleet/{lo}..{hi}"), move || {
-                if p.trace {
-                    let mut r = acme_obs::Recorder::new();
+            let label = format!("fleet/{lo}..{hi}");
+            shard(label.clone(), move || {
+                acme_obs::recorded(p.trace, label, |rec| {
                     let s = FleetShardStats::collect(&cfg, i);
                     // Stream shards have no single sim-clock; index the
                     // counter samples by the shard's job range instead.
-                    let mut rec = acme_obs::Rec::on(&mut r);
                     rec.counter(lo as f64, "fleet arrivals", s.candidates);
                     rec.counter(lo as f64, "fleet completions", s.trace.len() as u64);
-                    acme_obs::deposit(r.into_chunk(format!("fleet/{lo}..{hi}")));
                     s
-                } else {
-                    FleetShardStats::collect(&cfg, i)
-                }
+                })
             })
         })
         .collect();

@@ -4,7 +4,7 @@ use acme_cluster::power::CarbonModel;
 use acme_cluster::{ClusterSpec, GpuActivity, HostMemoryBreakdown, Node, ServerPowerModel};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
-use acme_telemetry::Table;
+use acme_telemetry::{Cdf, Table};
 
 use crate::monitor::{ClusterMonitor, Metric, Samples};
 
@@ -18,46 +18,28 @@ fn both_clusters(seed: u64) -> (Samples, Samples) {
     (seren, kalos)
 }
 
-fn two_cluster_panel(title: &str, m: Metric, seren: &Samples, kalos: &Samples) -> String {
-    let sc = seren.cdf(m);
-    let kc = kalos.cdf(m);
-    render_quantiles(title, &[("Seren", &sc), ("Kalos", &kc)], &QS)
+fn two_cluster_panel(title: &str, seren: &Cdf, kalos: &Cdf) -> String {
+    render_quantiles(title, &[("Seren", seren), ("Kalos", kalos)], &QS)
 }
 
 /// Figure 7 — SM/TC activity, memory footprints, CPU and IB utilization.
 pub fn fig7(seed: u64) -> String {
     let (seren, kalos) = both_clusters(seed);
     let mut out = String::new();
-    out.push_str(&two_cluster_panel(
-        "(a) SM activity (fraction)",
-        Metric::SmActive,
-        &seren,
-        &kalos,
-    ));
-    out.push_str(&two_cluster_panel(
-        "(a) TC activity (fraction)",
-        Metric::TensorActive,
-        &seren,
-        &kalos,
-    ));
-    out.push_str(&two_cluster_panel(
-        "(b) GPU memory used (GB)",
-        Metric::FbUsedGb,
-        &seren,
-        &kalos,
-    ));
-    out.push_str(&two_cluster_panel(
-        "(b) host memory used (GB)",
-        Metric::HostMemGb,
-        &seren,
-        &kalos,
-    ));
-    out.push_str(&two_cluster_panel(
-        "(c) CPU utilization (fraction)",
-        Metric::CpuUtil,
-        &seren,
-        &kalos,
-    ));
+    let mut kalos_over_60gb = 0.0;
+    for (title, m) in [
+        ("(a) SM activity (fraction)", Metric::SmActive),
+        ("(a) TC activity (fraction)", Metric::TensorActive),
+        ("(b) GPU memory used (GB)", Metric::FbUsedGb),
+        ("(b) host memory used (GB)", Metric::HostMemGb),
+        ("(c) CPU utilization (fraction)", Metric::CpuUtil),
+    ] {
+        let kc = kalos.cdf(m);
+        out.push_str(&two_cluster_panel(title, &seren.cdf(m), &kc));
+        if m == Metric::FbUsedGb {
+            kalos_over_60gb = 1.0 - kc.fraction_le(60.0);
+        }
+    }
     let ib_send = seren.cdf(Metric::IbSend);
     let ib_recv = seren.cdf(Metric::IbRecv);
     out.push_str(&render_quantiles(
@@ -67,7 +49,7 @@ pub fn fig7(seed: u64) -> String {
     ));
     out.push_str(&format!(
         "notes: Kalos GPUs >60GB: {}; Seren IB idle share: {}\n",
-        pct(1.0 - kalos.cdf(Metric::FbUsedGb).fraction_le(60.0)),
+        pct(kalos_over_60gb),
         pct(ib_send.fraction_le(0.001)),
     ));
     out
@@ -76,12 +58,13 @@ pub fn fig7(seed: u64) -> String {
 /// Figure 8 — GPU power and server power CDFs.
 pub fn fig8(seed: u64) -> String {
     let (seren, kalos) = both_clusters(seed);
-    let mut out = two_cluster_panel("(a) GPU power (W)", Metric::GpuPowerW, &seren, &kalos);
-    let over_tdp = |s: &Samples| 1.0 - s.cdf(Metric::GpuPowerW).fraction_le(400.0);
+    let (sc, kc) = (seren.cdf(Metric::GpuPowerW), kalos.cdf(Metric::GpuPowerW));
+    let mut out = two_cluster_panel("(a) GPU power (W)", &sc, &kc);
+    let over_tdp = |c: &Cdf| 1.0 - c.fraction_le(400.0);
     out.push_str(&format!(
         "share above TDP (400 W): Seren {} (paper 22.1%), Kalos {} (paper 12.5%)\n",
-        pct(over_tdp(&seren)),
-        pct(over_tdp(&kalos)),
+        pct(over_tdp(&sc)),
+        pct(over_tdp(&kc)),
     ));
     let server = seren.cdf(Metric::ServerPowerW);
     out.push_str(&render_quantiles(

@@ -2,8 +2,8 @@
 //!
 //! Every experiment is a pure function of a seed, returning the printable
 //! rows/series the paper reports. The `repro` binary in `acme-bench` is a
-//! thin dispatcher over [`all`] / [`run`]; `EXPERIMENTS.md` records
-//! paper-vs-measured for each id.
+//! thin dispatcher over [`select`] / [`run_selection`]; `EXPERIMENTS.md`
+//! records paper-vs-measured for each id.
 
 mod blame;
 mod evalstorm;
@@ -343,8 +343,8 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "blame",
             title: "§5/§6 observability: fault-stage blame attribution",
-            desc: "Replays storm+evalstorm recordings; decomposes lost goodput and \
-                   wasted GPU-time per fault category x recovery stage.",
+            desc: "Replays the storm and evalstorm arms; decomposes their lost goodput \
+                   and wasted GPU-time per fault category x recovery stage.",
             run: blame::blame,
         },
         Experiment {
@@ -387,14 +387,6 @@ pub fn select(ids: &[String]) -> Result<Vec<Experiment>, Vec<String>> {
     } else {
         Err(unknown)
     }
-}
-
-/// Run one experiment by id. `None` when the id is unknown.
-pub fn run(id: &str, params: RunParams) -> Option<String> {
-    all().into_iter().find(|e| e.id == id).map(|e| {
-        let body = (e.run)(params);
-        format!("### {} — {}\n{}", e.id, e.title, body)
-    })
 }
 
 #[cfg(test)]
@@ -466,11 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_id_is_none() {
-        assert!(run("fig99", RunParams::new(1)).is_none());
-    }
-
-    #[test]
     fn every_experiment_runs_and_is_deterministic() {
         // Keep the fleet small here; the default 10⁶ arrivals belong to
         // `repro fleet` and the CI smoke, not the unit suite.
@@ -484,15 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn run_prepends_header() {
-        let s = run("table1", RunParams::new(1)).unwrap();
-        assert!(s.starts_with("### table1 — Table 1"));
-    }
-
-    #[test]
     fn scale_grows_the_heavy_experiments_only() {
         // The stress knob must actually change the heavy workloads…
-        for id in [
+        let heavy = [
             "data",
             "diag",
             "pipeline",
@@ -501,15 +482,17 @@ mod tests {
             "blame",
             "policylab",
             "netstorm",
-        ] {
-            let base = run(id, RunParams::new(3)).unwrap();
-            let scaled = run(id, RunParams::with_scale(3, 2)).unwrap();
-            assert_ne!(base, scaled, "{id} ignored scale");
+        ];
+        for e in select(&heavy.map(String::from)).unwrap() {
+            let base = (e.run)(RunParams::new(3));
+            let scaled = (e.run)(RunParams::with_scale(3, 2));
+            assert_ne!(base, scaled, "{} ignored scale", e.id);
         }
         // …and leave a scale-insensitive experiment untouched.
+        let table1 = select(&["table1".to_owned()]).unwrap()[0];
         assert_eq!(
-            run("table1", RunParams::new(3)),
-            run("table1", RunParams::with_scale(3, 4))
+            (table1.run)(RunParams::new(3)),
+            (table1.run)(RunParams::with_scale(3, 4))
         );
     }
 

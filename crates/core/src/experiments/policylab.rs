@@ -94,32 +94,16 @@ pub fn sweep_bundles() -> Vec<StormPolicies> {
 /// Run one sweep cell: regenerate the storm for (seed, intensity), replay
 /// it under the bundle. Pure function of its arguments — the arm rng
 /// stream is forked per (policy, intensity) so no cell shares draws.
-fn run_cell(
-    bundle: StormPolicies,
-    policy_idx: usize,
-    cell: SweepCell,
-    trace: bool,
-    label: String,
-) -> StormOutcome {
+fn run_cell(bundle: StormPolicies, cell: SweepCell, trace: bool, label: String) -> StormOutcome {
     let config = StormConfig::scaled(cell.intensity);
     let mut rng = SimRng::new(cell.seed).fork(1001);
     let campaign = StormEngine::new(config).generate(&mut rng);
     let runner = StormRunner::deployed(campaign.fleet_nodes);
     let mut arm_rng =
-        SimRng::new(cell.seed).fork(3000 + policy_idx as u64 * 16 + u64::from(cell.intensity));
-    if trace {
-        let mut r = acme_obs::Recorder::new();
-        let o = runner.run_with_traced(
-            &campaign,
-            &bundle,
-            &mut arm_rng,
-            &mut acme_obs::Rec::on(&mut r),
-        );
-        acme_obs::deposit(r.into_chunk(label));
-        o
-    } else {
-        runner.run_with(&campaign, &bundle, &mut arm_rng)
-    }
+        SimRng::new(cell.seed).fork(3000 + cell.policy as u64 * 16 + u64::from(cell.intensity));
+    acme_obs::recorded(trace, label, |rec| {
+        runner.run_with_traced(&campaign, &bundle, &mut arm_rng, rec)
+    })
 }
 
 /// `policylab` — sweep the policy grid across seeds 42/7/3 × fault
@@ -145,11 +129,7 @@ pub fn policylab(p: RunParams) -> String {
             .map(|&c| {
                 let bundle = bundles[c.policy];
                 let label = format!("cell/{}/s{}/i{}", bundle.label, c.seed, c.intensity);
-                let trace = p.trace;
-                let shard_label = label.clone();
-                shard(shard_label, move || {
-                    run_cell(bundle, c.policy, c, trace, label)
-                })
+                shard(label.clone(), move || run_cell(bundle, c, p.trace, label))
             })
             .collect(),
     );
@@ -220,9 +200,9 @@ pub fn policylab(p: RunParams) -> String {
         ]);
         stages.row([
             b.label.to_owned(),
-            f(mean(&|o| o.detect_secs) / 3600.0, 1),
-            f(mean(&|o| o.localize_secs) / 3600.0, 1),
-            f(mean(&|o| o.restart_secs) / 3600.0, 1),
+            f(mean(&|o| o.stage_totals()[0]) / 3600.0, 1),
+            f(mean(&|o| o.stage_totals()[1]) / 3600.0, 1),
+            f(mean(&|o| o.stage_totals()[2]) / 3600.0, 1),
             f(mean(&|o| o.mttr_mins()), 1),
         ]);
     }

@@ -76,22 +76,13 @@ pub fn storm(p: RunParams) -> String {
             .map(|&policy| {
                 let runner = &runner;
                 let campaign = &campaign;
-                shard(format!("arm/{}", policy.label()), move || {
+                let label = format!("arm/{}", policy.label());
+                shard(label.clone(), move || {
                     let policies = StormPolicies::for_arm(policy);
                     let mut arm_rng = SimRng::new(p.seed).fork(1002 + policy as u64);
-                    if p.trace {
-                        let mut r = acme_obs::Recorder::new();
-                        let o = runner.run_with_traced(
-                            campaign,
-                            &policies,
-                            &mut arm_rng,
-                            &mut acme_obs::Rec::on(&mut r),
-                        );
-                        acme_obs::deposit(r.into_chunk(format!("arm/{}", policy.label())));
-                        o
-                    } else {
-                        runner.run_with(campaign, &policies, &mut arm_rng)
-                    }
+                    acme_obs::recorded(p.trace, label, |rec| {
+                        runner.run_with_traced(campaign, &policies, &mut arm_rng, rec)
+                    })
                 })
             })
             .collect(),

@@ -292,8 +292,7 @@ impl NetStormRunner {
                                     fabric.tree().common_edge_domain(&located),
                                     Some(edge)
                                 );
-                                out.cordon_actions +=
-                                    u32::from(orch.mark_domain_cordoned(&located) > 0);
+                                orch.mark_domain_cordoned(&located);
                                 let wait = DIAGNOSE
                                     + Self::probe_round_secs(
                                         &fabric,
@@ -312,9 +311,7 @@ impl NetStormRunner {
                                     domain.iter().map(|&h| h as usize).collect();
                                 let probe = tester.run(&faulty);
                                 for &n in &probe.identified {
-                                    let before = orch.cordoned_count();
                                     orch.mark_cordoned(n as u32);
-                                    out.cordon_actions += u32::from(orch.cordoned_count() > before);
                                 }
                                 let wait = DIAGNOSE
                                     + Self::probe_round_secs(
@@ -445,6 +442,7 @@ impl NetStormRunner {
         }
 
         debug_assert!(healthy_step > STEP_COMPUTE_SECS);
+        out.cordon_actions = orch.cordon_actions();
         out
     }
 }

@@ -25,6 +25,13 @@
 //!   turnaround, first refilling lost width and then restocking the spare
 //!   pool.
 //!
+//! Every outcome splits each incident's recovery wait into detect →
+//! localize → restart stages and accumulates them per fault category
+//! ([`StormOutcome::stage_secs`], with rollback and the horizon overshoot
+//! beside it); `repro blame` and the policy lab read those fields. A flight
+//! recorder ([`StormRunner::run_with_traced`]) only exports the same
+//! values as instants.
+//!
 //! Everything is a pure function of (campaign, policy, rng): byte-identical
 //! across reruns at a fixed seed.
 
@@ -125,7 +132,7 @@ impl StormPolicies {
 }
 
 /// What one policy achieved against one storm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormOutcome {
     /// Primary incidents handled.
     pub incidents: u32,
@@ -150,7 +157,7 @@ pub struct StormOutcome {
     pub degraded_secs: f64,
     /// Throughput lost to that reduced width: Σ span × (1 − factor),
     /// seconds of full-width-equivalent training. Not printed by the storm
-    /// tables; the `blame` analyzer charges it to the cordon/spare stage.
+    /// tables; `blame` prints it as its degraded-capacity row.
     pub degraded_loss_secs: f64,
     /// The campaign horizon.
     pub horizon: SimDuration,
@@ -164,14 +171,21 @@ pub struct StormOutcome {
     /// Rush repair dispatches: one field-engineer page per cordon under an
     /// expedited [`RepairModel`]. Zero for the three ablation arms.
     pub rush_dispatches: u32,
-    /// Total detect-stage seconds across incidents (diagnosis + watchdog
-    /// timeouts). Mirrors the flight recorder's stage instants, but is
-    /// accumulated even when no recorder is attached.
-    pub detect_secs: f64,
-    /// Total localize-stage seconds (NCCL sweeps + checkpoint validation).
-    pub localize_secs: f64,
-    /// Total restart/backoff-stage seconds (the recovery-wait residual).
-    pub restart_secs: f64,
+    /// Recovery wait per fault category (rows, in
+    /// [`acme_failure::FailureCategory`] order) and stage (columns:
+    /// detect = diagnosis + watchdog timeouts, localize = NCCL sweeps +
+    /// checkpoint validation, restart = the restart/backoff residual),
+    /// seconds, summed in incident order. An incident's three stages
+    /// partition its wait exactly, so the matrix sums to `downtime`; the
+    /// flight recorder exports the per-incident values as `stage/*`
+    /// instants.
+    pub stage_secs: [[f64; 3]; 3],
+    /// Rolled-back progress per fault category, seconds, summed in
+    /// incident order (`rollback_secs` is the flat total).
+    pub category_rollback_secs: [f64; 3],
+    /// The last recovery's wait past the horizon end, seconds: part of
+    /// `downtime`, but no goodput is lost to it.
+    pub overshoot_secs: f64,
 }
 
 impl StormOutcome {
@@ -202,6 +216,18 @@ impl StormOutcome {
     /// dispatches. One of the three Pareto axes of the policy lab.
     pub fn human_actions(&self) -> u32 {
         self.manual_interventions + self.rush_dispatches
+    }
+
+    /// Recovery wait per stage (detect, localize, restart), seconds:
+    /// the columns of [`Self::stage_secs`], summed over categories.
+    pub fn stage_totals(&self) -> [f64; 3] {
+        let mut totals = [0.0; 3];
+        for stages in &self.stage_secs {
+            for (total, secs) in totals.iter_mut().zip(stages) {
+                *total += secs;
+            }
+        }
+        totals
     }
 }
 
@@ -408,9 +434,9 @@ impl StormRunner {
             checkpoint_traffic_secs: campaign.horizon.as_secs_f64() / interval
                 * engine.durable_secs(CheckpointMode::Asynchronous),
             rush_dispatches: 0,
-            detect_secs: 0.0,
-            localize_secs: 0.0,
-            restart_secs: 0.0,
+            stage_secs: [[0.0; 3]; 3],
+            category_rollback_secs: [0.0; 3],
+            overshoot_secs: 0.0,
         };
 
         // Nodes permanently out of the fault pool: cordoned by the ladder
@@ -425,7 +451,8 @@ impl StormRunner {
             }
             accrue(&mut fleet, &mut out, &mut trained_weighted, up_since, e.at);
             out.incidents += 1;
-            let cat = e.reason.spec().category.label();
+            let category = e.reason.spec().category;
+            let cat = category.label();
             rec.begin(
                 e.at.as_secs_f64(),
                 e.reason.label(),
@@ -447,13 +474,14 @@ impl StormRunner {
             let mut wait = DIAGNOSE;
             let mut rollback = tracker.loss_at(e.at.as_secs_f64());
             let mut human = false;
-            // Recovery-stage decomposition for the flight recorder: detect
-            // (diagnosis + watchdog timeouts) and localize (NCCL sweeps +
-            // checkpoint validation) are tracked at their sources;
-            // restart/backoff is the residual, so the three stages always
-            // sum to `wait` exactly.
+            // Recovery-stage decomposition: detect (diagnosis + watchdog
+            // timeouts) and localize (NCCL sweeps + checkpoint validation)
+            // are tracked at their sources; restart/backoff is the
+            // residual, so the three stages always sum to `wait` exactly.
             let mut detect = DIAGNOSE;
             let mut localize = SimDuration::ZERO;
+            // When this incident's strikes cordoned its node.
+            let mut cordoned_at = None;
 
             // The event's flap only matters while its node is in service.
             let flapping = e.flapping && !fixed.contains(&e.node);
@@ -482,27 +510,8 @@ impl StormRunner {
                         if let RecoveryAction::AutoRestart { cordon_nodes: true } = d.action {
                             wait += NCCL_LOCALIZE;
                             localize += NCCL_LOCALIZE;
-                            orch.record_strike(e.node);
-                            if orch.should_cordon(e.node) {
-                                orch.mark_cordoned(e.node);
-                                fixed.insert(e.node);
-                                out.nodes_cordoned += 1;
-                                if policies.repair.rush {
-                                    out.rush_dispatches += 1;
-                                }
-                                let covered = fleet.cordon(e.at + wait);
-                                if covered {
-                                    out.spares_used += 1;
-                                }
-                                rec.instant(
-                                    (e.at + wait).as_secs_f64(),
-                                    "cordon",
-                                    cat,
-                                    &[(
-                                        "spare",
-                                        ArgValue::Str(if covered { "covered" } else { "degraded" }),
-                                    )],
-                                );
+                            if strike(&mut orch, &mut fixed, e.node) {
+                                cordoned_at = Some(e.at + wait);
                             }
                         }
                         // Checkpoint load, validated.
@@ -541,31 +550,8 @@ impl StormRunner {
                             loop {
                                 wait += FLAP_REFAIL;
                                 out.crash_loop_restarts += 1;
-                                orch.record_strike(e.node);
-                                if orch.should_cordon(e.node) {
-                                    orch.mark_cordoned(e.node);
-                                    fixed.insert(e.node);
-                                    out.nodes_cordoned += 1;
-                                    if policies.repair.rush {
-                                        out.rush_dispatches += 1;
-                                    }
-                                    let covered = fleet.cordon(e.at + wait);
-                                    if covered {
-                                        out.spares_used += 1;
-                                    }
-                                    rec.instant(
-                                        (e.at + wait).as_secs_f64(),
-                                        "cordon",
-                                        cat,
-                                        &[(
-                                            "spare",
-                                            ArgValue::Str(if covered {
-                                                "covered"
-                                            } else {
-                                                "degraded"
-                                            }),
-                                        )],
-                                    );
+                                if strike(&mut orch, &mut fixed, e.node) {
+                                    cordoned_at = Some(e.at + wait);
                                     wait += RESTART;
                                     break;
                                 }
@@ -631,19 +617,37 @@ impl StormRunner {
                 }
             }
 
+            // A cordoned node leaves for repair; a hot spare covers it
+            // while the pool lasts, otherwise the fleet runs degraded.
+            if let Some(at) = cordoned_at {
+                let covered = fleet.cordon(at);
+                out.spares_used += u32::from(covered);
+                rec.instant(
+                    at.as_secs_f64(),
+                    "cordon",
+                    cat,
+                    &[(
+                        "spare",
+                        ArgValue::Str(if covered { "covered" } else { "degraded" }),
+                    )],
+                );
+            }
             if human {
                 out.manual_interventions += 1;
             }
             out.downtime += wait;
             out.rollback_secs += rollback;
-            // Stage attribution, recorder or not: the three stages always
-            // partition the recovery wait exactly.
-            out.detect_secs += detect.as_secs_f64();
-            out.localize_secs += localize.as_secs_f64();
-            out.restart_secs += (wait - detect - localize).as_secs_f64();
+            let restart = wait - detect - localize;
+            let ci = category as usize;
+            for (total, stage) in out.stage_secs[ci]
+                .iter_mut()
+                .zip([detect, localize, restart])
+            {
+                *total += stage.as_secs_f64();
+            }
+            out.category_rollback_secs[ci] += rollback;
             if rec.enabled() {
                 let t0 = e.at.as_secs_f64();
-                let restart = wait - detect - localize;
                 rec.instant(
                     t0 + detect.as_secs_f64(),
                     "stage/detect",
@@ -675,6 +679,13 @@ impl StormRunner {
             accrue(&mut fleet, &mut out, &mut trained_weighted, up_since, end);
         }
         out.useful_secs = (trained_weighted - out.rollback_secs).max(0.0);
+        out.overshoot_secs = up_since.saturating_since(end).as_secs_f64();
+        // Every cordon marked a node the orchestrator had not cordoned
+        // yet, and an expedited repair model pages once per cordon.
+        out.nodes_cordoned = orch.cordoned_count();
+        if policies.repair.rush {
+            out.rush_dispatches = out.nodes_cordoned;
+        }
         if rec.enabled() {
             let end_s = end.as_secs_f64();
             if out.degraded_secs > 0.0 {
@@ -691,17 +702,34 @@ impl StormRunner {
             if up_since > end {
                 // The last incident's recovery ran past the horizon: that
                 // slice of its wait is not lost goodput (the horizon had
-                // already ended), so the blame analyzer subtracts it.
+                // already ended).
                 rec.instant(
                     end_s,
                     "overshoot",
                     "",
-                    &[("lost_secs", ArgValue::F64((up_since - end).as_secs_f64()))],
+                    &[("lost_secs", ArgValue::F64(out.overshoot_secs))],
                 );
             }
         }
         out
     }
+}
+
+/// Record a strike against `node` and cordon it once its strikes cross the
+/// threshold: out of the fault pool for good. True when this strike
+/// cordoned it.
+fn strike(
+    orch: &mut RecoveryOrchestrator,
+    fixed: &mut std::collections::BTreeSet<u32>,
+    node: u32,
+) -> bool {
+    orch.record_strike(node);
+    let cordon = orch.should_cordon(node);
+    if cordon {
+        orch.mark_cordoned(node);
+        fixed.insert(node);
+    }
+    cordon
 }
 
 /// Human reaction time: short in the day, until-morning at night (§5.3) —
@@ -726,6 +754,8 @@ pub(crate) fn manual_delay(at: SimTime, rng: &mut SimRng) -> SimDuration {
 mod tests {
     use super::*;
     use acme_failure::storm::{StormConfig, StormEngine};
+    use acme_failure::FailureCategory;
+    use acme_obs::{Phase, Recorder};
 
     fn storm(seed: u64) -> StormCampaign {
         let mut rng = SimRng::new(seed).fork(1001);
@@ -845,12 +875,59 @@ mod tests {
             StormPolicy::FullOrchestrator,
         ] {
             let o = outcome(42, policy);
-            let staged = o.detect_secs + o.localize_secs + o.restart_secs;
+            let staged: f64 = o.stage_totals().iter().sum();
             assert!(
                 (staged - o.downtime.as_secs_f64()).abs() < 1e-6,
                 "{policy:?}: stages {staged:.1}s vs downtime {:.1}s",
                 o.downtime.as_secs_f64()
             );
+        }
+    }
+
+    #[test]
+    fn the_export_sums_to_the_outcome_bit_for_bit() {
+        // The recording is an export of the outcome's own accounting: its
+        // `stage/*` and `rollback` instants, summed per category in
+        // recording order, are the outcome's matrices bit for bit.
+        for seed in [42, 7, 3] {
+            let campaign = storm(seed);
+            let mut r = Recorder::new();
+            let o = StormRunner::deployed(campaign.fleet_nodes).run_with_traced(
+                &campaign,
+                &StormPolicies::for_arm(StormPolicy::FullOrchestrator),
+                &mut SimRng::new(seed).fork(2002),
+                &mut Rec::on(&mut r),
+            );
+            let mut stages = [[0.0; 3]; 3];
+            let mut rollback = [0.0; 3];
+            let (mut incidents, mut cordons, mut overshoot) = (0, 0, 0.0);
+            for ev in r.events() {
+                incidents += u32::from(ev.phase == Phase::Begin);
+                let secs = |key| {
+                    ev.args.iter().find_map(|&(k, v)| match v {
+                        ArgValue::F64(x) if k == key => Some(x),
+                        _ => None,
+                    })
+                };
+                let ci = FailureCategory::ALL
+                    .iter()
+                    .position(|c| c.label() == ev.cat);
+                match (ev.name.as_str(), ci) {
+                    ("stage/detect", Some(ci)) => stages[ci][0] += secs("secs").unwrap(),
+                    ("stage/localize", Some(ci)) => stages[ci][1] += secs("secs").unwrap(),
+                    ("stage/restart", Some(ci)) => stages[ci][2] += secs("secs").unwrap(),
+                    ("rollback", Some(ci)) => rollback[ci] += secs("secs").unwrap(),
+                    ("cordon", _) => cordons += 1,
+                    ("overshoot", _) => overshoot += secs("lost_secs").unwrap(),
+                    _ => {}
+                }
+            }
+            assert_eq!(stages, o.stage_secs, "seed {seed}");
+            assert_eq!(rollback, o.category_rollback_secs, "seed {seed}");
+            assert_eq!(overshoot, o.overshoot_secs, "seed {seed}");
+            assert_eq!(incidents, o.incidents, "seed {seed}");
+            assert_eq!(cordons, o.nodes_cordoned, "seed {seed}");
+            assert!(o.nodes_cordoned > 0, "seed {seed}: the full arm cordons");
         }
     }
 

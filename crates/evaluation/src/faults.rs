@@ -24,6 +24,12 @@
 //!    re-packing of work stranded on dead nodes onto survivors, and
 //!    idempotent result dedup when a speculative copy and the original
 //!    both finish.
+//!
+//! The outcome attributes every wasted GPU-second to a fault category ×
+//! recovery stage as it accrues ([`CampaignOutcome::waste_secs`]); that
+//! matrix is what `repro blame` tabulates. A flight recorder
+//! ([`run_campaign_traced`]) only exports the same terms, one `waste`
+//! instant each, beside the trial lifecycle.
 
 use std::collections::VecDeque;
 
@@ -383,6 +389,13 @@ pub struct CampaignOutcome {
     /// GPU seconds lost: crash partials, invalidated uncommitted results,
     /// whole-campaign restarts, and speculative losers.
     pub wasted_gpu_secs: f64,
+    /// The same waste per fault category (rows, in [`FailureCategory`]
+    /// order) and recovery stage (columns: detect = speculation losers,
+    /// restart/backoff = crash partials, invalidated results and campaign
+    /// restarts, cordon/spare = work stranded on failed nodes), GPU
+    /// seconds, summed in the order it accrues. The flight recorder
+    /// exports each term as a `waste` instant.
+    pub waste_secs: [[f64; 3]; 3],
     /// Remote model loads performed (initial staging + re-staging).
     pub remote_loads: usize,
     /// Remote loads beyond the initial per-node staging.
@@ -446,10 +459,10 @@ pub fn run_campaign(
 
 /// [`run_campaign`] with a flight recorder attached: trial lifecycle
 /// (crashes, retries, speculation, re-packing, campaign restarts) becomes
-/// instant events, every wasted GPU-second is attributed to a fault
-/// category × recovery stage as it accrues, and fault arrivals sample the
-/// event-queue depth. Recording never touches the simulation: the outcome
-/// is identical to the untraced run.
+/// instant events, every term of [`CampaignOutcome::waste_secs`] a `waste`
+/// instant tagged with its category and stage, and fault arrivals sample
+/// the event-queue depth. Recording never touches the simulation: the
+/// outcome is identical to the untraced run.
 pub fn run_campaign_traced(
     policy: CampaignPolicy,
     datasets: &[Dataset],
@@ -568,6 +581,7 @@ struct CampaignSim<'a> {
 
     useful: f64,
     wasted: f64,
+    waste_secs: [[f64; 3]; 3],
     remote_loads: usize,
     redundant_remote_loads: usize,
     retries: u32,
@@ -582,17 +596,20 @@ struct CampaignSim<'a> {
     rec: Rec<'a>,
 }
 
-/// Recovery-stage labels for waste attribution (the Lablup decomposition
-/// the `blame` experiment aggregates by).
+/// Recovery stages of the waste attribution (the Lablup decomposition
+/// the `blame` experiment tabulates): column indices of
+/// [`CampaignOutcome::waste_secs`].
 mod stage {
     /// Duplicate work paid to detect/outrun stragglers (speculation
     /// losers).
-    pub const DETECT: &str = "detect";
+    pub const DETECT: usize = 0;
     /// Work thrown away restarting after a trial crash (partials,
     /// invalidated uncommitted results, whole-campaign restarts).
-    pub const RESTART: &str = "restart/backoff";
+    pub const RESTART: usize = 1;
     /// Work stranded on failed nodes (re-packed or deferred).
-    pub const CORDON: &str = "cordon/spare";
+    pub const CORDON: usize = 2;
+    /// Trace labels, by index.
+    pub const LABELS: [&str; 3] = ["detect", "restart/backoff", "cordon/spare"];
 }
 
 impl<'a> CampaignSim<'a> {
@@ -648,6 +665,7 @@ impl<'a> CampaignSim<'a> {
             era: 0,
             useful: 0.0,
             wasted: 0.0,
+            waste_secs: [[0.0; 3]; 3],
             remote_loads: nodes as usize,
             redundant_remote_loads: 0,
             retries: 0,
@@ -665,17 +683,18 @@ impl<'a> CampaignSim<'a> {
     }
 
     /// Account `secs` of wasted GPU time, attributing it to a fault
-    /// category × recovery stage for the flight recorder. The *only* site
-    /// that touches `self.wasted`, so the recorded attribution always sums
-    /// to `CampaignOutcome::wasted_gpu_secs` exactly.
-    fn waste(&mut self, now: f64, cat: &'static str, stage: &'static str, secs: f64) {
+    /// category × recovery stage. The *only* site that touches
+    /// `self.wasted`, so the attribution always sums to
+    /// `CampaignOutcome::wasted_gpu_secs`.
+    fn waste(&mut self, now: f64, cat: FailureCategory, stage: usize, secs: f64) {
         self.wasted += secs;
+        self.waste_secs[cat as usize][stage] += secs;
         self.rec.instant(
             now,
             "waste",
-            cat,
+            cat.label(),
             &[
-                ("stage", ArgValue::Str(stage)),
+                ("stage", ArgValue::Str(stage::LABELS[stage])),
                 ("secs", ArgValue::F64(secs)),
             ],
         );
@@ -714,6 +733,7 @@ impl<'a> CampaignSim<'a> {
             makespan_secs: self.last_gpu_done.max(self.last_metric_done),
             useful_gpu_secs: self.useful,
             wasted_gpu_secs: self.wasted,
+            waste_secs: self.waste_secs,
             remote_loads: self.remote_loads,
             redundant_remote_loads: self.redundant_remote_loads,
             retries: self.retries,
@@ -822,12 +842,7 @@ impl<'a> CampaignSim<'a> {
         if self.committed[b.item] {
             // Idempotent dedup: the speculative twin already landed.
             self.duplicate_results += 1;
-            self.waste(
-                now,
-                FailureCategory::Infrastructure.label(),
-                stage::DETECT,
-                b.work,
-            );
+            self.waste(now, FailureCategory::Infrastructure, stage::DETECT, b.work);
         } else if self.policy.tracks_datasets() {
             self.commit(b.item, b.work, now);
         } else {
@@ -840,12 +855,7 @@ impl<'a> CampaignSim<'a> {
     fn commit(&mut self, item: usize, work: f64, now: f64) {
         if self.committed[item] {
             self.duplicate_results += 1;
-            self.waste(
-                now,
-                FailureCategory::Infrastructure.label(),
-                stage::DETECT,
-                work,
-            );
+            self.waste(now, FailureCategory::Infrastructure, stage::DETECT, work);
             return;
         }
         self.committed[item] = true;
@@ -927,13 +937,13 @@ impl<'a> CampaignSim<'a> {
         {
             return; // struck an empty slot, a dead GPU, or a finished campaign
         }
-        let cat = c.reason.spec().category.label();
+        let cat = c.reason.spec().category;
         self.rec
             .counter(now, "queue_depth", self.queue.len() as u64);
         self.rec.instant(
             now,
             "trial/crash",
-            cat,
+            cat.label(),
             &[("gpu", ArgValue::U64(u64::from(c.gpu)))],
         );
         if self.policy.restarts_whole_campaign() {
@@ -999,13 +1009,13 @@ impl<'a> CampaignSim<'a> {
         self.node_alive[ni] = false;
         self.alive_nodes -= 1;
         self.nodes_lost += 1;
-        let infra = FailureCategory::Infrastructure.label();
+        let infra = FailureCategory::Infrastructure;
         self.rec
             .counter(now, "queue_depth", self.queue.len() as u64);
         self.rec.instant(
             now,
             "node/failure",
-            infra,
+            infra.label(),
             &[("node", ArgValue::U64(u64::from(f.node)))],
         );
 
@@ -1040,7 +1050,7 @@ impl<'a> CampaignSim<'a> {
             self.rec.instant(
                 now,
                 "repack",
-                infra,
+                infra.label(),
                 &[("items", ArgValue::U64(lost.len() as u64))],
             );
             for w in lost.into_iter().rev() {
@@ -1058,13 +1068,13 @@ impl<'a> CampaignSim<'a> {
     /// Naive recovery: throw everything away and resubmit the campaign on
     /// the surviving fleet, re-staging the model from (possibly degraded)
     /// remote storage.
-    fn campaign_restart(&mut self, now: f64, cat: &'static str) {
+    fn campaign_restart(&mut self, now: f64, cat: FailureCategory) {
         self.campaign_restarts += 1;
         self.era += 1;
         self.rec.instant(
             now,
             "campaign/restart",
-            cat,
+            cat.label(),
             &[("era", ArgValue::U64(u64::from(self.era)))],
         );
         for gi in 0..self.gpu.len() {
@@ -1374,6 +1384,43 @@ mod tests {
             retry.wasted_gpu_secs,
             full.wasted_gpu_secs
         );
+    }
+
+    #[test]
+    fn waste_instants_sum_to_the_outcome_bit_for_bit() {
+        // The recording is an export of the outcome's own accounting: its
+        // `waste` instants, summed per category × stage in recording
+        // order, are the outcome's waste matrix bit for bit.
+        for seed in [42, 7, 3] {
+            let plan = plan_for(seed, 4);
+            for policy in CampaignPolicy::ALL {
+                let mut r = Recorder::new();
+                let o = run_campaign_traced(
+                    policy,
+                    &registry(),
+                    4,
+                    &seren(),
+                    14.0,
+                    &plan,
+                    &mut Rec::on(&mut r),
+                )
+                .unwrap();
+                let mut waste = [[0.0; 3]; 3];
+                for ev in r.events().iter().filter(|e| e.name == "waste") {
+                    let (ArgValue::Str(label), ArgValue::F64(secs)) = (ev.args[0].1, ev.args[1].1)
+                    else {
+                        panic!("waste instants carry (stage, secs)");
+                    };
+                    let ci = FailureCategory::ALL
+                        .iter()
+                        .position(|c| c.label() == ev.cat);
+                    let si = stage::LABELS.iter().position(|&l| l == label);
+                    waste[ci.unwrap()][si.unwrap()] += secs;
+                }
+                assert_eq!(waste, o.waste_secs, "{policy:?} seed {seed}");
+                assert!(o.wasted_gpu_secs > 0.0, "{policy:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -118,22 +118,18 @@ impl FailureInjector {
         assert!(!events.is_empty(), "no events to aggregate");
         let total_n = events.len() as f64;
         let total_t: f64 = events.iter().map(|e| e.gpu_time_mins()).sum();
-        [
-            FailureCategory::Infrastructure,
-            FailureCategory::Framework,
-            FailureCategory::Script,
-        ]
-        .into_iter()
-        .map(|cat| {
-            let n = events.iter().filter(|e| e.reason.category() == cat).count() as f64;
-            let t: f64 = events
-                .iter()
-                .filter(|e| e.reason.category() == cat)
-                .map(|e| e.gpu_time_mins())
-                .sum();
-            (cat, n / total_n, t / total_t)
-        })
-        .collect()
+        FailureCategory::ALL
+            .into_iter()
+            .map(|cat| {
+                let n = events.iter().filter(|e| e.reason.category() == cat).count() as f64;
+                let t: f64 = events
+                    .iter()
+                    .filter(|e| e.reason.category() == cat)
+                    .map(|e| e.gpu_time_mins())
+                    .sum();
+                (cat, n / total_n, t / total_t)
+            })
+            .collect()
     }
 }
 

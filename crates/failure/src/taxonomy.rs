@@ -19,6 +19,13 @@ pub enum FailureCategory {
 }
 
 impl FailureCategory {
+    /// Every category, in declaration order (the order `as usize` indexes).
+    pub const ALL: [FailureCategory; 3] = [
+        FailureCategory::Infrastructure,
+        FailureCategory::Framework,
+        FailureCategory::Script,
+    ];
+
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {

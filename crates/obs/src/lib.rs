@@ -20,6 +20,11 @@
 //! actually on. `repro all` without `--trace` must produce byte-identical
 //! stdout and indistinguishable wall time — CI's bench gate pins this.
 //!
+//! A recording is an export only: no experiment reads its numbers back
+//! out of one. What a report prints comes from the simulation's own
+//! outcome types, which carry their accounting whether or not a recorder
+//! is attached, so an untraced run builds no [`Recorder`] at all.
+//!
 //! # The tally
 //!
 //! Everything an experiment reports beside its text — trace chunks
@@ -35,8 +40,8 @@
 //!
 //! Events carry simulated timestamps, never wall-clock ones, so a recording
 //! is a pure function of the experiment seed. Sharded experiments record
-//! into one [`Recorder`] per shard and deposit it as a [`TraceChunk`];
-//! because tallies travel in task order, the exported files are
+//! through [`recorded`], one [`Recorder`] per shard deposited as a
+//! [`TraceChunk`]; because tallies travel in task order, the exported files are
 //! byte-identical across reruns and any `--jobs` value, like stdout.
 
 #![warn(missing_docs)]
@@ -111,11 +116,6 @@ impl Recorder {
     /// The recorded events, in recording order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Convert into a labelled chunk for [`deposit`].
@@ -266,6 +266,20 @@ thread_local! {
 /// Deposit a finished chunk on the calling thread.
 pub fn deposit(chunk: TraceChunk) {
     PENDING.with_borrow_mut(|(chunks, _)| chunks.push(chunk));
+}
+
+/// Run `f` with a recording handle. With `trace` on, `f` records into a
+/// fresh [`Recorder`] that is then [`deposit`]ed as the chunk `label`;
+/// with it off, `f` gets [`Rec::off`] and nothing is recorded or
+/// deposited. Either way `f`'s result is returned as is.
+pub fn recorded<T>(trace: bool, label: impl Into<String>, f: impl FnOnce(&mut Rec<'_>) -> T) -> T {
+    if !trace {
+        return f(&mut Rec::off());
+    }
+    let mut r = Recorder::new();
+    let out = f(&mut Rec::on(&mut r));
+    deposit(r.into_chunk(label));
+    out
 }
 
 /// Drain everything deposited on the calling thread.
@@ -477,6 +491,22 @@ mod tests {
         assert_eq!(r.events()[0].phase, Phase::Begin);
         assert_eq!(r.events()[1].name, "b");
         assert_eq!(r.events()[2].phase, Phase::End);
+    }
+
+    #[test]
+    fn recorded_deposits_only_when_tracing() {
+        take(); // isolate from deposits earlier on this thread
+        let run = |rec: &mut Rec<'_>| {
+            rec.instant(1.0, "x", "c", &[]);
+            rec.enabled()
+        };
+        assert!(!recorded(false, "off", run));
+        assert!(take().chunks.is_empty(), "tracing off deposits nothing");
+        assert!(recorded(true, "on", run));
+        let chunks = take().chunks;
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].label, "on");
+        assert_eq!(chunks[0].events[0].name, "x");
     }
 
     #[test]
