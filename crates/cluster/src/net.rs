@@ -130,11 +130,6 @@ impl FatTree {
         self.half * self.half
     }
 
-    /// Hosts per edge switch: `k/2`.
-    pub fn hosts_per_edge(&self) -> u32 {
-        self.half
-    }
-
     /// The pod a host lives in.
     pub fn pod_of_host(&self, host: u32) -> u32 {
         host / self.hosts_per_pod()
@@ -725,7 +720,6 @@ mod tests {
         assert_eq!(t.agg_switches(), 32);
         assert_eq!(t.core_switches(), 16);
         assert_eq!(t.hosts_per_pod(), 16);
-        assert_eq!(t.hosts_per_edge(), 4);
         assert_eq!(t.pod_of_host(17), 1);
         assert_eq!(t.edge_of_host(17), 4);
         assert_eq!(t.hosts_under_edge(0).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
@@ -735,26 +729,27 @@ mod tests {
     #[test]
     fn link_ids_are_unique_and_in_range() {
         let t = tree8();
+        let half = t.hosts_under_edge(0).len() as u32;
         let mut seen = BTreeSet::new();
         for h in 0..t.hosts() {
             seen.insert(t.host_up(h));
             seen.insert(t.host_down(h));
         }
         for e in 0..t.edge_switches() {
-            for a in 0..t.hosts_per_edge() {
+            for a in 0..half {
                 seen.insert(t.edge_up(e, a));
             }
         }
         for p in 0..t.pods() {
-            for a in 0..t.hosts_per_edge() {
-                for x in 0..t.hosts_per_edge() {
+            for a in 0..half {
+                for x in 0..half {
                     seen.insert(t.agg_down(p, a, x));
                     seen.insert(t.agg_up(p, a, x));
                 }
             }
         }
-        for a in 0..t.hosts_per_edge() {
-            for c in 0..t.hosts_per_edge() {
+        for a in 0..half {
+            for c in 0..half {
                 for p in 0..t.pods() {
                     seen.insert(t.core_down(a, c, p));
                 }

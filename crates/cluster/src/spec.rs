@@ -62,19 +62,6 @@ pub struct NodeSpec {
     pub gpu: GpuSpec,
 }
 
-impl NodeSpec {
-    /// Total application IB bandwidth, Gb/s.
-    pub fn total_ib_gbps(&self) -> f64 {
-        self.ib_hcas as f64 * self.ib_gbps_per_hca
-    }
-
-    /// CPU-to-GPU ratio; the paper notes 16 CPUs per GPU drives the CPU
-    /// underutilization of Figure 7(c).
-    pub fn cpus_per_gpu(&self) -> f64 {
-        self.cpus as f64 / self.gpus as f64
-    }
-}
-
 /// A whole cluster (one column of Table 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
@@ -151,7 +138,7 @@ mod tests {
         assert_eq!(s.node.cpus, 128);
         assert_eq!(s.node.gpus, 8);
         assert_eq!(s.node.host_memory_gb, 1024.0);
-        assert_eq!(s.node.total_ib_gbps(), 200.0);
+        assert_eq!((s.node.ib_hcas, s.node.ib_gbps_per_hca), (1, 200.0));
         assert_eq!(s.scheduler, SchedulerKind::Slurm);
         assert_eq!(s.total_gpus(), 2288);
     }
@@ -161,7 +148,7 @@ mod tests {
         let k = ClusterSpec::kalos();
         assert_eq!(k.nodes, 302);
         assert_eq!(k.node.host_memory_gb, 2048.0);
-        assert_eq!(k.node.total_ib_gbps(), 800.0);
+        assert_eq!((k.node.ib_hcas, k.node.ib_gbps_per_hca), (4, 200.0));
         assert!(k.node.dedicated_storage_hca);
         assert_eq!(k.scheduler, SchedulerKind::Kubernetes);
         assert_eq!(k.total_gpus(), 2416);
@@ -172,11 +159,6 @@ mod tests {
         let [s, k] = ClusterSpec::acme();
         // 4,704 A100s in total (§1).
         assert_eq!(s.total_gpus() + k.total_gpus(), 4704);
-    }
-
-    #[test]
-    fn cpu_gpu_ratio_is_sixteen() {
-        assert_eq!(ClusterSpec::seren().node.cpus_per_gpu(), 16.0);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl ThermalModel {
     /// NVLink/ECC errors.
     pub const OVERHEAT_THRESHOLD_C: f64 = 65.0;
 
-    /// Whether a GPU at this power is in the overheating regime.
-    pub fn is_overheating(&self, power_w: f64) -> bool {
-        self.memory_temp_c(power_w) > Self::OVERHEAT_THRESHOLD_C
-    }
-
     /// Multiplier on thermally sensitive hardware failure rates. 1.0 at or
     /// below the threshold, growing linearly ~8%/°C above it.
     pub fn failure_rate_multiplier(&self, power_w: f64) -> f64 {
@@ -103,7 +98,7 @@ mod tests {
     fn idle_gpu_stays_cool() {
         let m = ThermalModel::normal();
         assert!(m.core_temp_c(60.0) < 35.0);
-        assert!(!m.is_overheating(60.0));
+        assert_eq!(m.failure_rate_multiplier(60.0), 1.0);
     }
 
     #[test]
@@ -111,7 +106,7 @@ mod tests {
         let m = ThermalModel::normal();
         // The paper observes heavily loaded GPUs above 65 °C (Figure 21).
         assert!(m.memory_temp_c(500.0) > 65.0);
-        assert!(m.is_overheating(520.0));
+        assert!(m.failure_rate_multiplier(520.0) > 1.0);
     }
 
     #[test]
@@ -121,8 +116,8 @@ mod tests {
         assert!((wave.ambient_c - normal.ambient_c - 5.0).abs() < 1e-9);
         // Under the heat wave, loads that were safe start overheating.
         let p = 420.0;
-        assert!(!normal.is_overheating(p));
-        assert!(wave.is_overheating(p));
+        assert_eq!(normal.failure_rate_multiplier(p), 1.0);
+        assert!(wave.failure_rate_multiplier(p) > 1.0);
     }
 
     #[test]

@@ -18,22 +18,14 @@
 //! both printed next to the recomputed outcome so a drift is visible in
 //! the artifact itself.
 
-use acme_cluster::SharedStorage;
-use acme_evaluation::benchmarks::registry;
-use acme_evaluation::coordinator::{run as run_clean, Scheduler};
-use acme_evaluation::faults::{
-    run_campaign_traced, CampaignOutcome, CampaignPolicy, FaultConfig, FaultPlan,
-};
-use acme_failure::storm::{StormConfig, StormEngine};
+use acme_evaluation::faults::{CampaignOutcome, CampaignPolicy};
 use acme_failure::FailureCategory;
-use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
 
-use super::evalstorm::{MODEL_GB, NODES};
 use super::shard::{run_shards, shard};
-use super::RunParams;
-use crate::storm::{StormOutcome, StormPolicies, StormPolicy, StormRunner};
+use super::{evalstorm, storm, RunParams};
+use crate::storm::{StormOutcome, StormPolicy};
 
 /// Seconds per hour, for the storm table.
 const HOUR: f64 = 3600.0;
@@ -77,54 +69,19 @@ enum Piece {
     Eval(Box<CampaignOutcome>),
 }
 
-/// Replay the seed's storm under the full orchestrator.
+/// Replay the seed's storm under the full orchestrator, as the storm
+/// ablation does.
 fn replay_storm(p: RunParams) -> StormOutcome {
-    let config = StormConfig::scaled(p.scale);
-    let mut rng = SimRng::new(p.seed).fork(1001);
-    let campaign = StormEngine::new(config).generate(&mut rng);
-    let runner = StormRunner::deployed(campaign.fleet_nodes);
-    let policy = StormPolicy::FullOrchestrator;
-    let mut arm_rng = SimRng::new(p.seed).fork(1002 + policy as u64);
-    acme_obs::recorded(p.trace, "replay/storm", |rec| {
-        runner.run_with_traced(
-            &campaign,
-            &StormPolicies::for_arm(policy),
-            &mut arm_rng,
-            rec,
-        )
-    })
+    let campaign = storm::campaign(p.seed, p.scale);
+    storm::replay(p, &campaign, StormPolicy::FullOrchestrator, "replay/storm")
 }
 
-/// Replay the seed's evaluation storm under the full coordinator.
+/// Replay the seed's evaluation storm under the full coordinator, as the
+/// evalstorm ablation does.
 fn replay_evalstorm(p: RunParams) -> CampaignOutcome {
-    let storage = SharedStorage::seren();
-    let mut datasets = Vec::new();
-    for _ in 0..p.scale {
-        datasets.extend(registry());
-    }
-    let clean = run_clean(
-        Scheduler::FullCoordinator,
-        &datasets,
-        NODES,
-        &storage,
-        MODEL_GB,
-    )
-    .expect("the registry is non-empty and the fleet has nodes");
-    let config = FaultConfig::default_campaign(NODES, clean.makespan_secs);
-    let mut rng = SimRng::new(p.seed).fork(1101);
-    let plan = FaultPlan::generate(&config, &mut rng);
-    acme_obs::recorded(p.trace, "replay/evalstorm", |rec| {
-        run_campaign_traced(
-            CampaignPolicy::FaultTolerant,
-            &datasets,
-            NODES,
-            &storage,
-            MODEL_GB,
-            &plan,
-            rec,
-        )
-    })
-    .expect("the campaign inputs were already validated")
+    let (datasets, _, plan) = evalstorm::campaign(p);
+    let policy = CampaignPolicy::FaultTolerant;
+    evalstorm::replay(p, &datasets, &plan, policy, "replay/evalstorm")
 }
 
 /// `blame` — replay the storm and evalstorm arms and attribute every lost
@@ -221,12 +178,12 @@ pub fn blame(p: RunParams) -> String {
     format!(
         "pretraining storm, full-orchestrator arm ({} incidents, {} cordons):\n\
          {}\
-         lost goodput: {} h recorded = {} h outcome (horizon {} h - useful {} h); \
+         lost goodput: {} h attributed = {} h outcome (horizon {} h - useful {} h); \
          goodput {} as in the storm ablation\n\
          evaluation storm, fault-tolerant arm ({} crashes, {} speculations, \
          {} node failures, {} campaign restarts, {} metric flakes):\n\
          {}\
-         wasted GPU time: {} GPU-s recorded = {} GPU-s outcome, as in the \
+         wasted GPU time: {} GPU-s attributed = {} GPU-s outcome, as in the \
          evalstorm ablation\n\
          blame: every lost second carries the fault category that caused it \
          and the recovery stage that spent it — {}\n",

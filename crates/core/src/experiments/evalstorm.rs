@@ -8,9 +8,11 @@
 //! one costs ([`acme_evaluation::faults`]).
 
 use acme_cluster::SharedStorage;
-use acme_evaluation::benchmarks::registry;
+use acme_evaluation::benchmarks::{registry, Dataset};
 use acme_evaluation::coordinator::{run as run_clean, Scheduler};
-use acme_evaluation::faults::{run_campaign_traced, CampaignPolicy, FaultConfig, FaultPlan};
+use acme_evaluation::faults::{
+    run_campaign_traced, CampaignOutcome, CampaignPolicy, FaultConfig, FaultPlan,
+};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
@@ -19,35 +21,53 @@ use super::shard::{run_shards, shard};
 use super::RunParams;
 
 /// Nodes in the evaluation fleet (the §6.2 four-node configuration).
-pub(super) const NODES: u32 = 4;
+const NODES: u32 = 4;
 /// Checkpoint size: the 7B model's 14 GB of weights.
-pub(super) const MODEL_GB: f64 = 14.0;
+const MODEL_GB: f64 = 14.0;
+
+/// The seed's evaluation campaign, as this ablation and `blame` replay
+/// it: the datasets, their fault-free makespan in seconds, and the fault
+/// plan drawn against that makespan. `--scale` repeats the benchmark
+/// registry N× (N checkpoints' worth of datasets), and the fault horizon
+/// follows the fault-free makespan.
+pub(super) fn campaign(p: RunParams) -> (Vec<Dataset>, f64, FaultPlan) {
+    let datasets: Vec<Dataset> = (0..p.scale).flat_map(|_| registry()).collect();
+    let clean = run_clean(
+        Scheduler::FullCoordinator,
+        &datasets,
+        NODES,
+        &SharedStorage::seren(),
+        MODEL_GB,
+    )
+    .expect("the registry is non-empty and the fleet has nodes")
+    .makespan_secs;
+    let config = FaultConfig::default_campaign(NODES, clean);
+    let plan = FaultPlan::generate(&config, &mut SimRng::new(p.seed).fork(1101));
+    (datasets, clean, plan)
+}
+
+/// Replay the campaign under one recovery arm, recording under `label`
+/// when tracing.
+pub(super) fn replay(
+    p: RunParams,
+    datasets: &[Dataset],
+    plan: &FaultPlan,
+    policy: CampaignPolicy,
+    label: impl Into<String>,
+) -> CampaignOutcome {
+    acme_obs::recorded(p.trace, label, |rec| {
+        let storage = SharedStorage::seren();
+        run_campaign_traced(policy, datasets, NODES, &storage, MODEL_GB, plan, rec)
+    })
+    .expect("the campaign inputs were already validated")
+}
 
 /// `evalstorm` — generate the default fault campaign for the seed (horizon
 /// proportional to the fault-free makespan, which grows with `scale`) and
 /// ablate naive restart vs retry-only vs the full fault-tolerant
 /// coordinator. Deterministic in (seed, scale).
 pub fn evalstorm(p: RunParams) -> String {
-    let storage = SharedStorage::seren();
-    // `--scale` repeats the benchmark registry N×: a campaign over N
-    // checkpoints' worth of datasets. The fault horizon follows the
-    // fault-free makespan automatically.
-    let mut datasets = Vec::new();
-    for _ in 0..p.scale {
-        datasets.extend(registry());
-    }
-
-    let clean = run_clean(
-        Scheduler::FullCoordinator,
-        &datasets,
-        NODES,
-        &storage,
-        MODEL_GB,
-    )
-    .expect("the registry is non-empty and the fleet has nodes");
-    let config = FaultConfig::default_campaign(NODES, clean.makespan_secs);
-    let mut rng = SimRng::new(p.seed).fork(1101);
-    let plan = FaultPlan::generate(&config, &mut rng);
+    let (datasets, clean_makespan_secs, plan) = campaign(p);
 
     let mut summary = Table::new(["campaign property", "value"]);
     summary.row([
@@ -56,7 +76,7 @@ pub fn evalstorm(p: RunParams) -> String {
     ]);
     summary.row([
         "fault-free makespan".to_owned(),
-        format!("{} s", f(clean.makespan_secs, 1)),
+        format!("{} s", f(clean_makespan_secs, 1)),
     ]);
     summary.row([
         "fault horizon".to_owned(),
@@ -100,13 +120,10 @@ pub fn evalstorm(p: RunParams) -> String {
         CampaignPolicy::ALL
             .iter()
             .map(|&policy| {
-                let (datasets, storage, plan) = (&datasets, &storage, &plan);
+                let (datasets, plan) = (&datasets, &plan);
                 let label = format!("arm/{}", policy.label());
                 shard(label.clone(), move || {
-                    acme_obs::recorded(p.trace, label, |rec| {
-                        run_campaign_traced(policy, datasets, NODES, storage, MODEL_GB, plan, rec)
-                    })
-                    .expect("the campaign inputs were already validated")
+                    replay(p, datasets, plan, policy, label)
                 })
             })
             .collect(),
@@ -117,7 +134,7 @@ pub fn evalstorm(p: RunParams) -> String {
     let mut full_wasted = 0.0;
     let mut full_coverage = 0.0;
     for (policy, o) in CampaignPolicy::ALL.into_iter().zip(outcomes) {
-        let inflation = o.inflation_vs(clean.makespan_secs);
+        let inflation = o.inflation_vs(clean_makespan_secs);
         match policy {
             CampaignPolicy::NaiveRestart => {
                 naive_inflation = inflation;

@@ -19,7 +19,7 @@
 
 use acme_cluster::net::{Flow, FlowSim, NetConfig, NetFabric};
 use acme_cluster::FabricSpec;
-use acme_failure::storm::{NetStormConfig, StormConfig, StormEngine};
+use acme_failure::storm::{NetStormConfig, StormConfig, StormEngine, NET_RADIX};
 use acme_policy::NetRecoveryPolicy;
 use acme_sim_core::{SimRng, SimTime};
 use acme_telemetry::table::{f, pct};
@@ -30,15 +30,12 @@ use super::shard::{run_shards, shard};
 use super::RunParams;
 use crate::netstorm::NetStormRunner;
 
-/// Fat-tree radix of the netstorm fleet: 128 hosts, 1024 GPUs.
-const RADIX: u32 = 8;
-
 /// The storm the ablation replays: the default hostile fortnight
 /// (stretched by `scale`) over the tree's 128 hosts, with the default
 /// network fault surface switched on.
 fn storm_config(scale: u32) -> StormConfig {
     let mut c = StormConfig::scaled(scale);
-    c.fleet_nodes = RADIX * RADIX * RADIX / 4;
+    c.fleet_nodes = NET_RADIX * NET_RADIX * NET_RADIX / 4;
     c.net = Some(NetStormConfig::default_net());
     c
 }
@@ -90,7 +87,7 @@ pub fn netstorm(p: RunParams) -> String {
     let campaign = StormEngine::new(config).generate(&mut rng);
 
     let spec = FabricSpec::kalos();
-    let mut fabric = NetFabric::new(spec, NetConfig::for_fabric(&spec, RADIX));
+    let mut fabric = NetFabric::new(spec, NetConfig::for_fabric(&spec, NET_RADIX));
     let healthy_ckpt = checkpoint_makespan_secs(&fabric);
     // An oversubscription window over the storage pod: every shard crosses
     // its aggregation tier, so the write path degrades end to end.
@@ -106,7 +103,7 @@ pub fn netstorm(p: RunParams) -> String {
         "fat tree".to_owned(),
         format!(
             "k={} ({} hosts, {} switches)",
-            RADIX,
+            NET_RADIX,
             fabric.tree().hosts(),
             fabric.tree().edge_switches()
                 + fabric.tree().agg_switches()
@@ -139,7 +136,7 @@ pub fn netstorm(p: RunParams) -> String {
         format!("{} s", f(congested_ckpt, 2)),
     ]);
 
-    let runner = NetStormRunner::deployed(RADIX);
+    let runner = NetStormRunner::deployed(NET_RADIX);
     // Each arm replays the same campaign with its own forked rng stream,
     // so the arms differ only by policy, never by draw order — which also
     // makes them independent shards (results consumed in arm order).
@@ -218,41 +215,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aware_beats_naive_on_both_axes_at_the_pinned_seeds() {
-        // The ISSUE acceptance bar, read straight off the rendered table
-        // tail at each pinned seed.
-        for seed in [42, 7, 3] {
-            let out = netstorm(RunParams::new(seed));
-            let tail = out.lines().last().unwrap();
-            // The tail sentence interpolates aware goodput/humans first,
-            // naive second; recompute from the runner to compare exactly.
-            let campaign = {
-                let mut rng = SimRng::new(seed).fork(1101);
-                StormEngine::new(storm_config(1)).generate(&mut rng)
-            };
-            let runner = NetStormRunner::deployed(RADIX);
-            let naive = runner.run(
-                &campaign,
-                &NetRecoveryPolicy::naive(),
-                &mut SimRng::new(seed).fork(4000),
-            );
-            let aware = runner.run(
-                &campaign,
-                &NetRecoveryPolicy::topology_aware(),
-                &mut SimRng::new(seed).fork(4002),
-            );
-            assert!(aware.goodput() > naive.goodput(), "seed {seed}: {tail}");
-            assert!(
-                aware.human_actions() < naive.human_actions(),
-                "seed {seed}: {tail}"
-            );
-        }
-    }
-
-    #[test]
     fn congestion_slows_the_checkpoint_flows() {
         let spec = FabricSpec::kalos();
-        let mut fabric = NetFabric::new(spec, NetConfig::for_fabric(&spec, RADIX));
+        let mut fabric = NetFabric::new(spec, NetConfig::for_fabric(&spec, NET_RADIX));
         let healthy = checkpoint_makespan_secs(&fabric);
         assert!(healthy > 0.0);
         fabric.congest_pod(fabric.tree().pods() - 1, 4.0);

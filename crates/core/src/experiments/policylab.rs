@@ -23,7 +23,6 @@
 //! diagnosis, but it picks the rng stream: 150 keeps the `storm`
 //! experiment's output and 24 the sweep's as the golden report pins them.
 
-use acme_failure::storm::{StormConfig, StormEngine};
 use acme_policy::{
     CheckpointChoice, CordonPolicy, FrontierPoint, RepairModel, RetryPolicy, SweepCell, SweepGrid,
     SweepOutcome,
@@ -33,7 +32,7 @@ use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
 
 use super::shard::{run_shards, shard};
-use super::RunParams;
+use super::{storm, RunParams};
 use crate::storm::{StormOutcome, StormPolicies, StormPolicy, StormRunner};
 
 /// Noise lines per sweep-cell log bundle (the legacy arms use 150).
@@ -49,18 +48,14 @@ const FULL_ARM: usize = 2;
 /// storm arms (at sweep log depth); the rest vary one policy dimension
 /// each off the full orchestrator.
 pub fn sweep_bundles() -> Vec<StormPolicies> {
-    let mut v: Vec<StormPolicies> = [
-        StormPolicy::NaiveRestart,
-        StormPolicy::RetryBackoff,
-        StormPolicy::FullOrchestrator,
-    ]
-    .iter()
-    .map(|&arm| {
-        let mut b = StormPolicies::for_arm(arm);
-        b.noise_lines = SWEEP_NOISE_LINES;
-        b
-    })
-    .collect();
+    let mut v: Vec<StormPolicies> = StormPolicy::ALL
+        .iter()
+        .map(|&arm| {
+            let mut b = StormPolicies::for_arm(arm);
+            b.noise_lines = SWEEP_NOISE_LINES;
+            b
+        })
+        .collect();
     let full = v[FULL_ARM];
 
     let mut b = full;
@@ -91,13 +86,12 @@ pub fn sweep_bundles() -> Vec<StormPolicies> {
     v
 }
 
-/// Run one sweep cell: regenerate the storm for (seed, intensity), replay
-/// it under the bundle. Pure function of its arguments — the arm rng
-/// stream is forked per (policy, intensity) so no cell shares draws.
+/// Run one sweep cell: regenerate the storm ablation's campaign for
+/// (seed, intensity), replay it under the bundle. Pure function of its
+/// arguments — the arm rng stream is forked per (policy, intensity) so no
+/// cell shares draws.
 fn run_cell(bundle: StormPolicies, cell: SweepCell, trace: bool, label: String) -> StormOutcome {
-    let config = StormConfig::scaled(cell.intensity);
-    let mut rng = SimRng::new(cell.seed).fork(1001);
-    let campaign = StormEngine::new(config).generate(&mut rng);
+    let campaign = storm::campaign(cell.seed, cell.intensity);
     let runner = StormRunner::deployed(campaign.fleet_nodes);
     let mut arm_rng =
         SimRng::new(cell.seed).fork(3000 + cell.policy as u64 * 16 + u64::from(cell.intensity));

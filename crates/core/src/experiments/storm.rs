@@ -7,22 +7,42 @@
 //! that corrupt on load, hangs that strike during recovery — and ablates
 //! the escalation ladder rung by rung ([`crate::storm::StormPolicy`]).
 
-use acme_failure::storm::{StormConfig, StormEngine};
+use acme_failure::storm::{StormCampaign, StormConfig, StormEngine};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
 
 use super::shard::{run_shards, shard};
 use super::RunParams;
-use crate::storm::{StormPolicies, StormPolicy, StormRunner};
+use crate::storm::{StormOutcome, StormPolicies, StormPolicy, StormRunner};
+
+/// The default storm for `seed`, horizon stretched `scale`×: the campaign
+/// this ablation, `blame` and every `policylab` cell replay.
+pub(super) fn campaign(seed: u64, scale: u32) -> StormCampaign {
+    StormEngine::new(StormConfig::scaled(scale)).generate(&mut SimRng::new(seed).fork(1001))
+}
+
+/// Replay the seed's `campaign` under one ablation arm, on the arm's own
+/// rng stream, recording under `label` when tracing. `blame` replays the
+/// full orchestrator through this, so its totals are this table's.
+pub(super) fn replay(
+    p: RunParams,
+    campaign: &StormCampaign,
+    policy: StormPolicy,
+    label: impl Into<String>,
+) -> StormOutcome {
+    let runner = StormRunner::deployed(campaign.fleet_nodes);
+    let mut rng = SimRng::new(p.seed).fork(1002 + policy as u64);
+    acme_obs::recorded(p.trace, label, |rec| {
+        runner.run_with_traced(campaign, &StormPolicies::for_arm(policy), &mut rng, rec)
+    })
+}
 
 /// `storm` — generate the default storm for the seed (horizon scaled by
 /// `scale`) and report each recovery policy's outcome. Deterministic in
 /// (seed, scale).
 pub fn storm(p: RunParams) -> String {
-    let config = StormConfig::scaled(p.scale);
-    let mut rng = SimRng::new(p.seed).fork(1001);
-    let campaign = StormEngine::new(config).generate(&mut rng);
+    let campaign = campaign(p.seed, p.scale);
 
     let mut summary = Table::new(["storm property", "value"]);
     summary.row(["horizon".to_owned(), campaign.horizon.to_string()]);
@@ -48,7 +68,6 @@ pub fn storm(p: RunParams) -> String {
         campaign.hang_count().to_string(),
     ]);
 
-    let runner = StormRunner::deployed(campaign.fleet_nodes);
     let mut ablation = Table::new([
         "recovery policy",
         "incidents",
@@ -61,35 +80,23 @@ pub fn storm(p: RunParams) -> String {
         "degraded (h)",
         "goodput",
     ]);
-    let policies = [
-        StormPolicy::NaiveRestart,
-        StormPolicy::RetryBackoff,
-        StormPolicy::FullOrchestrator,
-    ];
     // Each arm replays the same campaign with its own forked rng stream,
     // so the arms differ only by policy, never by draw order — which also
     // makes them independent shards (results consumed in policy order).
     let outcomes = run_shards(
         p.workers,
-        policies
+        StormPolicy::ALL
             .iter()
             .map(|&policy| {
-                let runner = &runner;
                 let campaign = &campaign;
                 let label = format!("arm/{}", policy.label());
-                shard(label.clone(), move || {
-                    let policies = StormPolicies::for_arm(policy);
-                    let mut arm_rng = SimRng::new(p.seed).fork(1002 + policy as u64);
-                    acme_obs::recorded(p.trace, label, |rec| {
-                        runner.run_with_traced(campaign, &policies, &mut arm_rng, rec)
-                    })
-                })
+                shard(label.clone(), move || replay(p, campaign, policy, label))
             })
             .collect(),
     );
     let mut naive_goodput = 0.0;
     let mut full_goodput = 0.0;
-    for (policy, o) in policies.into_iter().zip(outcomes) {
+    for (policy, o) in StormPolicy::ALL.into_iter().zip(outcomes) {
         match policy {
             StormPolicy::NaiveRestart => naive_goodput = o.goodput(),
             StormPolicy::FullOrchestrator => full_goodput = o.goodput(),

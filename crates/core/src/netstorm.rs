@@ -27,6 +27,11 @@
 //! identically under every arm (diagnose + restart + rollback, no rng),
 //! so the three-arm ablation isolates exactly the network dimension of
 //! recovery. Everything is a pure function of (campaign, policy, rng).
+//!
+//! Each network fault goes through the same three steps: break the
+//! fabric, decide the arm's answer (wait, restarts, pages, reroute,
+//! rollback) from a (fault, arm) table, then book that answer, charge
+//! the degraded loss and heal the fabric in one place.
 
 use std::collections::BTreeSet;
 
@@ -117,18 +122,14 @@ impl NetStormRunner {
         NetStormRunner { radix }
     }
 
-    /// Price one localization round over the live fabric: each probe
-    /// world runs a small all-gather; worlds crossing dead links hit the
-    /// NCCL timeout ([`NCCL_LOCALIZE`]) instead of completing.
-    fn probe_round_secs(fabric: &NetFabric, worlds: &[Vec<u32>]) -> SimDuration {
-        let per_gpu = fabric.fabric().gpus_per_node;
-        let mut worst = 0.0f64;
-        for hosts in worlds {
-            let gpus = hosts.len() as u32 * per_gpu;
-            let secs = fabric.collective_secs(Collective::AllGather, 128e6, gpus, hosts);
-            worst = worst.max(secs.min(NCCL_LOCALIZE.as_secs_f64()));
-        }
-        SimDuration::from_secs_f64(worst)
+    /// Price one localization round over the live fabric: the probe
+    /// world on `hosts` runs a small all-gather; a world crossing dead
+    /// links hits the NCCL timeout ([`NCCL_LOCALIZE`]) instead of
+    /// completing.
+    fn probe_round_secs(fabric: &NetFabric, hosts: &[u32]) -> SimDuration {
+        let gpus = hosts.len() as u32 * fabric.fabric().gpus_per_node;
+        let secs = fabric.collective_secs(Collective::AllGather, 128e6, gpus, hosts);
+        SimDuration::from_secs_f64(secs.min(NCCL_LOCALIZE.as_secs_f64()))
     }
 
     /// Run `campaign` under `policy`. Deterministic in (campaign, policy,
@@ -145,7 +146,11 @@ impl NetStormRunner {
         let tree_hosts = fabric.tree().hosts();
         let hosts: Vec<u32> = (0..tree_hosts).collect();
         let gpus = tree_hosts * spec.gpus_per_node;
-        let half = self.radix / 2;
+        let (edges, pods, half) = (
+            fabric.tree().edge_switches(),
+            fabric.tree().pods(),
+            self.radix / 2,
+        );
 
         // Checkpoint writes push shards up the same tree: the effective
         // per-writer bandwidth is the analytic storage term clamped by
@@ -170,8 +175,6 @@ impl NetStormRunner {
 
         let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::production());
         let tester = NcclTester::new(tree_hosts as usize);
-        let healthy_step = STEP_COMPUTE_SECS
-            + fabric.collective_secs(Collective::AllReduce, STEP_ALLREDUCE_BYTES, gpus, &hosts);
 
         let mut out = NetStormOutcome {
             incidents: 0,
@@ -205,7 +208,7 @@ impl NetStormRunner {
         });
 
         for strike in &stream {
-            match strike {
+            let e = match strike {
                 // Primaries cost the same under every arm: diagnose,
                 // restart, roll back to the durable position. The ablation
                 // isolates the network dimension.
@@ -214,234 +217,179 @@ impl NetStormRunner {
                     out.restarts += 1;
                     out.downtime += DIAGNOSE + RESTART;
                     out.rollback_secs += tracker.loss_at(at.as_secs_f64());
+                    continue;
                 }
-                Strike::Net(e) => {
-                    out.net_faults += 1;
-                    let at = e.at;
-                    let dur = e.duration;
-                    match e.fault {
-                        NetFault::LinkFlap { edge, port } => {
-                            let edge = edge % fabric.tree().edge_switches();
-                            let port = port % half;
-                            fabric.fail_edge_uplink(edge, port);
-                            let factor = fabric.step_throughput_factor(
-                                STEP_COMPUTE_SECS,
-                                STEP_ALLREDUCE_BYTES,
-                                gpus,
-                                &hosts,
-                            );
-                            if policy.reroutes() {
-                                // ECMP around the dead uplink. The blind
-                                // arm first burns a probe sweep proving no
-                                // node is at fault; the aware arm reads
-                                // the link telemetry straight off.
-                                let mut wait = REROUTE;
-                                if !policy.sees_fault_domains() {
-                                    wait += DIAGNOSE
-                                        + Self::probe_round_secs(
-                                            &fabric,
-                                            std::slice::from_ref(&hosts),
-                                        );
-                                }
-                                out.reroutes += 1;
-                                out.downtime += wait;
-                                let remaining = (dur.as_secs_f64() - wait.as_secs_f64()).max(0.0);
-                                out.degraded_loss_secs += remaining * (1.0 - factor);
-                            } else {
-                                // Naive: the NCCL timeout is a crash. The
-                                // flap outlives the first restart, so the
-                                // job crash-loops until the on-call pulls
-                                // up a dashboard.
-                                let mut wait = DIAGNOSE + RESTART;
-                                let mut restarts = 1;
-                                if dur > wait {
-                                    restarts += NAIVE_LOOP_LIMIT;
-                                    wait += (FLAP_REFAIL + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
-                                    out.manual_interventions += 1;
-                                    wait += manual_delay(at + wait, rng) + RESTART;
-                                    restarts += 1;
-                                }
-                                out.restarts += restarts;
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                            }
-                            fabric.heal();
-                        }
+                Strike::Net(e) => e,
+            };
+            out.net_faults += 1;
+            let at = e.at;
 
-                        NetFault::EdgeSwitchFail { edge } => {
-                            let edge = edge % fabric.tree().edge_switches();
-                            fabric.fail_edge_switch(edge);
-                            let domain: Vec<u32> = fabric.tree().hosts_under_edge(edge).collect();
-                            // Whatever the arm does, the fault domain is
-                            // gone for the replacement lead time: the job
-                            // continues at reduced width.
-                            let width_loss = domain.len() as f64 / f64::from(tree_hosts);
+            // Break the fabric. A dead ToR strands every host under it
+            // for the replacement lead time, whatever the arm does.
+            let stranded: Option<Vec<u32>> = match e.fault {
+                NetFault::LinkFlap { edge, port } => {
+                    fabric.fail_edge_uplink(edge % edges, port % half);
+                    None
+                }
+                NetFault::EdgeSwitchFail { edge } => {
+                    fabric.fail_edge_switch(edge % edges);
+                    Some(fabric.tree().hosts_under_edge(edge % edges).collect())
+                }
+                NetFault::AggSwitchFail { pod, agg } => {
+                    fabric.fail_agg_switch(pod % pods, agg % half);
+                    None
+                }
+                NetFault::Congestion { pod, factor_pct } => {
+                    fabric.congest_pod(pod % pods, f64::from(factor_pct) / 100.0);
+                    None
+                }
+            };
+            // The share of throughput the job gives up while it runs on
+            // the broken fabric: the stranded width, or the step slowdown.
+            let loss = match &stranded {
+                Some(domain) => domain.len() as f64 / f64::from(tree_hosts),
+                None => {
+                    1.0 - fabric.step_throughput_factor(
+                        STEP_COMPUTE_SECS,
+                        STEP_ALLREDUCE_BYTES,
+                        gpus,
+                        &hosts,
+                    )
+                }
+            };
+            // The hosts localization sweeps: the stranded domain, else
+            // the whole fleet.
+            let world = stranded.as_deref().unwrap_or(&hosts);
+            let probe = || Self::probe_round_secs(&fabric, world);
+            let locate = || -> Vec<u32> {
+                let faulty: BTreeSet<usize> = world.iter().map(|&h| h as usize).collect();
+                tester
+                    .run(&faulty)
+                    .identified
+                    .iter()
+                    .map(|&n| n as u32)
+                    .collect()
+            };
+            // Naive: diagnose, then restart into the fault until the
+            // on-call is paged.
+            let crash_loop =
+                |refail: SimDuration| DIAGNOSE + (refail + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
+            let page = |wait: SimDuration, rng: &mut SimRng| wait + manual_delay(at + wait, rng);
 
-                            if policy.sees_fault_domains() {
-                                // Round one of the probe pattern blankets
-                                // the fleet; the tree maps the failing
-                                // worlds onto ONE fault domain. Drain the
-                                // switch — one action — and restart at
-                                // reduced width.
-                                let faulty: BTreeSet<usize> =
-                                    domain.iter().map(|&h| h as usize).collect();
-                                let probe = tester.run(&faulty);
-                                let located: Vec<u32> =
-                                    probe.identified.iter().map(|&n| n as u32).collect();
-                                debug_assert_eq!(
-                                    fabric.tree().common_edge_domain(&located),
-                                    Some(edge)
-                                );
-                                orch.mark_domain_cordoned(&located);
-                                let wait = DIAGNOSE
-                                    + Self::probe_round_secs(
-                                        &fabric,
-                                        std::slice::from_ref(&domain),
-                                    )
-                                    + RESTART;
-                                out.restarts += 1;
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                            } else if policy.reroutes() {
-                                // Topology-blind ladder: the two-round
-                                // sweep correctly names every stranded
-                                // node, then cordons them one by one —
-                                // k/2 actions for one dead switch.
-                                let faulty: BTreeSet<usize> =
-                                    domain.iter().map(|&h| h as usize).collect();
-                                let probe = tester.run(&faulty);
-                                for &n in &probe.identified {
-                                    orch.mark_cordoned(n as u32);
-                                }
-                                let wait = DIAGNOSE
-                                    + Self::probe_round_secs(
-                                        &fabric,
-                                        std::slice::from_ref(&domain),
-                                    )
-                                    + Self::probe_round_secs(
-                                        &fabric,
-                                        std::slice::from_ref(&domain),
-                                    )
-                                    + RESTART;
-                                out.restarts += 1;
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                            } else {
-                                // Naive: four "bad nodes" crash-loop one
-                                // after another; each gets its own page.
-                                let mut wait = DIAGNOSE
-                                    + (FLAP_REFAIL + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
-                                out.restarts += NAIVE_LOOP_LIMIT;
-                                for _ in &domain {
-                                    out.manual_interventions += 1;
-                                    wait += manual_delay(at + wait, rng);
-                                }
-                                wait += RESTART;
-                                out.restarts += 1;
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                            }
-                            out.degraded_loss_secs += dur.as_secs_f64() * width_loss;
-                            fabric.heal();
-                        }
-
-                        NetFault::AggSwitchFail { pod, agg } => {
-                            let pod = pod % fabric.tree().pods();
-                            let agg = agg % half;
-                            fabric.fail_agg_switch(pod, agg);
-                            let factor = fabric.step_throughput_factor(
-                                STEP_COMPUTE_SECS,
-                                STEP_ALLREDUCE_BYTES,
-                                gpus,
-                                &hosts,
-                            );
-                            if policy.reroutes() {
-                                // Nothing is unreachable — reroute. The
-                                // blind arm still pays a full two-round
-                                // sweep (which names nobody) plus a
-                                // restart before concluding that.
-                                let mut wait = REROUTE;
-                                if !policy.sees_fault_domains() {
-                                    wait += DIAGNOSE
-                                        + Self::probe_round_secs(
-                                            &fabric,
-                                            std::slice::from_ref(&hosts),
-                                        )
-                                        + Self::probe_round_secs(
-                                            &fabric,
-                                            std::slice::from_ref(&hosts),
-                                        )
-                                        + RESTART;
-                                    out.restarts += 1;
-                                    out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                                }
-                                out.reroutes += 1;
-                                out.downtime += wait;
-                                let remaining = (dur.as_secs_f64() - wait.as_secs_f64()).max(0.0);
-                                out.degraded_loss_secs += remaining * (1.0 - factor);
-                            } else {
-                                // Naive: timeouts crash-loop into a page.
-                                let mut wait = DIAGNOSE
-                                    + (FLAP_REFAIL + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
-                                out.restarts += NAIVE_LOOP_LIMIT;
-                                out.manual_interventions += 1;
-                                wait += manual_delay(at + wait, rng) + RESTART;
-                                out.restarts += 1;
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                                let remaining = (dur.as_secs_f64() - wait.as_secs_f64()).max(0.0);
-                                out.degraded_loss_secs += remaining * (1.0 - factor);
-                            }
-                            fabric.heal();
-                        }
-
-                        NetFault::Congestion { pod, factor_pct } => {
-                            let pod = pod % fabric.tree().pods();
-                            fabric.congest_pod(pod, f64::from(factor_pct) / 100.0);
-                            let factor = fabric.step_throughput_factor(
-                                STEP_COMPUTE_SECS,
-                                STEP_ALLREDUCE_BYTES,
-                                gpus,
-                                &hosts,
-                            );
-                            if policy.degrades_on_congestion() {
-                                // Link telemetry says "hot, not broken":
-                                // ride the window out degraded. No
-                                // downtime, no humans.
-                                out.degraded_loss_secs += dur.as_secs_f64() * (1.0 - factor);
-                            } else if policy.reroutes() {
-                                // The ladder probes for a faulty node; the
-                                // sweep names nobody (nothing is down) and
-                                // the straggler escalates to a page.
-                                let mut wait = DIAGNOSE
-                                    + Self::probe_round_secs(&fabric, std::slice::from_ref(&hosts))
-                                    + Self::probe_round_secs(&fabric, std::slice::from_ref(&hosts));
-                                out.manual_interventions += 1;
-                                wait += manual_delay(at + wait, rng);
-                                out.downtime += wait;
-                                let remaining = (dur.as_secs_f64() - wait.as_secs_f64()).max(0.0);
-                                out.degraded_loss_secs += remaining * (1.0 - factor);
-                            } else {
-                                // Naive: stragglers read as hangs; futile
-                                // restarts, then a page.
-                                let mut wait =
-                                    DIAGNOSE + (BUG_REFAIL + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
-                                out.restarts += NAIVE_LOOP_LIMIT;
-                                out.manual_interventions += 1;
-                                wait += manual_delay(at + wait, rng);
-                                out.downtime += wait;
-                                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
-                                let remaining = (dur.as_secs_f64() - wait.as_secs_f64()).max(0.0);
-                                out.degraded_loss_secs += remaining * (1.0 - factor);
-                            }
-                            fabric.heal();
-                        }
+            // The arm's answer: (wait, restarts, pages, rerouted, rolled
+            // back to the durable position).
+            let (wait, restarts, pages, reroute, rollback) = match (e.fault, policy) {
+                // ECMP around the dead uplink or aggregation plane: the
+                // aware arm reads the link telemetry straight off.
+                (
+                    NetFault::LinkFlap { .. } | NetFault::AggSwitchFail { .. },
+                    NetRecoveryPolicy::TopologyAware,
+                ) => (REROUTE, 0, 0, true, false),
+                // The blind arm first burns a probe sweep proving no node
+                // is at fault…
+                (NetFault::LinkFlap { .. }, NetRecoveryPolicy::TopologyBlind) => {
+                    (REROUTE + DIAGNOSE + probe(), 0, 0, true, false)
+                }
+                // …and behind a dead aggregation switch a full two-round
+                // sweep (which names nobody) plus a restart.
+                (NetFault::AggSwitchFail { .. }, NetRecoveryPolicy::TopologyBlind) => {
+                    (REROUTE + DIAGNOSE + probe() * 2 + RESTART, 1, 0, true, true)
+                }
+                // Naive: the NCCL timeout is a crash. A flap that outlives
+                // the first restart crash-loops until the on-call pulls up
+                // a dashboard.
+                (NetFault::LinkFlap { .. }, NetRecoveryPolicy::Naive) => {
+                    if e.duration > DIAGNOSE + RESTART {
+                        let wait = page(crash_loop(FLAP_REFAIL) + RESTART, rng) + RESTART;
+                        (wait, NAIVE_LOOP_LIMIT + 2, 1, false, true)
+                    } else {
+                        (DIAGNOSE + RESTART, 1, 0, false, true)
                     }
                 }
+                // Naive: the timeouts behind a dead aggregation switch
+                // crash-loop into a page.
+                (NetFault::AggSwitchFail { .. }, NetRecoveryPolicy::Naive) => {
+                    let wait = page(crash_loop(FLAP_REFAIL), rng) + RESTART;
+                    (wait, NAIVE_LOOP_LIMIT + 1, 1, false, true)
+                }
+                // Round one of the probe pattern blankets the fleet; the
+                // tree maps the failing worlds onto ONE fault domain.
+                // Drain the switch — one action — and restart at reduced
+                // width.
+                (NetFault::EdgeSwitchFail { edge }, NetRecoveryPolicy::TopologyAware) => {
+                    let located = locate();
+                    debug_assert_eq!(
+                        fabric.tree().common_edge_domain(&located),
+                        Some(edge % edges)
+                    );
+                    orch.mark_domain_cordoned(&located);
+                    (DIAGNOSE + probe() + RESTART, 1, 0, false, true)
+                }
+                // Topology-blind: the two-round sweep correctly names
+                // every stranded node, then cordons them one by one — k/2
+                // actions for one dead switch.
+                (NetFault::EdgeSwitchFail { .. }, NetRecoveryPolicy::TopologyBlind) => {
+                    for n in locate() {
+                        orch.mark_cordoned(n);
+                    }
+                    (DIAGNOSE + probe() * 2 + RESTART, 1, 0, false, true)
+                }
+                // Naive: the stranded "bad nodes" crash-loop one after
+                // another; each gets its own page.
+                (NetFault::EdgeSwitchFail { .. }, NetRecoveryPolicy::Naive) => {
+                    let wait = world
+                        .iter()
+                        .fold(crash_loop(FLAP_REFAIL), |wait, _| page(wait, rng));
+                    (
+                        wait + RESTART,
+                        NAIVE_LOOP_LIMIT + 1,
+                        world.len() as u32,
+                        false,
+                        true,
+                    )
+                }
+                // Link telemetry says "hot, not broken": ride the window
+                // out degraded. No downtime, no humans.
+                (NetFault::Congestion { .. }, NetRecoveryPolicy::TopologyAware) => {
+                    (SimDuration::ZERO, 0, 0, false, false)
+                }
+                // The ladder probes for a faulty node; the sweep names
+                // nobody (nothing is down) and the straggler escalates to
+                // a page.
+                (NetFault::Congestion { .. }, NetRecoveryPolicy::TopologyBlind) => {
+                    (page(DIAGNOSE + probe() * 2, rng), 0, 1, false, false)
+                }
+                // Naive: stragglers read as hangs; futile restarts, then
+                // a page.
+                (NetFault::Congestion { .. }, NetRecoveryPolicy::Naive) => (
+                    page(crash_loop(BUG_REFAIL), rng),
+                    NAIVE_LOOP_LIMIT,
+                    1,
+                    false,
+                    true,
+                ),
+            };
+
+            out.restarts += restarts;
+            out.manual_interventions += pages;
+            out.reroutes += u32::from(reroute);
+            out.downtime += wait;
+            if rollback {
+                out.rollback_secs += tracker.loss_at(at.as_secs_f64());
             }
+            // The job runs degraded for the whole lead time of a dead
+            // ToR, never on a flapping link it keeps restarting over, and
+            // otherwise for whatever the fault outlasts the wait.
+            let dur = e.duration.as_secs_f64();
+            let degraded = match e.fault {
+                NetFault::EdgeSwitchFail { .. } => dur,
+                NetFault::LinkFlap { .. } if !reroute => 0.0,
+                _ => (dur - wait.as_secs_f64()).max(0.0),
+            };
+            out.degraded_loss_secs += degraded * loss;
+            fabric.heal();
         }
 
-        debug_assert!(healthy_step > STEP_COMPUTE_SECS);
         out.cordon_actions = orch.cordon_actions();
         out
     }
@@ -565,6 +513,104 @@ mod tests {
             assert_eq!(a.rollback_secs, b.rollback_secs);
             assert_eq!(a.degraded_loss_secs, b.degraded_loss_secs);
             assert_eq!(a.human_actions(), b.human_actions());
+        }
+    }
+
+    #[test]
+    fn each_fault_kind_books_its_pinned_costs_under_every_arm() {
+        // One network fault on an otherwise quiet fortnight, per arm:
+        // (restarts, reroutes, pages, cordon actions, downtime µs,
+        // rollback s, degraded loss s), pinned bit for bit. The long flap
+        // outlives DIAGNOSE + RESTART, which the generator's 60–600 s
+        // flaps never do.
+        type Row = (u32, u32, u32, u32, u64, f64, f64);
+        let flap = NetFault::LinkFlap { edge: 5, port: 2 };
+        let cases: [(&str, NetFault, SimDuration, [Row; 3]); 5] = [
+            (
+                "short flap",
+                flap,
+                SimDuration::from_secs(300),
+                [
+                    (1, 0, 0, 0, 720_000_000, 1043.0, 0.0),
+                    (0, 1, 0, 0, 150_019_247, 0.0, 5.651438287545823),
+                    (0, 1, 0, 0, 30_000_000, 0.0, 10.173894363881292),
+                ],
+            ),
+            (
+                "long flap",
+                flap,
+                SimDuration::from_mins(40),
+                [
+                    (5, 0, 1, 0, 6_480_000_000, 1043.0, 0.0),
+                    (0, 1, 0, 0, 150_019_247, 0.0, 84.78172778440032),
+                    (0, 1, 0, 0, 30_000_000, 0.0, 89.30418386073579),
+                ],
+            ),
+            (
+                "edge-switch death",
+                NetFault::EdgeSwitchFail { edge: 9 },
+                SimDuration::from_hours(24),
+                [
+                    (4, 0, 4, 0, 10_620_000_000, 1043.0, 2700.0),
+                    (1, 0, 0, 4, 1_320_000_000, 1043.0, 2700.0),
+                    (1, 0, 0, 1, 1_020_000_000, 1043.0, 2700.0),
+                ],
+            ),
+            (
+                "aggregation-switch death",
+                NetFault::AggSwitchFail { pod: 3, agg: 1 },
+                SimDuration::from_hours(24),
+                [
+                    (4, 0, 1, 0, 5_880_000_000, 1043.0, 3034.0813858508213),
+                    (1, 1, 0, 0, 750_038_494, 1043.0, 3227.3839282686786),
+                    (0, 1, 0, 0, 30_000_000, 0.0, 3254.5157637349157),
+                ],
+            ),
+            (
+                "congestion window",
+                NetFault::Congestion {
+                    pod: 7,
+                    factor_pct: 400,
+                },
+                SimDuration::from_hours(2),
+                [
+                    (3, 0, 1, 0, 4_740_000_000, 1043.0, 641.0235945561892),
+                    (0, 0, 1, 0, 1_020_102_682, 0.0, 1610.3495905579323),
+                    (0, 0, 0, 0, 0, 0.0, 1876.1666182132367),
+                ],
+            ),
+        ];
+        let arms = [
+            NetRecoveryPolicy::naive(),
+            NetRecoveryPolicy::topology_blind(),
+            NetRecoveryPolicy::topology_aware(),
+        ];
+        for (name, fault, duration, rows) in cases {
+            let campaign = StormCampaign {
+                horizon: SimDuration::from_days(14),
+                fleet_nodes: 128,
+                events: Vec::new(),
+                net_events: vec![acme_failure::storm::NetStormEvent {
+                    at: SimTime::from_secs(3 * 86_400 + 10 * 3600 + 1043),
+                    fault,
+                    duration,
+                }],
+            };
+            for ((arm, policy), want) in arms.iter().enumerate().zip(rows) {
+                let mut rng = SimRng::new(42).fork(4000 + arm as u64);
+                let o = NetStormRunner::deployed(8).run(&campaign, policy, &mut rng);
+                assert_eq!((o.incidents, o.net_faults), (0, 1));
+                let got = (
+                    o.restarts,
+                    o.reroutes,
+                    o.manual_interventions,
+                    o.cordon_actions,
+                    o.downtime.as_micros(),
+                    o.rollback_secs,
+                    o.degraded_loss_secs,
+                );
+                assert_eq!(got, want, "{name} under {}", policy.label());
+            }
         }
     }
 

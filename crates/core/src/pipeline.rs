@@ -188,7 +188,7 @@ impl FaultTolerantTrainer {
                 }
                 Interruption::SilentHang => {
                     // The watchdog fires after its timeout of silence.
-                    let mut w = Watchdog::standard(at);
+                    let w = Watchdog::standard(at);
                     let noticed = at + SimDuration::from_mins(31);
                     assert_eq!(w.check(noticed), WatchdogState::Stuck);
                     (RecoveryManager.decide_stuck(), 31.0)

@@ -14,8 +14,8 @@
 //!   restart after restart until a human restores an older generation.
 //! * [`StormPolicy::RetryBackoff`] — the middle rung: retry budgets with
 //!   exponential backoff and checkpoint validation, but no strike-based
-//!   cordoning and no spare pool. Flapping nodes exhaust their budget and
-//!   page a human, who replaces the node by hand.
+//!   cordoning, so the spare pool is never drawn. Flapping nodes exhaust
+//!   their budget and page a human, who replaces the node by hand.
 //! * [`StormPolicy::FullOrchestrator`] — the deployed ladder: strike
 //!   counts cordon flapping nodes automatically, a hot-spare pool absorbs
 //!   the first cordons, and once spares are exhausted the campaign
@@ -66,6 +66,13 @@ pub enum StormPolicy {
 }
 
 impl StormPolicy {
+    /// All arms, weakest first.
+    pub const ALL: [StormPolicy; 3] = [
+        StormPolicy::NaiveRestart,
+        StormPolicy::RetryBackoff,
+        StormPolicy::FullOrchestrator,
+    ];
+
     /// Human-readable table label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -85,7 +92,6 @@ impl StormPolicy {
             StormPolicy::RetryBackoff => OrchestratorConfig {
                 retry: RetryPolicy::production(),
                 cordon: CordonPolicy::disabled(),
-                validate_checkpoints: true,
             },
         }
     }
@@ -101,10 +107,8 @@ pub struct StormPolicies {
     pub label: &'static str,
     /// Naive always-restart: no ladder is consulted at all.
     pub naive: bool,
-    /// Retry ladder, cordon threshold and checkpoint validation.
+    /// Retry ladder and cordon threshold.
     pub orchestrator: OrchestratorConfig,
-    /// Whether the hot-spare pool absorbs cordons.
-    pub use_spares: bool,
     /// How cordoned nodes return to service.
     pub repair: RepairModel,
     /// Checkpoint-cadence strategy.
@@ -123,7 +127,6 @@ impl StormPolicies {
             label: policy.label(),
             naive: policy == StormPolicy::NaiveRestart,
             orchestrator: policy.orchestrator_config(),
-            use_spares: policy == StormPolicy::FullOrchestrator,
             repair: RepairModel::datacenter_default(),
             checkpoint: CheckpointChoice::fixed(),
             noise_lines: 150,
@@ -240,8 +243,9 @@ pub(crate) const RESTART: SimDuration = SimDuration::from_mins(10);
 pub(crate) const FLAP_REFAIL: SimDuration = SimDuration::from_mins(5);
 pub(crate) const BUG_REFAIL: SimDuration = SimDuration::from_mins(2);
 
-/// Live fleet capacity: spare pool, uncovered losses, and the repair
-/// queue that eventually returns cordoned nodes to service. Repair
+/// Live fleet capacity: the Kalos-default spare pool, uncovered losses,
+/// and the repair queue that eventually returns cordoned nodes to
+/// service. Repair
 /// turnaround comes from the bundle's [`RepairModel`] (historically a
 /// hardwired 36 h constant).
 struct Fleet {
@@ -253,11 +257,11 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn new(total: u32, spares: SparePool, repair_model: RepairModel) -> Self {
+    fn new(total: u32, repair_model: RepairModel) -> Self {
         Fleet {
             total,
             lost: 0,
-            spares,
+            spares: SparePool::kalos_default(),
             repair_model,
             repairs: std::collections::BinaryHeap::new(),
         }
@@ -345,7 +349,7 @@ fn accrue(
 const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
 
 /// Replays a [`StormCampaign`] under a policy bundle, on the Kalos-default
-/// hot-spare pool (drawn from only when the bundle uses spares).
+/// hot-spare pool (drawn from only when the bundle's ladder cordons).
 #[derive(Debug, Clone, Copy)]
 pub struct StormRunner {
     /// Nodes in the training fleet.
@@ -406,15 +410,7 @@ impl StormRunner {
         );
         let mut diagnoses = DiagnosisMemo::default();
         let mut orch = RecoveryOrchestrator::new(policies.orchestrator);
-        let mut fleet = Fleet::new(
-            self.fleet_nodes,
-            if policies.use_spares {
-                SparePool::kalos_default()
-            } else {
-                SparePool::new(0)
-            },
-            policies.repair,
-        );
+        let mut fleet = Fleet::new(self.fleet_nodes, policies.repair);
 
         let interval = tracker.interval_secs;
         let mut out = StormOutcome {
@@ -515,7 +511,7 @@ impl StormRunner {
                             }
                         }
                         // Checkpoint load, validated.
-                        if e.corrupt_checkpoint && orch.config().validate_checkpoints {
+                        if e.corrupt_checkpoint {
                             // Integrity check catches it; fall back one
                             // generation automatically.
                             let pos = tracker.durable_position_at(e.at.as_secs_f64());
@@ -530,7 +526,7 @@ impl StormRunner {
                         // back wedged; the tight recovery watchdog catches
                         // it and one more restart cycle runs.
                         if e.hang_in_recovery {
-                            let mut w = Watchdog::recovery(e.at + wait);
+                            let w = Watchdog::recovery(e.at + wait);
                             let timeout = SimDuration::from_mins(11);
                             assert_eq!(
                                 w.check(e.at + wait + timeout),
@@ -829,11 +825,7 @@ mod tests {
     fn for_arm_pins_the_legacy_constants() {
         // The hardwired values the refactor lifted into policy objects —
         // changing any of these breaks golden byte-compatibility.
-        for policy in [
-            StormPolicy::NaiveRestart,
-            StormPolicy::RetryBackoff,
-            StormPolicy::FullOrchestrator,
-        ] {
+        for policy in StormPolicy::ALL {
             let b = StormPolicies::for_arm(policy);
             assert_eq!(b.label, policy.label());
             assert_eq!(b.noise_lines, 150);
@@ -843,8 +835,6 @@ mod tests {
             assert_eq!(b.checkpoint, CheckpointChoice::fixed());
         }
         assert!(StormPolicies::for_arm(StormPolicy::NaiveRestart).naive);
-        assert!(!StormPolicies::for_arm(StormPolicy::RetryBackoff).use_spares);
-        assert!(StormPolicies::for_arm(StormPolicy::FullOrchestrator).use_spares);
     }
 
     #[test]
@@ -869,11 +859,7 @@ mod tests {
 
     #[test]
     fn stage_totals_partition_the_downtime() {
-        for policy in [
-            StormPolicy::NaiveRestart,
-            StormPolicy::RetryBackoff,
-            StormPolicy::FullOrchestrator,
-        ] {
+        for policy in StormPolicy::ALL {
             let o = outcome(42, policy);
             let staged: f64 = o.stage_totals().iter().sum();
             assert!(
@@ -946,11 +932,7 @@ mod tests {
 
     #[test]
     fn storm_outcomes_are_deterministic() {
-        for policy in [
-            StormPolicy::NaiveRestart,
-            StormPolicy::RetryBackoff,
-            StormPolicy::FullOrchestrator,
-        ] {
+        for policy in StormPolicy::ALL {
             let a = outcome(9, policy);
             let b = outcome(9, policy);
             assert_eq!(a.incidents, b.incidents);
@@ -962,11 +944,7 @@ mod tests {
 
     #[test]
     fn mttr_and_goodput_are_sane() {
-        for policy in [
-            StormPolicy::NaiveRestart,
-            StormPolicy::RetryBackoff,
-            StormPolicy::FullOrchestrator,
-        ] {
+        for policy in StormPolicy::ALL {
             let o = outcome(42, policy);
             assert!(o.incidents > 20, "{policy:?}: {} incidents", o.incidents);
             assert!(o.mttr_mins() > 10.0, "{policy:?} MTTR {:.1}", o.mttr_mins());

@@ -38,12 +38,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// GPU-busy seconds when the trial is run *coupled* (metric holds the
-    /// GPU, as the baseline does).
-    pub fn coupled_gpu_secs(&self) -> f64 {
-        self.preprocess_secs + self.inference_secs + self.metric_secs
-    }
-
     /// GPU-busy seconds when metric computation is decoupled to CPU jobs.
     pub fn decoupled_gpu_secs(&self) -> f64 {
         self.preprocess_secs + self.inference_secs
@@ -190,7 +184,7 @@ mod tests {
     #[test]
     fn coupled_vs_decoupled_gpu_time() {
         let h = by_name("mtbench").unwrap();
-        assert!(h.coupled_gpu_secs() - h.decoupled_gpu_secs() == h.metric_secs);
+        assert_eq!(h.decoupled_gpu_secs(), h.preprocess_secs + h.inference_secs);
         // Decoupling saves the most on judge datasets.
         let simple = by_name("copa").unwrap();
         assert!(h.metric_secs > 50.0 * simple.metric_secs);

@@ -330,16 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_hits_the_paper_ratios() {
-        // §6.2: makespan reduced 1.3× on one node, 1.8× on four nodes.
-        let r1 = makespan(Scheduler::Baseline, 1) / makespan(Scheduler::FullCoordinator, 1);
-        let r4 = makespan(Scheduler::Baseline, 4) / makespan(Scheduler::FullCoordinator, 4);
-        assert!((1.15..1.55).contains(&r1), "1-node ratio {r1:.2}");
-        assert!((1.55..2.1).contains(&r4), "4-node ratio {r4:.2}");
-        assert!(r4 > r1, "the win grows with resources");
-    }
-
-    #[test]
     fn ablation_each_technique_helps() {
         for nodes in [1, 4] {
             let base = makespan(Scheduler::Baseline, nodes);

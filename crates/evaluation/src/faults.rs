@@ -12,7 +12,11 @@
 //!    straggler windows (GC pauses / dataloader leaks slowing a GPU, the
 //!    Appendix-B lore), degraded remote-storage bandwidth windows, and
 //!    flaky CPU metric jobs. The plan is fixed before the campaign starts,
-//!    so every recovery policy faces *exactly* the same adversity.
+//!    so every recovery policy faces *exactly* the same adversity. Its
+//!    [`FaultConfig`] holds only the fleet size and the fault-free
+//!    makespan: every gap, window and the horizon are fixed fractions of
+//!    that makespan, and the counts, factors and flake rate are module
+//!    constants.
 //! 2. A **campaign replay** ([`run_campaign`]): a discrete-event
 //!    simulation of the §6.2 full-coordinator schedule under one
 //!    [`CampaignPolicy`] arm, mirroring the fault-storm study. Naive
@@ -84,56 +88,38 @@ fn sample_eval_reason(rng: &mut SimRng) -> FailureReason {
     EVAL_FAILURE_MIX[0]
 }
 
-/// Knobs for one generated fault campaign.
+/// Straggler windows per campaign (GC / dataloader slowdowns, one GPU
+/// each).
+const STRAGGLER_WINDOWS: u32 = 3;
+/// Slowdown factor inside a straggler window.
+const STRAGGLER_FACTOR: f64 = 3.0;
+/// Degraded remote-storage windows per campaign (cluster-wide).
+const STORAGE_WINDOWS: u32 = 1;
+/// Remote-bandwidth division factor inside a storage window.
+const STORAGE_FACTOR: f64 = 4.0;
+/// Probability that one CPU metric job attempt flakes and re-runs.
+const METRIC_FLAKE_PROB: f64 = 0.05;
+
+/// What one generated fault campaign is drawn against: the fleet and the
+/// fault-free makespan every fault scale is proportional to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Fleet size the faults are drawn against.
-    pub nodes: u32,
-    /// Faults arrive within `[0, horizon_secs)`.
-    pub horizon_secs: f64,
-    /// Mean seconds between trial crashes (Poisson arrivals).
-    pub mean_between_crashes_secs: f64,
-    /// Mean seconds between node failures (Poisson arrivals; at most
-    /// `nodes - 1` nodes ever fail so the campaign can finish).
-    pub mean_between_node_failures_secs: f64,
-    /// Number of per-GPU straggler windows (GC / dataloader slowdowns).
-    pub straggler_windows: u32,
-    /// Slowdown factor inside a straggler window.
-    pub straggler_factor: f64,
-    /// Length of each straggler window, seconds.
-    pub straggler_window_secs: f64,
-    /// Number of degraded remote-storage windows (cluster-wide).
-    pub storage_windows: u32,
-    /// Remote-bandwidth division factor inside a storage window.
-    pub storage_factor: f64,
-    /// Length of each storage window, seconds.
-    pub storage_window_secs: f64,
-    /// Probability that one CPU metric job attempt flakes and re-runs.
-    pub metric_flake_prob: f64,
+    nodes: u32,
+    fault_free_makespan_secs: f64,
 }
 
 impl FaultConfig {
     /// The default storm for a campaign whose fault-free makespan is
     /// known: crashes every sixth of the clean makespan, roughly one node
-    /// failure, a few straggler windows, one degraded-storage window and
+    /// failure, three straggler windows, one degraded-storage window and
     /// mildly flaky metric jobs, all within a horizon of twice the clean
-    /// makespan. Because every knob is proportional to the fault-free
-    /// makespan, scaling the campaign (`--scale` repeats the dataset
-    /// registry) scales the fault horizon with it.
+    /// makespan. Because every time scale is proportional to the
+    /// fault-free makespan, scaling the campaign (`--scale` repeats the
+    /// dataset registry) scales the fault horizon with it.
     pub fn default_campaign(nodes: u32, fault_free_makespan_secs: f64) -> Self {
-        let m = fault_free_makespan_secs;
         FaultConfig {
             nodes,
-            horizon_secs: 2.0 * m,
-            mean_between_crashes_secs: m / 6.0,
-            mean_between_node_failures_secs: 2.0 * m,
-            straggler_windows: 3,
-            straggler_factor: 3.0,
-            straggler_window_secs: 0.2 * m,
-            storage_windows: 1,
-            storage_factor: 4.0,
-            storage_window_secs: 0.5 * m,
-            metric_flake_prob: 0.05,
+            fault_free_makespan_secs,
         }
     }
 }
@@ -222,12 +208,15 @@ impl FaultPlan {
     /// Draw a plan from `config`. Deterministic in the rng state: equal
     /// seeds give byte-identical plans.
     pub fn generate(config: &FaultConfig, rng: &mut SimRng) -> Self {
-        let gpus = config.nodes * 8;
+        let (nodes, m) = (config.nodes, config.fault_free_makespan_secs);
+        let gpus = nodes * 8;
+        let horizon_secs = 2.0 * m;
 
+        // Trial crashes every sixth of the clean makespan.
         let mut crashes = Vec::new();
-        let crash_gap = Exponential::with_mean(config.mean_between_crashes_secs);
+        let crash_gap = Exponential::with_mean(m / 6.0);
         let mut t = crash_gap.sample(rng);
-        while t < config.horizon_secs {
+        while t < horizon_secs {
             crashes.push(TrialCrash {
                 at_secs: t,
                 gpu: rng.below(gpus as u64) as u32,
@@ -236,51 +225,53 @@ impl FaultPlan {
             t += crash_gap.sample(rng);
         }
 
-        // Node failures: at most nodes-1 distinct nodes, so survivors can
-        // always finish the campaign.
+        // Node failures, one per horizon on average: at most nodes-1
+        // distinct nodes, so survivors can always finish the campaign.
         let mut node_failures: Vec<NodeFailure> = Vec::new();
-        let node_gap = Exponential::with_mean(config.mean_between_node_failures_secs);
+        let node_gap = Exponential::with_mean(horizon_secs);
         let mut t = node_gap.sample(rng);
-        while t < config.horizon_secs && (node_failures.len() as u32) + 1 < config.nodes {
-            let node = rng.below(config.nodes as u64) as u32;
+        while t < horizon_secs && (node_failures.len() as u32) + 1 < nodes {
+            let node = rng.below(nodes as u64) as u32;
             if !node_failures.iter().any(|f| f.node == node) {
                 node_failures.push(NodeFailure { at_secs: t, node });
             }
             t += node_gap.sample(rng);
         }
 
-        // Straggler windows land in the first 60% of the horizon, where
-        // the healthy campaign actually runs.
+        // Straggler windows, a fifth of the clean makespan each, land in
+        // the first 60% of the horizon, where the healthy campaign
+        // actually runs.
         let mut stragglers = Vec::new();
-        for _ in 0..config.straggler_windows {
-            let from = rng.range_f64(0.0, 0.6 * config.horizon_secs);
+        for _ in 0..STRAGGLER_WINDOWS {
+            let from = rng.range_f64(0.0, 0.6 * horizon_secs);
             stragglers.push(StragglerWindow {
                 gpu: rng.below(gpus as u64) as u32,
                 from_secs: from,
-                until_secs: from + config.straggler_window_secs,
-                factor: config.straggler_factor,
+                until_secs: from + 0.2 * m,
+                factor: STRAGGLER_FACTOR,
             });
         }
         stragglers.sort_by(|a, b| a.from_secs.total_cmp(&b.from_secs));
 
+        // Degraded-storage windows, half the clean makespan each.
         let mut storage_windows = Vec::new();
-        for _ in 0..config.storage_windows {
-            let from = rng.range_f64(0.0, 0.6 * config.horizon_secs);
+        for _ in 0..STORAGE_WINDOWS {
+            let from = rng.range_f64(0.0, 0.6 * horizon_secs);
             storage_windows.push(StorageWindow {
                 from_secs: from,
-                until_secs: from + config.storage_window_secs,
-                factor: config.storage_factor,
+                until_secs: from + 0.5 * m,
+                factor: STORAGE_FACTOR,
             });
         }
         storage_windows.sort_by(|a, b| a.from_secs.total_cmp(&b.from_secs));
 
         FaultPlan {
-            horizon_secs: config.horizon_secs,
+            horizon_secs,
             crashes,
             node_failures,
             stragglers,
             storage_windows,
-            metric_flake_prob: config.metric_flake_prob,
+            metric_flake_prob: METRIC_FLAKE_PROB,
             flake_salt: rng.next_u64(),
         }
     }

@@ -14,9 +14,10 @@
 //!   remains, each retry waits exponentially longer before restarting;
 //!   once exhausted the incident escalates to
 //!   [`RecoveryAction::NotifyUser`] instead of restart-looping;
-//! * **checkpoint validation** — a flag the campaign runner consults to
-//!   verify a checkpoint on load and fall back a generation when it is
-//!   corrupt (see `acme-training`'s `DurabilityTracker`).
+//! * **checkpoint validation** — part of every ladder, not a setting: a
+//!   campaign runner that consults the orchestrator verifies each
+//!   checkpoint on load and falls back a generation when it is corrupt
+//!   (see `acme-training`'s `DurabilityTracker`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,19 +35,15 @@ pub struct OrchestratorConfig {
     pub retry: RetryPolicy,
     /// Strike-threshold cordoning policy.
     pub cordon: CordonPolicy,
-    /// Whether checkpoints are verified on load (generation fallback on
-    /// corruption instead of a crash loop).
-    pub validate_checkpoints: bool,
 }
 
 impl OrchestratorConfig {
     /// The deployed ladder: production retry policy, two strikes to
-    /// cordon, checkpoints verified on load.
+    /// cordon.
     pub fn production() -> Self {
         OrchestratorConfig {
             retry: RetryPolicy::production(),
             cordon: CordonPolicy::two_strikes(),
-            validate_checkpoints: true,
         }
     }
 }
@@ -165,11 +162,6 @@ impl RecoveryOrchestrator {
         newly
     }
 
-    /// Whether a node is cordoned.
-    pub fn is_cordoned(&self, node: u32) -> bool {
-        self.cordoned.contains(&node)
-    }
-
     /// Nodes cordoned so far.
     pub fn cordoned_count(&self) -> u32 {
         self.cordoned.len() as u32
@@ -256,7 +248,6 @@ mod tests {
         assert_eq!(orch.record_strike(7), 2);
         assert!(orch.should_cordon(7));
         orch.mark_cordoned(7);
-        assert!(orch.is_cordoned(7));
         assert!(!orch.should_cordon(7), "already cordoned");
         assert_eq!(orch.cordoned_count(), 1);
         assert_eq!(orch.cordon_actions(), 1);

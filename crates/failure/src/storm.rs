@@ -19,8 +19,19 @@
 //! * **hangs during recovery** — the restarted job comes back wedged and
 //!   only a watchdog notices.
 //!
+//! An optional network surface ([`NetStormConfig`]) adds link flaps,
+//! switch deaths and congestion windows on a [`NET_RADIX`] fat tree.
+//!
+//! The fault mix — arrival gaps, the hot subset, the flap, corruption and
+//! hang probabilities, the network fault cadence — is fixed by module
+//! constants. A [`StormConfig`] sets only what callers vary: the horizon
+//! (`--scale` stretches it), the fleet size, and whether the network
+//! surface rides along.
+//!
 //! Same seed → byte-identical campaign; no event (primary or secondary) is
 //! ever scheduled past the horizon.
+
+use std::ops::RangeInclusive;
 
 use acme_sim_core::dist::{Categorical, Distribution, Exponential};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
@@ -75,7 +86,7 @@ pub struct StormEvent {
 
 /// One fault on the network substrate, aimed at fat-tree coordinates
 /// rather than a node id. The topology radix the coordinates index into
-/// is [`NetStormConfig::radix`].
+/// is [`NET_RADIX`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFault {
     /// One edge→aggregation uplink flaps (down for the event duration,
@@ -122,69 +133,64 @@ pub struct NetStormEvent {
     pub duration: SimDuration,
 }
 
-/// Knobs of the network fault surface, [`None`] by default so legacy
-/// campaigns are byte-identical.
+/// Fat-tree radix the network fault coordinates index into: a k=8 tree,
+/// 128 hosts.
+pub const NET_RADIX: u32 = 8;
+
+/// Mean spacing between link flaps (Poisson arrivals).
+const MEAN_BETWEEN_FLAPS: SimDuration = SimDuration::from_hours(12);
+/// Link flap lengths, seconds.
+const FLAP_SECS: RangeInclusive<u64> = 60..=600;
+/// Mean spacing between switch deaths (edge or aggregation, 50/50).
+const MEAN_BETWEEN_SWITCH_FAULTS: SimDuration = SimDuration::from_hours(84);
+/// Replacement lead time for a dead switch.
+const SWITCH_REPAIR: SimDuration = SimDuration::from_hours(24);
+/// Mean spacing between oversubscription windows.
+const MEAN_BETWEEN_CONGESTION: SimDuration = SimDuration::from_hours(36);
+/// Width of one oversubscription window.
+const CONGESTION_DURATION: SimDuration = SimDuration::from_hours(2);
+
+/// The network fault surface of a storm: a link flap every ~12 h on a
+/// [`NET_RADIX`] tree, a switch death every ~3.5 days (24 h replacement),
+/// and an oversubscription window every ~36 h that runs one pod slow for
+/// two hours.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetStormConfig {
-    /// Fat-tree radix the fault coordinates index into: a power of two
-    /// ≥ 4, the shapes `acme_cluster::FatTree` builds.
-    pub radix: u32,
-    /// Mean spacing between link flaps (Poisson arrivals).
-    pub mean_between_flaps: SimDuration,
-    /// Shortest flap, seconds.
-    pub flap_secs_lo: u64,
-    /// Longest flap, seconds.
-    pub flap_secs_hi: u64,
-    /// Mean spacing between switch failures (edge or aggregation, 50/50).
-    pub mean_between_switch_faults: SimDuration,
-    /// Replacement lead time for a dead switch.
-    pub switch_repair: SimDuration,
-    /// Mean spacing between oversubscription windows.
-    pub mean_between_congestion: SimDuration,
-    /// Width of one oversubscription window.
-    pub congestion_duration: SimDuration,
     /// Congestion slowdown factor, percent (400 = links at 1/4 rate).
     pub congestion_factor_pct: u32,
 }
 
 impl NetStormConfig {
-    /// The default network storm riding along the default fault storm: a
-    /// k=8 tree (128 hosts), a link flap every ~12 h, a switch death
-    /// every ~3.5 days (24 h replacement), and an oversubscription window
-    /// every ~36 h that runs the pod at quarter rate for two hours.
+    /// The default network storm riding along the default fault storm:
+    /// oversubscription windows run the pod at quarter rate.
     pub fn default_net() -> Self {
         NetStormConfig {
-            radix: 8,
-            mean_between_flaps: SimDuration::from_hours(12),
-            flap_secs_lo: 60,
-            flap_secs_hi: 600,
-            mean_between_switch_faults: SimDuration::from_hours(84),
-            switch_repair: SimDuration::from_hours(24),
-            mean_between_congestion: SimDuration::from_hours(36),
-            congestion_duration: SimDuration::from_hours(2),
             congestion_factor_pct: 400,
         }
     }
 }
 
-/// Knobs of the storm generator.
+/// Mean spacing between primary faults (Poisson arrivals).
+const MEAN_BETWEEN: SimDuration = SimDuration::from_hours(6);
+/// Size of the *hot* subset that attracts flapping faults: nodes
+/// `0..HOT_NODES`.
+const HOT_NODES: u32 = 4;
+/// Probability a hardware primary flaps its node.
+const FLAP_PROB: f64 = 0.35;
+/// Probability the newest checkpoint is corrupt when an incident needs it.
+const CORRUPT_PROB: f64 = 0.15;
+/// Probability the first recovery attempt hangs.
+const HANG_PROB: f64 = 0.10;
+
+/// What a storm covers. The fault mix itself is fixed: a primary every
+/// ~6 hours on average, four hot nodes, and a healthy dose of flaps,
+/// corruption and recovery hangs.
 #[derive(Debug, Clone, Copy)]
 pub struct StormConfig {
     /// Campaign length.
     pub horizon: SimDuration,
-    /// Mean spacing between primary faults (Poisson arrivals).
-    pub mean_between: SimDuration,
     /// Nodes in the fleet.
     pub fleet_nodes: u32,
-    /// Size of the *hot* subset that attracts flapping faults.
-    pub hot_nodes: u32,
-    /// Probability a hardware primary flaps its node.
-    pub flap_prob: f64,
-    /// Probability the newest checkpoint is corrupt when an incident needs
-    /// it.
-    pub corrupt_prob: f64,
-    /// Probability the first recovery attempt hangs.
-    pub hang_prob: f64,
     /// Network fault surface. `None` (the default) generates no network
     /// events and draws nothing extra from the rng, so legacy campaigns
     /// are byte-identical.
@@ -192,18 +198,11 @@ pub struct StormConfig {
 }
 
 impl StormConfig {
-    /// The default storm: two weeks of a hostile fortnight — a fault every
-    /// ~6 hours on average, four hot nodes in a 64-node fleet, and a
-    /// healthy dose of flaps, corruption and recovery hangs.
+    /// The default storm: a hostile fortnight over a 64-node fleet.
     pub fn default_storm() -> Self {
         StormConfig {
             horizon: SimDuration::from_days(14),
-            mean_between: SimDuration::from_hours(6),
             fleet_nodes: 64,
-            hot_nodes: 4,
-            flap_prob: 0.35,
-            corrupt_prob: 0.15,
-            hang_prob: 0.10,
             net: None,
         }
     }
@@ -309,26 +308,21 @@ const STORM_MIX: [(FailureReason, f64); 12] = [
 ];
 
 impl StormEngine {
-    /// Wrap a config. Panics unless the hot subset is a non-empty subset
-    /// of the fleet: flapping faults draw their node ids from it.
+    /// Wrap a config. Panics unless the hot subset fits the fleet:
+    /// flapping faults draw their node ids from it.
     pub fn new(config: StormConfig) -> Self {
         assert!(
-            config.hot_nodes > 0 && config.hot_nodes <= config.fleet_nodes,
-            "hot subset must be a non-empty subset of the fleet"
+            HOT_NODES <= config.fleet_nodes,
+            "the fleet must hold the hot subset"
         );
         StormEngine { config }
-    }
-
-    /// The config.
-    pub fn config(&self) -> &StormConfig {
-        &self.config
     }
 
     /// Generate one campaign.
     pub fn generate(&self, rng: &mut SimRng) -> StormCampaign {
         let c = &self.config;
         let horizon_secs = c.horizon.as_secs_f64();
-        let arrivals = Exponential::with_mean(c.mean_between.as_secs_f64());
+        let arrivals = Exponential::with_mean(MEAN_BETWEEN.as_secs_f64());
         let weights: Vec<f64> = STORM_MIX.iter().map(|&(_, w)| w).collect();
         let picker = Categorical::new(&weights);
 
@@ -353,14 +347,14 @@ impl StormEngine {
                 );
             // Flapping faults concentrate on the hot subset — that is what
             // makes per-node strike counts worth keeping.
-            let flapping = hardware && rng.chance(c.flap_prob);
+            let flapping = hardware && rng.chance(FLAP_PROB);
             let node = if flapping {
-                rng.below(c.hot_nodes as u64) as u32
+                rng.below(u64::from(HOT_NODES)) as u32
             } else {
                 rng.below(c.fleet_nodes as u64) as u32
             };
-            let corrupt_checkpoint = rng.chance(c.corrupt_prob);
-            let hang_in_recovery = rng.chance(c.hang_prob);
+            let corrupt_checkpoint = rng.chance(CORRUPT_PROB);
+            let hang_in_recovery = rng.chance(HANG_PROB);
 
             // Cascade: secondaries land seconds after the primary and are
             // clamped inside the horizon.
@@ -413,15 +407,15 @@ impl StormEngine {
         horizon_secs: f64,
         rng: &mut SimRng,
     ) -> Vec<NetStormEvent> {
-        let half = net.radix / 2;
-        let edges = u64::from(net.radix) * u64::from(half);
-        let pods = u64::from(net.radix);
+        let half = NET_RADIX / 2;
+        let edges = u64::from(NET_RADIX) * u64::from(half);
+        let pods = u64::from(NET_RADIX);
         let clamp = |t: f64, d: SimDuration| {
             SimDuration::from_secs_f64(d.as_secs_f64().min((horizon_secs - t).max(0.0)))
         };
         let mut events = Vec::new();
 
-        let flaps = Exponential::with_mean(net.mean_between_flaps.as_secs_f64());
+        let flaps = Exponential::with_mean(MEAN_BETWEEN_FLAPS.as_secs_f64());
         let mut t = 0.0;
         loop {
             t += flaps.sample(rng);
@@ -430,7 +424,7 @@ impl StormEngine {
             }
             let edge = rng.below(edges) as u32;
             let port = rng.below(u64::from(half)) as u32;
-            let secs = rng.range_u64(net.flap_secs_lo, net.flap_secs_hi + 1);
+            let secs = rng.range_u64(*FLAP_SECS.start(), FLAP_SECS.end() + 1);
             events.push(NetStormEvent {
                 at: SimTime::from_secs_f64(t),
                 fault: NetFault::LinkFlap { edge, port },
@@ -438,7 +432,7 @@ impl StormEngine {
             });
         }
 
-        let switches = Exponential::with_mean(net.mean_between_switch_faults.as_secs_f64());
+        let switches = Exponential::with_mean(MEAN_BETWEEN_SWITCH_FAULTS.as_secs_f64());
         let mut t = 0.0;
         loop {
             t += switches.sample(rng);
@@ -458,11 +452,11 @@ impl StormEngine {
             events.push(NetStormEvent {
                 at: SimTime::from_secs_f64(t),
                 fault,
-                duration: clamp(t, net.switch_repair),
+                duration: clamp(t, SWITCH_REPAIR),
             });
         }
 
-        let congestion = Exponential::with_mean(net.mean_between_congestion.as_secs_f64());
+        let congestion = Exponential::with_mean(MEAN_BETWEEN_CONGESTION.as_secs_f64());
         let mut t = 0.0;
         loop {
             t += congestion.sample(rng);
@@ -475,7 +469,7 @@ impl StormEngine {
                     pod: rng.below(pods) as u32,
                     factor_pct: net.congestion_factor_pct,
                 },
-                duration: clamp(t, net.congestion_duration),
+                duration: clamp(t, CONGESTION_DURATION),
             });
         }
 
@@ -549,10 +543,9 @@ mod tests {
 
     #[test]
     fn flapping_targets_the_hot_subset() {
-        let cfg = StormConfig::default_storm();
         let c = campaign(11);
         for e in c.events.iter().filter(|e| e.flapping) {
-            assert!(e.node < cfg.hot_nodes, "flap on cold node {}", e.node);
+            assert!(e.node < HOT_NODES, "flap on cold node {}", e.node);
         }
     }
 
@@ -603,13 +596,13 @@ mod tests {
     #[test]
     fn net_fault_coordinates_stay_on_the_tree() {
         let net = NetStormConfig::default_net();
-        let (half, edges, pods) = (net.radix / 2, net.radix * net.radix / 2, net.radix);
+        let (half, edges, pods) = (NET_RADIX / 2, NET_RADIX * NET_RADIX / 2, NET_RADIX);
         for e in &net_campaign(3).net_events {
             match e.fault {
                 NetFault::LinkFlap { edge, port } => {
                     assert!(edge < edges && port < half);
                     let secs = e.duration.as_secs_f64() as u64;
-                    assert!(secs >= net.flap_secs_lo.min(60) && secs <= net.flap_secs_hi);
+                    assert!(FLAP_SECS.contains(&secs));
                 }
                 NetFault::EdgeSwitchFail { edge } => assert!(edge < edges),
                 NetFault::AggSwitchFail { pod, agg } => assert!(pod < pods && agg < half),
@@ -625,7 +618,7 @@ mod tests {
     #[should_panic(expected = "hot subset")]
     fn rejects_oversized_hot_subset() {
         let mut c = StormConfig::default_storm();
-        c.hot_nodes = c.fleet_nodes + 1;
+        c.fleet_nodes = HOT_NODES - 1;
         StormEngine::new(c);
     }
 }

@@ -25,7 +25,6 @@ pub struct Watchdog {
     timeout: SimDuration,
     last_heartbeat: SimTime,
     last_iteration: u64,
-    fired: bool,
 }
 
 impl Watchdog {
@@ -40,7 +39,6 @@ impl Watchdog {
             timeout,
             last_heartbeat: start,
             last_iteration: 0,
-            fired: false,
         }
     }
 
@@ -64,44 +62,22 @@ impl Watchdog {
         if iteration > self.last_iteration {
             self.last_iteration = iteration;
             self.last_heartbeat = now;
-            self.fired = false;
         }
     }
 
     /// Evaluate the job's state at `now`.
-    pub fn check(&mut self, now: SimTime) -> WatchdogState {
+    pub fn check(&self, now: SimTime) -> WatchdogState {
         if now.saturating_since(self.last_heartbeat) > self.timeout {
-            self.fired = true;
             WatchdogState::Stuck
         } else {
             WatchdogState::Healthy
         }
     }
 
-    /// Whether the watchdog has ever fired since the last real progress.
-    pub fn has_fired(&self) -> bool {
-        self.fired
-    }
-
     /// Time since the last progress, as of `now`.
     pub fn silence(&self, now: SimTime) -> SimDuration {
         now.saturating_since(self.last_heartbeat)
     }
-}
-
-/// Resource wastage if a hang at `hang_at` goes unnoticed until a human
-/// checks at `noticed_at`, versus a watchdog firing after its timeout:
-/// `(manual_gpu_hours, watchdog_gpu_hours)`.
-pub fn hang_wastage(
-    gpus: u32,
-    hang_at: SimTime,
-    noticed_at: SimTime,
-    watchdog_timeout: SimDuration,
-) -> (f64, f64) {
-    assert!(noticed_at >= hang_at, "noticed before the hang");
-    let manual = (noticed_at - hang_at).as_hours_f64() * gpus as f64;
-    let auto = watchdog_timeout.as_hours_f64() * gpus as f64;
-    (manual, auto.min(manual))
 }
 
 #[cfg(test)]
@@ -119,7 +95,6 @@ mod tests {
             w.heartbeat(t(i * 5), i);
             assert_eq!(w.check(t(i * 5)), WatchdogState::Healthy);
         }
-        assert!(!w.has_fired());
     }
 
     #[test]
@@ -128,7 +103,6 @@ mod tests {
         w.heartbeat(t(5), 1);
         assert_eq!(w.check(t(30)), WatchdogState::Healthy);
         assert_eq!(w.check(t(36)), WatchdogState::Stuck);
-        assert!(w.has_fired());
         assert_eq!(w.silence(t(36)), SimDuration::from_mins(31));
     }
 
@@ -152,30 +126,15 @@ mod tests {
         // Progress resumes.
         w.heartbeat(t(41), 2);
         assert_eq!(w.check(t(60)), WatchdogState::Healthy);
-        assert!(!w.has_fired());
     }
 
     #[test]
     fn recovery_watchdog_fires_faster_than_standard() {
-        let mut standard = Watchdog::standard(t(0));
-        let mut recovery = Watchdog::recovery(t(0));
+        let standard = Watchdog::standard(t(0));
+        let recovery = Watchdog::recovery(t(0));
         // At 15 minutes of silence the recovery watchdog has fired, the
         // steady-state one has not.
         assert_eq!(standard.check(t(15)), WatchdogState::Healthy);
         assert_eq!(recovery.check(t(15)), WatchdogState::Stuck);
-    }
-
-    #[test]
-    fn watchdog_bounds_the_wastage() {
-        // A 512-GPU job hangs at 02:00; the on-call notices at 09:00.
-        let (manual, auto) = hang_wastage(
-            512,
-            SimTime::from_secs(2 * 3600),
-            SimTime::from_secs(9 * 3600),
-            SimDuration::from_mins(30),
-        );
-        assert!((manual - 512.0 * 7.0).abs() < 1e-9);
-        assert!((auto - 256.0).abs() < 1e-9);
-        assert!(auto < manual / 10.0);
     }
 }

@@ -227,24 +227,6 @@ impl NetRecoveryPolicy {
             NetRecoveryPolicy::TopologyAware => "topology-aware orchestrator",
         }
     }
-
-    /// Maps localization results onto fault domains: a dead ToR is ONE
-    /// switch cordon, not one cordon per stranded node.
-    pub fn sees_fault_domains(&self) -> bool {
-        matches!(self, NetRecoveryPolicy::TopologyAware)
-    }
-
-    /// Reroutes around partial faults (link flaps, aggregation-switch
-    /// deaths) instead of restarting the job.
-    pub fn reroutes(&self) -> bool {
-        !matches!(self, NetRecoveryPolicy::Naive)
-    }
-
-    /// Rides out congestion windows at degraded throughput instead of
-    /// treating stragglers as failures.
-    pub fn degrades_on_congestion(&self) -> bool {
-        matches!(self, NetRecoveryPolicy::TopologyAware)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,13 +459,6 @@ mod tests {
         ];
         let labels: std::collections::BTreeSet<&str> = arms.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), 3);
-        // The axis is monotone: each arm strictly adds capability.
-        assert!(!arms[0].reroutes() && !arms[0].sees_fault_domains());
-        assert!(!arms[0].degrades_on_congestion());
-        assert!(arms[1].reroutes() && !arms[1].sees_fault_domains());
-        assert!(!arms[1].degrades_on_congestion());
-        assert!(arms[2].reroutes() && arms[2].sees_fault_domains());
-        assert!(arms[2].degrades_on_congestion());
     }
 
     #[test]

@@ -142,12 +142,6 @@ impl CheckpointEngine {
         let b = self.blocking_secs(mode);
         b / (b + interval_secs)
     }
-
-    /// Host memory consumed by staged checkpoints per writer node, GB,
-    /// assuming `staged` checkpoints resident and 8 writers per node.
-    pub fn staging_gb_per_node(&self, staged: u32) -> f64 {
-        self.scenario.shard_gb() * 8.0 * staged as f64
-    }
 }
 
 #[cfg(test)]
@@ -194,16 +188,6 @@ mod tests {
             e.durable_secs(CheckpointMode::Synchronous),
             e.blocking_secs(CheckpointMode::Synchronous)
         );
-    }
-
-    #[test]
-    fn staging_fits_in_host_memory() {
-        // Figure 7(b): host memory stays under 50%; several staged
-        // checkpoints must fit (§6.1).
-        let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
-        let gb = e.staging_gb_per_node(3);
-        // Kalos nodes have 2 TB.
-        assert!(gb < 2048.0 * 0.8, "staging uses {gb:.0} GB");
     }
 
     #[test]

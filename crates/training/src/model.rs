@@ -51,19 +51,6 @@ impl ModelConfig {
         }
     }
 
-    /// The early 104B attempt of Figure 14.
-    pub fn dense_104b() -> Self {
-        ModelConfig {
-            name: "LLM-104B",
-            layers: 88,
-            hidden: 9_856,
-            heads: 77,
-            vocab: 100_000,
-            seq_len: 4096,
-            moe: None,
-        }
-    }
-
     /// The 123B flagship profiled in §4.1.
     pub fn dense_123b() -> Self {
         ModelConfig {
@@ -107,11 +94,6 @@ impl ModelConfig {
             Some(m) => attn + mlp * m.experts as f64,
         };
         l * per_layer + self.vocab as f64 * h
-    }
-
-    /// Parameters in billions, for display.
-    pub fn params_b(&self) -> f64 {
-        self.params() / 1e9
     }
 
     /// Parameters *active* per token (differs from total only for MoE).
@@ -164,9 +146,8 @@ mod tests {
 
     #[test]
     fn parameter_counts_match_names() {
-        assert!((6.5..8.0).contains(&ModelConfig::dense_7b().params_b()));
-        assert!((100.0..109.0).contains(&ModelConfig::dense_104b().params_b()));
-        assert!((119.0..127.0).contains(&ModelConfig::dense_123b().params_b()));
+        assert!((6.5e9..8.0e9).contains(&ModelConfig::dense_7b().params()));
+        assert!((119.0e9..127.0e9).contains(&ModelConfig::dense_123b().params()));
     }
 
     #[test]

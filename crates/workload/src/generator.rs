@@ -43,14 +43,6 @@ pub struct TypeProfile {
     pub status_duration_mult: [f64; 3],
 }
 
-impl TypeProfile {
-    /// Expected GPUs requested per job.
-    pub fn mean_gpus(&self) -> f64 {
-        let total: f64 = self.demand.iter().map(|&(_, w)| w).sum();
-        self.demand.iter().map(|&(g, w)| g as f64 * w / total).sum()
-    }
-}
-
 /// A generated trace for one cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterWorkload {
@@ -585,16 +577,5 @@ mod tests {
         assert!(!rest.is_empty());
         assert!(s.next().is_none(), "stays exhausted after the horizon");
         assert!(s.next().is_none());
-    }
-
-    #[test]
-    fn mean_gpus_helper() {
-        let g = WorkloadGenerator::kalos();
-        let eval = g
-            .profiles()
-            .iter()
-            .find(|p| p.job_type == JobType::Evaluation)
-            .unwrap();
-        assert!((eval.mean_gpus() - 1.8).abs() < 1e-9);
     }
 }
