@@ -637,26 +637,6 @@ impl NetFabric {
             .collective_secs_at(collective, bytes_per_gpu, gpus, bw)
     }
 
-    /// Throughput factor (≤ 1) of a training step whose communication is
-    /// an all-reduce of `bytes_per_gpu` over `gpus` ranks on `hosts`,
-    /// relative to the healthy fabric: `step_healthy / step_now` with
-    /// `compute_secs` of overlapped-free compute per step. 1.0 when the
-    /// fabric is healthy.
-    pub fn step_throughput_factor(
-        &self,
-        compute_secs: f64,
-        bytes_per_gpu: f64,
-        gpus: u32,
-        hosts: &[u32],
-    ) -> f64 {
-        let healthy = NetFabric::new(self.fabric, self.tree.config);
-        let h = compute_secs
-            + healthy.collective_secs(Collective::AllReduce, bytes_per_gpu, gpus, hosts);
-        let now =
-            compute_secs + self.collective_secs(Collective::AllReduce, bytes_per_gpu, gpus, hosts);
-        (h / now).min(1.0)
-    }
-
     /// Effective per-writer bandwidth (GB/s) for checkpoint shards pushed
     /// from `writers` hosts up through the tree to the storage fabric
     /// behind the core layer: the minimum over writers of their host
@@ -935,12 +915,16 @@ mod tests {
         let fabric = FabricSpec::kalos();
         let mut net = NetFabric::new(fabric, NetConfig::for_fabric(&fabric, 8));
         let hosts: Vec<u32> = (0..32).collect(); // pods 0 and 1
-        let clean = net.step_throughput_factor(0.35, 0.25e9, 256, &hosts);
-        assert_eq!(clean, 1.0);
+
+        // A step of 0.35 s compute plus a 0.25 GB-per-GPU all-reduce.
+        let step = |net: &NetFabric| {
+            0.35 + net.collective_secs(Collective::AllReduce, 0.25e9, 256, &hosts)
+        };
+        let clean = step(&net);
         net.fail_agg_switch(0, 0);
-        let degraded = net.step_throughput_factor(0.35, 0.25e9, 256, &hosts);
-        assert!(degraded < 1.0, "factor {degraded}");
-        assert!(degraded > 0.3, "factor {degraded} — reroute, not an outage");
+        let factor = clean / step(&net);
+        assert!(factor < 1.0, "factor {factor}");
+        assert!(factor > 0.3, "factor {factor} — reroute, not an outage");
     }
 
     #[test]

@@ -170,12 +170,42 @@ pub fn preempt(seed: u64) -> String {
         preemptive.preemptions.to_string(),
         f(preemptive.wasted_gpu_seconds / 3600.0, 1),
     ]);
-    format!(
-        "{}both give pretraining fast starts, but preemption pays {} of useful GPU time \
-         in recovery overhead — the §3.1 argument for reservation\n",
-        t.render(),
-        pct(preemptive.waste_fraction())
-    )
+    let verdict = preempt_verdict(
+        [pre_delay(&reservation.jobs), pre_delay(&preemptive.jobs)],
+        preemptive.waste_fraction(),
+    );
+    format!("{}{verdict}\n", t.render())
+}
+
+/// A pretraining median queue delay under this many minutes is a fast
+/// start.
+const FAST_START_MINS: f64 = 1.0;
+
+/// `preempt`'s closing sentence, from the pretraining median delays in
+/// minutes under (reservation, preemption) and preemption's waste as a
+/// fraction of useful GPU time. The waste argues for reservation only when
+/// it is nonzero as printed.
+fn preempt_verdict(delays: [f64; 2], waste: f64) -> String {
+    let fast = delays.map(|d| d < FAST_START_MINS);
+    let starts = match fast {
+        [true, true] => "both give pretraining fast starts",
+        [true, false] => "only reservation gives pretraining fast starts",
+        [false, true] => "only preemption gives pretraining fast starts",
+        [false, false] => "neither gives pretraining fast starts",
+    };
+    let waste = pct(waste);
+    if waste == pct(0.0) {
+        format!(
+            "{starts}, and preemption's recovery overhead is {waste} of useful GPU time: \
+             this trace makes no §3.1 argument for reservation"
+        )
+    } else {
+        let but = if fast[1] { "but" } else { "and" };
+        format!(
+            "{starts}, {but} preemption pays {waste} of useful GPU time in recovery overhead \
+             — the §3.1 argument for reservation"
+        )
+    }
 }
 
 /// `pipeline` — the Figure-1 development walk and the integrated §6.1
@@ -583,5 +613,28 @@ mod tests {
         let cols: Vec<&str> = row.split_whitespace().collect();
         let preemptions: u32 = cols[cols.len() - 2].parse().unwrap();
         assert!(preemptions > 0, "{row}");
+    }
+
+    #[test]
+    fn preempt_verdict_follows_the_numbers() {
+        // Seed 42's numbers: instant starts, 0.2% waste.
+        assert_eq!(
+            preempt_verdict([0.0, 0.0], 0.0024),
+            "both give pretraining fast starts, but preemption pays 0.2% of useful GPU time \
+             in recovery overhead — the §3.1 argument for reservation"
+        );
+        // Waste that rounds away makes no argument.
+        assert_eq!(
+            preempt_verdict([0.0, 0.0], 0.0004),
+            "both give pretraining fast starts, and preemption's recovery overhead is 0.0% \
+             of useful GPU time: this trace makes no §3.1 argument for reservation"
+        );
+        assert!(preempt_verdict([0.0, 0.0], 0.0).contains("makes no §3.1 argument"));
+        // Slow starts are named by policy.
+        assert!(preempt_verdict([0.0, 5.0], 0.01).starts_with(
+            "only reservation gives pretraining fast starts, and preemption pays 1.0%"
+        ));
+        assert!(preempt_verdict([5.0, 0.0], 0.01).starts_with("only preemption gives"));
+        assert!(preempt_verdict([5.0, 5.0], 0.0).starts_with("neither gives"));
     }
 }

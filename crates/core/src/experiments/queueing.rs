@@ -15,7 +15,7 @@ use acme_scheduler::{coalesce_eval_batches, ClusterScheduler, SchedulerConfig};
 use acme_sim_core::{SimDuration, SimRng};
 use acme_telemetry::table::f;
 use acme_telemetry::Table;
-use acme_workload::{JobType, TraceStats, WorkloadGenerator};
+use acme_workload::{JobRecord, JobType, TraceStats, WorkloadGenerator};
 
 /// GPUs the Figure-6 experiment schedules over (must cover the largest
 /// pretraining demand of 2048).
@@ -27,11 +27,20 @@ pub const RESERVED_FRACTION: f64 = 0.985;
 /// Evaluation batch-submission window.
 pub const EVAL_BATCH_WINDOW: SimDuration = SimDuration::from_hours(24);
 
-/// Run the Figure-6 schedule and return per-type stats for one policy.
-pub fn run_policy(seed: u64, with_reservation: bool) -> Vec<(JobType, f64, f64, f64)> {
+/// The month of Kalos workload Figure 6 replays, evaluation trials
+/// batched.
+fn kalos_month(seed: u64) -> Vec<JobRecord> {
     let mut rng = SimRng::new(seed).fork(201);
     let mut workload = WorkloadGenerator::kalos().generate(&mut rng, 30.0, 0).jobs;
     coalesce_eval_batches(&mut workload, EVAL_BATCH_WINDOW);
+    workload
+}
+
+/// Schedule `workload` under one policy and return per-type stats.
+pub fn run_policy(
+    workload: Vec<JobRecord>,
+    with_reservation: bool,
+) -> Vec<(JobType, f64, f64, f64)> {
     let config = if with_reservation {
         SchedulerConfig::with_reservation(EXPERIMENT_GPUS, RESERVED_FRACTION)
     } else {
@@ -56,6 +65,7 @@ pub fn run_policy(seed: u64, with_reservation: bool) -> Vec<(JobType, f64, f64, 
 
 /// Figure 6 — the table, for both policies.
 pub fn fig6(seed: u64) -> String {
+    let month = kalos_month(seed);
     let mut out = String::new();
     for (name, with_reservation) in [
         ("production policy (quota reservation)", true),
@@ -67,7 +77,7 @@ pub fn fig6(seed: u64) -> String {
             "median queue delay (min)",
             "p95 queue delay (min)",
         ]);
-        for (ty, dur, med, p95) in run_policy(seed, with_reservation) {
+        for (ty, dur, med, p95) in run_policy(month.clone(), with_reservation) {
             t.row([ty.label().to_owned(), f(dur, 1), f(med, 2), f(p95, 1)]);
         }
         out.push_str(&format!("== {name} ==\n{}", t.render()));
@@ -86,7 +96,7 @@ mod tests {
 
     #[test]
     fn evaluation_waits_longest_under_reservation() {
-        let rows = run_policy(42, true);
+        let rows = run_policy(kalos_month(42), true);
         let (eval_med, eval_p95) = delay_of(&rows, JobType::Evaluation);
         let (pre_med, pre_p95) = delay_of(&rows, JobType::Pretrain);
         // The §3.2 inversion: the smallest, shortest jobs have the longest
@@ -115,8 +125,9 @@ mod tests {
 
     #[test]
     fn removing_reservation_reverses_the_inversion() {
-        let with = run_policy(42, true);
-        let without = run_policy(42, false);
+        let month = kalos_month(42);
+        let with = run_policy(month.clone(), true);
+        let without = run_policy(month, false);
         let (_, eval_p95_with) = delay_of(&with, JobType::Evaluation);
         let (_, eval_p95_without) = delay_of(&without, JobType::Evaluation);
         // Without the reservation, evals spread over the whole cluster.
@@ -128,7 +139,7 @@ mod tests {
 
     #[test]
     fn durations_per_type_within_an_order_of_magnitude() {
-        let rows = run_policy(7, true);
+        let rows = run_policy(kalos_month(7), true);
         let meds: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let max = meds.iter().fold(0.0f64, |a, &b| a.max(b));
         let min = meds.iter().fold(f64::MAX, |a, &b| a.min(b));

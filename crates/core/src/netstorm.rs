@@ -173,6 +173,14 @@ impl NetStormRunner {
             0.0,
         );
 
+        // A training step's wall time on the fabric as it stands; priced
+        // here once on the healthy tree, before the first fault.
+        let step_secs = |fabric: &NetFabric| {
+            STEP_COMPUTE_SECS
+                + fabric.collective_secs(Collective::AllReduce, STEP_ALLREDUCE_BYTES, gpus, &hosts)
+        };
+        let healthy_step = step_secs(&fabric);
+
         let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::production());
         let tester = NcclTester::new(tree_hosts as usize);
 
@@ -248,14 +256,7 @@ impl NetStormRunner {
             // the broken fabric: the stranded width, or the step slowdown.
             let loss = match &stranded {
                 Some(domain) => domain.len() as f64 / f64::from(tree_hosts),
-                None => {
-                    1.0 - fabric.step_throughput_factor(
-                        STEP_COMPUTE_SECS,
-                        STEP_ALLREDUCE_BYTES,
-                        gpus,
-                        &hosts,
-                    )
-                }
+                None => 1.0 - (healthy_step / step_secs(&fabric)).min(1.0),
             };
             // The hosts localization sweeps: the stranded domain, else
             // the whole fleet.

@@ -19,6 +19,8 @@
 pub mod config;
 pub mod preempt;
 pub mod sim;
+#[cfg(test)]
+mod testkit;
 
 pub use config::SchedulerConfig;
 pub use preempt::{PreemptionOutcome, PreemptiveScheduler};

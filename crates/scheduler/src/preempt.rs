@@ -8,7 +8,7 @@
 //! measured — the experiment compares it against quota reservation on the
 //! same trace and prices the wasted GPU time.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
 use acme_sim_core::{EventQueue, SimDuration, SimTime};
 use acme_workload::JobRecord;
@@ -87,10 +87,11 @@ impl PreemptiveScheduler {
             queue.schedule(jobs[i].submit, Event::Arrive(i));
         }
 
-        let mut waiting: Vec<VecDeque<usize>> = (0..SchedulerConfig::PRIORITY_LEVELS)
-            .map(|_| VecDeque::new())
-            .collect();
-        let mut running: Vec<Option<Running>> = vec![None; n];
+        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); SchedulerConfig::PRIORITY_LEVELS];
+        // The running jobs by index, ascending: the order in which a scan
+        // over all n jobs meets them, which the stable victim sort keeps
+        // among jobs that started at the same instant.
+        let mut running: BTreeMap<usize, Running> = BTreeMap::new();
         let mut remaining: Vec<SimDuration> = jobs.iter().map(|j| j.duration).collect();
         let mut first_start: Vec<Option<SimTime>> = vec![None; n];
         let mut used: u32 = 0;
@@ -102,14 +103,14 @@ impl PreemptiveScheduler {
             match event {
                 Event::Arrive(i) => {
                     let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
-                    waiting[p].push_back(i);
+                    waiting[p].push(i);
                 }
                 Event::Finish(i, generation) => {
-                    let Some(r) = running[i] else { continue };
+                    let Some(r) = running.get(&i) else { continue };
                     if r.generation != generation {
                         continue; // stale: the job was preempted
                     }
-                    running[i] = None;
+                    running.remove(&i);
                     used -= jobs[i].gpus;
                     remaining[i] = SimDuration::ZERO;
                     finished_at = finished_at.max(now);
@@ -117,21 +118,22 @@ impl PreemptiveScheduler {
             }
 
             // Start waiting jobs in priority order, preempting lower
-            // priorities when a higher-priority job doesn't fit.
+            // priorities when a higher-priority job doesn't fit. Victims
+            // re-queue at their own, lower level, which this sweep reaches
+            // later.
             for p in 0..waiting.len() {
-                let mut still_waiting = VecDeque::new();
-                while let Some(i) = waiting[p].pop_front() {
+                let (level, lower) = waiting.split_at_mut(p + 1);
+                level[p].retain(|&i| {
                     let mut free = self.total_gpus - used;
                     if free < jobs[i].gpus {
                         // Try to evict strictly-lower-priority victims,
                         // most recently started first (least sunk work).
-                        let mut victims: Vec<usize> = (0..n)
-                            .filter(|&v| {
-                                running[v].is_some()
-                                    && SchedulerConfig::priority(jobs[v].job_type) as usize > p
-                            })
+                        let mut victims: Vec<usize> = running
+                            .keys()
+                            .copied()
+                            .filter(|&v| SchedulerConfig::priority(jobs[v].job_type) as usize > p)
                             .collect();
-                        victims.sort_by_key(|&v| std::cmp::Reverse(running[v].unwrap().started));
+                        victims.sort_by_key(|&v| std::cmp::Reverse(running[&v].started));
                         let mut evict = Vec::new();
                         for v in victims {
                             if free >= jobs[i].gpus {
@@ -142,7 +144,7 @@ impl PreemptiveScheduler {
                         }
                         if free >= jobs[i].gpus {
                             for v in evict {
-                                let r = running[v].take().unwrap();
+                                let r = running.remove(&v).expect("victims are running");
                                 used -= jobs[v].gpus;
                                 preemptions += 1;
                                 // Progress made this run, minus the tail
@@ -157,33 +159,35 @@ impl PreemptiveScheduler {
                                 wasted += jobs[v].gpus as f64
                                     * (lost + self.restore_overhead).as_secs_f64();
                                 let vp = SchedulerConfig::priority(jobs[v].job_type) as usize;
-                                waiting[vp].push_back(v);
+                                lower[vp - p - 1].push(v);
                             }
                         }
                     }
-                    if self.total_gpus - used >= jobs[i].gpus {
-                        let generation = first_start[i].map_or(0, |_| 1) + preemptions; // unique-enough
-                        running[i] = Some(Running {
+                    if self.total_gpus - used < jobs[i].gpus {
+                        return true;
+                    }
+                    let generation = first_start[i].map_or(0, |_| 1) + preemptions; // unique-enough
+                    running.insert(
+                        i,
+                        Running {
                             started: now,
                             remaining_at_start: remaining[i],
                             generation,
-                        });
-                        used += jobs[i].gpus;
-                        if first_start[i].is_none() {
-                            first_start[i] = Some(now);
-                            jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
-                        }
-                        queue.schedule_in(remaining[i], Event::Finish(i, generation));
-                    } else {
-                        still_waiting.push_back(i);
+                        },
+                    );
+                    used += jobs[i].gpus;
+                    if first_start[i].is_none() {
+                        first_start[i] = Some(now);
+                        jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
                     }
-                }
-                waiting[p] = still_waiting;
+                    queue.schedule_in(remaining[i], Event::Finish(i, generation));
+                    false
+                });
             }
         }
 
         assert!(
-            running.iter().all(Option::is_none),
+            running.is_empty(),
             "jobs still running after the event queue drained"
         );
         PreemptionOutcome {
@@ -197,20 +201,169 @@ impl PreemptiveScheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use acme_workload::job::Cluster;
-    use acme_workload::{JobStatus, JobType};
+    use std::collections::VecDeque;
 
-    fn job(id: u64, ty: JobType, gpus: u32, submit_s: u64, dur_s: u64) -> JobRecord {
-        JobRecord {
-            id,
-            cluster: Cluster::Kalos,
-            job_type: ty,
-            submit: SimTime::from_secs(submit_s),
-            queue_delay: SimDuration::ZERO,
-            duration: SimDuration::from_secs(dur_s),
-            gpus,
-            status: JobStatus::Completed,
+    use acme_workload::JobType;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::testkit::{arb_trace, job, TRACE_GPUS};
+
+    impl PreemptiveScheduler {
+        /// The loop before victims came from the running set, kept
+        /// verbatim as the oracle: every job that does not fit scans all
+        /// n jobs for victims, and every event rebuilds each level's
+        /// queue.
+        fn run_reference(&self, mut jobs: Vec<JobRecord>) -> PreemptionOutcome {
+            for j in &jobs {
+                assert!(
+                    j.gpus <= self.total_gpus,
+                    "job {} demands {} GPUs of {}",
+                    j.id,
+                    j.gpus,
+                    self.total_gpus
+                );
+            }
+            let n = jobs.len();
+            let mut queue = EventQueue::with_capacity(n + 1);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| jobs[i].submit);
+            for &i in &order {
+                queue.schedule(jobs[i].submit, Event::Arrive(i));
+            }
+
+            let mut waiting: Vec<VecDeque<usize>> = (0..SchedulerConfig::PRIORITY_LEVELS)
+                .map(|_| VecDeque::new())
+                .collect();
+            let mut running: Vec<Option<Running>> = vec![None; n];
+            let mut remaining: Vec<SimDuration> = jobs.iter().map(|j| j.duration).collect();
+            let mut first_start: Vec<Option<SimTime>> = vec![None; n];
+            let mut used: u32 = 0;
+            let mut preemptions = 0u32;
+            let mut wasted = 0.0f64;
+            let mut finished_at = SimTime::ZERO;
+
+            while let Some((now, event)) = queue.pop() {
+                match event {
+                    Event::Arrive(i) => {
+                        let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
+                        waiting[p].push_back(i);
+                    }
+                    Event::Finish(i, generation) => {
+                        let Some(r) = running[i] else { continue };
+                        if r.generation != generation {
+                            continue; // stale: the job was preempted
+                        }
+                        running[i] = None;
+                        used -= jobs[i].gpus;
+                        remaining[i] = SimDuration::ZERO;
+                        finished_at = finished_at.max(now);
+                    }
+                }
+
+                // Start waiting jobs in priority order, preempting lower
+                // priorities when a higher-priority job doesn't fit.
+                for p in 0..waiting.len() {
+                    let mut still_waiting = VecDeque::new();
+                    while let Some(i) = waiting[p].pop_front() {
+                        let mut free = self.total_gpus - used;
+                        if free < jobs[i].gpus {
+                            // Try to evict strictly-lower-priority victims,
+                            // most recently started first (least sunk work).
+                            let mut victims: Vec<usize> = (0..n)
+                                .filter(|&v| {
+                                    running[v].is_some()
+                                        && SchedulerConfig::priority(jobs[v].job_type) as usize > p
+                                })
+                                .collect();
+                            victims
+                                .sort_by_key(|&v| std::cmp::Reverse(running[v].unwrap().started));
+                            let mut evict = Vec::new();
+                            for v in victims {
+                                if free >= jobs[i].gpus {
+                                    break;
+                                }
+                                free += jobs[v].gpus;
+                                evict.push(v);
+                            }
+                            if free >= jobs[i].gpus {
+                                for v in evict {
+                                    let r = running[v].take().unwrap();
+                                    used -= jobs[v].gpus;
+                                    preemptions += 1;
+                                    // Progress made this run, minus the tail
+                                    // since the last checkpoint (lost).
+                                    let ran = now - r.started;
+                                    let lost = SimDuration::from_micros(
+                                        ran.as_micros()
+                                            % self.checkpoint_interval.as_micros().max(1),
+                                    );
+                                    let kept = ran.saturating_sub(lost);
+                                    remaining[v] = r.remaining_at_start.saturating_sub(kept)
+                                        + self.restore_overhead;
+                                    wasted += jobs[v].gpus as f64
+                                        * (lost + self.restore_overhead).as_secs_f64();
+                                    let vp = SchedulerConfig::priority(jobs[v].job_type) as usize;
+                                    waiting[vp].push_back(v);
+                                }
+                            }
+                        }
+                        if self.total_gpus - used >= jobs[i].gpus {
+                            let generation = first_start[i].map_or(0, |_| 1) + preemptions; // unique-enough
+                            running[i] = Some(Running {
+                                started: now,
+                                remaining_at_start: remaining[i],
+                                generation,
+                            });
+                            used += jobs[i].gpus;
+                            if first_start[i].is_none() {
+                                first_start[i] = Some(now);
+                                jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
+                            }
+                            queue.schedule_in(remaining[i], Event::Finish(i, generation));
+                        } else {
+                            still_waiting.push_back(i);
+                        }
+                    }
+                    waiting[p] = still_waiting;
+                }
+            }
+
+            assert!(
+                running.iter().all(Option::is_none),
+                "jobs still running after the event queue drained"
+            );
+            PreemptionOutcome {
+                jobs,
+                preemptions,
+                wasted_gpu_seconds: wasted,
+                finished_at,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Victims drawn from the index-ordered running set, and queues
+        /// swept in place, give the n-job scan's schedule, preemptions
+        /// and waste to the bit.
+        #[test]
+        fn running_set_matches_the_full_scan(jobs in arb_trace()) {
+            let s = PreemptiveScheduler {
+                total_gpus: TRACE_GPUS,
+                checkpoint_interval: SimDuration::from_secs(600),
+                restore_overhead: SimDuration::from_secs(120),
+            };
+            let got = s.run(jobs.clone());
+            let want = s.run_reference(jobs);
+            prop_assert_eq!(got.jobs, want.jobs);
+            prop_assert_eq!(got.finished_at, want.finished_at);
+            prop_assert_eq!(got.preemptions, want.preemptions);
+            prop_assert_eq!(
+                got.wasted_gpu_seconds.to_bits(),
+                want.wasted_gpu_seconds.to_bits()
+            );
         }
     }
 

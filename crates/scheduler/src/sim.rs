@@ -1,9 +1,14 @@
 //! The discrete-event scheduler.
 //!
-//! Events are job arrivals and completions. On every event the scheduler
-//! sweeps its priority queues in order and starts every queued job that
-//! fits — FIFO within a priority with backfill (a job that doesn't fit does
-//! not block smaller jobs behind it, mirroring Slurm's backfill scheduler).
+//! Events are job arrivals and completions, and the work each does is in
+//! proportion to what it changes. An arrival tries only itself: it starts
+//! if it fits and otherwise joins the back of its priority's queue. A
+//! completion frees GPUs, so the scheduler sweeps its priority queues in
+//! order and starts every queued job that fits — FIFO within a priority
+//! with backfill (a job that doesn't fit does not block smaller jobs behind
+//! it, mirroring Slurm's backfill scheduler). That is the schedule a sweep
+//! on every event gives, because an arrival frees nothing and a job that
+//! does not fit never fits in less room.
 //!
 //! Allocation policy (per [`SchedulerConfig`]):
 //! * pretraining draws from the reserved quota first and may overflow into
@@ -13,8 +18,6 @@
 //!   borrow idle reserved GPUs best-effort.
 //!
 //! With no GPUs reserved, every job draws from the one shared pool.
-
-use std::collections::VecDeque;
 
 use acme_sim_core::{EventQueue, SimDuration, SimTime};
 use acme_workload::{JobRecord, JobType};
@@ -87,20 +90,15 @@ impl ClusterScheduler {
             queue.schedule(jobs[i].submit, Event::Arrive(i));
         }
 
-        let mut queues: Vec<VecDeque<usize>> = (0..SchedulerConfig::PRIORITY_LEVELS)
-            .map(|_| VecDeque::new())
-            .collect();
+        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); SchedulerConfig::PRIORITY_LEVELS];
         let mut allocs: Vec<Option<Allocation>> = vec![None; jobs.len()];
         let mut used_reserved: u32 = 0;
         let mut used_shared: u32 = 0;
         let mut finished_at = SimTime::ZERO;
 
         while let Some((now, event)) = queue.pop() {
-            match event {
-                Event::Arrive(i) => {
-                    let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
-                    queues[p].push_back(i);
-                }
+            let arrival = match event {
+                Event::Arrive(i) => Some(i),
                 Event::Finish(i) => {
                     let a = allocs[i]
                         .take()
@@ -108,35 +106,55 @@ impl ClusterScheduler {
                     used_reserved -= a.reserved;
                     used_shared -= a.shared;
                     finished_at = finished_at.max(now);
+                    None
                 }
-            }
+            };
 
-            // Sweep priorities high→low, starting everything that fits.
-            for level in queues.iter_mut() {
-                let mut remaining = VecDeque::new();
-                while let Some(i) = level.pop_front() {
-                    match self.try_allocate(
-                        jobs[i].job_type,
-                        jobs[i].gpus,
-                        used_reserved,
-                        used_shared,
-                    ) {
-                        Some(a) => {
-                            used_reserved += a.reserved;
-                            used_shared += a.shared;
-                            allocs[i] = Some(a);
-                            jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
-                            queue.schedule_in(jobs[i].duration, Event::Finish(i));
-                        }
-                        // Backfill: keep scanning smaller jobs behind it.
-                        None => remaining.push_back(i),
+            // Start job `i` now if it fits; false leaves it waiting.
+            let mut start = |i: usize, job: &mut JobRecord| match self.try_allocate(
+                job.job_type,
+                job.gpus,
+                used_reserved,
+                used_shared,
+            ) {
+                Some(a) => {
+                    used_reserved += a.reserved;
+                    used_shared += a.shared;
+                    allocs[i] = Some(a);
+                    job.queue_delay = now.saturating_since(job.submit);
+                    queue.schedule_in(job.duration, Event::Finish(i));
+                    true
+                }
+                None => false,
+            };
+
+            match arrival {
+                // An arrival tries only itself, which is exact. Every
+                // event ends with no waiting job able to fit; a job that
+                // does not fit keeps not fitting as free GPUs shrink
+                // (`try_allocate` is monotone in both pools); and an
+                // arrival frees none. So a full sweep would miss on every
+                // job ahead of the arrival and, whether or not it starts,
+                // on every job behind it.
+                Some(i) => {
+                    if !start(i, &mut jobs[i]) {
+                        let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
+                        waiting[p].push(i);
                     }
                 }
-                *level = remaining;
+                // A release sweeps priorities high→low, FIFO within each,
+                // starting everything that fits. Backfill: a job that does
+                // not fit keeps its place and the scan goes on to smaller
+                // jobs behind it.
+                None => {
+                    for level in &mut waiting {
+                        level.retain(|&i| !start(i, &mut jobs[i]));
+                    }
+                }
             }
         }
 
-        for (p, q) in queues.iter().enumerate() {
+        for (p, q) in waiting.iter().enumerate() {
             assert!(q.is_empty(), "priority-{p} queue never drained");
         }
 
@@ -203,20 +221,115 @@ pub fn coalesce_eval_batches(jobs: &mut [JobRecord], window: SimDuration) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use acme_workload::job::Cluster;
-    use acme_workload::JobStatus;
+    use std::collections::VecDeque;
 
-    fn job(id: u64, ty: JobType, gpus: u32, submit_s: u64, dur_s: u64) -> JobRecord {
-        JobRecord {
-            id,
-            cluster: Cluster::Kalos,
-            job_type: ty,
-            submit: SimTime::from_secs(submit_s),
-            queue_delay: SimDuration::ZERO,
-            duration: SimDuration::from_secs(dur_s),
-            gpus,
-            status: JobStatus::Completed,
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::testkit::{arb_trace, job, TRACE_GPUS, TRACE_QUOTA};
+
+    impl ClusterScheduler {
+        /// The loop before it worked per event, kept verbatim as the
+        /// oracle: every event sweeps every waiting job and rebuilds each
+        /// level's queue.
+        fn run_reference(&self, mut jobs: Vec<JobRecord>) -> ScheduleOutcome {
+            for j in &jobs {
+                assert!(
+                    j.gpus <= self.config.total_gpus,
+                    "job {} demands {} GPUs but the cluster has {}",
+                    j.id,
+                    j.gpus,
+                    self.config.total_gpus
+                );
+            }
+
+            // Arrival order must be chronological for FIFO semantics.
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            order.sort_by_key(|&i| jobs[i].submit);
+
+            // One arrival per job now, plus at most one finish per running job
+            // later: size the future-event list once, up front.
+            let mut queue = EventQueue::with_capacity(jobs.len() + 1);
+            for &i in &order {
+                queue.schedule(jobs[i].submit, Event::Arrive(i));
+            }
+
+            let mut queues: Vec<VecDeque<usize>> = (0..SchedulerConfig::PRIORITY_LEVELS)
+                .map(|_| VecDeque::new())
+                .collect();
+            let mut allocs: Vec<Option<Allocation>> = vec![None; jobs.len()];
+            let mut used_reserved: u32 = 0;
+            let mut used_shared: u32 = 0;
+            let mut finished_at = SimTime::ZERO;
+
+            while let Some((now, event)) = queue.pop() {
+                match event {
+                    Event::Arrive(i) => {
+                        let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
+                        queues[p].push_back(i);
+                    }
+                    Event::Finish(i) => {
+                        let a = allocs[i]
+                            .take()
+                            .expect("finishing a job that never started");
+                        used_reserved -= a.reserved;
+                        used_shared -= a.shared;
+                        finished_at = finished_at.max(now);
+                    }
+                }
+
+                // Sweep priorities high→low, starting everything that fits.
+                for level in queues.iter_mut() {
+                    let mut remaining = VecDeque::new();
+                    while let Some(i) = level.pop_front() {
+                        match self.try_allocate(
+                            jobs[i].job_type,
+                            jobs[i].gpus,
+                            used_reserved,
+                            used_shared,
+                        ) {
+                            Some(a) => {
+                                used_reserved += a.reserved;
+                                used_shared += a.shared;
+                                allocs[i] = Some(a);
+                                jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
+                                queue.schedule_in(jobs[i].duration, Event::Finish(i));
+                            }
+                            // Backfill: keep scanning smaller jobs behind it.
+                            None => remaining.push_back(i),
+                        }
+                    }
+                    *level = remaining;
+                }
+            }
+
+            for (p, q) in queues.iter().enumerate() {
+                assert!(q.is_empty(), "priority-{p} queue never drained");
+            }
+
+            ScheduleOutcome { jobs, finished_at }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Trying only the arrival and sweeping in place on a release
+        /// start every job when the full per-event sweep does, with and
+        /// without a reservation.
+        #[test]
+        fn per_event_loop_matches_the_full_sweep(jobs in arb_trace()) {
+            let reserved = SchedulerConfig {
+                total_gpus: TRACE_GPUS,
+                reserved_gpus: TRACE_QUOTA,
+            };
+            for config in [reserved, SchedulerConfig::without_reservation(TRACE_GPUS)] {
+                let s = ClusterScheduler::new(config);
+                let got = s.run(jobs.clone());
+                let want = s.run_reference(jobs.clone());
+                prop_assert_eq!(got.jobs, want.jobs);
+                prop_assert_eq!(got.finished_at, want.finished_at);
+            }
         }
     }
 
