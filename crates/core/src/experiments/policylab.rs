@@ -16,13 +16,17 @@
 //! (36 h datacenter default vs 12 h rush dispatch, which pages a field
 //! engineer per cordon).
 //!
-//! Every cell is a pure function of its (seed, intensity, bundle) — cells
-//! fan out through the shard pool and aggregate in grid order, so stdout
-//! is byte-identical at any `--jobs`. Sweep cells draw 24-line log
-//! bundles and the legacy arms 150-line ones. The depth never changes a
-//! diagnosis, but it picks the rng stream: 150 keeps the `storm`
-//! experiment's output and 24 the sweep's as the golden report pins them.
+//! Every cell is a pure function of its (seed, intensity, bundle) — the
+//! nine (seed, intensity) campaigns are generated once, cells fan out
+//! through the shard pool and aggregate in grid order, so stdout is
+//! byte-identical at any `--jobs`. Sweep cells draw the rng stream of
+//! 24-line log bundles and the legacy arms that of 150-line ones;
+//! `acme_failure::full_rule_report` renders neither. The depth never
+//! changes a diagnosis, but it picks the rng stream: 150 keeps the
+//! `storm` experiment's output and 24 the sweep's as the golden report
+//! pins them.
 
+use acme_failure::storm::StormCampaign;
 use acme_policy::{
     CheckpointChoice, CordonPolicy, FrontierPoint, RepairModel, RetryPolicy, SweepCell, SweepGrid,
     SweepOutcome,
@@ -86,17 +90,22 @@ pub fn sweep_bundles() -> Vec<StormPolicies> {
     v
 }
 
-/// Run one sweep cell: regenerate the storm ablation's campaign for
-/// (seed, intensity), replay it under the bundle. Pure function of its
-/// arguments — the arm rng stream is forked per (policy, intensity) so no
-/// cell shares draws.
-fn run_cell(bundle: StormPolicies, cell: SweepCell, trace: bool, label: String) -> StormOutcome {
-    let campaign = storm::campaign(cell.seed, cell.intensity);
+/// Run one sweep cell: replay the storm ablation's campaign for the cell's
+/// (seed, intensity) under the bundle. Pure function of its arguments —
+/// the arm rng stream is forked per (policy, intensity) so no cell shares
+/// draws.
+fn run_cell(
+    campaign: &StormCampaign,
+    bundle: StormPolicies,
+    cell: SweepCell,
+    trace: bool,
+    label: String,
+) -> StormOutcome {
     let runner = StormRunner::deployed(campaign.fleet_nodes);
     let mut arm_rng =
         SimRng::new(cell.seed).fork(3000 + cell.policy as u64 * 16 + u64::from(cell.intensity));
     acme_obs::recorded(trace, label, |rec| {
-        runner.run_with_traced(&campaign, &bundle, &mut arm_rng, rec)
+        runner.run_with_traced(campaign, &bundle, &mut arm_rng, rec)
     })
 }
 
@@ -113,6 +122,13 @@ pub fn policylab(p: RunParams) -> String {
         intensities: intensities.clone(),
     };
     let cells = grid.cells();
+    // Every policy bundle replays the same (seed, intensity) campaigns, in
+    // the same order within its run of cells: generate each once.
+    let cells_per_policy = SWEEP_SEEDS.len() * intensities.len();
+    let campaigns: Vec<StormCampaign> = cells[..cells_per_policy]
+        .iter()
+        .map(|c| storm::campaign(c.seed, c.intensity))
+        .collect();
 
     // Fan every cell out through the shard pool; results come back in
     // grid (policy-major) order regardless of worker count.
@@ -120,10 +136,13 @@ pub fn policylab(p: RunParams) -> String {
         p.workers,
         cells
             .iter()
-            .map(|&c| {
+            .zip(campaigns.iter().cycle())
+            .map(|(&c, campaign)| {
                 let bundle = bundles[c.policy];
                 let label = format!("cell/{}/s{}/i{}", bundle.label, c.seed, c.intensity);
-                shard(label.clone(), move || run_cell(bundle, c, p.trace, label))
+                shard(label.clone(), move || {
+                    run_cell(campaign, bundle, c, p.trace, label)
+                })
             })
             .collect(),
     );
@@ -158,7 +177,6 @@ pub fn policylab(p: RunParams) -> String {
     ]);
     summary.row(["cells".to_owned(), cells.len().to_string()]);
 
-    let cells_per_policy = SWEEP_SEEDS.len() * intensities.len();
     let mut frontier_table = Table::new([
         "policy bundle",
         "ckpt interval (min)",

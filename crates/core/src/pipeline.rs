@@ -19,7 +19,7 @@ use acme_data::pipeline::{DataPipeline, PipelineStats};
 use acme_evaluation::coordinator::{run as run_eval, Scheduler};
 use acme_failure::taxonomy::FailureCategory;
 use acme_failure::{
-    DiagnosisMemo, FailureInjector, FailureReason, NcclTester, RecoveryAction, RecoveryManager,
+    full_rule_report, FailureInjector, FailureReason, NcclTester, RecoveryAction, RecoveryManager,
     Watchdog, WatchdogState,
 };
 use acme_obs::{ArgValue, Rec};
@@ -159,8 +159,6 @@ impl FaultTolerantTrainer {
             CheckpointMode::Asynchronous,
             self.checkpoint_interval.as_secs_f64(),
         );
-        let mut diagnoses = DiagnosisMemo::default();
-
         let mut incidents = Vec::new();
         let mut manual = 0;
         let mut cordoned = 0;
@@ -183,7 +181,7 @@ impl FaultTolerantTrainer {
 
             let (action, diagnose_mins) = match kind {
                 Interruption::Error(reason) => {
-                    let report = diagnoses.diagnose(reason, 150, rng);
+                    let report = full_rule_report(reason, 150, rng);
                     (RecoveryManager.decide(report), 2.0)
                 }
                 Interruption::SilentHang => {

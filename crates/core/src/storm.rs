@@ -38,7 +38,7 @@
 use acme_cluster::SparePool;
 use acme_failure::storm::StormCampaign;
 use acme_failure::{
-    DiagnosisMemo, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, Watchdog,
+    full_rule_report, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, Watchdog,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel, RetryPolicy};
@@ -114,7 +114,7 @@ pub struct StormPolicies {
     /// Checkpoint-cadence strategy.
     pub checkpoint: CheckpointChoice,
     /// Noise lines per incident log bundle. The depth never changes a
-    /// diagnosis (see [`DiagnosisMemo`]), but every noise line consumes rng
+    /// diagnosis (see [`full_rule_report`]), but every noise line consumes rng
     /// draws, so it selects the replay's draw stream: the ablation arms
     /// use 150 and sweep cells 24, the streams the golden outputs pin.
     pub noise_lines: usize,
@@ -408,7 +408,6 @@ impl StormRunner {
             mttf_secs,
             cascade_fraction,
         );
-        let mut diagnoses = DiagnosisMemo::default();
         let mut orch = RecoveryOrchestrator::new(policies.orchestrator);
         let mut fleet = Fleet::new(self.fleet_nodes, policies.repair);
 
@@ -458,7 +457,7 @@ impl StormRunner {
 
             // Diagnose: the cascade's secondary errors are exactly what the
             // log renderer buries the root cause under.
-            let report = diagnoses.diagnose(e.reason, policies.noise_lines, rng);
+            let report = full_rule_report(e.reason, policies.noise_lines, rng);
 
             let base_needs_human = acme_failure::RecoveryManager.decide(report).needs_human();
             let decision = if policies.naive {
@@ -839,11 +838,10 @@ mod tests {
 
     #[test]
     fn shallow_log_bundles_remain_diagnosable() {
-        // Sweep cells draw 24-line log bundles instead of 150: the
-        // diagnosis signature lines are always present, so every incident
-        // still diagnoses (the runner would panic otherwise). The rng
-        // stream advances differently, which is why the ablation arms pin
-        // 150 for golden byte-compatibility.
+        // Sweep cells draw 24-line log bundles instead of 150. The depth
+        // never changes a full-rule report, but the rng stream advances
+        // differently, which is why the ablation arms pin 150 for golden
+        // byte-compatibility.
         let campaign = storm(42);
         let runner = StormRunner::deployed(campaign.fleet_nodes);
         let mut shallow = StormPolicies::for_arm(StormPolicy::FullOrchestrator);

@@ -10,14 +10,16 @@
 //! voting idea across log segments, so rules learned on one job transfer to
 //! repeated/similar tasks exactly as described.
 //!
-//! Hot-path notes: rule lookup is a hash-set probe on the normalized
-//! template (not a scan), normalization reuses one output buffer across
-//! lines ([`normalize_into`]), and template mining counts into a `HashMap`
-//! that only allocates a key per *unique* template. No hash order leaks
-//! out: mining returns only a count and compression keeps line order, so
+//! Hot-path notes: each line is normalized once, into one `Templates`
+//! buffer that template mining, compression and the diagnosis rule stage
+//! all read; rule lookup is a hash-set probe on that template (not a
+//! scan), and mining counts `&str` keys borrowed from the buffer, so it
+//! allocates only for the templates it accepts. No hash order leaks out:
+//! mining returns only a count and compression keeps line order, so
 //! everything observable stays deterministic.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Replace every digit run (including decimals, exponents, hex fragments)
 /// with `#`, producing the line's template.
@@ -27,10 +29,15 @@ pub fn normalize(line: &str) -> String {
     out
 }
 
-/// [`normalize`] into a caller-owned buffer (cleared first), so per-line
-/// template computation on the compression hot path allocates nothing.
+/// [`normalize`] into a caller-owned buffer (cleared first), so a caller
+/// normalizing line after line allocates nothing.
 pub fn normalize_into(line: &str, out: &mut String) {
     out.clear();
+    push_template(line, out);
+}
+
+/// Append `line`'s template to `out`.
+fn push_template(line: &str, out: &mut String) {
     let mut in_number = false;
     for c in line.chars() {
         let numeric =
@@ -57,6 +64,48 @@ fn is_protected(line: &str) -> bool {
         || line.contains("  File \"")
 }
 
+/// Every line's template and protected flag, computed in one pass. The
+/// templates sit end to end in one `String`, so a log costs two
+/// allocations however long it is, and learning, compression and rule
+/// matching read the same template instead of each normalizing the line
+/// again.
+#[derive(Debug)]
+pub(crate) struct Templates {
+    text: String,
+    /// Per line: its template's byte range in `text`, and whether the line
+    /// is protected.
+    lines: Vec<(usize, usize, bool)>,
+}
+
+impl Templates {
+    /// Normalize each of `lines` once.
+    pub(crate) fn of(lines: &[String]) -> Self {
+        let mut t = Templates {
+            text: String::with_capacity(lines.iter().map(String::len).sum()),
+            lines: Vec::with_capacity(lines.len()),
+        };
+        for line in lines {
+            let start = t.text.len();
+            push_template(line, &mut t.text);
+            t.lines.push((start, t.text.len(), is_protected(line)));
+        }
+        t
+    }
+
+    /// Line `i`'s template.
+    pub(crate) fn template(&self, i: usize) -> &str {
+        let (start, end, _) = self.lines[i];
+        &self.text[start..end]
+    }
+
+    /// `(template, protected)` for each line in `range`, in line order.
+    fn iter(&self, range: Range<usize>) -> impl Iterator<Item = (&str, bool)> {
+        self.lines[range]
+            .iter()
+            .map(|&(start, end, protected)| (&self.text[start..end], protected))
+    }
+}
+
 /// The rule store + compressor.
 #[derive(Debug, Clone, Default)]
 pub struct LogCompressor {
@@ -81,18 +130,21 @@ impl LogCompressor {
 
     /// Strip regular output; keep everything else (order preserved).
     pub fn compress<'a>(&self, lines: &'a [String]) -> Vec<&'a String> {
-        let mut buf = String::new();
-        let mut kept = Vec::new();
-        for line in lines {
-            if !is_protected(line) {
-                normalize_into(line, &mut buf);
-                if self.rules.contains(buf.as_str()) {
-                    continue;
-                }
-            }
-            kept.push(line);
-        }
-        kept
+        self.kept(&Templates::of(lines))
+            .into_iter()
+            .map(|i| &lines[i])
+            .collect()
+    }
+
+    /// The indices of the lines [`Self::compress`] keeps: protected lines
+    /// and lines whose template no rule matches, in order.
+    pub(crate) fn kept(&self, templates: &Templates) -> Vec<usize> {
+        templates
+            .iter(0..templates.lines.len())
+            .enumerate()
+            .filter(|&(_, (template, protected))| protected || !self.rules.contains(template))
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// Bytes-kept over bytes-in for a line set.
@@ -143,41 +195,27 @@ impl LogAgent {
     /// converged (the steady state when streaming many similar logs) the
     /// voting machinery touches only genuinely new templates.
     pub fn learn_into(&self, compressor: &mut LogCompressor, lines: &[String]) -> usize {
+        self.learn(compressor, &Templates::of(lines))
+    }
+
+    /// [`Self::learn_into`] over templates already computed.
+    pub(crate) fn learn(&self, compressor: &mut LogCompressor, templates: &Templates) -> usize {
         assert!(self.segments >= self.votes_required && self.votes_required >= 1);
         let before = compressor.rule_count();
-        if lines.is_empty() {
-            return 0;
-        }
-        let seg_len = lines.len().div_ceil(self.segments);
-        let mut votes: HashMap<String, usize> = HashMap::new();
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        let mut buf = String::new();
-        for seg in lines.chunks(seg_len.max(1)) {
+        let n = templates.lines.len();
+        let seg_len = n.div_ceil(self.segments).max(1);
+        let mut votes: HashMap<&str, usize> = HashMap::new();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
+        for start in (0..n).step_by(seg_len) {
             counts.clear();
-            for line in seg {
-                if is_protected(line) {
-                    continue;
-                }
-                normalize_into(line, &mut buf);
-                if compressor.rules.contains(buf.as_str()) {
-                    continue;
-                }
-                // Allocate the key string only on first sight of a template.
-                match counts.get_mut(buf.as_str()) {
-                    Some(c) => *c += 1,
-                    None => {
-                        counts.insert(buf.clone(), 1);
-                    }
+            for (template, protected) in templates.iter(start..n.min(start + seg_len)) {
+                if !protected && !compressor.rules.contains(template) {
+                    *counts.entry(template).or_insert(0) += 1;
                 }
             }
-            for (tpl, &c) in &counts {
+            for (&template, &c) in &counts {
                 if c >= self.min_count {
-                    match votes.get_mut(tpl.as_str()) {
-                        Some(v) => *v += 1,
-                        None => {
-                            votes.insert(tpl.clone(), 1);
-                        }
-                    }
+                    *votes.entry(template).or_insert(0) += 1;
                 }
             }
         }
@@ -185,7 +223,7 @@ impl LogAgent {
             votes
                 .into_iter()
                 .filter(|&(_, v)| v >= self.votes_required)
-                .map(|(tpl, _)| tpl),
+                .map(|(template, _)| template.to_owned()),
         );
         compressor.rule_count() - before
     }

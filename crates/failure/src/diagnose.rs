@@ -15,10 +15,11 @@
 //!    is consulted less and less — the paper's continuous-improvement loop.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::LazyLock;
 
 use acme_sim_core::SimRng;
 
-use crate::compress::{normalize_into, LogAgent, LogCompressor};
+use crate::compress::{LogAgent, LogCompressor, Templates};
 use crate::logs::LogBundle;
 use crate::taxonomy::{FailureCategory, FailureReason};
 
@@ -283,45 +284,42 @@ impl DiagnosisPipeline {
     /// confident — the case that still needs a human.
     pub fn diagnose(&mut self, raw_lines: &[String]) -> Option<DiagnosisReport> {
         // Stage 0: compression — learn filter rules on the fly, then strip.
-        self.log_agent.learn_into(&mut self.compressor, raw_lines);
-        let compressed: Vec<&String> = self.compressor.compress(raw_lines);
+        // Each line is normalized once; learning, stripping and the rule
+        // stage all read that one template.
+        let templates = Templates::of(raw_lines);
+        self.log_agent.learn(&mut self.compressor, &templates);
+        let kept = self.compressor.kept(&templates);
 
         // Stage 1: precedence-ordered rule matching. Lines sharing a
         // normalized template are matched once: the compressed log is
         // deduplicated into its unique templates and template-safe
         // patterns (all the built-ins) scan that much smaller set; only
         // unsafe patterns fall back to the raw lines.
-        let mut templates: HashSet<String> = HashSet::new();
-        let mut buf = String::new();
-        for l in &compressed {
-            normalize_into(l, &mut buf);
-            if !templates.contains(buf.as_str()) {
-                templates.insert(buf.clone());
-            }
-        }
+        let unique: HashSet<&str> = kept.iter().map(|&i| templates.template(i)).collect();
         for (pattern, reason) in &self.rules {
             let hit = if pattern_is_template_safe(pattern) {
-                templates.iter().any(|t| t.contains(pattern.as_str()))
+                unique.iter().any(|t| t.contains(pattern.as_str()))
             } else {
-                compressed.iter().any(|l| l.contains(pattern.as_str()))
+                kept.iter()
+                    .any(|&i| raw_lines[i].contains(pattern.as_str()))
             };
             if hit {
                 self.stats.by_rule += 1;
-                return Some(DiagnosisReport {
-                    reason: *reason,
-                    source: DiagnosisSource::Rule,
-                    infrastructure: reason.is_infrastructure(),
-                    mitigation: mitigation(*reason),
-                });
+                return Some(report(*reason, DiagnosisSource::Rule));
             }
         }
+        self.consult_agent(kept.iter().map(|&i| raw_lines[i].as_str()))
+    }
 
-        // Stage 2: the Failure Agent over the vector store, with a top-3
-        // self-consistency vote. The final traceback line is weighted
-        // heavily — it is where Python puts the actual exception.
+    /// Stage 2: the Failure Agent over the vector store, with a top-3
+    /// self-consistency vote, on the compressed log's lines. The final
+    /// traceback line is weighted heavily — it is where Python puts the
+    /// actual exception.
+    fn consult_agent<'a>(
+        &mut self,
+        compressed: impl Iterator<Item = &'a str>,
+    ) -> Option<DiagnosisReport> {
         let error_lines: Vec<&str> = compressed
-            .iter()
-            .map(|s| s.as_str())
             .filter(|l| l.contains("ERROR") || l.contains("Error"))
             .collect();
         if error_lines.is_empty() {
@@ -367,18 +365,73 @@ impl DiagnosisPipeline {
         }
 
         self.stats.by_agent += 1;
-        Some(DiagnosisReport {
-            reason: best,
-            source: DiagnosisSource::Agent,
-            infrastructure: best.is_infrastructure(),
-            mitigation: mitigation(best),
-        })
+        Some(report(best, DiagnosisSource::Agent))
+    }
+
+    /// The three-pass body [`Self::diagnose`] replaced, kept as its
+    /// differential oracle: learning, compression and the rule stage each
+    /// normalize the lines they read.
+    #[cfg(test)]
+    fn diagnose_reference(&mut self, raw_lines: &[String]) -> Option<DiagnosisReport> {
+        // Stage 0: compression — learn filter rules on the fly, then strip.
+        self.log_agent.learn_into(&mut self.compressor, raw_lines);
+        let compressed: Vec<&String> = self.compressor.compress(raw_lines);
+
+        // Stage 1: precedence-ordered rule matching over the compressed
+        // log's unique templates.
+        let mut templates: HashSet<String> = HashSet::new();
+        let mut buf = String::new();
+        for l in &compressed {
+            crate::compress::normalize_into(l, &mut buf);
+            if !templates.contains(buf.as_str()) {
+                templates.insert(buf.clone());
+            }
+        }
+        for (pattern, reason) in &self.rules {
+            let hit = if pattern_is_template_safe(pattern) {
+                templates.iter().any(|t| t.contains(pattern.as_str()))
+            } else {
+                compressed.iter().any(|l| l.contains(pattern.as_str()))
+            };
+            if hit {
+                self.stats.by_rule += 1;
+                return Some(report(*reason, DiagnosisSource::Rule));
+            }
+        }
+        self.consult_agent(compressed.iter().map(|s| s.as_str()))
     }
 }
 
-/// Full-rule diagnoses of generated logs, one per root cause, for the
-/// campaign replays that would otherwise render and diagnose every
-/// incident's log.
+/// The report naming `reason`, decided by `source`.
+fn report(reason: FailureReason, source: DiagnosisSource) -> DiagnosisReport {
+    DiagnosisReport {
+        reason,
+        source,
+        infrastructure: reason.is_infrastructure(),
+        mitigation: mitigation(reason),
+    }
+}
+
+/// The full-rule report for each root cause, in [`FailureReason::ALL`]
+/// order: one pipeline with every rule installed diagnoses each cause's
+/// [`LogBundle`] at depth 0 (no noise lines), drawn from a fixed rng.
+/// Built on first use.
+static FULL_RULE_REPORTS: LazyLock<[DiagnosisReport; FailureReason::ALL.len()]> =
+    LazyLock::new(|| {
+        let mut pipeline = DiagnosisPipeline::with_all_rules();
+        let mut rng = SimRng::new(0);
+        FailureReason::ALL.map(|reason| {
+            let bundle = LogBundle::generate(reason, 0, &mut rng);
+            pipeline
+                .diagnose(&bundle.lines)
+                .expect("generated logs are diagnosable")
+        })
+    });
+
+/// The full-rule report on the log [`LogBundle::generate`] would render
+/// for `root_cause` at `noise_lines` from `rng`, leaving `rng` where that
+/// render leaves it: the campaign replays' diagnosis, which would
+/// otherwise render and diagnose every incident's log.
 ///
 /// With every rule installed, the report on a [`LogBundle`] depends on
 /// its root cause alone:
@@ -390,55 +443,24 @@ impl DiagnosisPipeline {
 ///   protected (`ERROR`/`Error`/`Traceback`) line.
 ///
 /// So neither the draws, nor the noise depth, nor the compressor's learned
-/// filter rules can change the report. The first incident of each root
-/// cause renders its log and diagnoses it; every later one calls
-/// [`LogBundle::draw`], which consumes the same rng draws and formats
-/// nothing. The caller's rng stream is the one the text path leaves.
-#[derive(Debug)]
-pub struct DiagnosisMemo {
-    pipeline: DiagnosisPipeline,
-    reports: [Option<DiagnosisReport>; FailureReason::ALL.len()],
-}
-
-impl Default for DiagnosisMemo {
-    fn default() -> Self {
-        DiagnosisMemo {
-            pipeline: DiagnosisPipeline::with_all_rules(),
-            reports: [const { None }; FailureReason::ALL.len()],
-        }
-    }
-}
-
-impl DiagnosisMemo {
-    /// The full-rule report on the log [`LogBundle::generate`] would
-    /// render for `root_cause` at `noise_lines` from `rng`, leaving `rng`
-    /// where that render leaves it.
-    pub fn diagnose(
-        &mut self,
-        root_cause: FailureReason,
-        noise_lines: usize,
-        rng: &mut SimRng,
-    ) -> &DiagnosisReport {
-        match &mut self.reports[root_cause as usize] {
-            Some(report) => {
-                LogBundle::draw(root_cause, noise_lines, rng);
-                report
-            }
-            slot @ None => {
-                let bundle = LogBundle::generate(root_cause, noise_lines, rng);
-                let report = self
-                    .pipeline
-                    .diagnose(&bundle.lines)
-                    .expect("generated logs are diagnosable");
-                slot.insert(report)
-            }
-        }
-    }
+/// filter rules can change the report, and one process-wide table answers
+/// every caller. It is a pure function of the code (no seed, scale or
+/// caller rng reaches it), so no shard schedule or worker count can
+/// change what it holds. Each call runs [`LogBundle::draw`], which
+/// consumes the rng draws `generate` would and formats nothing.
+pub fn full_rule_report(
+    root_cause: FailureReason,
+    noise_lines: usize,
+    rng: &mut SimRng,
+) -> &'static DiagnosisReport {
+    LogBundle::draw(root_cause, noise_lines, rng);
+    &FULL_RULE_REPORTS[root_cause as usize]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bundle(reason: FailureReason, seed: u64) -> LogBundle {
         let mut rng = SimRng::new(seed);
@@ -591,5 +613,43 @@ mod tests {
         // Similar strings score higher than dissimilar ones.
         let q = embed("ERROR rank 3: CUDA error: an illegal memory access was encountered");
         assert!(cosine(&q, &a) > cosine(&q, &embed("KeyError: 'rotary_emb_base'")));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `diagnose`, which normalizes each line once, agrees with the
+        /// three-pass reference on `diag`'s configuration (infrastructure
+        /// rules only, learning rules and filter rules as it goes): every
+        /// report and both rule counts after every log, then the counters.
+        /// One log of the stream is empty.
+        #[test]
+        fn one_pass_matches_the_three_pass_reference(
+            seed in any::<u64>(),
+            logs in prop::collection::vec((0usize..29, 0usize..200), 20..60),
+            empty_at in 0usize..60,
+        ) {
+            let seeded: Vec<FailureReason> = FailureReason::ALL
+                .iter()
+                .copied()
+                .filter(|r| r.is_infrastructure())
+                .collect();
+            let mut fast = DiagnosisPipeline::new(&seeded);
+            let mut slow = DiagnosisPipeline::new(&seeded);
+            let mut rng = SimRng::new(seed);
+            let mut lines = Vec::new();
+            for (k, &(idx, depth)) in logs.iter().enumerate() {
+                if k == empty_at % logs.len() {
+                    lines.clear();
+                } else {
+                    LogBundle::generate_into(&mut lines, FailureReason::ALL[idx], depth, &mut rng);
+                }
+                prop_assert_eq!(fast.diagnose(&lines), slow.diagnose_reference(&lines));
+                prop_assert_eq!(fast.rule_count(), slow.rule_count());
+                prop_assert_eq!(fast.filter_rule_count(), slow.filter_rule_count());
+            }
+            let counters = |s: DiagnosisStats| (s.by_rule, s.by_agent, s.escalated);
+            prop_assert_eq!(counters(fast.stats), counters(slow.stats));
+        }
     }
 }

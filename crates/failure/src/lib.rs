@@ -42,7 +42,7 @@ pub mod watchdog;
 
 pub use compress::{LogAgent, LogCompressor};
 pub use detect::{NcclTester, TwoRoundResult};
-pub use diagnose::{DiagnosisMemo, DiagnosisPipeline, DiagnosisReport, DiagnosisSource};
+pub use diagnose::{full_rule_report, DiagnosisPipeline, DiagnosisReport, DiagnosisSource};
 pub use inject::{FailureEvent, FailureInjector};
 pub use logs::LogBundle;
 pub use orchestrator::{OrchestratedDecision, OrchestratorConfig, RecoveryOrchestrator};

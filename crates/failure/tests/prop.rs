@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use acme_failure::compress::{normalize, LogAgent, LogCompressor};
 use acme_failure::storm::{StormConfig, StormEngine};
-use acme_failure::{DiagnosisMemo, DiagnosisPipeline, FailureReason, LogBundle, NcclTester};
+use acme_failure::{full_rule_report, DiagnosisPipeline, FailureReason, LogBundle, NcclTester};
 use acme_sim_core::SimRng;
 use proptest::prelude::*;
 
@@ -46,10 +46,11 @@ proptest! {
     }
 
     /// The full-rule pipeline classifies every generated log exactly, and
-    /// the storm replays' memo stands in for it: `LogBundle::draw` consumes
-    /// exactly `generate`'s rng draws, and one `DiagnosisMemo` fed incidents
-    /// of mixed causes and depths returns the reports one persistent
-    /// pipeline gives on the rendered text, leaving the same rng state.
+    /// the campaign replays' report table stands in for it:
+    /// `LogBundle::draw` consumes exactly `generate`'s rng draws, and
+    /// `full_rule_report` on incidents of mixed causes and depths returns
+    /// the reports one persistent pipeline gives on the rendered text,
+    /// leaving the same rng state.
     #[test]
     fn diagnosis_exact_with_full_rules(
         seed in any::<u64>(),
@@ -68,16 +69,14 @@ proptest! {
         prop_assert!(report.is_some());
         prop_assert_eq!(report.unwrap().reason, reason);
 
-        // 30+ incidents over 29 causes: the memo's draw-only path runs.
-        let mut memo = DiagnosisMemo::default();
-        let mut memo_rng = rng.clone();
+        let mut table_rng = rng.clone();
         for &(idx, depth) in &incidents {
             let reason = FailureReason::ALL[idx];
             let text = LogBundle::generate(reason, depth, &mut rng);
             let expected = p.diagnose(&text.lines);
-            prop_assert_eq!(Some(memo.diagnose(reason, depth, &mut memo_rng)), expected.as_ref());
+            prop_assert_eq!(Some(full_rule_report(reason, depth, &mut table_rng)), expected.as_ref());
         }
-        prop_assert_eq!(memo_rng.next_u64(), rng.next_u64());
+        prop_assert_eq!(table_rng.next_u64(), rng.next_u64());
     }
 
     /// The two-round NCCL test identifies exactly the faulty set whenever

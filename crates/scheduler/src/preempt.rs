@@ -125,7 +125,8 @@ impl PreemptiveScheduler {
                 let (level, lower) = waiting.split_at_mut(p + 1);
                 level[p].retain(|&i| {
                     let mut free = self.total_gpus - used;
-                    if free < jobs[i].gpus {
+                    // The lowest level has no lower one to take victims from.
+                    if free < jobs[i].gpus && !lower.is_empty() {
                         // Try to evict strictly-lower-priority victims,
                         // most recently started first (least sunk work).
                         let mut victims: Vec<usize> = running
