@@ -2,7 +2,7 @@
 //!
 //! The storm and evaluation-campaign outcomes attribute every recovery
 //! stage and every wasted GPU-second to the fault category that caused it
-//! ([`StormOutcome::stage_secs`], [`CampaignOutcome::waste_secs`]). This
+//! ([`Ledger::stage_secs`], [`CampaignOutcome::waste_secs`]). This
 //! experiment replays the seed's storm (`repro storm`, full orchestrator
 //! arm) and evaluation storm (`repro evalstorm`, fault-tolerant arm) and
 //! tabulates those matrices Lablup-style: lost goodput and wasted GPU time
@@ -25,18 +25,19 @@ use acme_telemetry::Table;
 
 use super::shard::{run_shards, shard};
 use super::{evalstorm, storm, RunParams};
+use crate::ledger::Ledger;
 use crate::storm::{StormOutcome, StormPolicy};
 
 /// Seconds per hour, for the storm table.
 const HOUR: f64 = 3600.0;
 
-/// Lost goodput the storm outcome attributes, seconds: every stage and
+/// Lost goodput the storm's books attribute, seconds: every stage and
 /// rollback second plus degraded capacity, less the recovery wait past the
 /// horizon (which costs no goodput).
-fn attributed_lost_secs(o: &StormOutcome) -> f64 {
-    let stages: f64 = o.stage_secs.iter().flatten().sum();
-    let rollback: f64 = o.category_rollback_secs.iter().sum();
-    stages + rollback + o.degraded_loss_secs - o.overshoot_secs
+fn attributed_lost_secs(l: &Ledger) -> f64 {
+    let stages: f64 = l.stage_secs.iter().flatten().sum();
+    let rollback: f64 = l.category_rollback_secs.iter().sum();
+    stages + rollback + l.degraded_loss_secs - l.overshoot_secs()
 }
 
 /// The closing claim, from the storm's stage totals in hours (detect,
@@ -106,8 +107,9 @@ pub fn blame(p: RunParams) -> String {
     };
 
     // ---- storm: lost pretraining goodput --------------------------------
-    let attributed = attributed_lost_secs(&so);
-    let outcome_lost = so.horizon.as_secs_f64() - so.useful_secs;
+    let sl = &so.ledger;
+    let attributed = attributed_lost_secs(sl);
+    let outcome_lost = sl.horizon.as_secs_f64() - sl.useful_secs();
     let mut st = Table::new([
         "fault category",
         "detect (h)",
@@ -117,7 +119,7 @@ pub fn blame(p: RunParams) -> String {
         "lost (h)",
         "share",
     ]);
-    let rows = so.stage_secs.iter().zip(&so.category_rollback_secs);
+    let rows = sl.stage_secs.iter().zip(&sl.category_rollback_secs);
     for ((stages, rollback), cat) in rows.zip(FailureCategory::ALL) {
         let row = stages.iter().sum::<f64>() + rollback;
         st.row([
@@ -136,8 +138,8 @@ pub fn blame(p: RunParams) -> String {
         String::new(),
         String::new(),
         String::new(),
-        f(so.degraded_loss_secs / HOUR, 1),
-        pct(so.degraded_loss_secs / attributed.max(f64::MIN_POSITIVE)),
+        f(sl.degraded_loss_secs / HOUR, 1),
+        pct(sl.degraded_loss_secs / attributed.max(f64::MIN_POSITIVE)),
     ]);
     st.row([
         "horizon overshoot".to_owned(),
@@ -145,11 +147,11 @@ pub fn blame(p: RunParams) -> String {
         String::new(),
         String::new(),
         String::new(),
-        format!("-{}", f(so.overshoot_secs / HOUR, 1)),
+        format!("-{}", f(sl.overshoot_secs() / HOUR, 1)),
         "credit".to_owned(),
     ]);
-    let [detect, localize, restart] = so.stage_totals();
-    let rollback: f64 = so.category_rollback_secs.iter().sum();
+    let [detect, localize, restart] = sl.stage_totals();
+    let rollback: f64 = sl.category_rollback_secs.iter().sum();
 
     // ---- evalstorm: wasted evaluation GPU time --------------------------
     let e_attributed: f64 = eo.waste_secs.iter().flatten().sum();
@@ -192,9 +194,9 @@ pub fn blame(p: RunParams) -> String {
         st.render(),
         f(attributed / HOUR, 1),
         f(outcome_lost / HOUR, 1),
-        f(so.horizon.as_secs_f64() / HOUR, 1),
-        f(so.useful_secs / HOUR, 1),
-        pct(so.goodput()),
+        f(sl.horizon.as_secs_f64() / HOUR, 1),
+        f(sl.useful_secs() / HOUR, 1),
+        pct(sl.goodput()),
         eo.retries,
         eo.speculative_copies,
         eo.nodes_lost,
@@ -214,13 +216,14 @@ mod tests {
     #[test]
     fn storm_blame_reconciles_with_the_outcome() {
         let o = replay_storm(RunParams::new(42));
-        let outcome_lost = o.horizon.as_secs_f64() - o.useful_secs;
-        let attributed = attributed_lost_secs(&o);
+        let l = &o.ledger;
+        let outcome_lost = l.horizon.as_secs_f64() - l.useful_secs();
+        let attributed = attributed_lost_secs(l);
         assert!(
             (attributed - outcome_lost).abs() < 1e-6 * outcome_lost.max(1.0),
             "attributed {attributed} vs outcome {outcome_lost}"
         );
-        assert!(o.nodes_cordoned > 0 && o.degraded_loss_secs > 0.0);
+        assert!(o.nodes_cordoned > 0 && l.degraded_loss_secs > 0.0);
     }
 
     #[test]

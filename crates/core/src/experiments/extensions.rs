@@ -284,9 +284,7 @@ pub fn pipeline(p: RunParams) -> String {
             report.pretraining.incidents.len(),
             report.pretraining.manual_interventions,
             report.pretraining.nodes_cordoned,
-            pct(report
-                .pretraining
-                .goodput(SimDuration::from_days(pretrain_days)))
+            pct(report.pretraining.ledger.goodput())
         ),
     ]);
     t.row([
@@ -318,9 +316,9 @@ pub fn pipeline(p: RunParams) -> String {
             name.to_owned(),
             r.incidents.len().to_string(),
             r.manual_interventions.to_string(),
-            f(r.downtime.as_hours_f64(), 1),
-            f(r.rollback_secs / 3600.0, 1),
-            pct(r.goodput(horizon)),
+            f(r.ledger.downtime.as_hours_f64(), 1),
+            f(r.ledger.rollback_secs / 3600.0, 1),
+            pct(r.ledger.goodput()),
         ]);
     }
     format!(

@@ -40,15 +40,6 @@ fn storm_config(scale: u32) -> StormConfig {
     c
 }
 
-/// The three ablation arms, naive → blind → aware.
-fn arms() -> [NetRecoveryPolicy; 3] {
-    [
-        NetRecoveryPolicy::naive(),
-        NetRecoveryPolicy::topology_blind(),
-        NetRecoveryPolicy::topology_aware(),
-    ]
-}
-
 /// Push the 123B checkpoint shards through the tree with the flow-level
 /// scheduler and return the max-min makespan in seconds: 32 writers,
 /// spread across the pods, each shipping its shard to the storage pod
@@ -142,7 +133,7 @@ pub fn netstorm(p: RunParams) -> String {
     // makes them independent shards (results consumed in arm order).
     let outcomes = run_shards(
         p.workers,
-        arms()
+        NetRecoveryPolicy::ALL
             .iter()
             .enumerate()
             .map(|(i, &policy)| {
@@ -158,7 +149,7 @@ pub fn netstorm(p: RunParams) -> String {
 
     let mut ablation = Table::new([
         "recovery policy",
-        "net faults",
+        "net faults handled",
         "reroutes",
         "restarts",
         "pages",
@@ -172,13 +163,13 @@ pub fn netstorm(p: RunParams) -> String {
     let mut naive_humans = 0;
     let mut aware_goodput = 0.0;
     let mut aware_humans = 0;
-    for (policy, o) in arms().into_iter().zip(&outcomes) {
+    for (policy, o) in NetRecoveryPolicy::ALL.into_iter().zip(&outcomes) {
         if policy == NetRecoveryPolicy::naive() {
-            naive_goodput = o.goodput();
+            naive_goodput = o.ledger.goodput();
             naive_humans = o.human_actions();
         }
         if policy == NetRecoveryPolicy::topology_aware() {
-            aware_goodput = o.goodput();
+            aware_goodput = o.ledger.goodput();
             aware_humans = o.human_actions();
         }
         ablation.row([
@@ -188,10 +179,10 @@ pub fn netstorm(p: RunParams) -> String {
             o.restarts.to_string(),
             o.manual_interventions.to_string(),
             o.cordon_actions.to_string(),
-            f(o.downtime.as_secs_f64() / 3600.0, 1),
-            f(o.degraded_loss_secs / 3600.0, 1),
-            f(o.rollback_secs / 3600.0, 1),
-            pct(o.goodput()),
+            f(o.ledger.downtime.as_secs_f64() / 3600.0, 1),
+            f(o.ledger.degraded_loss_secs / 3600.0, 1),
+            f(o.ledger.rollback_secs / 3600.0, 1),
+            pct(o.ledger.goodput()),
         ]);
     }
 

@@ -150,7 +150,7 @@ pub fn policylab(p: RunParams) -> String {
     let per_cell: Vec<FrontierPoint> = outcomes
         .iter()
         .map(|o| FrontierPoint {
-            goodput: o.goodput(),
+            goodput: o.ledger.goodput(),
             manual_interventions: f64::from(o.human_actions()),
             wasted_gpu_hours: o.wasted_gpu_secs() / 3600.0,
         })
@@ -212,9 +212,9 @@ pub fn policylab(p: RunParams) -> String {
         ]);
         stages.row([
             b.label.to_owned(),
-            f(mean(&|o| o.stage_totals()[0]) / 3600.0, 1),
-            f(mean(&|o| o.stage_totals()[1]) / 3600.0, 1),
-            f(mean(&|o| o.stage_totals()[2]) / 3600.0, 1),
+            f(mean(&|o| o.ledger.stage_totals()[0]) / 3600.0, 1),
+            f(mean(&|o| o.ledger.stage_totals()[1]) / 3600.0, 1),
+            f(mean(&|o| o.ledger.stage_totals()[2]) / 3600.0, 1),
             f(mean(&|o| o.mttr_mins()), 1),
         ]);
     }

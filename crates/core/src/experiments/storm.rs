@@ -98,8 +98,8 @@ pub fn storm(p: RunParams) -> String {
     let mut full_goodput = 0.0;
     for (policy, o) in StormPolicy::ALL.into_iter().zip(outcomes) {
         match policy {
-            StormPolicy::NaiveRestart => naive_goodput = o.goodput(),
-            StormPolicy::FullOrchestrator => full_goodput = o.goodput(),
+            StormPolicy::NaiveRestart => naive_goodput = o.ledger.goodput(),
+            StormPolicy::FullOrchestrator => full_goodput = o.ledger.goodput(),
             StormPolicy::RetryBackoff => {}
         }
         ablation.row([
@@ -110,9 +110,9 @@ pub fn storm(p: RunParams) -> String {
             o.crash_loop_restarts.to_string(),
             format!("{} ({} spared)", o.nodes_cordoned, o.spares_used),
             f(o.mttr_mins(), 1),
-            f(o.rollback_secs / 3600.0, 1),
-            f(o.degraded_secs / 3600.0, 1),
-            pct(o.goodput()),
+            f(o.ledger.rollback_secs / 3600.0, 1),
+            f(o.ledger.degraded_secs / 3600.0, 1),
+            pct(o.ledger.goodput()),
         ]);
     }
 

@@ -11,7 +11,9 @@
 //!   printable rows; the `repro` binary in `acme-bench` drives them;
 //! * [`storm`] — replays an adversarial fault storm under the recovery
 //!   escalation ladder's ablation arms (naive restart / retry + backoff /
-//!   full orchestrator with spares).
+//!   full orchestrator with spares);
+//! * [`ledger`] — the one job timeline that the storm, netstorm and
+//!   pipeline replays book their recoveries on.
 //!
 //! # Quickstart
 //!
@@ -28,6 +30,7 @@
 
 pub mod datacenter;
 pub mod experiments;
+pub mod ledger;
 pub mod monitor;
 pub mod netstorm;
 pub mod pipeline;

@@ -29,6 +29,7 @@ use acme_training::checkpoint::{
     CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
 };
 
+use crate::ledger::Ledger;
 use crate::storm::manual_delay;
 
 /// What interrupted the campaign.
@@ -51,8 +52,6 @@ pub struct Incident {
     pub kind: Interruption,
     /// What the system did.
     pub action: RecoveryAction,
-    /// Wall time until training was back up.
-    pub downtime: SimDuration,
     /// Training progress discarded by the rollback, seconds.
     pub rollback_secs: f64,
 }
@@ -66,12 +65,9 @@ pub struct CampaignReport {
     pub manual_interventions: u32,
     /// Nodes cordoned by the NCCL localizer.
     pub nodes_cordoned: u32,
-    /// Total downtime.
-    pub downtime: SimDuration,
-    /// Total rolled-back progress, seconds of training.
-    pub rollback_secs: f64,
-    /// Useful training seconds kept by the end of the horizon.
-    pub useful_secs: f64,
+    /// The job's books: downtime, rollback, the stage matrix, useful time
+    /// and goodput.
+    pub ledger: Ledger,
 }
 
 impl CampaignReport {
@@ -81,11 +77,6 @@ impl CampaignReport {
             return 1.0;
         }
         1.0 - self.manual_interventions as f64 / self.incidents.len() as f64
-    }
-
-    /// Goodput: useful training time over the horizon.
-    pub fn goodput(&self, horizon: SimDuration) -> f64 {
-        self.useful_secs / horizon.as_secs_f64()
     }
 }
 
@@ -159,19 +150,18 @@ impl FaultTolerantTrainer {
             CheckpointMode::Asynchronous,
             self.checkpoint_interval.as_secs_f64(),
         );
-        let mut incidents = Vec::new();
-        let mut manual = 0;
-        let mut cordoned = 0;
-        let mut downtime = SimDuration::ZERO;
-        let mut rollback = 0.0;
-        let mut trained = SimDuration::ZERO; // cumulative useful time
-        let mut up_since = SimTime::ZERO;
+        let mut out = CampaignReport {
+            incidents: Vec::new(),
+            manual_interventions: 0,
+            nodes_cordoned: 0,
+            ledger: Ledger::new(horizon),
+        };
 
         for at in times {
-            if at < up_since {
+            if out.ledger.is_down(at) {
                 continue; // absorbed by ongoing recovery
             }
-            trained += at - up_since;
+            out.ledger.run_until(at, 1.0);
 
             let kind = match rng.below(10) {
                 0 => Interruption::SilentHang,
@@ -202,99 +192,53 @@ impl FaultTolerantTrainer {
                 lost += self.checkpoint_interval.as_secs_f64();
             }
 
-            // Recovery wall time.
-            let mut wait = SimDuration::from_mins_f64(diagnose_mins);
+            // Recovery wall time: detect (diagnosis) → localize (NCCL
+            // rounds) → restart (human reaction + cold start).
+            let detect = SimDuration::from_mins_f64(diagnose_mins);
             let mut localize = SimDuration::ZERO;
+            let mut restart = SimDuration::from_mins(10); // cold start + checkpoint load
             let needs_human = if self.automatic {
                 action.needs_human()
             } else {
                 true // the baseline pages a human for everything
             };
             if needs_human {
-                manual += 1;
-                wait += manual_delay(at, rng);
+                out.manual_interventions += 1;
+                restart += manual_delay(at, rng);
             }
             if self.automatic {
                 if let RecoveryAction::AutoRestart { cordon_nodes: true } = action {
                     let faulty = std::iter::once(rng.below(FLEET_NODES as u64) as usize).collect();
                     let result = NcclTester::new(FLEET_NODES).run(&faulty);
-                    cordoned += result.identified.len() as u32;
-                    wait += SimDuration::from_mins(5); // two NCCL rounds
-                    localize += SimDuration::from_mins(5);
+                    out.nodes_cordoned += result.identified.len() as u32;
+                    localize = SimDuration::from_mins(5); // two NCCL rounds
                 }
             }
-            wait += SimDuration::from_mins(10); // cold start + checkpoint load
 
-            if rec.enabled() {
-                let (name, cat) = match kind {
-                    Interruption::Error(reason) => (reason.label(), reason.spec().category.label()),
-                    Interruption::SilentHang => ("Silent Hang", FailureCategory::Framework.label()),
-                    Interruption::LossSpike => ("Loss Spike", FailureCategory::Script.label()),
-                };
-                let t0 = at.as_secs_f64();
-                rec.begin(
-                    t0,
-                    name,
-                    cat,
-                    &[(
-                        "manual",
-                        ArgValue::Str(if needs_human { "yes" } else { "no" }),
-                    )],
-                );
-                // detect (diagnosis) → localize (NCCL rounds) → restart
-                // (human reaction + cold start) partition `wait` exactly.
-                let detect = SimDuration::from_mins_f64(diagnose_mins);
-                let restart = wait - detect - localize;
-                rec.instant(
-                    (at + detect).as_secs_f64(),
-                    "stage/detect",
-                    cat,
-                    &[("secs", ArgValue::F64(detect.as_secs_f64()))],
-                );
-                if localize > SimDuration::ZERO {
-                    rec.instant(
-                        (at + detect + localize).as_secs_f64(),
-                        "stage/localize",
-                        cat,
-                        &[("secs", ArgValue::F64(localize.as_secs_f64()))],
-                    );
-                }
-                rec.instant(
-                    (at + wait).as_secs_f64(),
-                    "stage/restart",
-                    cat,
-                    &[("secs", ArgValue::F64(restart.as_secs_f64()))],
-                );
-                if lost > 0.0 {
-                    rec.instant(t0, "rollback", cat, &[("secs", ArgValue::F64(lost))]);
-                }
-                rec.end((at + wait).as_secs_f64(), name);
-            }
-
-            incidents.push(Incident {
+            let (name, category) = match kind {
+                Interruption::Error(reason) => (reason.label(), reason.spec().category),
+                Interruption::SilentHang => ("Silent Hang", FailureCategory::Framework),
+                Interruption::LossSpike => ("Loss Spike", FailureCategory::Script),
+            };
+            let manual = if needs_human { "yes" } else { "no" };
+            rec.begin(
+                at.as_secs_f64(),
+                name,
+                category.label(),
+                &[("manual", ArgValue::Str(manual))],
+            );
+            let stages = [detect, localize, restart];
+            out.ledger.book(at, name, category, stages, lost, rec);
+            out.incidents.push(Incident {
                 at,
                 kind,
                 action,
-                downtime: wait,
                 rollback_secs: lost,
             });
-            downtime += wait;
-            rollback += lost;
-            up_since = at + wait;
         }
-        let end = SimTime::ZERO + horizon;
-        if up_since < end {
-            trained += end - up_since;
-        }
-
-        CampaignReport {
-            incidents,
-            manual_interventions: manual,
-            nodes_cordoned: cordoned,
-            downtime,
-            rollback_secs: rollback,
-            useful_secs: trained.as_secs_f64() - rollback,
-        }
+        out.ledger.run_until(out.ledger.end(), 1.0);
+        out.ledger.close(rec);
+        out
     }
 }
 
@@ -370,10 +314,10 @@ impl DevelopmentPipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn campaign(automatic: bool, seed: u64) -> CampaignReport {
+    pub(crate) fn campaign(automatic: bool, seed: u64) -> CampaignReport {
         let trainer = if automatic {
             FaultTolerantTrainer::deployed()
         } else {
@@ -409,10 +353,8 @@ mod tests {
 
     #[test]
     fn deployed_system_wins_on_goodput_and_rollback() {
-        let auto = campaign(true, 2);
-        let manual = campaign(false, 2);
-        let horizon = SimDuration::from_days(21);
-        assert!(auto.goodput(horizon) > manual.goodput(horizon));
+        let (auto, manual) = (campaign(true, 2).ledger, campaign(false, 2).ledger);
+        assert!(auto.goodput() > manual.goodput());
         // Denser durable checkpoints → less rollback.
         assert!(auto.rollback_secs < manual.rollback_secs);
         assert!(auto.downtime < manual.downtime);
@@ -431,8 +373,8 @@ mod tests {
             "errors dominate pretraining failures"
         );
         // Goodput stays positive and below 1.
-        assert!(r.goodput(SimDuration::from_days(21)) > 0.5);
-        assert!(r.goodput(SimDuration::from_days(21)) < 1.0);
+        assert!(r.ledger.goodput() > 0.5);
+        assert!(r.ledger.goodput() < 1.0);
     }
 
     #[test]
@@ -452,7 +394,7 @@ mod tests {
     fn figure1_pipeline_walks_all_stages() {
         let report = DevelopmentPipeline::new(5).run();
         assert!(report.data.curated_docs > 0);
-        assert!(report.pretraining.useful_secs > 0.0);
+        assert!(report.pretraining.ledger.useful_secs() > 0.0);
         assert!(report.alignment_gpu_hours > 0.0);
         assert!(report.evaluation_makespan_secs > 0.0);
     }
@@ -463,6 +405,6 @@ mod tests {
         let b = campaign(true, 9);
         assert_eq!(a.incidents.len(), b.incidents.len());
         assert_eq!(a.manual_interventions, b.manual_interventions);
-        assert_eq!(a.useful_secs, b.useful_secs);
+        assert_eq!(a.ledger, b.ledger);
     }
 }

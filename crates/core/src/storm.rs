@@ -25,12 +25,13 @@
 //!   turnaround, first refilling lost width and then restocking the spare
 //!   pool.
 //!
-//! Every outcome splits each incident's recovery wait into detect →
-//! localize → restart stages and accumulates them per fault category
-//! ([`StormOutcome::stage_secs`], with rollback and the horizon overshoot
-//! beside it); `repro blame` and the policy lab read those fields. A flight
-//! recorder ([`StormRunner::run_with_traced`]) only exports the same
-//! values as instants.
+//! The runner only decides each incident's answer. Its [`Ledger`] books
+//! the answer on the job's timeline: each recovery wait split into detect
+//! → localize → restart stages per fault category, with rollback,
+//! degraded loss and the horizon overshoot beside it. `repro blame` and
+//! the policy lab read those books, and a flight recorder
+//! ([`StormRunner::run_with_traced`]) only exports the same values as
+//! instants.
 //!
 //! Everything is a pure function of (campaign, policy, rng): byte-identical
 //! across reruns at a fixed seed.
@@ -46,6 +47,8 @@ use acme_sim_core::{SimDuration, SimRng, SimTime};
 use acme_training::checkpoint::{
     CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
 };
+
+use crate::ledger::Ledger;
 
 /// Restart cycles a crash loop burns before the on-call is paged under the
 /// naive policy (nobody watches a restart counter, someone watches a
@@ -135,7 +138,7 @@ impl StormPolicies {
 }
 
 /// What one policy achieved against one storm.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormOutcome {
     /// Primary incidents handled.
     pub incidents: u32,
@@ -149,21 +152,6 @@ pub struct StormOutcome {
     pub nodes_cordoned: u32,
     /// Cordons covered by a hot spare.
     pub spares_used: u32,
-    /// Total downtime.
-    pub downtime: SimDuration,
-    /// Training progress rolled back, seconds.
-    pub rollback_secs: f64,
-    /// Useful training seconds kept (degradation-weighted, net of
-    /// rollback).
-    pub useful_secs: f64,
-    /// Seconds spent running at reduced data-parallel width.
-    pub degraded_secs: f64,
-    /// Throughput lost to that reduced width: Σ span × (1 − factor),
-    /// seconds of full-width-equivalent training. Not printed by the storm
-    /// tables; `blame` prints it as its degraded-capacity row.
-    pub degraded_loss_secs: f64,
-    /// The campaign horizon.
-    pub horizon: SimDuration,
     /// The checkpoint interval the cadence policy chose, seconds.
     pub checkpoint_interval_secs: f64,
     /// GPU-seconds of checkpoint write traffic over the horizon:
@@ -174,43 +162,27 @@ pub struct StormOutcome {
     /// Rush repair dispatches: one field-engineer page per cordon under an
     /// expedited [`RepairModel`]. Zero for the three ablation arms.
     pub rush_dispatches: u32,
-    /// Recovery wait per fault category (rows, in
-    /// [`acme_failure::FailureCategory`] order) and stage (columns:
-    /// detect = diagnosis + watchdog timeouts, localize = NCCL sweeps +
-    /// checkpoint validation, restart = the restart/backoff residual),
-    /// seconds, summed in incident order. An incident's three stages
-    /// partition its wait exactly, so the matrix sums to `downtime`; the
-    /// flight recorder exports the per-incident values as `stage/*`
-    /// instants.
-    pub stage_secs: [[f64; 3]; 3],
-    /// Rolled-back progress per fault category, seconds, summed in
-    /// incident order (`rollback_secs` is the flat total).
-    pub category_rollback_secs: [f64; 3],
-    /// The last recovery's wait past the horizon end, seconds: part of
-    /// `downtime`, but no goodput is lost to it.
-    pub overshoot_secs: f64,
+    /// The job's books: downtime, rollback, degraded time and loss (the
+    /// storm tables print the time, `blame` the loss), the stage matrix,
+    /// useful time and goodput.
+    pub ledger: Ledger,
 }
 
 impl StormOutcome {
-    /// Useful training time over the horizon.
-    pub fn goodput(&self) -> f64 {
-        self.useful_secs / self.horizon.as_secs_f64()
-    }
-
     /// Mean time to recovery per incident, minutes.
     pub fn mttr_mins(&self) -> f64 {
         if self.incidents == 0 {
             return 0.0;
         }
-        self.downtime.as_mins_f64() / self.incidents as f64
+        self.ledger.downtime.as_mins_f64() / self.incidents as f64
     }
 
     /// GPU-seconds thrown away: training rolled back, width-degradation
     /// loss, restart cycles burnt crash-looping, and checkpoint write
     /// traffic. One of the three Pareto axes of the policy lab.
     pub fn wasted_gpu_secs(&self) -> f64 {
-        self.rollback_secs
-            + self.degraded_loss_secs
+        self.ledger.rollback_secs
+            + self.ledger.degraded_loss_secs
             + RESTART.as_secs_f64() * self.crash_loop_restarts as f64
             + self.checkpoint_traffic_secs
     }
@@ -219,18 +191,6 @@ impl StormOutcome {
     /// dispatches. One of the three Pareto axes of the policy lab.
     pub fn human_actions(&self) -> u32 {
         self.manual_interventions + self.rush_dispatches
-    }
-
-    /// Recovery wait per stage (detect, localize, restart), seconds:
-    /// the columns of [`Self::stage_secs`], summed over categories.
-    pub fn stage_totals(&self) -> [f64; 3] {
-        let mut totals = [0.0; 3];
-        for stages in &self.stage_secs {
-            for (total, secs) in totals.iter_mut().zip(stages) {
-                *total += secs;
-            }
-        }
-        totals
     }
 }
 
@@ -296,57 +256,25 @@ impl Fleet {
         }
     }
 
-    /// Pop the next repair completing at or before `by`, if any.
-    fn next_repair_by(&mut self, by: SimTime) -> Option<SimTime> {
-        match self.repairs.peek() {
-            Some(&std::cmp::Reverse(r)) if r <= by => {
-                self.repairs.pop();
-                Some(r)
+    /// Run the job on this fleet until `to`: it trains at the fleet's
+    /// width, which each repair completing on the way restores (repairs
+    /// that completed while the job was down restore it at no accrual).
+    fn run_until(&mut self, ledger: &mut Ledger, to: SimTime) {
+        while let Some(&std::cmp::Reverse(r)) = self.repairs.peek() {
+            if r > to {
+                break;
             }
-            _ => None,
+            self.repairs.pop();
+            ledger.run_until(r, self.factor());
+            self.repair();
         }
-    }
-}
-
-/// Accrue throughput-weighted uptime from `from` to `to`, applying repair
-/// completions (which restore the throughput factor) as they occur inside
-/// the span. Repairs that completed before `from` (during downtime) are
-/// applied without accrual.
-fn accrue(
-    fleet: &mut Fleet,
-    out: &mut StormOutcome,
-    trained: &mut f64,
-    from: SimTime,
-    to: SimTime,
-) {
-    let mut cursor = from;
-    while let Some(r) = fleet.next_repair_by(to) {
-        if r > cursor {
-            let span = (r - cursor).as_secs_f64();
-            let factor = fleet.factor();
-            *trained += span * factor;
-            if factor < 1.0 {
-                out.degraded_secs += span;
-                out.degraded_loss_secs += span * (1.0 - factor);
-            }
-            cursor = r;
-        }
-        fleet.repair();
-    }
-    if to > cursor {
-        let span = (to - cursor).as_secs_f64();
-        let factor = fleet.factor();
-        *trained += span * factor;
-        if factor < 1.0 {
-            out.degraded_secs += span;
-            out.degraded_loss_secs += span * (1.0 - factor);
-        }
+        ledger.run_until(to, self.factor());
     }
 }
 
 /// The deployment's configured checkpoint cadence (async writes); the
-/// bundle's [`CheckpointChoice`] starts from it.
-const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
+/// bundle's [`CheckpointChoice`] starts from it, and netstorm runs at it.
+pub(crate) const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
 
 /// Replays a [`StormCampaign`] under a policy bundle, on the Kalos-default
 /// hot-spare pool (drawn from only when the bundle's ladder cordons).
@@ -413,38 +341,22 @@ impl StormRunner {
 
         let interval = tracker.interval_secs;
         let mut out = StormOutcome {
-            incidents: 0,
-            manual_interventions: 0,
-            escalations: 0,
-            crash_loop_restarts: 0,
-            nodes_cordoned: 0,
-            spares_used: 0,
-            downtime: SimDuration::ZERO,
-            rollback_secs: 0.0,
-            useful_secs: 0.0,
-            degraded_secs: 0.0,
-            degraded_loss_secs: 0.0,
-            horizon: campaign.horizon,
             checkpoint_interval_secs: interval,
             checkpoint_traffic_secs: campaign.horizon.as_secs_f64() / interval
                 * engine.durable_secs(CheckpointMode::Asynchronous),
-            rush_dispatches: 0,
-            stage_secs: [[0.0; 3]; 3],
-            category_rollback_secs: [0.0; 3],
-            overshoot_secs: 0.0,
+            ledger: Ledger::new(campaign.horizon),
+            ..StormOutcome::default()
         };
 
         // Nodes permanently out of the fault pool: cordoned by the ladder
         // or physically replaced by a human. Either way they stop flapping.
         let mut fixed: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        let mut up_since = SimTime::ZERO;
-        let mut trained_weighted = 0.0f64;
 
         for e in &campaign.events {
-            if e.at < up_since {
+            if out.ledger.is_down(e.at) {
                 continue; // absorbed by ongoing recovery
             }
-            accrue(&mut fleet, &mut out, &mut trained_weighted, up_since, e.at);
+            fleet.run_until(&mut out.ledger, e.at);
             out.incidents += 1;
             let category = e.reason.spec().category;
             let cat = category.label();
@@ -630,81 +542,19 @@ impl StormRunner {
             if human {
                 out.manual_interventions += 1;
             }
-            out.downtime += wait;
-            out.rollback_secs += rollback;
-            let restart = wait - detect - localize;
-            let ci = category as usize;
-            for (total, stage) in out.stage_secs[ci]
-                .iter_mut()
-                .zip([detect, localize, restart])
-            {
-                *total += stage.as_secs_f64();
-            }
-            out.category_rollback_secs[ci] += rollback;
-            if rec.enabled() {
-                let t0 = e.at.as_secs_f64();
-                rec.instant(
-                    t0 + detect.as_secs_f64(),
-                    "stage/detect",
-                    cat,
-                    &[("secs", ArgValue::F64(detect.as_secs_f64()))],
-                );
-                rec.instant(
-                    t0 + (detect + localize).as_secs_f64(),
-                    "stage/localize",
-                    cat,
-                    &[("secs", ArgValue::F64(localize.as_secs_f64()))],
-                );
-                rec.instant(
-                    t0 + wait.as_secs_f64(),
-                    "stage/restart",
-                    cat,
-                    &[("secs", ArgValue::F64(restart.as_secs_f64()))],
-                );
-                if rollback > 0.0 {
-                    rec.instant(t0, "rollback", cat, &[("secs", ArgValue::F64(rollback))]);
-                }
-                rec.end(t0 + wait.as_secs_f64(), e.reason.label());
-            }
-            up_since = e.at + wait;
+            let stages = [detect, localize, wait - detect - localize];
+            let name = e.reason.label();
+            out.ledger.book(e.at, name, category, stages, rollback, rec);
         }
 
-        let end = SimTime::ZERO + campaign.horizon;
-        if up_since < end {
-            accrue(&mut fleet, &mut out, &mut trained_weighted, up_since, end);
-        }
-        out.useful_secs = (trained_weighted - out.rollback_secs).max(0.0);
-        out.overshoot_secs = up_since.saturating_since(end).as_secs_f64();
+        let end = out.ledger.end();
+        fleet.run_until(&mut out.ledger, end);
+        out.ledger.close(rec);
         // Every cordon marked a node the orchestrator had not cordoned
         // yet, and an expedited repair model pages once per cordon.
         out.nodes_cordoned = orch.cordoned_count();
         if policies.repair.rush {
             out.rush_dispatches = out.nodes_cordoned;
-        }
-        if rec.enabled() {
-            let end_s = end.as_secs_f64();
-            if out.degraded_secs > 0.0 {
-                rec.instant(
-                    end_s,
-                    "degraded",
-                    "Infrastructure",
-                    &[
-                        ("secs", ArgValue::F64(out.degraded_secs)),
-                        ("loss_secs", ArgValue::F64(out.degraded_loss_secs)),
-                    ],
-                );
-            }
-            if up_since > end {
-                // The last incident's recovery ran past the horizon: that
-                // slice of its wait is not lost goodput (the horizon had
-                // already ended).
-                rec.instant(
-                    end_s,
-                    "overshoot",
-                    "",
-                    &[("lost_secs", ArgValue::F64(out.overshoot_secs))],
-                );
-            }
         }
         out
     }
@@ -746,7 +596,7 @@ pub(crate) fn manual_delay(at: SimTime, rng: &mut SimRng) -> SimDuration {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use acme_failure::storm::{StormConfig, StormEngine};
     use acme_failure::FailureCategory;
@@ -757,7 +607,7 @@ mod tests {
         StormEngine::new(StormConfig::default_storm()).generate(&mut rng)
     }
 
-    fn outcome(seed: u64, policy: StormPolicy) -> StormOutcome {
+    pub(crate) fn outcome(seed: u64, policy: StormPolicy) -> StormOutcome {
         let campaign = storm(seed);
         let mut rng = SimRng::new(seed).fork(2000 + policy as u64);
         StormRunner::deployed(campaign.fleet_nodes).run_with(
@@ -775,10 +625,10 @@ mod tests {
             let naive = outcome(seed, StormPolicy::NaiveRestart);
             let full = outcome(seed, StormPolicy::FullOrchestrator);
             assert!(
-                full.goodput() > naive.goodput(),
+                full.ledger.goodput() > naive.ledger.goodput(),
                 "seed {seed}: goodput full {:.4} vs naive {:.4}",
-                full.goodput(),
-                naive.goodput()
+                full.ledger.goodput(),
+                naive.ledger.goodput()
             );
             assert!(
                 full.manual_interventions < naive.manual_interventions,
@@ -808,7 +658,7 @@ mod tests {
         let full = outcome(42, StormPolicy::FullOrchestrator);
         if full.nodes_cordoned > full.spares_used {
             assert!(
-                full.degraded_secs > 0.0,
+                full.ledger.degraded_secs > 0.0,
                 "uncovered cordons must show up as degraded time"
             );
         }
@@ -817,7 +667,11 @@ mod tests {
         assert!(full.spares_used <= full.nodes_cordoned);
         // Degradation is a throughput haircut, not a stall: goodput stays
         // well above zero.
-        assert!(full.goodput() > 0.5, "goodput {:.3}", full.goodput());
+        assert!(
+            full.ledger.goodput() > 0.5,
+            "goodput {:.3}",
+            full.ledger.goodput()
+        );
     }
 
     #[test]
@@ -848,24 +702,10 @@ mod tests {
         shallow.noise_lines = 24;
         let o = runner.run_with(&campaign, &shallow, &mut SimRng::new(1).fork(77));
         assert!(o.incidents > 20, "{} incidents", o.incidents);
-        assert!(o.goodput() > 0.5 && o.goodput() < 1.0);
+        assert!(o.ledger.goodput() > 0.5 && o.ledger.goodput() < 1.0);
         // And determinism holds at the shallow depth.
         let o2 = runner.run_with(&campaign, &shallow, &mut SimRng::new(1).fork(77));
-        assert_eq!(o.useful_secs, o2.useful_secs);
-        assert_eq!(o.downtime, o2.downtime);
-    }
-
-    #[test]
-    fn stage_totals_partition_the_downtime() {
-        for policy in StormPolicy::ALL {
-            let o = outcome(42, policy);
-            let staged: f64 = o.stage_totals().iter().sum();
-            assert!(
-                (staged - o.downtime.as_secs_f64()).abs() < 1e-6,
-                "{policy:?}: stages {staged:.1}s vs downtime {:.1}s",
-                o.downtime.as_secs_f64()
-            );
-        }
+        assert_eq!(o, o2);
     }
 
     #[test]
@@ -906,9 +746,9 @@ mod tests {
                     _ => {}
                 }
             }
-            assert_eq!(stages, o.stage_secs, "seed {seed}");
-            assert_eq!(rollback, o.category_rollback_secs, "seed {seed}");
-            assert_eq!(overshoot, o.overshoot_secs, "seed {seed}");
+            assert_eq!(stages, o.ledger.stage_secs, "seed {seed}");
+            assert_eq!(rollback, o.ledger.category_rollback_secs, "seed {seed}");
+            assert_eq!(overshoot, o.ledger.overshoot_secs(), "seed {seed}");
             assert_eq!(incidents, o.incidents, "seed {seed}");
             assert_eq!(cordons, o.nodes_cordoned, "seed {seed}");
             assert!(o.nodes_cordoned > 0, "seed {seed}: the full arm cordons");
@@ -931,12 +771,7 @@ mod tests {
     #[test]
     fn storm_outcomes_are_deterministic() {
         for policy in StormPolicy::ALL {
-            let a = outcome(9, policy);
-            let b = outcome(9, policy);
-            assert_eq!(a.incidents, b.incidents);
-            assert_eq!(a.manual_interventions, b.manual_interventions);
-            assert_eq!(a.useful_secs, b.useful_secs);
-            assert_eq!(a.downtime, b.downtime);
+            assert_eq!(outcome(9, policy), outcome(9, policy));
         }
     }
 
@@ -946,7 +781,7 @@ mod tests {
             let o = outcome(42, policy);
             assert!(o.incidents > 20, "{policy:?}: {} incidents", o.incidents);
             assert!(o.mttr_mins() > 10.0, "{policy:?} MTTR {:.1}", o.mttr_mins());
-            assert!(o.goodput() > 0.0 && o.goodput() < 1.0);
+            assert!(o.ledger.goodput() > 0.0 && o.ledger.goodput() < 1.0);
         }
     }
 }

@@ -204,6 +204,13 @@ pub enum NetRecoveryPolicy {
 }
 
 impl NetRecoveryPolicy {
+    /// The three ablation arms, naive → blind → aware.
+    pub const ALL: [NetRecoveryPolicy; 3] = [
+        NetRecoveryPolicy::Naive,
+        NetRecoveryPolicy::TopologyBlind,
+        NetRecoveryPolicy::TopologyAware,
+    ];
+
     /// Naive always-restart.
     pub fn naive() -> Self {
         NetRecoveryPolicy::Naive
