@@ -41,6 +41,7 @@ impl Exponential {
 }
 
 impl Distribution for Exponential {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         -rng.f64_open0().ln() / self.lambda
     }
@@ -80,6 +81,7 @@ impl LogNormal {
         self.mu.exp()
     }
 
+    #[inline]
     fn standard_normal(rng: &mut SimRng) -> f64 {
         // Box–Muller; one draw per call keeps the stream layout simple.
         let u1 = rng.f64_open0();
@@ -89,6 +91,7 @@ impl LogNormal {
 }
 
 impl Distribution for LogNormal {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         (self.mu + self.sigma * Self::standard_normal(rng)).exp()
     }
@@ -128,6 +131,7 @@ impl Categorical {
     }
 
     /// Draw a category index.
+    #[inline]
     pub fn sample_index(&self, rng: &mut SimRng) -> usize {
         let u = rng.f64();
         self.cumulative.partition_point(|&c| c <= u)
@@ -197,6 +201,7 @@ impl Zipf {
     }
 
     /// Draw a 0-based rank index in `0..n` (index 0 is the heaviest rank).
+    #[inline]
     pub fn sample_index(&self, rng: &mut SimRng) -> usize {
         let u = rng.f64();
         // `u · m` and `j / m` are exact for a power-of-two `m`, so the

@@ -39,6 +39,7 @@ impl SimTime {
     }
 
     /// Construct from floating-point seconds (rounded to the nearest µs).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "SimTime cannot be negative");
         SimTime((s * 1e6).round() as u64)
@@ -129,6 +130,7 @@ impl SimDuration {
     }
 
     /// Construct from floating-point seconds (rounded to the nearest µs).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "SimDuration cannot be negative");
         SimDuration((s * 1e6).round() as u64)

@@ -85,6 +85,7 @@ impl QuantileSketch {
     /// # Panics
     /// Panics on NaN — a NaN metric is always an upstream bug, matching
     /// [`Cdf`](crate::cdf::Cdf)'s contract.
+    #[inline]
     pub fn insert(&mut self, x: f64) {
         assert!(!x.is_nan(), "NaN sample in sketch input");
         self.count += 1;
@@ -96,7 +97,10 @@ impl QuantileSketch {
             self.max = x;
         }
         self.levels[0].items.push(sort_key(x));
-        self.compact_from(0);
+        // Checked here so an insert that fills no level makes no call.
+        if self.levels[0].items.len() > self.k {
+            self.compact_from(0);
+        }
     }
 
     /// Cascade compactions upward from `start` until every level is within

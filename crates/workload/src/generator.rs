@@ -313,6 +313,7 @@ impl ProfileSampler {
         }
     }
 
+    #[inline]
     pub(crate) fn sample(
         &self,
         cluster: Cluster,

@@ -7,9 +7,10 @@
 //! wraps a materialized slice (the closed-world figures need per-type
 //! sample vectors for boxplots and CDFs) and delegates every aggregate
 //! table to an internal `StreamTraceStats` built by pushing the slice in
-//! job order — each accumulator then receives exactly the additions the
-//! historical per-figure passes performed, in the same order, keeping the
-//! floating-point output bit-identical.
+//! job order. Counts are integers, exact in any order; each float
+//! accumulator receives exactly the additions the historical per-figure
+//! passes performed, in the same order, keeping the floating-point output
+//! bit-identical.
 
 use acme_telemetry::{BoxplotStats, Cdf, QuantileSketch};
 
@@ -21,7 +22,9 @@ const DEMAND_K: usize = 13;
 /// Bounded-memory aggregate statistics over a job stream (see module
 /// docs). `push` jobs in, `merge` shards together, read the Figure 3/4/17
 /// tables out — memory is O(1) in stream length (plus the optional
-/// duration sketch).
+/// duration sketch). Job counts (per type, per status, per demand bucket)
+/// are integers; GPU time is an `f64` sum per table entry, and the demand
+/// table adds each job's GPU time into every threshold ≥ its demand.
 #[derive(Debug, Clone)]
 pub struct StreamTraceStats {
     jobs: usize,
@@ -31,8 +34,9 @@ pub struct StreamTraceStats {
     type_gpu_secs: [f64; JobType::ALL.len()],
     status_counts: [usize; JobStatus::ALL.len()],
     status_gpu_secs: [f64; JobStatus::ALL.len()],
-    demand_count_sums: [f64; DEMAND_K],
-    demand_count_total: f64,
+    /// Jobs whose smallest power-of-two threshold ≥ their demand is
+    /// `2^k`, per `k`.
+    demand_counts: [u64; DEMAND_K],
     demand_time_sums: [f64; DEMAND_K],
     demand_time_total: f64,
     duration_sketch: Option<QuantileSketch>,
@@ -55,8 +59,7 @@ impl StreamTraceStats {
             type_gpu_secs: [0.0; JobType::ALL.len()],
             status_counts: [0; JobStatus::ALL.len()],
             status_gpu_secs: [0.0; JobStatus::ALL.len()],
-            demand_count_sums: [0.0; DEMAND_K],
-            demand_count_total: 0.0,
+            demand_counts: [0; DEMAND_K],
             demand_time_sums: [0.0; DEMAND_K],
             demand_time_total: 0.0,
             duration_sketch: None,
@@ -73,6 +76,7 @@ impl StreamTraceStats {
     }
 
     /// Fold one job into every aggregate.
+    #[inline]
     pub fn push(&mut self, j: &JobRecord) {
         self.jobs += 1;
         self.gpus_sum += f64::from(j.gpus);
@@ -90,18 +94,17 @@ impl StreamTraceStats {
         self.status_gpu_secs[si] += gs;
 
         // Smallest k with 2^k ≥ gpus (jobs over 4096 GPUs fall past the
-        // last threshold and contribute only to the totals).
+        // last threshold and contribute only to the totals). A count lands
+        // in its own bucket; GPU time is scattered into every threshold
+        // ≥ the demand, because a float sum depends on its order.
         let k = if j.gpus <= 1 {
             0
         } else {
             (32 - (j.gpus - 1).leading_zeros()) as usize
         };
-        self.demand_count_total += 1.0;
         self.demand_time_total += gs;
         if k < DEMAND_K {
-            for s in &mut self.demand_count_sums[k..] {
-                *s += 1.0;
-            }
+            self.demand_counts[k] += 1;
             for s in &mut self.demand_time_sums[k..] {
                 *s += gs;
             }
@@ -121,10 +124,12 @@ impl StreamTraceStats {
     }
 
     /// Combine another shard's aggregates into this one. Counters add;
-    /// sketches merge. Deterministic for a fixed merge order (float sums
-    /// reassociate across shard boundaries, so merged totals are equal to
-    /// sequential pushes up to rounding, not bit-identical — the fleet
-    /// experiment always merges in shard order).
+    /// sketches merge. Integer counts, and the count shares and count CDF
+    /// read from them, equal sequential pushes exactly. Float sums
+    /// reassociate across shard boundaries, so merged GPU-time totals are
+    /// equal up to rounding, not bit-identical; the result is
+    /// deterministic for a fixed merge order (the fleet experiment always
+    /// merges in shard order).
     ///
     /// # Panics
     /// Panics when exactly one side carries a duration sketch.
@@ -141,10 +146,9 @@ impl StreamTraceStats {
             self.status_gpu_secs[i] += other.status_gpu_secs[i];
         }
         for k in 0..DEMAND_K {
-            self.demand_count_sums[k] += other.demand_count_sums[k];
+            self.demand_counts[k] += other.demand_counts[k];
             self.demand_time_sums[k] += other.demand_time_sums[k];
         }
-        self.demand_count_total += other.demand_count_total;
         self.demand_time_total += other.demand_time_total;
         match (&mut self.duration_sketch, &other.duration_sketch) {
             (Some(a), Some(b)) => a.merge(b),
@@ -213,14 +217,15 @@ impl StreamTraceStats {
     }
 
     /// Figure 3(a): cumulative fraction of *job count* at each
-    /// power-of-two GPU demand.
+    /// power-of-two GPU demand: the prefix sum of the per-bucket counts
+    /// over the job count. Both are integers below 2⁵³, so each is exact
+    /// as an `f64` and the quotient is the correctly rounded fraction.
     pub fn demand_count_cdf(&self) -> Vec<(u32, f64)> {
+        let mut at_most = 0u64;
         (0..DEMAND_K)
             .map(|k| {
-                (
-                    1u32 << k,
-                    self.demand_count_sums[k] / self.demand_count_total,
-                )
+                at_most += self.demand_counts[k];
+                (1u32 << k, at_most as f64 / self.jobs as f64)
             })
             .collect()
     }
@@ -319,10 +324,10 @@ impl<'a> TraceStats<'a> {
     }
 
     /// Figure 3(a): cumulative fraction of *job count* for jobs requesting
-    /// ≤ each power-of-two GPU demand. The streaming accumulator scattered
-    /// each job's weight into every threshold ≥ its demand, in job order —
-    /// exactly the additions the original 13 filtered passes performed,
-    /// so results are bit-identical.
+    /// ≤ each power-of-two GPU demand. The streaming accumulator counts
+    /// jobs per demand bucket in integers, and an integer count is exact
+    /// as an `f64`, so each fraction is bit-identical to the original 13
+    /// filtered passes' `count / n`.
     pub fn demand_count_cdf(&self) -> Vec<(u32, f64)> {
         self.agg.demand_count_cdf()
     }
@@ -551,7 +556,15 @@ mod tests {
         // Integer counters are exact across the merge.
         for (a, b) in left.status_shares().iter().zip(seq.status_shares()) {
             assert_eq!(a.0, b.0);
-            assert!((a.1 - b.1).abs() < 1e-12);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+        for (a, b) in left.type_shares().iter().zip(seq.type_shares()) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+        for (a, b) in left.demand_count_cdf().iter().zip(seq.demand_count_cdf()) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
         // Float sums reassociate across the shard boundary: equal up to
         // rounding, not bitwise.
@@ -560,6 +573,33 @@ mod tests {
         let sk = left.duration_sketch().unwrap();
         assert_eq!(sk.count(), w.jobs.len() as u64);
         assert_eq!(sk.min(), seq.duration_sketch().unwrap().min());
+    }
+
+    #[test]
+    fn demand_count_cdf_is_the_filtered_count_over_n() {
+        let mut rng = SimRng::new(23);
+        let mut jobs = WorkloadGenerator::kalos().generate(&mut rng, 30.0, 0).jobs;
+        // Past the last threshold: counted in n only.
+        jobs.push(mk(
+            jobs.len() as u64,
+            JobType::Pretrain,
+            4_097,
+            60,
+            JobStatus::Completed,
+        ));
+        let cdf = TraceStats::new(&jobs).demand_count_cdf();
+        assert_eq!(cdf.len(), DEMAND_K);
+        let n = jobs.len() as f64;
+        for (k, &(threshold, share)) in cdf.iter().enumerate() {
+            assert_eq!(threshold, 1 << k);
+            let at_most = jobs.iter().filter(|j| j.gpus <= threshold).count();
+            assert_eq!(
+                share.to_bits(),
+                (at_most as f64 / n).to_bits(),
+                "2^{k} GPUs"
+            );
+        }
+        assert!(cdf[DEMAND_K - 1].1 < 1.0);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //!   `rate(t)/λmax` where `rate(t) = λ̄·(1 + amp·sin(2πt/day))` — the
 //!   standard acceptance–rejection construction of an inhomogeneous
 //!   Poisson process, two RNG draws per candidate, no inverse integrals.
+//!   A per-shard table brackets the acceptance probability over each
+//!   1/256 of a day, so only the candidates whose uniform falls inside
+//!   their cell's bracket (under 1%) evaluate `sin`; every decision is
+//!   the one the exact expression makes.
 //! * **Per-job attribute draws reuse the closed-world samplers.** After
 //!   tenant and cluster are chosen, type/demand/status/duration come from
 //!   the exact `ProfileSampler` sequence `WorkloadGenerator::generate`
@@ -164,6 +168,15 @@ pub struct FleetStream {
     rng: SimRng,
     candidate_gap: Exponential,
     burst_amp: f64,
+    /// The thinning bracket, `(accept_lo, accept_hi)` per cell. Cell `c`
+    /// covers the day fractions `[c/256, (c+1)/256]`, where the sine is
+    /// monotone, so the exact sine of any candidate in the cell lies
+    /// between the sines at the cell's edges. Widened by [`MARGIN`] and
+    /// mapped through the monotone [`acceptance`], the edge sines bound
+    /// the candidate's exact acceptance probability: a uniform below
+    /// `accept_lo` accepts, one at or above `accept_hi` rejects, and only
+    /// one in between needs `sin`.
+    bracket: [(f64, f64); CELLS],
     zipf: Zipf,
     cluster_picker: Categorical,
     arms: [ClusterArm; 2],
@@ -171,10 +184,38 @@ pub struct FleetStream {
     next_id: u64,
     remaining: u64,
     candidates: u64,
+    /// Candidates the bracket left to the exact expression.
+    #[cfg(test)]
+    exact_evals: u64,
+}
+
+/// Cells per simulated day in the thinning bracket. A multiple of 4, so
+/// the sine's extrema at ¼ and ¾ day fall on cell edges and the sine is
+/// monotone inside every cell.
+const CELLS: usize = 256;
+
+/// How far each cell's sine range is widened before it is mapped to
+/// acceptance probabilities. The computed phase `fl(τ·days)` is within
+/// about `1e-15·days` of `2π·days`, and libm's `sin` within an ulp, so
+/// below [`DAY_GUARD`] the computed sine never leaves the widened range.
+const MARGIN: f64 = 1e-6;
+
+/// Candidates at or past this many simulated days skip the bracket and
+/// take the exact expression: the phase's rounding bound (~1e-9 here)
+/// must stay far below [`MARGIN`].
+const DAY_GUARD: f64 = (1u64 << 20) as f64;
+
+/// Thinning acceptance `rate(t)/λmax` for the sine of the diurnal phase.
+/// Each rounding step is monotone, so this is non-decreasing in `sine`
+/// for `amp ≥ 0`.
+#[inline]
+fn acceptance(amp: f64, sine: f64) -> f64 {
+    (1.0 + amp * sine) / (1.0 + amp)
 }
 
 impl FleetStream {
-    /// The stream for shard `i` of `config`.
+    /// The stream for shard `i` of `config`, with its thinning bracket
+    /// tabulated.
     ///
     /// # Panics
     /// Panics when `i` is out of range or `burst_amp` is outside `[0, 1)`.
@@ -189,10 +230,19 @@ impl FleetStream {
         let kalos = WorkloadGenerator::kalos();
         let combined_per_day = seren.jobs_per_day() + kalos.jobs_per_day();
         let peak_rate = combined_per_day * (1.0 + config.burst_amp) / 86_400.0;
+        let edge_sine = |c: usize| (std::f64::consts::TAU * (c as f64 / CELLS as f64)).sin();
+        let bracket = std::array::from_fn(|c| {
+            let (a, b) = (edge_sine(c), edge_sine(c + 1));
+            (
+                acceptance(config.burst_amp, a.min(b) - MARGIN),
+                acceptance(config.burst_amp, a.max(b) + MARGIN),
+            )
+        });
         FleetStream {
             rng: SimRng::new(config.seed).fork(i as u64 + 1),
             candidate_gap: Exponential::with_mean(1.0 / peak_rate),
             burst_amp: config.burst_amp,
+            bracket,
             zipf: Zipf::new(config.tenants, config.zipf_s),
             cluster_picker: Categorical::new(&[seren.jobs_per_day(), kalos.jobs_per_day()]),
             arms: [ClusterArm::new(seren), ClusterArm::new(kalos)],
@@ -200,6 +250,8 @@ impl FleetStream {
             next_id: lo,
             remaining: hi - lo,
             candidates: 0,
+            #[cfg(test)]
+            exact_evals: 0,
         }
     }
 
@@ -208,27 +260,31 @@ impl FleetStream {
     pub fn candidates(&self) -> u64 {
         self.candidates
     }
-}
 
-impl Iterator for FleetStream {
-    type Item = FleetJob;
-
-    fn next(&mut self) -> Option<FleetJob> {
-        if self.remaining == 0 {
+    /// The bracket's decision for a candidate at `days` simulated days
+    /// with uniform `u`: `Some(accept)` when the cell's table settles it,
+    /// `None` when only the exact expression can (or `days` is past
+    /// [`DAY_GUARD`]).
+    #[inline]
+    fn bracket_verdict(&self, days: f64, u: f64) -> Option<bool> {
+        if days >= DAY_GUARD {
             return None;
         }
-        self.remaining -= 1;
-        // Acceptance–rejection thinning: candidates at the peak rate,
-        // accepted with rate(t)/λmax.
-        loop {
-            self.candidates += 1;
-            self.t_secs += self.candidate_gap.sample(&mut self.rng);
-            let phase = std::f64::consts::TAU * (self.t_secs / 86_400.0);
-            let accept = (1.0 + self.burst_amp * phase.sin()) / (1.0 + self.burst_amp);
-            if self.rng.f64() < accept {
-                break;
-            }
+        // `days · 256` is exact and below 2²⁸, so the cast is its floor.
+        let (lo, hi) = self.bracket[(days * CELLS as f64) as usize % CELLS];
+        if u < lo {
+            Some(true)
+        } else if u >= hi {
+            Some(false)
+        } else {
+            None
         }
+    }
+
+    /// The accepted candidate's tenant, cluster and job, drawn in the
+    /// closed-world generator's order.
+    #[inline]
+    fn arrival(&mut self) -> FleetJob {
         let tenant = self.zipf.sample_index(&mut self.rng) as u32;
         let arm = &self.arms[self.cluster_picker.sample_index(&mut self.rng)];
         let p = arm.type_picker.sample_index(&mut self.rng);
@@ -240,7 +296,42 @@ impl Iterator for FleetStream {
             &mut self.rng,
         );
         self.next_id += 1;
-        Some(FleetJob { tenant, job })
+        FleetJob { tenant, job }
+    }
+}
+
+impl Iterator for FleetStream {
+    type Item = FleetJob;
+
+    #[inline]
+    fn next(&mut self) -> Option<FleetJob> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        // Acceptance–rejection thinning: candidates at the peak rate,
+        // accepted with rate(t)/λmax.
+        loop {
+            self.candidates += 1;
+            self.t_secs += self.candidate_gap.sample(&mut self.rng);
+            let days = self.t_secs / 86_400.0;
+            let u = self.rng.f64();
+            let accept = match self.bracket_verdict(days, u) {
+                Some(verdict) => verdict,
+                None => {
+                    #[cfg(test)]
+                    {
+                        self.exact_evals += 1;
+                    }
+                    let phase = std::f64::consts::TAU * days;
+                    u < acceptance(self.burst_amp, phase.sin())
+                }
+            };
+            if accept {
+                break;
+            }
+        }
+        Some(self.arrival())
     }
 }
 
@@ -286,6 +377,7 @@ impl FleetShardStats {
     }
 
     /// Fold one arrival into every aggregate.
+    #[inline]
     pub fn push(&mut self, fj: &FleetJob) {
         self.trace.push(&fj.job);
         let tenant = fj.tenant as usize;
@@ -518,6 +610,133 @@ mod tests {
             (mean_gap - expected).abs() / expected < 0.05,
             "mean gap {mean_gap:.2}s vs expected {expected:.2}s"
         );
+    }
+
+    /// The thinning loop before the bracket, `sin` on every candidate:
+    /// the oracle the bracketed [`FleetStream::next`] must match draw for
+    /// draw.
+    fn next_exact(s: &mut FleetStream) -> Option<FleetJob> {
+        if s.remaining == 0 {
+            return None;
+        }
+        s.remaining -= 1;
+        loop {
+            s.candidates += 1;
+            s.t_secs += s.candidate_gap.sample(&mut s.rng);
+            let phase = std::f64::consts::TAU * (s.t_secs / 86_400.0);
+            let accept = (1.0 + s.burst_amp * phase.sin()) / (1.0 + s.burst_amp);
+            if s.rng.f64() < accept {
+                break;
+            }
+        }
+        Some(s.arrival())
+    }
+
+    /// The first `n` arrivals of shard `i`, bracketed and exact, must be
+    /// the same jobs from the same number of candidates. Returns the
+    /// bracketed stream.
+    fn assert_matches_exact(c: &FleetConfig, i: usize, n: usize) -> FleetStream {
+        let mut fast = FleetStream::shard(c, i);
+        let mut exact = FleetStream::shard(c, i);
+        for k in 0..n {
+            let (a, b) = (fast.next(), next_exact(&mut exact));
+            assert_eq!(
+                a, b,
+                "seed {} amp {} shard {i} arrival {k}",
+                c.seed, c.burst_amp
+            );
+        }
+        assert_eq!(fast.candidates(), exact.candidates());
+        fast
+    }
+
+    #[test]
+    fn bracketed_thinning_matches_the_exact_loop() {
+        for seed in [1, 7, 42] {
+            for burst_amp in [0.0, 0.6, 0.99] {
+                let c = FleetConfig {
+                    burst_amp,
+                    ..FleetConfig::new(seed)
+                };
+                for i in [0, c.shard_count() - 1] {
+                    assert_matches_exact(&c, i, 4_000);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_past_the_day_guard_take_the_exact_expression() {
+        for seed in [1, 7, 42] {
+            let c = FleetConfig::new(seed).with_jobs(4_000_000_000);
+            let last = c.shard_count() - 1;
+            let start_days = FleetStream::shard(&c, last).t_secs / 86_400.0;
+            assert!(start_days > DAY_GUARD, "shard starts at day {start_days}");
+            let s = assert_matches_exact(&c, last, 3_000);
+            assert_eq!(s.exact_evals, s.candidates());
+        }
+    }
+
+    /// `x` moved by `ulps` units in the last place (`x` positive).
+    fn ulp_step(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    #[test]
+    fn bracket_verdicts_at_cell_edges_equal_the_exact_decision() {
+        for burst_amp in [0.0, 0.6, 0.99] {
+            let s = FleetStream::shard(
+                &FleetConfig {
+                    burst_amp,
+                    ..FleetConfig::new(42)
+                },
+                0,
+            );
+            let mut decided = 0u64;
+            for whole in [0.0, 1.0, 9.0, 1000.0, 524_291.0, DAY_GUARD - 1.0] {
+                for c in 0..CELLS {
+                    let edge = whole + c as f64 / CELLS as f64;
+                    let below = (edge > 0.0).then(|| ulp_step(edge, -1));
+                    for days in [Some(edge), below, Some(ulp_step(edge, 1))]
+                        .into_iter()
+                        .flatten()
+                    {
+                        let phase = std::f64::consts::TAU * days;
+                        let exact = (1.0 + burst_amp * phase.sin()) / (1.0 + burst_amp);
+                        let cell = (days * CELLS as f64) as usize % CELLS;
+                        let (lo, hi) = s.bracket[cell];
+                        for x in [exact, lo, hi] {
+                            for u in [ulp_step(x, -1), x, ulp_step(x, 1)] {
+                                if let Some(verdict) = s.bracket_verdict(days, u) {
+                                    assert_eq!(
+                                        verdict,
+                                        u < exact,
+                                        "amp {burst_amp} day {days} u {u}"
+                                    );
+                                    decided += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(decided > 0);
+        }
+    }
+
+    #[test]
+    fn the_bracket_leaves_under_one_percent_to_sin() {
+        // The seed-42 `repro fleet` run: 16 shards, 10⁶ arrivals.
+        let c = FleetConfig::new(42);
+        let (mut exact, mut candidates) = (0, 0);
+        for i in 0..c.shard_count() {
+            let mut s = FleetStream::shard(&c, i);
+            for _ in &mut s {}
+            exact += s.exact_evals;
+            candidates += s.candidates();
+        }
+        let share = exact as f64 / candidates as f64;
+        assert!((0.004..0.008).contains(&share), "fallback share {share}");
     }
 
     #[test]
