@@ -7,8 +7,10 @@
 //!
 //! * a strike that lands while the job is down is absorbed by the ongoing
 //!   recovery: it is neither handled nor charged;
-//! * while up, the job trains at a throughput factor, and the shortfall
-//!   is degraded loss;
+//! * while up, the job trains at a throughput factor, less the shares of
+//!   the degradation windows still open, and the shortfall is degraded
+//!   loss; a degradation, absorbed or not, is paid only while the job is
+//!   up;
 //! * each recovery's wait is booked as detect → localize → restart stages
 //!   per [`FailureCategory`], beside its rollback;
 //! * uptime stops at the horizon, so the last wait's overshoot past it is
@@ -44,6 +46,8 @@ pub struct Ledger {
     up: SimTime,
     /// Throughput-weighted uptime accrued so far, seconds.
     trained: f64,
+    /// Open degradation windows: (end, share of throughput lost).
+    windows: Vec<(SimTime, f64)>,
 }
 
 impl Ledger {
@@ -65,24 +69,34 @@ impl Ledger {
         at < self.up
     }
 
-    /// Run the job at throughput `factor` from its last accrual to `to`.
+    /// Run the job from its last accrual to `to` at throughput `factor`
+    /// times what the open degradation windows leave (their shares add,
+    /// up to the whole job). Accrues span by span between window ends and
+    /// drops each window at its end, so the part of a window that falls
+    /// while the job is down is never paid.
     pub fn run_until(&mut self, to: SimTime, factor: f64) {
-        if to > self.up {
-            let span = (to - self.up).as_secs_f64();
-            self.trained += span * factor;
-            if factor < 1.0 {
+        while to > self.up {
+            let up = self.up;
+            self.windows.retain(|&(until, _)| until > up);
+            let next = self.windows.iter().fold(to, |t, &(until, _)| t.min(until));
+            let share = self.windows.iter().map(|&(_, s)| s).sum::<f64>().min(1.0);
+            let span = (next - up).as_secs_f64();
+            self.trained += span * factor * (1.0 - share);
+            // 1 − factor·(1 − share), summed term by term: with no window
+            // it is exactly 1 − factor, and at full factor exactly `share`.
+            let lost = (1.0 - factor) + factor * share;
+            if lost > 0.0 {
                 self.degraded_secs += span;
-                self.degraded_loss_secs += span * (1.0 - factor);
+                self.degraded_loss_secs += span * lost;
             }
-            self.up = to;
+            self.up = next;
         }
     }
 
-    /// Charge `loss_secs` of full-width training lost to running through a
-    /// fault degraded.
-    pub fn degrade(&mut self, loss_secs: f64) {
-        self.trained -= loss_secs;
-        self.degraded_loss_secs += loss_secs;
+    /// Open a degradation window: until `until`, the job gives up `share`
+    /// of its throughput whenever it is up.
+    pub fn degrade_until(&mut self, until: SimTime, share: f64) {
+        self.windows.push((until, share));
     }
 
     /// Book the recovery from a strike at `at`, its wait as `stages`
@@ -204,6 +218,12 @@ mod tests {
                 assert!(
                     (closed - horizon).abs() <= 1e-9 * horizon,
                     "{runner}, seed {seed}: books close at {closed} s, horizon {horizon} s"
+                );
+                assert!(
+                    l.degraded_loss_secs <= l.degraded_secs,
+                    "{runner}, seed {seed}: degraded loss {} s over {} s degraded",
+                    l.degraded_loss_secs,
+                    l.degraded_secs
                 );
                 let staged: f64 = l.stage_secs.iter().flatten().sum();
                 assert!(

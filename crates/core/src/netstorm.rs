@@ -29,15 +29,19 @@
 //! Everything is a pure function of (campaign, policy, rng).
 //!
 //! The job's [`Ledger`] books every strike on one timeline, as the storm
-//! and pipeline replays do: a primary or network fault that lands while
-//! the job is down is absorbed by the ongoing recovery. Which strikes an
-//! arm handles therefore depends on how long its recoveries keep the job
-//! down. Each handled network fault goes through the same three steps:
-//! break the fabric; decide the arm's answer from a (fault, arm) table
-//! (the wait as detect, localize and restart stages, restarts, pages,
-//! reroute, rollback); then book it, charge the degraded loss and heal the
-//! fabric in one place. Detect is the diagnosis where the arm diagnoses,
-//! localize the probe rounds, restart everything else.
+//! and pipeline replays do: a strike that lands while the job is down is
+//! absorbed by the ongoing recovery, and a degradation, absorbed or not,
+//! is paid only while the job is up. Which strikes an arm handles
+//! therefore depends on how long its recoveries keep the job down. Every
+//! network fault breaks the fabric and opens its degradation window (the
+//! stranded width or the step slowdown, until the fault ends) before the
+//! absorb check, so a ToR that dies during an outage still strands its
+//! hosts after the restart. A handled fault then goes through two more
+//! steps: decide the arm's answer from a (fault, arm) table (the wait as
+//! detect, localize and restart stages, restarts, pages, reroute,
+//! rollback); then book it and heal the fabric in one place. Detect is
+//! the diagnosis where the arm diagnoses, localize the probe rounds,
+//! restart everything else.
 
 use std::collections::BTreeSet;
 
@@ -47,7 +51,7 @@ use acme_cluster::FabricSpec;
 use acme_failure::storm::{NetFault, StormCampaign};
 use acme_failure::{FailureReason, NcclTester, OrchestratorConfig, RecoveryOrchestrator};
 use acme_obs::Rec;
-use acme_policy::{CheckpointChoice, NetRecoveryPolicy};
+use acme_policy::NetRecoveryPolicy;
 use acme_sim_core::{SimDuration, SimRng};
 use acme_training::checkpoint::{
     CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
@@ -154,15 +158,10 @@ impl NetStormRunner {
             .collect();
         let net_write = fabric.checkpoint_write_gbps(&writers);
         let scenario = base.with_remote_gbps(base.remote_gbps_per_writer.min(net_write));
-        let engine = CheckpointEngine::new(scenario);
-        let events_n = (campaign.events.len() + campaign.net_events.len()).max(1) as f64;
-        let tracker = DurabilityTracker::with_policy(
-            engine,
+        let tracker = DurabilityTracker::new(
+            CheckpointEngine::new(scenario),
             CheckpointMode::Asynchronous,
-            &CheckpointChoice::fixed(),
             CHECKPOINT_INTERVAL.as_secs_f64(),
-            campaign.horizon.as_secs_f64() / events_n,
-            0.0,
         );
 
         // A training step's wall time on the fabric as it stands; priced
@@ -192,9 +191,10 @@ impl NetStormRunner {
         stream.sort_by_key(|&(at, _, net)| (at, net.is_some()));
 
         for (at, reason, net) in stream {
-            if out.ledger.is_down(at) {
-                continue; // absorbed by the ongoing recovery
-            }
+            // A strike that lands while the job is down is absorbed by the
+            // ongoing recovery; only a network fault's degradation window
+            // outlives it.
+            let absorbed = out.ledger.is_down(at);
             out.ledger.run_until(at, 1.0);
             let (name, category) = (reason.label(), reason.spec().category);
             let rollback = tracker.loss_at(at.as_secs_f64());
@@ -202,14 +202,15 @@ impl NetStormRunner {
             // roll back to the durable position. The ablation isolates the
             // network dimension.
             let Some(e) = net else {
-                out.incidents += 1;
-                out.restarts += 1;
-                let stages = [DIAGNOSE, SimDuration::ZERO, RESTART];
-                out.ledger
-                    .book(at, name, category, stages, rollback, &mut Rec::off());
+                if !absorbed {
+                    out.incidents += 1;
+                    out.restarts += 1;
+                    let stages = [DIAGNOSE, SimDuration::ZERO, RESTART];
+                    out.ledger
+                        .book(at, name, category, stages, rollback, &mut Rec::off());
+                }
                 continue;
             };
-            out.net_faults += 1;
 
             // Break the fabric. A dead ToR strands every host under it
             // for the replacement lead time, whatever the arm does.
@@ -232,11 +233,19 @@ impl NetStormRunner {
                 }
             };
             // The share of throughput the job gives up while it runs on
-            // the broken fabric: the stranded width, or the step slowdown.
-            let loss = match &stranded {
+            // the broken fabric, until the fault ends: the stranded width,
+            // or the step slowdown. The ledger pays it only while the job
+            // is up.
+            let share = match &stranded {
                 Some(domain) => domain.len() as f64 / f64::from(tree_hosts),
                 None => 1.0 - (healthy_step / step_secs(&fabric)).min(1.0),
             };
+            out.ledger.degrade_until(at + e.duration, share);
+            if absorbed {
+                fabric.heal();
+                continue;
+            }
+            out.net_faults += 1;
             // The hosts localization sweeps: the stranded domain, else
             // the whole fleet.
             let world = stranded.as_deref().unwrap_or(&hosts);
@@ -360,19 +369,8 @@ impl NetStormRunner {
             out.manual_interventions += pages;
             out.reroutes += u32::from(reroute);
             let rollback = if rolled_back { rollback } else { 0.0 };
-            let wait = out
-                .ledger
+            out.ledger
                 .book(at, name, category, stages, rollback, &mut Rec::off());
-            // The job runs degraded for the whole lead time of a dead
-            // ToR, never on a flapping link it keeps restarting over, and
-            // otherwise for whatever the fault outlasts the wait.
-            let dur = e.duration.as_secs_f64();
-            let degraded = match e.fault {
-                NetFault::EdgeSwitchFail { .. } => dur,
-                NetFault::LinkFlap { .. } if !reroute => 0.0,
-                _ => (dur - wait.as_secs_f64()).max(0.0),
-            };
-            out.ledger.degrade(degraded * loss);
             fabric.heal();
         }
 
@@ -554,6 +552,60 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_degradation_is_paid_only_while_the_job_is_up() {
+        let congestion = |at| NetStormEvent {
+            at,
+            fault: NetFault::Congestion {
+                pod: 7,
+                factor_pct: 400,
+            },
+            duration: SimDuration::from_hours(2),
+        };
+        // Alone, naive's answer to this window keeps the job down 4,740 s
+        // and pays 641.02 s of slowdown for the 2,460 s the window
+        // outlasts it (the pinned congestion row).
+        let congestion_share = 641.0235945561892 / 2_460.0;
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-6;
+
+        // A ToR that dies 60 s into that outage is absorbed, yet strands
+        // its 4 of 128 hosts from the restart to the end of its 24 h.
+        let campaign = quiet_fortnight(vec![
+            congestion(QUIET_AT),
+            NetStormEvent {
+                at: QUIET_AT + SimDuration::from_secs(60),
+                fault: NetFault::EdgeSwitchFail { edge: 9 },
+                duration: SimDuration::from_hours(24),
+            },
+        ]);
+        let [naive, ..] = replay_arms(&campaign);
+        assert_eq!(naive.net_faults, 1);
+        assert_eq!(naive.ledger.downtime, SimDuration::from_secs(4_740));
+        let stranded = (86_400.0 - 4_680.0) / 32.0;
+        let loss = naive.ledger.degraded_loss_secs;
+        assert!(close(loss, 641.0235945561892 + stranded), "{loss}");
+
+        // A dead aggregation switch, then 6 h later the congestion window:
+        // the switch's share is not paid while naive is down for the
+        // window.
+        let campaign = quiet_fortnight(vec![
+            NetStormEvent {
+                at: QUIET_AT,
+                fault: NetFault::AggSwitchFail { pod: 3, agg: 1 },
+                duration: SimDuration::from_hours(24),
+            },
+            congestion(QUIET_AT + SimDuration::from_hours(6)),
+        ]);
+        let [naive, ..] = replay_arms(&campaign);
+        assert_eq!(naive.net_faults, 2);
+        // Alone, naive's answer to the switch keeps the job down 5,880 s.
+        let agg_share = 3034.0813858508213 / (86_400.0 - 5_880.0);
+        let outage = naive.ledger.downtime.as_secs_f64() - 5_880.0;
+        let both = 3034.0813858508213 + (7_200.0 - outage) * congestion_share;
+        let loss = naive.ledger.degraded_loss_secs;
+        assert!(close(loss, both - outage * agg_share), "{loss}");
+    }
+
+    #[test]
     fn outcomes_are_deterministic() {
         for (arm, p) in NetRecoveryPolicy::ALL.iter().enumerate() {
             let a = outcome(9, p, arm as u64);
@@ -586,7 +638,7 @@ pub(crate) mod tests {
                 flap,
                 SimDuration::from_mins(40),
                 [
-                    (1, 0, 0, 0, 720_000_000, 1043.0, 0.0),
+                    (1, 0, 0, 0, 720_000_000, 1043.0, 63.3042315974836),
                     (0, 1, 0, 0, 150_019_247, 0.0, 84.78172778440032),
                     (0, 1, 0, 0, 30_000_000, 0.0, 89.30418386073579),
                 ],
@@ -596,9 +648,9 @@ pub(crate) mod tests {
                 NetFault::EdgeSwitchFail { edge: 9 },
                 SimDuration::from_hours(24),
                 [
-                    (4, 0, 4, 0, 10_620_000_000, 1043.0, 2700.0),
-                    (1, 0, 0, 4, 1_320_000_000, 1043.0, 2700.0),
-                    (1, 0, 0, 1, 1_020_000_000, 1043.0, 2700.0),
+                    (4, 0, 4, 0, 10_620_000_000, 1043.0, 2368.125),
+                    (1, 0, 0, 4, 1_320_000_000, 1043.0, 2658.75),
+                    (1, 0, 0, 1, 1_020_000_000, 1043.0, 2668.125),
                 ],
             ),
             (

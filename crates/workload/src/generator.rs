@@ -26,21 +26,21 @@ use crate::job::{Cluster, JobRecord, JobStatus, JobType};
 
 /// Calibration for one workload type in one cluster.
 #[derive(Debug, Clone)]
-pub struct TypeProfile {
+struct TypeProfile {
     /// Workload category.
-    pub job_type: JobType,
+    job_type: JobType,
     /// Relative share of job count.
-    pub count_weight: f64,
+    count_weight: f64,
     /// `(gpus, weight)` demand buckets.
-    pub demand: Vec<(u32, f64)>,
+    demand: Vec<(u32, f64)>,
     /// Base runtime median, minutes.
-    pub duration_median_mins: f64,
+    duration_median_mins: f64,
     /// Base runtime mean, minutes.
-    pub duration_mean_mins: f64,
+    duration_mean_mins: f64,
     /// `(completed, failed, canceled)` weights.
-    pub status_weights: [f64; 3],
+    status_weights: [f64; 3],
     /// Runtime multiplier per status, same order.
-    pub status_duration_mult: [f64; 3],
+    status_duration_mult: [f64; 3],
 }
 
 /// A generated trace for one cluster.
@@ -183,16 +183,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The cluster this generator models.
-    pub fn cluster(&self) -> Cluster {
-        self.cluster
-    }
-
-    /// The per-type calibration table.
-    pub fn profiles(&self) -> &[TypeProfile] {
-        &self.profiles
-    }
-
     /// Jobs submitted per day at calibration scale.
     pub fn jobs_per_day(&self) -> f64 {
         self.jobs_per_day
@@ -203,141 +193,80 @@ impl WorkloadGenerator {
     /// Arrivals follow a Poisson process at the calibrated rate; job ids
     /// start at `first_id`. Queue delays are zero — the scheduler simulation
     /// fills them in for Figure 6.
-    ///
-    /// This is exactly [`Self::stream`] collected: the closed-world trace
-    /// is the materialization of the open-system arrival stream, drawing
-    /// the same RNG values in the same order.
     pub fn generate(&self, rng: &mut SimRng, days: f64, first_id: u64) -> ClusterWorkload {
+        let sampler = JobSampler::new(self);
+        let interarrival = Exponential::with_mean(86_400.0 / self.jobs_per_day);
+        let end = SimTime::ZERO + SimDuration::from_secs_f64(days * 86_400.0);
+        let mut jobs = Vec::new();
+        let mut t = SimTime::ZERO;
+        loop {
+            t += SimDuration::from_secs_f64(interarrival.sample(rng));
+            if t > end {
+                break;
+            }
+            jobs.push(sampler.sample(first_id + jobs.len() as u64, t, rng));
+        }
         ClusterWorkload {
             cluster: self.cluster,
-            jobs: self.stream(rng, days, first_id).collect(),
-        }
-    }
-
-    /// Lazily yield `days` of submissions one [`JobRecord`] at a time —
-    /// the open-system view of the same process [`Self::generate`]
-    /// materializes. The generator borrows `rng`, so sequential callers
-    /// observe the identical post-stream RNG state the closed-world loop
-    /// left behind.
-    pub fn stream<'a>(
-        &'a self,
-        rng: &'a mut SimRng,
-        days: f64,
-        first_id: u64,
-    ) -> StreamingGenerator<'a> {
-        StreamingGenerator {
-            generator: self,
-            rng,
-            horizon: SimDuration::from_secs_f64(days * 86_400.0),
-            interarrival: Exponential::with_mean(86_400.0 / self.jobs_per_day),
-            type_picker: Categorical::new(
-                &self
-                    .profiles
-                    .iter()
-                    .map(|p| p.count_weight)
-                    .collect::<Vec<_>>(),
-            ),
-            samplers: self.profiles.iter().map(ProfileSampler::new).collect(),
-            t: SimTime::ZERO,
-            id: first_id,
-            done: false,
+            jobs,
         }
     }
 }
 
-/// A lazy open-system arrival stream over one cluster's calibrated
-/// workload: each `next()` draws one Poisson inter-arrival gap and one
-/// job's type/demand/status/duration, in the exact order the historical
-/// closed-world loop drew them. Memory is O(1) in stream length, which is
-/// what lets the fleet experiment push 10⁶⁺ jobs without materializing a
-/// trace.
-pub struct StreamingGenerator<'a> {
-    generator: &'a WorkloadGenerator,
-    rng: &'a mut SimRng,
-    horizon: SimDuration,
-    interarrival: Exponential,
+/// One cluster's job sampler: the type picker and each profile's cached
+/// samplers. [`WorkloadGenerator::generate`] and the fleet stream in
+/// [`crate::stream`] draw every job through it, so the trace and the
+/// fleet sample one population in one draw order.
+pub(crate) struct JobSampler {
+    cluster: Cluster,
     type_picker: Categorical,
-    samplers: Vec<ProfileSampler>,
-    t: SimTime,
-    id: u64,
-    done: bool,
+    profiles: Vec<ProfileSampler>,
 }
 
-impl StreamingGenerator<'_> {
-    /// The id the next yielded job will carry.
-    pub fn next_id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl Iterator for StreamingGenerator<'_> {
-    type Item = JobRecord;
-
-    fn next(&mut self) -> Option<JobRecord> {
-        if self.done {
-            return None;
-        }
-        self.t += SimDuration::from_secs_f64(self.interarrival.sample(self.rng));
-        if self.t.saturating_since(SimTime::ZERO) > self.horizon {
-            self.done = true;
-            return None;
-        }
-        let p = self.type_picker.sample_index(self.rng);
-        let job = self.samplers[p].sample(
-            self.generator.cluster,
-            self.id,
-            self.t,
-            &self.generator.profiles[p],
-            self.rng,
-        );
-        self.id += 1;
-        Some(job)
-    }
-}
-
-/// Cached samplers for one profile. `pub(crate)` so the fleet stream in
-/// [`crate::stream`] can draw per-job attributes with the exact
-/// closed-world draw order.
-pub(crate) struct ProfileSampler {
+/// One profile with its samplers built.
+struct ProfileSampler {
+    profile: TypeProfile,
     demand: Categorical,
     duration: LogNormal,
     status: Categorical,
 }
 
-impl ProfileSampler {
-    pub(crate) fn new(p: &TypeProfile) -> Self {
-        ProfileSampler {
+impl JobSampler {
+    pub(crate) fn new(generator: &WorkloadGenerator) -> Self {
+        let weights: Vec<f64> = generator.profiles.iter().map(|p| p.count_weight).collect();
+        let profiles = generator.profiles.iter().map(|p| ProfileSampler {
+            profile: p.clone(),
             demand: Categorical::new(&p.demand.iter().map(|&(_, w)| w).collect::<Vec<_>>()),
             duration: LogNormal::from_median_mean(p.duration_median_mins, p.duration_mean_mins),
             status: Categorical::new(&p.status_weights),
+        });
+        JobSampler {
+            cluster: generator.cluster,
+            type_picker: Categorical::new(&weights),
+            profiles: profiles.collect(),
         }
     }
 
+    /// Draw job `id`, submitted at `submit`: its type, then its demand,
+    /// status and duration.
     #[inline]
-    pub(crate) fn sample(
-        &self,
-        cluster: Cluster,
-        id: u64,
-        submit: SimTime,
-        profile: &TypeProfile,
-        rng: &mut SimRng,
-    ) -> JobRecord {
-        let gpus = profile.demand[self.demand.sample_index(rng)].0;
-        let status_idx = self.status.sample_index(rng);
-        let status = JobStatus::ALL[status_idx];
-        let mins = self.duration.sample(rng) * profile.status_duration_mult[status_idx];
+    pub(crate) fn sample(&self, id: u64, submit: SimTime, rng: &mut SimRng) -> JobRecord {
+        let p = &self.profiles[self.type_picker.sample_index(rng)];
+        let gpus = p.profile.demand[p.demand.sample_index(rng)].0;
+        let status_idx = p.status.sample_index(rng);
+        let mins = p.duration.sample(rng) * p.profile.status_duration_mult[status_idx];
         // Floor at 5 simulated seconds: even instantly failing jobs occupy
         // the scheduler briefly.
         let duration = SimDuration::from_secs_f64((mins * 60.0).max(5.0));
         JobRecord {
             id,
-            cluster,
-            job_type: profile.job_type,
+            cluster: self.cluster,
+            job_type: p.profile.job_type,
             submit,
             queue_delay: SimDuration::ZERO,
             duration,
             gpus,
-            status,
+            status: JobStatus::ALL[status_idx],
         }
     }
 }
@@ -551,32 +480,5 @@ mod tests {
         let a = WorkloadGenerator::kalos().generate(&mut r1, 10.0, 0);
         let b = WorkloadGenerator::kalos().generate(&mut r2, 10.0, 0);
         assert_eq!(a.jobs, b.jobs);
-    }
-
-    #[test]
-    fn stream_collect_equals_generate() {
-        let g = WorkloadGenerator::seren();
-        let mut r1 = SimRng::new(11);
-        let mut r2 = SimRng::new(11);
-        let closed = g.generate(&mut r1, 3.0, 50);
-        let streamed: Vec<JobRecord> = g.stream(&mut r2, 3.0, 50).collect();
-        assert_eq!(closed.jobs, streamed);
-        // Parent RNG state advances identically (next draw agrees).
-        assert_eq!(r1.next_u64(), r2.next_u64());
-    }
-
-    #[test]
-    fn stream_is_lazy_and_fused() {
-        let g = WorkloadGenerator::kalos();
-        let mut rng = SimRng::new(5);
-        let mut s = g.stream(&mut rng, 2.0, 0);
-        assert_eq!(s.next_id(), 0);
-        let first = s.next().unwrap();
-        assert_eq!(first.id, 0);
-        assert_eq!(s.next_id(), 1);
-        let rest: Vec<JobRecord> = s.by_ref().collect();
-        assert!(!rest.is_empty());
-        assert!(s.next().is_none(), "stays exhausted after the horizon");
-        assert!(s.next().is_none());
     }
 }

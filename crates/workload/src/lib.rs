@@ -24,7 +24,7 @@ pub mod job;
 pub mod stats;
 pub mod stream;
 
-pub use generator::{ClusterWorkload, StreamingGenerator, WorkloadGenerator};
+pub use generator::{ClusterWorkload, WorkloadGenerator};
 pub use job::{JobRecord, JobStatus, JobType};
 pub use stats::{StreamTraceStats, TraceStats};
 pub use stream::{FleetConfig, FleetJob, FleetShardStats, FleetStream};

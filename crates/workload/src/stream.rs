@@ -23,11 +23,11 @@
 //!   1/256 of a day, so only the candidates whose uniform falls inside
 //!   their cell's bracket (under 1%) evaluate `sin`; every decision is
 //!   the one the exact expression makes.
-//! * **Per-job attribute draws reuse the closed-world samplers.** After
-//!   tenant and cluster are chosen, type/demand/status/duration come from
-//!   the exact `ProfileSampler` sequence `WorkloadGenerator::generate`
-//!   uses, so fleet jobs are distributionally the same population the
-//!   calibrated figures were validated against.
+//! * **One job sampler for the trace and the fleet.** After tenant and
+//!   cluster are chosen, type/demand/status/duration come from the
+//!   cluster's `JobSampler`, the one `WorkloadGenerator::generate` draws
+//!   every trace job with, so fleet jobs are distributionally the same
+//!   population the calibrated figures were validated against.
 //!
 //! Shard clocks start at `lo · mean_gap` (the expected submit time of
 //! arrival `lo`), so shard boundaries introduce a seam in absolute time
@@ -39,7 +39,7 @@ use acme_sim_core::dist::{Categorical, Distribution, Exponential, Zipf};
 use acme_sim_core::{SimRng, SimTime};
 use acme_telemetry::QuantileSketch;
 
-use crate::generator::{ProfileSampler, WorkloadGenerator};
+use crate::generator::{JobSampler, WorkloadGenerator};
 use crate::job::JobRecord;
 use crate::stats::StreamTraceStats;
 
@@ -135,32 +135,6 @@ pub struct FleetJob {
     pub job: JobRecord,
 }
 
-/// Per-cluster sampling state reused from the closed-world generators.
-struct ClusterArm {
-    generator: WorkloadGenerator,
-    type_picker: Categorical,
-    samplers: Vec<ProfileSampler>,
-}
-
-impl ClusterArm {
-    fn new(generator: WorkloadGenerator) -> Self {
-        let weights: Vec<f64> = generator
-            .profiles()
-            .iter()
-            .map(|p| p.count_weight)
-            .collect();
-        ClusterArm {
-            type_picker: Categorical::new(&weights),
-            samplers: generator
-                .profiles()
-                .iter()
-                .map(ProfileSampler::new)
-                .collect(),
-            generator,
-        }
-    }
-}
-
 /// The lazy arrival stream of one fleet shard: yields exactly
 /// `hi − lo` [`FleetJob`]s, O(1) memory, pure function of
 /// `(config, shard index)`.
@@ -179,7 +153,7 @@ pub struct FleetStream {
     bracket: [(f64, f64); CELLS],
     zipf: Zipf,
     cluster_picker: Categorical,
-    arms: [ClusterArm; 2],
+    arms: [JobSampler; 2],
     t_secs: f64,
     next_id: u64,
     remaining: u64,
@@ -245,7 +219,7 @@ impl FleetStream {
             bracket,
             zipf: Zipf::new(config.tenants, config.zipf_s),
             cluster_picker: Categorical::new(&[seren.jobs_per_day(), kalos.jobs_per_day()]),
-            arms: [ClusterArm::new(seren), ClusterArm::new(kalos)],
+            arms: [JobSampler::new(&seren), JobSampler::new(&kalos)],
             t_secs: lo as f64 * 86_400.0 / combined_per_day,
             next_id: lo,
             remaining: hi - lo,
@@ -287,14 +261,8 @@ impl FleetStream {
     fn arrival(&mut self) -> FleetJob {
         let tenant = self.zipf.sample_index(&mut self.rng) as u32;
         let arm = &self.arms[self.cluster_picker.sample_index(&mut self.rng)];
-        let p = arm.type_picker.sample_index(&mut self.rng);
-        let job = arm.samplers[p].sample(
-            arm.generator.cluster(),
-            self.next_id,
-            SimTime::from_secs_f64(self.t_secs),
-            &arm.generator.profiles()[p],
-            &mut self.rng,
-        );
+        let submit = SimTime::from_secs_f64(self.t_secs);
+        let job = arm.sample(self.next_id, submit, &mut self.rng);
         self.next_id += 1;
         FleetJob { tenant, job }
     }
