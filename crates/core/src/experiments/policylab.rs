@@ -1,9 +1,9 @@
 //! `policylab` — the recovery-policy Pareto sweep.
 //!
 //! The storm (#37) and evalstorm (#38) ablations each compare three
-//! hardwired arms. This experiment is the generalization ROADMAP item 4
-//! asked for: every hardwired recovery choice is a policy object
-//! (`acme-policy`), and the sweep replays the fault storm for
+//! hardwired arms. This experiment is the generalization the policy-lab
+//! ROADMAP item asked for: every hardwired recovery choice is a policy
+//! object (`acme-policy`), and the sweep replays the fault storm for
 //! every (policy bundle, seed, fault intensity) combination — the
 //! intensity axis reuses `StormConfig::scaled`, stretching the campaign
 //! horizon 1×/2×/3× — then reports each bundle's position in the Pareto

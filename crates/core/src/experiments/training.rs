@@ -6,9 +6,9 @@ use acme_sim_core::{SimDuration, SimRng};
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
 use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
-use acme_training::{
-    MemoryModel, ModelConfig, ProgressSim, RecoveryPolicy, StepTimeline, Strategy,
-};
+use acme_training::{MemoryModel, ModelConfig, StepTimeline, Strategy};
+
+use crate::progress::{ProgressSim, RecoveryPolicy};
 
 /// Tokens per optimizer step in the §4.1 profiles.
 const GLOBAL_BATCH: u64 = 4 * 1024 * 1024;
@@ -245,10 +245,10 @@ pub fn fig14(seed: u64) -> String {
             name.to_owned(),
             trace.final_iteration.to_string(),
             trace.lost_iterations.to_string(),
-            f(trace.downtime.as_hours_f64(), 1),
+            f(trace.ledger.downtime.as_hours_f64(), 1),
             trace.restarts.to_string(),
             trace.manual_interventions.to_string(),
-            f(trace.goodput_iters_per_hour(horizon), 0),
+            f(trace.goodput_iters_per_hour(), 0),
         ]);
     }
     format!(

@@ -1,9 +1,9 @@
 //! One job timeline for the §6.1 replays.
 //!
-//! [`crate::storm`], [`crate::netstorm`] and [`crate::pipeline`] each
-//! replay one pretraining job through its failures. Their runners only
-//! decide how to answer each strike; a [`Ledger`] books the answers, by
-//! one set of rules:
+//! [`crate::storm`], [`crate::netstorm`], [`crate::pipeline`] and
+//! [`crate::progress`] (Figure 14) each replay one pretraining job through
+//! its failures. Their runners only decide how to answer each strike; a
+//! [`Ledger`] books the answers, by one set of rules:
 //!
 //! * a strike that lands while the job is down is absorbed by the ongoing
 //!   recovery: it is neither handled nor charged;
@@ -192,6 +192,7 @@ impl Ledger {
 mod tests {
     use crate::netstorm::tests as netstorm;
     use crate::pipeline::tests as pipeline;
+    use crate::progress::tests as progress;
     use crate::storm::{tests as storm, StormPolicy};
     use acme_policy::NetRecoveryPolicy;
 
@@ -210,7 +211,19 @@ mod tests {
                 let r = pipeline::campaign(automatic, seed);
                 (format!("pipeline automatic={automatic}"), r.ledger)
             });
-            for (runner, l) in storm.into_iter().chain(net).chain(pipeline) {
+            // fig14 keeps whole iterations: its useful time exceeds the
+            // kept iterations' by the last iteration's unfinished part.
+            let fig14 = progress::fig14(seed).map(|(label, iter_time, t)| {
+                let iter = iter_time.as_secs_f64();
+                let unkept = t.ledger.useful_secs() - t.final_iteration as f64 * iter;
+                assert!(
+                    (0.0..iter).contains(&unkept),
+                    "fig14 {label}, seed {seed}: {unkept} s useful beyond the kept iterations"
+                );
+                (format!("fig14 {label}"), t.ledger)
+            });
+            let runners = storm.into_iter().chain(net).chain(pipeline).chain(fig14);
+            for (runner, l) in runners {
                 let horizon = l.horizon.as_secs_f64();
                 let down = l.downtime.as_secs_f64();
                 let closed = l.useful_secs() + l.rollback_secs + l.degraded_loss_secs + down

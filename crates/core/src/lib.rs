@@ -12,8 +12,10 @@
 //! * [`storm`] — replays an adversarial fault storm under the recovery
 //!   escalation ladder's ablation arms (naive restart / retry + backoff /
 //!   full orchestrator with spares);
-//! * [`ledger`] — the one job timeline that the storm, netstorm and
-//!   pipeline replays book their recoveries on.
+//! * [`progress`] — Figure 14's training progress under failures, manual
+//!   recovery against the §6.1 automatic system;
+//! * [`ledger`] — the one job timeline that the storm, netstorm, pipeline
+//!   and progress replays book their recoveries on.
 //!
 //! # Quickstart
 //!
@@ -34,6 +36,7 @@ pub mod ledger;
 pub mod monitor;
 pub mod netstorm;
 pub mod pipeline;
+pub mod progress;
 pub mod storm;
 
 pub use datacenter::{Acme, AcmeTrace};

@@ -20,7 +20,6 @@ use acme_evaluation::coordinator::{run as run_eval, Scheduler};
 use acme_failure::taxonomy::FailureCategory;
 use acme_failure::{
     full_rule_report, FailureInjector, FailureReason, NcclTester, RecoveryAction, RecoveryManager,
-    Watchdog, WatchdogState,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_sim_core::dist::Categorical;
@@ -30,7 +29,7 @@ use acme_training::checkpoint::{
 };
 
 use crate::ledger::Ledger;
-use crate::storm::manual_delay;
+use crate::storm::{manual_delay, DIAGNOSE, NCCL_LOCALIZE, RESTART, WATCHDOG};
 
 /// What interrupted the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,19 +168,17 @@ impl FaultTolerantTrainer {
                 _ => Interruption::Error(infra[infra_picker.sample_index(rng)]),
             };
 
-            let (action, diagnose_mins) = match kind {
+            let (action, detect) = match kind {
                 Interruption::Error(reason) => {
                     let report = full_rule_report(reason, 150, rng);
-                    (RecoveryManager.decide(report), 2.0)
+                    (RecoveryManager.decide(report), DIAGNOSE)
                 }
-                Interruption::SilentHang => {
-                    // The watchdog fires after its timeout of silence.
-                    let w = Watchdog::standard(at);
-                    let noticed = at + SimDuration::from_mins(31);
-                    assert_eq!(w.check(noticed), WatchdogState::Stuck);
-                    (RecoveryManager.decide_stuck(), 31.0)
-                }
-                Interruption::LossSpike => (RecoveryManager.decide_loss_spike(), 1.0),
+                // The watchdog fires after its timeout of silence.
+                Interruption::SilentHang => (RecoveryManager.decide_stuck(), WATCHDOG),
+                Interruption::LossSpike => (
+                    RecoveryManager.decide_loss_spike(),
+                    SimDuration::from_mins(1),
+                ),
             };
 
             // Rollback: to the durable checkpoint (one interval earlier
@@ -192,11 +189,11 @@ impl FaultTolerantTrainer {
                 lost += self.checkpoint_interval.as_secs_f64();
             }
 
-            // Recovery wall time: detect (diagnosis) → localize (NCCL
-            // rounds) → restart (human reaction + cold start).
-            let detect = SimDuration::from_mins_f64(diagnose_mins);
+            // Recovery wall time: detect (diagnosis, watchdog or loss
+            // monitor) → localize (NCCL rounds) → restart (human reaction +
+            // cold start).
             let mut localize = SimDuration::ZERO;
-            let mut restart = SimDuration::from_mins(10); // cold start + checkpoint load
+            let mut restart = RESTART; // cold start + checkpoint load
             let needs_human = if self.automatic {
                 action.needs_human()
             } else {
@@ -211,7 +208,7 @@ impl FaultTolerantTrainer {
                     let faulty = std::iter::once(rng.below(FLEET_NODES as u64) as usize).collect();
                     let result = NcclTester::new(FLEET_NODES).run(&faulty);
                     out.nodes_cordoned += result.identified.len() as u32;
-                    localize = SimDuration::from_mins(5); // two NCCL rounds
+                    localize = NCCL_LOCALIZE; // two NCCL rounds
                 }
             }
 

@@ -38,9 +38,7 @@
 
 use acme_cluster::SparePool;
 use acme_failure::storm::StormCampaign;
-use acme_failure::{
-    full_rule_report, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator, Watchdog,
-};
+use acme_failure::{full_rule_report, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator};
 use acme_obs::{ArgValue, Rec};
 use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel, RetryPolicy};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
@@ -202,6 +200,16 @@ pub(crate) const NCCL_LOCALIZE: SimDuration = SimDuration::from_mins(5);
 pub(crate) const RESTART: SimDuration = SimDuration::from_mins(10);
 pub(crate) const FLAP_REFAIL: SimDuration = SimDuration::from_mins(5);
 pub(crate) const BUG_REFAIL: SimDuration = SimDuration::from_mins(2);
+
+/// The stuck-job watchdog (§5.3, Appendix A.1): a hang raises no error, and
+/// the paper's users found such jobs only "upon manual inspection". After
+/// 30 minutes without an iteration it declares the job stuck, in the first
+/// whole minute past the timeout, and recovery runs as for a diagnosis.
+pub(crate) const WATCHDOG: SimDuration = SimDuration::from_mins(31);
+/// The tighter watchdog the escalation ladder arms over a restart window: a
+/// restarted job silent for 10 minutes is wedged, and waiting out the
+/// steady-state timeout would only burn fleet time. It fires at 11 minutes.
+pub(crate) const RECOVERY_WATCHDOG: SimDuration = SimDuration::from_mins(11);
 
 /// Live fleet capacity: the Kalos-default spare pool, uncovered losses,
 /// and the repair queue that eventually returns cordoned nodes to
@@ -437,14 +445,8 @@ impl StormRunner {
                         // back wedged; the tight recovery watchdog catches
                         // it and one more restart cycle runs.
                         if e.hang_in_recovery {
-                            let w = Watchdog::recovery(e.at + wait);
-                            let timeout = SimDuration::from_mins(11);
-                            assert_eq!(
-                                w.check(e.at + wait + timeout),
-                                acme_failure::WatchdogState::Stuck
-                            );
-                            wait += timeout + RESTART;
-                            detect += timeout;
+                            wait += RECOVERY_WATCHDOG + RESTART;
+                            detect += RECOVERY_WATCHDOG;
                             out.crash_loop_restarts += 1;
                         }
 
@@ -497,9 +499,9 @@ impl StormRunner {
 
                     if e.hang_in_recovery {
                         // Nobody armed a recovery watchdog: the wedge sits
-                        // until the steady-state 30-minute watchdog fires.
-                        wait += SimDuration::from_mins(31) + RESTART;
-                        detect += SimDuration::from_mins(31);
+                        // until the steady-state watchdog fires.
+                        wait += WATCHDOG + RESTART;
+                        detect += WATCHDOG;
                         out.crash_loop_restarts += 1;
                     }
 
@@ -577,22 +579,27 @@ fn strike(
     cordon
 }
 
-/// Human reaction time: short in the day, until-morning at night (§5.3) —
-/// the same clock the friendly-world campaign uses (and the netstorm
-/// runner, so network pages cost what node pages cost).
-pub(crate) fn manual_delay(at: SimTime, rng: &mut SimRng) -> SimDuration {
-    let hour = (at.as_secs() / 3600) % 24;
-    if (8..23).contains(&hour) {
-        SimDuration::from_mins(rng.range_u64(15, 45))
+/// Human reaction time to a page at `at` (§5.3): `daytime` draws it from
+/// 08:00 to 23:00; at night the on-call sleeps until 08:00 and then takes
+/// a 10–40 min coffee. The one on-call clock of every replay.
+pub(crate) fn reaction(
+    at: SimTime,
+    rng: &mut SimRng,
+    daytime: impl FnOnce(&mut SimRng) -> SimDuration,
+) -> SimDuration {
+    let secs_into_day = at.as_secs() % 86_400;
+    if (8 * 3600..23 * 3600).contains(&secs_into_day) {
+        daytime(rng)
     } else {
-        let secs_into_day = at.as_secs() % 86_400;
-        let to_morning = if secs_into_day < 8 * 3600 {
-            8 * 3600 - secs_into_day
-        } else {
-            86_400 - secs_into_day + 8 * 3600
-        };
+        let to_morning = (86_400 + 8 * 3600 - secs_into_day) % 86_400;
         SimDuration::from_secs(to_morning) + SimDuration::from_mins(rng.range_u64(10, 40))
     }
+}
+
+/// The on-call [`reaction`] of the storm, netstorm and pipeline replays:
+/// 15–45 min by day, so network pages cost what node pages cost.
+pub(crate) fn manual_delay(at: SimTime, rng: &mut SimRng) -> SimDuration {
+    reaction(at, rng, |rng| SimDuration::from_mins(rng.range_u64(15, 45)))
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //!   nodes;
 //! * [`recovery`] — the decision policy mapping a diagnosis to an action
 //!   (auto-restart, node cordon, loss-spike rollback, or human handoff);
+//!   a hang raises no error, so a stuck job reaches it once the replay's
+//!   watchdog timeout has passed;
 //! * [`storm`] — adversarial fault-storm generation: correlated cascades,
 //!   flapping nodes, corrupt checkpoints and hangs that strike during
 //!   recovery, all deterministic from a seed;
@@ -38,7 +40,6 @@ pub mod orchestrator;
 pub mod recovery;
 pub mod storm;
 pub mod taxonomy;
-pub mod watchdog;
 
 pub use compress::{LogAgent, LogCompressor};
 pub use detect::{NcclTester, TwoRoundResult};
@@ -52,4 +53,3 @@ pub use storm::{
     StormEngine, StormEvent,
 };
 pub use taxonomy::{FailureCategory, FailureReason, FailureSpec};
-pub use watchdog::{Watchdog, WatchdogState};

@@ -14,9 +14,11 @@
 //!   step (compute bursts, pipeline bubbles, collective phases, MoE
 //!   all-to-all stalls);
 //! * [`checkpoint`] — synchronous vs asynchronous checkpointing cost
-//!   (§6.1's 3.6–58.7× blocking-time reduction);
-//! * [`progress`] — long-horizon training progress under failures and
-//!   restarts (Figure 14).
+//!   (§6.1's 3.6–58.7× blocking-time reduction).
+//!
+//! Training progress under failures and restarts (Figure 14) is a replay
+//! of one job through its failures, so it lives in the `acme` crate beside
+//! the other §6.1 replays, whose job ledger books it.
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,6 @@ pub mod loss;
 pub mod memory;
 pub mod model;
 pub mod parallelism;
-pub mod progress;
 pub mod timeline;
 
 pub use checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
@@ -36,5 +37,4 @@ pub use loss::{LossCurve, SpikeDetector};
 pub use memory::{MemoryModel, MemorySnapshot};
 pub use model::ModelConfig;
 pub use parallelism::Strategy;
-pub use progress::{ProgressSim, RecoveryPolicy};
 pub use timeline::StepTimeline;

@@ -1,10 +1,7 @@
 //! Property-based tests for the training models.
 
-use acme_sim_core::{SimDuration, SimRng, SimTime};
 use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
-use acme_training::{
-    MemoryModel, ModelConfig, ProgressSim, RecoveryPolicy, StepTimeline, Strategy,
-};
+use acme_training::{MemoryModel, ModelConfig, StepTimeline, Strategy};
 use proptest::prelude::*;
 
 proptest! {
@@ -62,31 +59,6 @@ proptest! {
         prop_assert!(o2 < o1);
         for mode in [CheckpointMode::Synchronous, CheckpointMode::Asynchronous] {
             prop_assert!(e.durable_secs(mode) >= e.blocking_secs(mode) - 1e-12);
-        }
-    }
-
-    /// Progress simulation: kept iterations never exceed the failure-free
-    /// bound; downtime and losses are zero without failures.
-    #[test]
-    fn progress_invariants(seed in any::<u64>(), n_failures in 0usize..10, iter_secs in 5u64..60) {
-        let horizon = SimDuration::from_days(7);
-        let failures: Vec<SimTime> = (0..n_failures)
-            .map(|i| SimTime::from_secs((i as u64 + 1) * 50_000))
-            .filter(|t| t.as_secs() < horizon.as_secs())
-            .collect();
-        let sim = ProgressSim::new(SimDuration::from_secs(iter_secs), RecoveryPolicy::automatic());
-        let mut rng = SimRng::new(seed);
-        let trace = sim.run(&mut rng, &failures, horizon);
-        let bound = horizon.as_secs() / iter_secs;
-        prop_assert!(trace.final_iteration <= bound);
-        prop_assert!(trace.restarts as usize <= failures.len());
-        if failures.is_empty() {
-            prop_assert_eq!(trace.final_iteration, bound);
-            prop_assert_eq!(trace.lost_iterations, 0);
-        }
-        // Points are monotone in time.
-        for w in trace.points.windows(2) {
-            prop_assert!(w[1].0 >= w[0].0);
         }
     }
 }

@@ -10,13 +10,13 @@
 //! cargo run -p acme --example pretrain_fault_tolerance
 //! ```
 
+use acme::progress::{ProgressSim, RecoveryPolicy};
 use acme_failure::{
     DiagnosisPipeline, FailureInjector, FailureReason, LogBundle, NcclTester, RecoveryAction,
     RecoveryManager,
 };
 use acme_sim_core::{SimDuration, SimRng};
 use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
-use acme_training::{ProgressSim, RecoveryPolicy};
 
 fn main() {
     let horizon = SimDuration::from_days(21);
@@ -84,7 +84,7 @@ fn main() {
             "  {name}: {:>7} iterations kept | {:>6} recomputed | {:>5.1} h down | {} manual interventions",
             trace.final_iteration,
             trace.lost_iterations,
-            trace.downtime.as_hours_f64(),
+            trace.ledger.downtime.as_hours_f64(),
             trace.manual_interventions
         );
     }
