@@ -158,18 +158,17 @@ pub fn preempt(seed: u64) -> String {
         "preemptions",
         "wasted GPU-hours",
     ]);
-    t.row([
-        "quota reservation (production)".to_owned(),
-        f(pre_delay(&reservation.jobs), 2),
-        "0".to_owned(),
-        "0.0".to_owned(),
-    ]);
-    t.row([
-        "priority preemption (prior DL schedulers)".to_owned(),
-        f(pre_delay(&preemptive.jobs), 2),
-        preemptive.preemptions.to_string(),
-        f(preemptive.wasted_gpu_seconds / 3600.0, 1),
-    ]);
+    for (policy, out) in [
+        ("quota reservation (production)", &reservation),
+        ("priority preemption (prior DL schedulers)", &preemptive),
+    ] {
+        t.row([
+            policy.to_owned(),
+            f(pre_delay(&out.jobs), 2),
+            out.preemptions.to_string(),
+            f(out.wasted_gpu_seconds / 3600.0, 1),
+        ]);
+    }
     let verdict = preempt_verdict(
         [pre_delay(&reservation.jobs), pre_delay(&preemptive.jobs)],
         preemptive.waste_fraction(),

@@ -12,7 +12,10 @@
 //! [`sim::ClusterScheduler`] is a discrete-event simulator implementing that
 //! policy (reserving no GPUs is the single-pool ablation), and
 //! [`sim::coalesce_eval_batches`] models the paper's observation that
-//! evaluation trials are submitted in simultaneous batches.
+//! evaluation trials are submitted in simultaneous batches. The §3.1
+//! ablation, [`preempt::PreemptiveScheduler`], runs the same loop on one
+//! pool with eviction in place of the reservation, so the two arms share
+//! one queue discipline and their outcomes one type.
 
 #![warn(missing_docs)]
 
@@ -23,5 +26,5 @@ pub mod sim;
 mod testkit;
 
 pub use config::SchedulerConfig;
-pub use preempt::{PreemptionOutcome, PreemptiveScheduler};
+pub use preempt::PreemptiveScheduler;
 pub use sim::{coalesce_eval_batches, ClusterScheduler, ScheduleOutcome};

@@ -4,52 +4,16 @@
 //! The paper argues that "the considerable recovery overhead makes them
 //! not applicable to LLM workloads": every preemption of a big job
 //! discards the work since its last checkpoint and pays a restore cost on
-//! resume. This module implements such a scheduler so the claim can be
-//! measured — the experiment compares it against quota reservation on the
-//! same trace and prices the wasted GPU time.
+//! resume. [`PreemptiveScheduler`] is that policy as an eviction option of
+//! the one scheduler loop in [`crate::sim`], so the experiment compares it
+//! against quota reservation on the same trace and queue discipline, and
+//! prices the wasted GPU time.
 
-use std::collections::BTreeMap;
-
-use acme_sim_core::{EventQueue, SimDuration, SimTime};
+use acme_sim_core::SimDuration;
 use acme_workload::JobRecord;
 
 use crate::config::SchedulerConfig;
-
-/// Outcome of a preemptive schedule.
-#[derive(Debug)]
-pub struct PreemptionOutcome {
-    /// Jobs with queue delays filled in (first-start delay), input order.
-    pub jobs: Vec<JobRecord>,
-    /// Total preemption events.
-    pub preemptions: u32,
-    /// GPU-seconds of work discarded plus restore overhead paid.
-    pub wasted_gpu_seconds: f64,
-    /// When the last job finished.
-    pub finished_at: SimTime,
-}
-
-impl PreemptionOutcome {
-    /// Wasted GPU time as a fraction of useful GPU time.
-    pub fn waste_fraction(&self) -> f64 {
-        let useful: f64 = self.jobs.iter().map(|j| j.gpu_seconds()).sum();
-        self.wasted_gpu_seconds / useful
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrive(usize),
-    /// Finish attempt carrying the generation at scheduling time; stale
-    /// generations (the job was preempted meanwhile) are ignored.
-    Finish(usize, u32),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    started: SimTime,
-    remaining_at_start: SimDuration,
-    generation: u32,
-}
+use crate::sim::{schedule, ScheduleOutcome};
 
 /// A priority scheduler that preempts instead of reserving.
 #[derive(Debug, Clone, Copy)]
@@ -65,138 +29,15 @@ pub struct PreemptiveScheduler {
 }
 
 impl PreemptiveScheduler {
-    /// Run the trace.
+    /// Run the trace on one pool of `total_gpus` with no reservation. A
+    /// job that does not fit evicts running jobs of strictly lower
+    /// priority, most recently started first, if that makes room.
     ///
     /// # Panics
     /// Panics if a job demands more GPUs than the cluster has.
-    pub fn run(&self, mut jobs: Vec<JobRecord>) -> PreemptionOutcome {
-        for j in &jobs {
-            assert!(
-                j.gpus <= self.total_gpus,
-                "job {} demands {} GPUs of {}",
-                j.id,
-                j.gpus,
-                self.total_gpus
-            );
-        }
-        let n = jobs.len();
-        let mut queue = EventQueue::with_capacity(n + 1);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| jobs[i].submit);
-        for &i in &order {
-            queue.schedule(jobs[i].submit, Event::Arrive(i));
-        }
-
-        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); SchedulerConfig::PRIORITY_LEVELS];
-        // The running jobs by index, ascending: the order in which a scan
-        // over all n jobs meets them, which the stable victim sort keeps
-        // among jobs that started at the same instant.
-        let mut running: BTreeMap<usize, Running> = BTreeMap::new();
-        let mut remaining: Vec<SimDuration> = jobs.iter().map(|j| j.duration).collect();
-        let mut first_start: Vec<Option<SimTime>> = vec![None; n];
-        let mut used: u32 = 0;
-        let mut preemptions = 0u32;
-        let mut wasted = 0.0f64;
-        let mut finished_at = SimTime::ZERO;
-
-        while let Some((now, event)) = queue.pop() {
-            match event {
-                Event::Arrive(i) => {
-                    let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
-                    waiting[p].push(i);
-                }
-                Event::Finish(i, generation) => {
-                    let Some(r) = running.get(&i) else { continue };
-                    if r.generation != generation {
-                        continue; // stale: the job was preempted
-                    }
-                    running.remove(&i);
-                    used -= jobs[i].gpus;
-                    remaining[i] = SimDuration::ZERO;
-                    finished_at = finished_at.max(now);
-                }
-            }
-
-            // Start waiting jobs in priority order, preempting lower
-            // priorities when a higher-priority job doesn't fit. Victims
-            // re-queue at their own, lower level, which this sweep reaches
-            // later.
-            for p in 0..waiting.len() {
-                let (level, lower) = waiting.split_at_mut(p + 1);
-                level[p].retain(|&i| {
-                    let mut free = self.total_gpus - used;
-                    // The lowest level has no lower one to take victims from.
-                    if free < jobs[i].gpus && !lower.is_empty() {
-                        // Try to evict strictly-lower-priority victims,
-                        // most recently started first (least sunk work).
-                        let mut victims: Vec<usize> = running
-                            .keys()
-                            .copied()
-                            .filter(|&v| SchedulerConfig::priority(jobs[v].job_type) as usize > p)
-                            .collect();
-                        victims.sort_by_key(|&v| std::cmp::Reverse(running[&v].started));
-                        let mut evict = Vec::new();
-                        for v in victims {
-                            if free >= jobs[i].gpus {
-                                break;
-                            }
-                            free += jobs[v].gpus;
-                            evict.push(v);
-                        }
-                        if free >= jobs[i].gpus {
-                            for v in evict {
-                                let r = running.remove(&v).expect("victims are running");
-                                used -= jobs[v].gpus;
-                                preemptions += 1;
-                                // Progress made this run, minus the tail
-                                // since the last checkpoint (lost).
-                                let ran = now - r.started;
-                                let lost = SimDuration::from_micros(
-                                    ran.as_micros() % self.checkpoint_interval.as_micros().max(1),
-                                );
-                                let kept = ran.saturating_sub(lost);
-                                remaining[v] = r.remaining_at_start.saturating_sub(kept)
-                                    + self.restore_overhead;
-                                wasted += jobs[v].gpus as f64
-                                    * (lost + self.restore_overhead).as_secs_f64();
-                                let vp = SchedulerConfig::priority(jobs[v].job_type) as usize;
-                                lower[vp - p - 1].push(v);
-                            }
-                        }
-                    }
-                    if self.total_gpus - used < jobs[i].gpus {
-                        return true;
-                    }
-                    let generation = first_start[i].map_or(0, |_| 1) + preemptions; // unique-enough
-                    running.insert(
-                        i,
-                        Running {
-                            started: now,
-                            remaining_at_start: remaining[i],
-                            generation,
-                        },
-                    );
-                    used += jobs[i].gpus;
-                    if first_start[i].is_none() {
-                        first_start[i] = Some(now);
-                        jobs[i].queue_delay = now.saturating_since(jobs[i].submit);
-                    }
-                    queue.schedule_in(remaining[i], Event::Finish(i, generation));
-                    false
-                });
-            }
-        }
-
-        assert!(
-            running.is_empty(),
-            "jobs still running after the event queue drained"
-        );
-        PreemptionOutcome {
-            jobs,
-            preemptions,
-            wasted_gpu_seconds: wasted,
-            finished_at,
-        }
+    pub fn run(&self, jobs: Vec<JobRecord>) -> ScheduleOutcome {
+        let config = SchedulerConfig::without_reservation(self.total_gpus);
+        schedule(&config, Some(self), jobs)
     }
 }
 
@@ -204,18 +45,35 @@ impl PreemptiveScheduler {
 mod tests {
     use std::collections::VecDeque;
 
+    use acme_sim_core::{EventQueue, SimTime};
     use acme_workload::JobType;
     use proptest::prelude::*;
 
     use super::*;
+    use crate::sim::ClusterScheduler;
     use crate::testkit::{arb_trace, job, TRACE_GPUS};
+
+    #[derive(Debug, Clone, Copy)]
+    enum Event {
+        Arrive(usize),
+        /// Finish attempt carrying the generation at scheduling time; stale
+        /// generations (the job was preempted meanwhile) are ignored.
+        Finish(usize, u32),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Running {
+        started: SimTime,
+        remaining_at_start: SimDuration,
+        generation: u32,
+    }
 
     impl PreemptiveScheduler {
         /// The loop before victims came from the running set, kept
         /// verbatim as the oracle: every job that does not fit scans all
         /// n jobs for victims, and every event rebuilds each level's
         /// queue.
-        fn run_reference(&self, mut jobs: Vec<JobRecord>) -> PreemptionOutcome {
+        fn run_reference(&self, mut jobs: Vec<JobRecord>) -> ScheduleOutcome {
             for j in &jobs {
                 assert!(
                     j.gpus <= self.total_gpus,
@@ -334,7 +192,7 @@ mod tests {
                 running.iter().all(Option::is_none),
                 "jobs still running after the event queue drained"
             );
-            PreemptionOutcome {
+            ScheduleOutcome {
                 jobs,
                 preemptions,
                 wasted_gpu_seconds: wasted,
@@ -365,6 +223,30 @@ mod tests {
                 got.wasted_gpu_seconds.to_bits(),
                 want.wasted_gpu_seconds.to_bits()
             );
+        }
+
+        /// With every job at one priority level nothing is ever evicted,
+        /// and the preemptive arm schedules exactly as the single-pool
+        /// cluster scheduler: the two §3.1 arms share one queue discipline.
+        #[test]
+        fn one_priority_level_schedules_as_one_pool(jobs in arb_trace(), ty in 0usize..3) {
+            let ty = [JobType::Pretrain, JobType::Debug, JobType::Evaluation][ty];
+            let jobs: Vec<JobRecord> = jobs
+                .into_iter()
+                .map(|j| JobRecord { job_type: ty, ..j })
+                .collect();
+            let s = PreemptiveScheduler {
+                total_gpus: TRACE_GPUS,
+                checkpoint_interval: SimDuration::from_secs(600),
+                restore_overhead: SimDuration::from_secs(120),
+            };
+            let got = s.run(jobs.clone());
+            let want = ClusterScheduler::new(SchedulerConfig::without_reservation(TRACE_GPUS))
+                .run(jobs);
+            prop_assert_eq!(got.jobs, want.jobs);
+            prop_assert_eq!(got.finished_at, want.finished_at);
+            prop_assert_eq!(got.preemptions, 0);
+            prop_assert_eq!(got.wasted_gpu_seconds, 0.0);
         }
     }
 

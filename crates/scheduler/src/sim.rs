@@ -1,4 +1,4 @@
-//! The discrete-event scheduler.
+//! The discrete-event scheduler: one loop for both §3.1 arms.
 //!
 //! Events are job arrivals and completions, and the work each does is in
 //! proportion to what it changes. An arrival tries only itself: it starts
@@ -17,20 +17,41 @@
 //! * a non-pretraining job that can never fit in the shared pool alone may
 //!   borrow idle reserved GPUs best-effort.
 //!
-//! With no GPUs reserved, every job draws from the one shared pool.
+//! With no GPUs reserved, every job draws from the one shared pool. That
+//! is the pool [`PreemptiveScheduler`] runs the same loop on, with
+//! eviction: a job that does not fit may evict running jobs of strictly
+//! lower priority. Then every event sweeps, because an eviction can leave
+//! more GPUs free than the job it made room for needs.
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use acme_sim_core::{EventQueue, SimDuration, SimTime};
 use acme_workload::{JobRecord, JobType};
 
 use crate::config::SchedulerConfig;
+use crate::preempt::PreemptiveScheduler;
 
 /// What the scheduler produced for a trace.
 #[derive(Debug)]
 pub struct ScheduleOutcome {
-    /// The input jobs with `queue_delay` filled in, original order.
+    /// The input jobs with `queue_delay` filled in, original order. An
+    /// evicted job keeps the delay to its first start.
     pub jobs: Vec<JobRecord>,
     /// Makespan: when the last job finished.
     pub finished_at: SimTime,
+    /// Evictions; zero without preemption.
+    pub preemptions: u32,
+    /// GPU-seconds of work discarded plus restore overhead paid.
+    pub wasted_gpu_seconds: f64,
+}
+
+impl ScheduleOutcome {
+    /// Wasted GPU time as a fraction of useful GPU time.
+    pub fn waste_fraction(&self) -> f64 {
+        let useful: f64 = self.jobs.iter().map(|j| j.gpu_seconds()).sum();
+        self.wasted_gpu_seconds / useful
+    }
 }
 
 /// Per-running-job allocation bookkeeping.
@@ -43,7 +64,9 @@ struct Allocation {
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrive(usize),
-    Finish(usize),
+    /// A finish carrying its job's eviction count at the start; the finish
+    /// of a job evicted since is stale.
+    Finish(usize, u32),
 }
 
 /// The scheduler simulator.
@@ -58,109 +81,241 @@ impl ClusterScheduler {
         ClusterScheduler { config }
     }
 
-    /// The policy in force.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
     /// Run the trace to completion and fill in queue delays.
     ///
     /// # Panics
     /// Panics if any job demands more GPUs than the cluster has — such a job
     /// could never start and the trace is malformed for this cluster.
-    pub fn run(&self, mut jobs: Vec<JobRecord>) -> ScheduleOutcome {
-        for j in &jobs {
-            assert!(
-                j.gpus <= self.config.total_gpus,
-                "job {} demands {} GPUs but the cluster has {}",
-                j.id,
-                j.gpus,
-                self.config.total_gpus
-            );
-        }
+    pub fn run(&self, jobs: Vec<JobRecord>) -> ScheduleOutcome {
+        schedule(&self.config, None, jobs)
+    }
+}
 
-        // Arrival order must be chronological for FIFO semantics.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| jobs[i].submit);
+/// The state only eviction needs, built only when evicting.
+struct Evictions<'a> {
+    policy: &'a PreemptiveScheduler,
+    /// The running jobs by index, ascending, with their start times: the
+    /// order in which a scan over all n jobs meets them, which the stable
+    /// victim sort keeps among jobs that started at the same instant.
+    running: BTreeMap<usize, SimTime>,
+    /// Per job, the work left when it last started.
+    remaining: Vec<SimDuration>,
+    /// Per job, how often it was evicted: the generation of its finish.
+    generation: Vec<u32>,
+}
 
-        // One arrival per job now, plus at most one finish per running job
-        // later: size the future-event list once, up front.
-        let mut queue = EventQueue::with_capacity(jobs.len() + 1);
-        for &i in &order {
-            queue.schedule(jobs[i].submit, Event::Arrive(i));
-        }
+/// One schedule in progress.
+struct Run<'a> {
+    config: &'a SchedulerConfig,
+    jobs: Vec<JobRecord>,
+    queue: EventQueue<Event>,
+    allocs: Vec<Option<Allocation>>,
+    used_reserved: u32,
+    used_shared: u32,
+    evictions: Option<Evictions<'a>>,
+    preemptions: u32,
+    wasted: f64,
+}
 
-        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); SchedulerConfig::PRIORITY_LEVELS];
-        let mut allocs: Vec<Option<Allocation>> = vec![None; jobs.len()];
-        let mut used_reserved: u32 = 0;
-        let mut used_shared: u32 = 0;
-        let mut finished_at = SimTime::ZERO;
+/// Run `jobs` to completion under `config`, evicting as `eviction` says
+/// if given. See [`ClusterScheduler::run`] for the panics.
+pub(crate) fn schedule(
+    config: &SchedulerConfig,
+    eviction: Option<&PreemptiveScheduler>,
+    jobs: Vec<JobRecord>,
+) -> ScheduleOutcome {
+    for j in &jobs {
+        assert!(
+            j.gpus <= config.total_gpus,
+            "job {} demands {} GPUs but the cluster has {}",
+            j.id,
+            j.gpus,
+            config.total_gpus
+        );
+    }
+    let n = jobs.len();
 
-        while let Some((now, event)) = queue.pop() {
-            let arrival = match event {
-                Event::Arrive(i) => Some(i),
-                Event::Finish(i) => {
-                    let a = allocs[i]
-                        .take()
-                        .expect("finishing a job that never started");
-                    used_reserved -= a.reserved;
-                    used_shared -= a.shared;
-                    finished_at = finished_at.max(now);
-                    None
-                }
-            };
+    // Arrival order must be chronological for FIFO semantics.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| jobs[i].submit);
 
-            // Start job `i` now if it fits; false leaves it waiting.
-            let mut start = |i: usize, job: &mut JobRecord| match self.try_allocate(
-                job.job_type,
-                job.gpus,
-                used_reserved,
-                used_shared,
-            ) {
-                Some(a) => {
-                    used_reserved += a.reserved;
-                    used_shared += a.shared;
-                    allocs[i] = Some(a);
-                    job.queue_delay = now.saturating_since(job.submit);
-                    queue.schedule_in(job.duration, Event::Finish(i));
-                    true
-                }
-                None => false,
-            };
+    // One arrival per job now, plus at most one finish per running job
+    // later: size the future-event list once, up front. (Under eviction,
+    // the stale finishes of evicted jobs can outgrow it.)
+    let mut queue = EventQueue::with_capacity(n + 1);
+    for &i in &order {
+        queue.schedule(jobs[i].submit, Event::Arrive(i));
+    }
 
-            match arrival {
-                // An arrival tries only itself, which is exact. Every
-                // event ends with no waiting job able to fit; a job that
-                // does not fit keeps not fitting as free GPUs shrink
-                // (`try_allocate` is monotone in both pools); and an
-                // arrival frees none. So a full sweep would miss on every
-                // job ahead of the arrival and, whether or not it starts,
-                // on every job behind it.
-                Some(i) => {
-                    if !start(i, &mut jobs[i]) {
-                        let p = SchedulerConfig::priority(jobs[i].job_type) as usize;
-                        waiting[p].push(i);
+    let evicting = eviction.is_some();
+    let evictions = eviction.map(|policy| Evictions {
+        policy,
+        running: BTreeMap::new(),
+        remaining: jobs.iter().map(|j| j.duration).collect(),
+        generation: vec![0; n],
+    });
+    let mut run = Run {
+        config,
+        jobs,
+        queue,
+        allocs: vec![None; n],
+        used_reserved: 0,
+        used_shared: 0,
+        evictions,
+        preemptions: 0,
+        wasted: 0.0,
+    };
+    let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); SchedulerConfig::PRIORITY_LEVELS];
+    let mut finished_at = SimTime::ZERO;
+
+    while let Some((now, event)) = run.queue.pop() {
+        let arrival = match event {
+            Event::Arrive(i) => Some(i),
+            Event::Finish(i, generation) => {
+                if let Some(e) = &mut run.evictions {
+                    if e.generation[i] != generation {
+                        continue; // stale: the job was evicted
                     }
+                    e.running.remove(&i);
                 }
-                // A release sweeps priorities high→low, FIFO within each,
-                // starting everything that fits. Backfill: a job that does
-                // not fit keeps its place and the scan goes on to smaller
-                // jobs behind it.
-                None => {
-                    for level in &mut waiting {
-                        level.retain(|&i| !start(i, &mut jobs[i]));
-                    }
+                run.release(i);
+                finished_at = finished_at.max(now);
+                None
+            }
+        };
+
+        match arrival {
+            // Without eviction an arrival tries only itself, which is
+            // exact. Every event ends with no waiting job able to fit; a
+            // job that does not fit keeps not fitting as free GPUs shrink
+            // (`try_allocate` is monotone in both pools); and an arrival
+            // frees none. So a full sweep would miss on every job ahead of
+            // the arrival and, whether or not it starts, on every job
+            // behind it.
+            Some(i) if !evicting => {
+                if !run.start(i, now) {
+                    waiting[run.level(i)].push(i);
+                }
+            }
+            // A release, or any event under eviction, sweeps priorities
+            // high→low, FIFO within each, starting everything that fits.
+            // Backfill: a job that does not fit keeps its place and the
+            // scan goes on to smaller jobs behind it. Victims rejoin their
+            // own, lower levels, which the sweep reaches later.
+            _ => {
+                if let Some(i) = arrival {
+                    waiting[run.level(i)].push(i);
+                }
+                for p in 0..waiting.len() {
+                    let (level, lower) = waiting.split_at_mut(p + 1);
+                    level[p].retain(|&i| {
+                        if evicting {
+                            run.make_room(i, p, lower, now);
+                        }
+                        !run.start(i, now)
+                    });
                 }
             }
         }
-
-        for (p, q) in waiting.iter().enumerate() {
-            assert!(q.is_empty(), "priority-{p} queue never drained");
-        }
-
-        ScheduleOutcome { jobs, finished_at }
     }
 
+    for (p, q) in waiting.iter().enumerate() {
+        assert!(q.is_empty(), "priority-{p} queue never drained");
+    }
+    ScheduleOutcome {
+        jobs: run.jobs,
+        finished_at,
+        preemptions: run.preemptions,
+        wasted_gpu_seconds: run.wasted,
+    }
+}
+
+impl Run<'_> {
+    fn level(&self, i: usize) -> usize {
+        SchedulerConfig::priority(self.jobs[i].job_type) as usize
+    }
+
+    /// Start job `i` now if it fits; false leaves it waiting. Inlined
+    /// into the sweep, which tries ~100k jobs in one `fig6` pass.
+    #[inline]
+    fn start(&mut self, i: usize, now: SimTime) -> bool {
+        let job = &mut self.jobs[i];
+        let Some(a) =
+            self.config
+                .try_allocate(job.job_type, job.gpus, self.used_reserved, self.used_shared)
+        else {
+            return false;
+        };
+        self.used_reserved += a.reserved;
+        self.used_shared += a.shared;
+        self.allocs[i] = Some(a);
+        let (mut work, mut generation) = (job.duration, 0);
+        if let Some(e) = &mut self.evictions {
+            e.running.insert(i, now);
+            (work, generation) = (e.remaining[i], e.generation[i]);
+        }
+        // Only a job never evicted is starting for the first time.
+        if generation == 0 {
+            job.queue_delay = now.saturating_since(job.submit);
+        }
+        self.queue.schedule_in(work, Event::Finish(i, generation));
+        true
+    }
+
+    fn release(&mut self, i: usize) {
+        let a = self.allocs[i]
+            .take()
+            .expect("releasing a job that is not running");
+        self.used_reserved -= a.reserved;
+        self.used_shared -= a.shared;
+    }
+
+    /// Under eviction, make room for job `i` of level `p` by evicting jobs
+    /// of the `lower` levels, most recently started first (least sunk
+    /// work), or evict none if they cannot make enough.
+    fn make_room(&mut self, i: usize, p: usize, lower: &mut [Vec<usize>], now: SimTime) {
+        let Some(e) = &self.evictions else { return };
+        let need = self.jobs[i].gpus;
+        let free = self.config.total_gpus - self.used_reserved - self.used_shared;
+        // The lowest level has no lower one to take victims from.
+        if free >= need || lower.is_empty() {
+            return;
+        }
+        let mut victims: Vec<(usize, SimTime)> = (e.running.iter())
+            .filter(|&(&v, _)| self.level(v) > p)
+            .map(|(&v, &started)| (v, started))
+            .collect();
+        victims.sort_by_key(|&(_, started)| Reverse(started));
+        // The fewest victims, in that order, that free enough, if any.
+        let mut freed = victims.iter().scan(free, |free, &(v, _)| {
+            *free += self.jobs[v].gpus;
+            Some(*free)
+        });
+        let Some(last) = freed.position(|free| free >= need) else {
+            return;
+        };
+        for &(v, started) in &victims[..=last] {
+            self.release(v);
+            let e = self.evictions.as_mut().expect("evicting");
+            e.running.remove(&v);
+            e.generation[v] += 1;
+            // Progress made this run, minus the tail since the last
+            // checkpoint (lost).
+            let ran = now - started;
+            let lost = SimDuration::from_micros(
+                ran.as_micros() % e.policy.checkpoint_interval.as_micros().max(1),
+            );
+            let kept = ran.saturating_sub(lost);
+            e.remaining[v] = e.remaining[v].saturating_sub(kept) + e.policy.restore_overhead;
+            self.preemptions += 1;
+            self.wasted +=
+                self.jobs[v].gpus as f64 * (lost + e.policy.restore_overhead).as_secs_f64();
+            lower[self.level(v) - p - 1].push(v);
+        }
+    }
+}
+
+impl SchedulerConfig {
     /// Where would a job of this type/size run right now, if anywhere?
     fn try_allocate(
         &self,
@@ -169,9 +324,8 @@ impl ClusterScheduler {
         used_reserved: u32,
         used_shared: u32,
     ) -> Option<Allocation> {
-        let c = &self.config;
-        let free_reserved = c.reserved_gpus - used_reserved;
-        let free_shared = c.shared_gpus() - used_shared;
+        let free_reserved = self.reserved_gpus - used_reserved;
+        let free_shared = self.shared_gpus() - used_shared;
 
         if ty == JobType::Pretrain {
             // Reserved first, overflow into shared.
@@ -195,7 +349,7 @@ impl ClusterScheduler {
         }
         // Best-effort: a job that can NEVER fit in the shared pool may
         // borrow idle reserved GPUs wholesale.
-        if gpus > c.shared_gpus() && gpus <= free_reserved {
+        if gpus > self.shared_gpus() && gpus <= free_reserved {
             return Some(Allocation {
                 reserved: gpus,
                 shared: 0,
@@ -227,6 +381,12 @@ mod tests {
 
     use super::*;
     use crate::testkit::{arb_trace, job, TRACE_GPUS, TRACE_QUOTA};
+
+    #[derive(Debug, Clone, Copy)]
+    enum Event {
+        Arrive(usize),
+        Finish(usize),
+    }
 
     impl ClusterScheduler {
         /// The loop before it worked per event, kept verbatim as the
@@ -271,7 +431,7 @@ mod tests {
                     Event::Finish(i) => {
                         let a = allocs[i]
                             .take()
-                            .expect("finishing a job that never started");
+                            .expect("releasing a job that is not running");
                         used_reserved -= a.reserved;
                         used_shared -= a.shared;
                         finished_at = finished_at.max(now);
@@ -282,7 +442,7 @@ mod tests {
                 for level in queues.iter_mut() {
                     let mut remaining = VecDeque::new();
                     while let Some(i) = level.pop_front() {
-                        match self.try_allocate(
+                        match self.config.try_allocate(
                             jobs[i].job_type,
                             jobs[i].gpus,
                             used_reserved,
@@ -307,7 +467,12 @@ mod tests {
                 assert!(q.is_empty(), "priority-{p} queue never drained");
             }
 
-            ScheduleOutcome { jobs, finished_at }
+            ScheduleOutcome {
+                jobs,
+                finished_at,
+                preemptions: 0,
+                wasted_gpu_seconds: 0.0,
+            }
         }
     }
 

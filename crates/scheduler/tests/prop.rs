@@ -87,9 +87,9 @@ proptest! {
         prop_assert_eq!(out.jobs.len(), jobs.len());
     }
 
-    /// Priority is respected at start time: if a pretrain and an eval are
-    /// both waiting when capacity frees, the pretrain never starts after
-    /// an eval that was submitted no earlier and fits the same space.
+    /// The preemptive scheduler never loses a job, its waste is never
+    /// negative and is zero when nothing was preempted, and every job
+    /// starts at or after its submission.
     #[test]
     fn preemptive_scheduler_conserves(jobs in arb_jobs(48)) {
         let sched = PreemptiveScheduler {
