@@ -20,7 +20,6 @@ pub mod gpu;
 pub mod net;
 pub mod node;
 pub mod power;
-pub mod spares;
 pub mod spec;
 pub mod storage;
 pub mod thermal;
@@ -30,7 +29,6 @@ pub use gpu::{GpuActivity, GpuDevice};
 pub use net::{FatTree, Flow, FlowSim, NetConfig, NetFabric};
 pub use node::{HostMemoryBreakdown, Node};
 pub use power::{ServerPowerBreakdown, ServerPowerModel};
-pub use spares::SparePool;
 pub use spec::{ClusterSpec, GpuSpec, NodeSpec, SchedulerKind};
 pub use storage::SharedStorage;
 pub use thermal::ThermalModel;

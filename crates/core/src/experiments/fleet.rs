@@ -122,10 +122,7 @@ pub fn fleet(p: RunParams) -> String {
 
     // Duration quantiles come from the mergeable sketch; state its
     // deterministic rank-error guarantee next to the numbers.
-    let sketch = merged
-        .trace
-        .duration_sketch()
-        .expect("fleet stats carry a duration sketch");
+    let sketch = &merged.duration_sketch;
     out.push_str(&render_quantiles(
         "job duration (min)",
         &[("fleet", sketch)],

@@ -27,11 +27,13 @@ pub use shard::{set_workers, ShardTiming};
 /// Inputs to one experiment run.
 ///
 /// `scale` is the stress knob behind `repro --scale`: it multiplies the
-/// workload of the heavy experiments (`data` corpus size, `diag` log
-/// volume, `pipeline` campaign length). Scale-insensitive experiments
-/// ignore it. At `scale == 1` every experiment's output is byte-identical
-/// to the historical seed-only interface — the golden-output test pins
-/// this down.
+/// workload of the eight heavy experiments — `data` corpus size, `diag`
+/// log volume, `pipeline` campaign length, the storm horizon that
+/// `storm`, `blame` and `netstorm` replay, the dataset registry
+/// `evalstorm` runs, and `policylab`'s fault intensities. The other
+/// experiments ignore it. At `scale == 1` every experiment's output is
+/// byte-identical to the historical seed-only interface — the
+/// golden-output test pins this down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunParams {
     /// RNG seed; every experiment is a pure function of it.

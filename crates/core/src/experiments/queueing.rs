@@ -15,7 +15,8 @@ use acme_scheduler::{coalesce_eval_batches, ClusterScheduler, SchedulerConfig};
 use acme_sim_core::{SimDuration, SimRng};
 use acme_telemetry::table::f;
 use acme_telemetry::Table;
-use acme_workload::{JobRecord, JobType, TraceStats, WorkloadGenerator};
+use acme_workload::stats::{duration_cdf_by_type, queue_delay_cdf_by_type};
+use acme_workload::{JobRecord, JobType, WorkloadGenerator};
 
 /// GPUs the Figure-6 experiment schedules over (must cover the largest
 /// pretraining demand of 2048).
@@ -47,9 +48,8 @@ pub fn run_policy(
         SchedulerConfig::without_reservation(EXPERIMENT_GPUS)
     };
     let outcome = ClusterScheduler::new(config).run(workload);
-    let stats = TraceStats::new(&outcome.jobs);
-    let durations = stats.duration_cdf_by_type();
-    let delays = stats.queue_delay_cdf_by_type();
+    let durations = duration_cdf_by_type(&outcome.jobs);
+    let delays = queue_delay_cdf_by_type(&outcome.jobs);
     durations
         .iter()
         .map(|(ty, dur)| {

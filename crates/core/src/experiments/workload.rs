@@ -7,6 +7,7 @@ use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
 use acme_telemetry::{Cdf, Table};
 use acme_workload::datacenters::{table2 as table2_rows, RefDatacenter};
+use acme_workload::stats::demand_boxplots;
 use acme_workload::{TraceStats, WorkloadGenerator};
 
 use super::shard::{run_shards, shard};
@@ -233,11 +234,10 @@ pub fn fig5(seed: u64) -> String {
         ("Seren", seren_month(seed)),
         ("Kalos", kalos_six_months(seed)),
     ] {
-        let stats = TraceStats::new(&trace.jobs);
         let mut t = Table::new([
             "type", "whisker-", "q1", "median", "q3", "whisker+", "outliers",
         ]);
-        for (ty, b) in stats.demand_boxplots() {
+        for (ty, b) in demand_boxplots(&trace.jobs) {
             t.row([
                 ty.label().to_owned(),
                 f(b.whisker_lo, 0),

@@ -36,7 +36,6 @@
 //! Everything is a pure function of (campaign, policy, rng): byte-identical
 //! across reruns at a fixed seed.
 
-use acme_cluster::SparePool;
 use acme_failure::storm::StormCampaign;
 use acme_failure::{full_rule_report, OrchestratorConfig, RecoveryAction, RecoveryOrchestrator};
 use acme_obs::{ArgValue, Rec};
@@ -211,15 +210,18 @@ pub(crate) const WATCHDOG: SimDuration = SimDuration::from_mins(31);
 /// steady-state timeout would only burn fleet time. It fires at 11 minutes.
 pub(crate) const RECOVERY_WATCHDOG: SimDuration = SimDuration::from_mins(11);
 
-/// Live fleet capacity: the Kalos-default spare pool, uncovered losses,
-/// and the repair queue that eventually returns cordoned nodes to
-/// service. Repair
-/// turnaround comes from the bundle's [`RepairModel`] (historically a
-/// hardwired 36 h constant).
+/// Hot spares a Kalos-sized pretraining fleet holds in reserve: enough
+/// for the common single-node loss, not for a storm.
+const HOT_SPARES: u32 = 2;
+
+/// Live fleet capacity: the hot spares still in reserve, uncovered
+/// losses, and the repair queue that eventually returns cordoned nodes to
+/// service. Repair turnaround comes from the bundle's [`RepairModel`]
+/// (historically a hardwired 36 h constant).
 struct Fleet {
     total: u32,
     lost: u32,
-    spares: SparePool,
+    spares: u32,
     repair_model: RepairModel,
     repairs: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
 }
@@ -229,7 +231,7 @@ impl Fleet {
         Fleet {
             total,
             lost: 0,
-            spares: SparePool::kalos_default(),
+            spares: HOT_SPARES,
             repair_model,
             repairs: std::collections::BinaryHeap::new(),
         }
@@ -246,7 +248,8 @@ impl Fleet {
     fn cordon(&mut self, at: SimTime) -> bool {
         self.repairs
             .push(std::cmp::Reverse(self.repair_model.return_at(at)));
-        if self.spares.draw() {
+        if self.spares > 0 {
+            self.spares -= 1;
             true
         } else {
             self.lost += 1;
@@ -255,12 +258,14 @@ impl Fleet {
     }
 
     /// Apply one completed repair: an uncovered loss rejoins the fleet
-    /// first; otherwise the repaired node restocks the spare pool.
+    /// first; otherwise the repaired node becomes a spare again. Each
+    /// repair answers one cordon, so a restock only ever returns a spare
+    /// that a cordon drew and the reserve never exceeds [`HOT_SPARES`].
     fn repair(&mut self) {
         if self.lost > 0 {
             self.lost -= 1;
         } else {
-            self.spares.restock(1);
+            self.spares += 1;
         }
     }
 
@@ -284,8 +289,8 @@ impl Fleet {
 /// bundle's [`CheckpointChoice`] starts from it, and netstorm runs at it.
 pub(crate) const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_mins(30);
 
-/// Replays a [`StormCampaign`] under a policy bundle, on the Kalos-default
-/// hot-spare pool (drawn from only when the bundle's ladder cordons).
+/// Replays a [`StormCampaign`] under a policy bundle, with two hot spares
+/// in reserve (drawn from only when the bundle's ladder cordons).
 #[derive(Debug, Clone, Copy)]
 pub struct StormRunner {
     /// Nodes in the training fleet.
@@ -293,8 +298,8 @@ pub struct StormRunner {
 }
 
 impl StormRunner {
-    /// The deployed shape: the storm's fleet, the Kalos-default spare
-    /// pool, 30-minute async checkpoints.
+    /// The deployed shape: the storm's fleet, two hot spares, 30-minute
+    /// async checkpoints.
     pub fn deployed(fleet_nodes: u32) -> Self {
         StormRunner { fleet_nodes }
     }
@@ -679,6 +684,23 @@ pub(crate) mod tests {
             "goodput {:.3}",
             full.ledger.goodput()
         );
+    }
+
+    #[test]
+    fn spares_cover_cordons_and_repairs_refill_width_before_restocking() {
+        let mut fleet = Fleet::new(10, RepairModel::datacenter_default());
+        assert!(fleet.cordon(SimTime::ZERO));
+        assert!(fleet.cordon(SimTime::ZERO));
+        assert!(!fleet.cordon(SimTime::ZERO), "no spare left for a third");
+        assert_eq!(fleet.factor(), 0.9);
+        fleet.repair();
+        assert_eq!(fleet.factor(), 1.0, "a repair refills lost width first");
+        fleet.repair();
+        assert!(
+            fleet.cordon(SimTime::ZERO),
+            "the second repair restocked a spare"
+        );
+        assert_eq!(fleet.factor(), 1.0);
     }
 
     #[test]

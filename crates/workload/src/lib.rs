@@ -11,8 +11,9 @@
 //! * [`generator`] — the Seren/Kalos generators (Figures 3–6, 17);
 //! * [`datacenters`] — Philly/Helios/PAI-shaped reference generators for the
 //!   cross-datacenter comparisons (Table 2, Figure 2);
-//! * [`stats`] — the aggregation used to regenerate every §3 figure,
-//!   including the bounded-memory [`stats::StreamTraceStats`];
+//! * [`stats`] — the aggregation used to regenerate every §3 figure: the
+//!   bounded-memory [`TraceStats`] tables that the traces and the fleet
+//!   stream both fold into, and the per-type samples of Figures 5 and 6;
 //! * [`stream`] — the open-system fleet: sharded multi-tenant Zipf/Poisson
 //!   arrival streams for 10⁶⁺-job runs.
 
@@ -26,5 +27,5 @@ pub mod stream;
 
 pub use generator::{ClusterWorkload, WorkloadGenerator};
 pub use job::{JobRecord, JobStatus, JobType};
-pub use stats::{StreamTraceStats, TraceStats};
+pub use stats::TraceStats;
 pub use stream::{FleetConfig, FleetJob, FleetShardStats, FleetStream};

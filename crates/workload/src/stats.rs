@@ -1,32 +1,32 @@
 //! Trace aggregation: the numbers behind Figures 3, 4, 5, 6 and 17.
 //!
-//! Two layers. [`StreamTraceStats`] is a bounded-memory accumulator —
-//! fixed-size per-type/per-status/per-demand-bucket counters plus an
-//! optional duration sketch — that jobs are `push`ed into one at a time
-//! and shards `merge` together; it never retains a job. [`TraceStats`]
-//! wraps a materialized slice (the closed-world figures need per-type
-//! sample vectors for boxplots and CDFs) and delegates every aggregate
-//! table to an internal `StreamTraceStats` built by pushing the slice in
-//! job order. Counts are integers, exact in any order; each float
-//! accumulator receives exactly the additions the historical per-figure
-//! passes performed, in the same order, keeping the floating-point output
-//! bit-identical.
+//! [`TraceStats`] is a bounded-memory accumulator — fixed-size
+//! per-type/per-status/per-demand-bucket counters — that jobs are
+//! `push`ed into one at a time and shards `merge` together; it never
+//! retains a job, so the closed-world traces and the fleet stream fold
+//! into the same tables. The figures that need per-type sample vectors
+//! (Figure 5's boxplots, Figure 6's CDFs) read a materialized slice
+//! through the free functions [`duration_cdf`], [`demand_boxplots`],
+//! [`duration_cdf_by_type`] and [`queue_delay_cdf_by_type`]. Counts are
+//! integers, exact in any order; each float accumulator receives exactly
+//! the additions the historical per-figure passes performed, in the same
+//! order, keeping the floating-point output bit-identical.
 
-use acme_telemetry::{BoxplotStats, Cdf, QuantileSketch};
+use acme_telemetry::{BoxplotStats, Cdf};
 
 use crate::job::{JobRecord, JobStatus, JobType};
 
 /// Power-of-two GPU-demand thresholds 1..4096 (Figure 3's x-axis).
 const DEMAND_K: usize = 13;
 
-/// Bounded-memory aggregate statistics over a job stream (see module
-/// docs). `push` jobs in, `merge` shards together, read the Figure 3/4/17
-/// tables out — memory is O(1) in stream length (plus the optional
-/// duration sketch). Job counts (per type, per status, per demand bucket)
-/// are integers; GPU time is an `f64` sum per table entry, and the demand
-/// table adds each job's GPU time into every threshold ≥ its demand.
-#[derive(Debug, Clone)]
-pub struct StreamTraceStats {
+/// Bounded-memory aggregate statistics over a job trace or stream (see
+/// module docs). `push` jobs in, `merge` shards together, read the Figure
+/// 3/4/17 tables out — memory is O(1) in stream length. Job counts (per
+/// type, per status, per demand bucket) are integers; GPU time is an
+/// `f64` sum per table entry, and the demand table adds each job's GPU
+/// time into every threshold ≥ its demand.
+#[derive(Debug, Clone, Default)]
+pub struct TraceStats {
     jobs: usize,
     gpus_sum: f64,
     total_gpu_seconds: f64,
@@ -39,40 +39,20 @@ pub struct StreamTraceStats {
     demand_counts: [u64; DEMAND_K],
     demand_time_sums: [f64; DEMAND_K],
     demand_time_total: f64,
-    duration_sketch: Option<QuantileSketch>,
 }
 
-impl Default for StreamTraceStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamTraceStats {
-    /// An empty accumulator with no duration sketch.
-    pub fn new() -> Self {
-        StreamTraceStats {
-            jobs: 0,
-            gpus_sum: 0.0,
-            total_gpu_seconds: 0.0,
-            type_counts: [0; JobType::ALL.len()],
-            type_gpu_secs: [0.0; JobType::ALL.len()],
-            status_counts: [0; JobStatus::ALL.len()],
-            status_gpu_secs: [0.0; JobStatus::ALL.len()],
-            demand_counts: [0; DEMAND_K],
-            demand_time_sums: [0.0; DEMAND_K],
-            demand_time_total: 0.0,
-            duration_sketch: None,
+impl TraceStats {
+    /// Aggregate a trace by pushing its jobs in order.
+    ///
+    /// # Panics
+    /// Panics on an empty trace — every consumer needs at least one job.
+    pub fn new(jobs: &[JobRecord]) -> Self {
+        assert!(!jobs.is_empty(), "empty trace");
+        let mut stats = TraceStats::default();
+        for j in jobs {
+            stats.push(j);
         }
-    }
-
-    /// An empty accumulator that additionally sketches job durations
-    /// (minutes) at per-level capacity `k`, for quantile reporting over
-    /// streams too large to materialize.
-    pub fn with_duration_sketch(k: usize) -> Self {
-        let mut s = Self::new();
-        s.duration_sketch = Some(QuantileSketch::with_capacity(k));
-        s
+        stats
     }
 
     /// Fold one job into every aggregate.
@@ -109,31 +89,15 @@ impl StreamTraceStats {
                 *s += gs;
             }
         }
-
-        if let Some(sketch) = &mut self.duration_sketch {
-            sketch.insert(j.duration.as_mins_f64());
-        }
     }
 
-    /// Release slack sketch capacity (see
-    /// [`QuantileSketch::shrink_to_fit`]). No-op without a sketch.
-    pub fn shrink_to_fit(&mut self) {
-        if let Some(sketch) = &mut self.duration_sketch {
-            sketch.shrink_to_fit();
-        }
-    }
-
-    /// Combine another shard's aggregates into this one. Counters add;
-    /// sketches merge. Integer counts, and the count shares and count CDF
-    /// read from them, equal sequential pushes exactly. Float sums
-    /// reassociate across shard boundaries, so merged GPU-time totals are
-    /// equal up to rounding, not bit-identical; the result is
-    /// deterministic for a fixed merge order (the fleet experiment always
-    /// merges in shard order).
-    ///
-    /// # Panics
-    /// Panics when exactly one side carries a duration sketch.
-    pub fn merge(&mut self, other: &StreamTraceStats) {
+    /// Combine another shard's aggregates into this one. Integer counts,
+    /// and the count shares and count CDF read from them, equal sequential
+    /// pushes exactly. Float sums reassociate across shard boundaries, so
+    /// merged GPU-time totals are equal up to rounding, not bit-identical;
+    /// the result is deterministic for a fixed merge order (the fleet
+    /// experiment always merges in shard order).
+    pub fn merge(&mut self, other: &TraceStats) {
         self.jobs += other.jobs;
         self.gpus_sum += other.gpus_sum;
         self.total_gpu_seconds += other.total_gpu_seconds;
@@ -150,11 +114,6 @@ impl StreamTraceStats {
             self.demand_time_sums[k] += other.demand_time_sums[k];
         }
         self.demand_time_total += other.demand_time_total;
-        match (&mut self.duration_sketch, &other.duration_sketch) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("cannot merge stats with and without a duration sketch"),
-        }
     }
 
     /// Number of jobs pushed.
@@ -237,124 +196,54 @@ impl StreamTraceStats {
             .map(|k| (1u32 << k, self.demand_time_sums[k] / self.demand_time_total))
             .collect()
     }
-
-    /// The duration sketch (minutes), when this accumulator carries one.
-    pub fn duration_sketch(&self) -> Option<&QuantileSketch> {
-        self.duration_sketch.as_ref()
-    }
 }
 
-/// Aggregate statistics over a job trace.
-#[derive(Debug)]
-pub struct TraceStats<'a> {
-    jobs: &'a [JobRecord],
-    agg: StreamTraceStats,
+/// CDF of job runtimes in minutes: §3.1's short-job headline, a median
+/// GPU-job runtime of about 2 minutes.
+///
+/// # Panics
+/// Panics on an empty trace.
+pub fn duration_cdf(jobs: &[JobRecord]) -> Cdf {
+    Cdf::from_samples(jobs.iter().map(|j| j.duration.as_mins_f64()).collect()).expect("empty trace")
 }
 
-impl<'a> TraceStats<'a> {
-    /// Wrap a trace.
-    ///
-    /// # Panics
-    /// Panics on an empty trace — every consumer needs at least one job.
-    pub fn new(jobs: &'a [JobRecord]) -> Self {
-        assert!(!jobs.is_empty(), "empty trace");
-        let mut agg = StreamTraceStats::new();
-        for j in jobs {
-            agg.push(j);
-        }
-        TraceStats { jobs, agg }
-    }
+/// Per-type GPU-demand box plots — Figure 5. Types absent from the trace
+/// are omitted.
+pub fn demand_boxplots(jobs: &[JobRecord]) -> Vec<(JobType, BoxplotStats)> {
+    JobType::ALL
+        .iter()
+        .zip(partition_by_type(jobs, |j| j.gpus as f64))
+        .filter_map(|(&ty, demands)| BoxplotStats::from_samples(demands).map(|b| (ty, b)))
+        .collect()
+}
 
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
+/// Per-type duration CDFs in minutes — Figure 6(a/c).
+pub fn duration_cdf_by_type(jobs: &[JobRecord]) -> Vec<(JobType, Cdf)> {
+    per_type_cdf(jobs, |j| j.duration.as_mins_f64())
+}
 
-    /// Never true (construction rejects empty traces).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
+/// Per-type queue-delay CDFs in minutes — Figure 6(b/d).
+pub fn queue_delay_cdf_by_type(jobs: &[JobRecord]) -> Vec<(JobType, Cdf)> {
+    per_type_cdf(jobs, |j| j.queue_delay.as_mins_f64())
+}
 
-    /// Total GPU time in GPU-hours.
-    pub fn total_gpu_hours(&self) -> f64 {
-        self.agg.total_gpu_hours()
-    }
+fn per_type_cdf(jobs: &[JobRecord], f: impl Fn(&JobRecord) -> f64) -> Vec<(JobType, Cdf)> {
+    JobType::ALL
+        .iter()
+        .zip(partition_by_type(jobs, f))
+        .filter_map(|(&ty, xs)| Cdf::from_samples(xs).map(|c| (ty, c)))
+        .collect()
+}
 
-    /// Average requested GPUs per job.
-    pub fn avg_gpus(&self) -> f64 {
-        self.agg.avg_gpus()
+/// One pass splitting `f(job)` into per-type sample vectors, ordered as
+/// `JobType::ALL`; job order within each type is trace order, the same
+/// order the per-type filter passes produced.
+fn partition_by_type(jobs: &[JobRecord], f: impl Fn(&JobRecord) -> f64) -> Vec<Vec<f64>> {
+    let mut per: Vec<Vec<f64>> = (0..JobType::ALL.len()).map(|_| Vec::new()).collect();
+    for j in jobs {
+        per[j.job_type as usize].push(f(j));
     }
-
-    /// CDF of job runtimes in minutes (Figure 2a / 6a).
-    pub fn duration_cdf(&self) -> Cdf {
-        Cdf::from_samples(self.jobs.iter().map(|j| j.duration.as_mins_f64()).collect()).unwrap()
-    }
-
-    /// `(type, count_share, gpu_time_share)` rows — Figure 4. Types absent
-    /// from the trace are omitted. Each type's accumulator received
-    /// exactly the additions the historical per-type map made, in job
-    /// order, so shares are bit-identical to the materialized original.
-    pub fn type_shares(&self) -> Vec<(JobType, f64, f64)> {
-        self.agg.type_shares()
-    }
-
-    /// `(status, count_share, gpu_time_share)` rows — Figure 17.
-    pub fn status_shares(&self) -> Vec<(JobStatus, f64, f64)> {
-        self.agg.status_shares()
-    }
-
-    /// Per-type GPU-demand box plots — Figure 5.
-    pub fn demand_boxplots(&self) -> Vec<(JobType, BoxplotStats)> {
-        JobType::ALL
-            .iter()
-            .zip(self.partition_by_type(|j| j.gpus as f64))
-            .filter_map(|(&ty, demands)| BoxplotStats::from_samples(demands).map(|b| (ty, b)))
-            .collect()
-    }
-
-    /// One pass splitting `f(job)` into per-type sample vectors, ordered
-    /// as `JobType::ALL`; job order within each type is trace order, the
-    /// same order the per-type filter passes produced.
-    fn partition_by_type(&self, f: impl Fn(&JobRecord) -> f64) -> Vec<Vec<f64>> {
-        let mut per: Vec<Vec<f64>> = (0..JobType::ALL.len()).map(|_| Vec::new()).collect();
-        for j in self.jobs {
-            per[j.job_type as usize].push(f(j));
-        }
-        per
-    }
-
-    /// Figure 3(a): cumulative fraction of *job count* for jobs requesting
-    /// ≤ each power-of-two GPU demand. The streaming accumulator counts
-    /// jobs per demand bucket in integers, and an integer count is exact
-    /// as an `f64`, so each fraction is bit-identical to the original 13
-    /// filtered passes' `count / n`.
-    pub fn demand_count_cdf(&self) -> Vec<(u32, f64)> {
-        self.agg.demand_count_cdf()
-    }
-
-    /// Figure 3(b): cumulative fraction of *GPU time* for jobs requesting
-    /// ≤ each power-of-two GPU demand.
-    pub fn demand_gpu_time_cdf(&self) -> Vec<(u32, f64)> {
-        self.agg.demand_gpu_time_cdf()
-    }
-
-    /// Per-type duration CDFs in minutes — Figure 6(a/c).
-    pub fn duration_cdf_by_type(&self) -> Vec<(JobType, Cdf)> {
-        self.per_type_cdf(|j| j.duration.as_mins_f64())
-    }
-
-    /// Per-type queue-delay CDFs in minutes — Figure 6(b/d).
-    pub fn queue_delay_cdf_by_type(&self) -> Vec<(JobType, Cdf)> {
-        self.per_type_cdf(|j| j.queue_delay.as_mins_f64())
-    }
-
-    fn per_type_cdf(&self, f: impl Fn(&JobRecord) -> f64) -> Vec<(JobType, Cdf)> {
-        JobType::ALL
-            .iter()
-            .zip(self.partition_by_type(f))
-            .filter_map(|(&ty, xs)| Cdf::from_samples(xs).map(|c| (ty, c)))
-            .collect()
-    }
+    per
 }
 
 #[cfg(test)]
@@ -470,8 +359,7 @@ mod tests {
     fn boxplots_reflect_demand_ordering() {
         let mut rng = SimRng::new(10);
         let w = WorkloadGenerator::kalos().generate(&mut rng, 30.0, 0);
-        let s = TraceStats::new(&w.jobs);
-        let boxes = s.demand_boxplots();
+        let boxes = demand_boxplots(&w.jobs);
         let get = |ty: JobType| {
             boxes
                 .iter()
@@ -489,69 +377,27 @@ mod tests {
     #[test]
     fn per_type_cdfs_skip_absent_types() {
         let jobs = tiny_trace();
-        let s = TraceStats::new(&jobs);
-        let durs = s.duration_cdf_by_type();
+        let durs = duration_cdf_by_type(&jobs);
         assert!(durs.iter().all(|(ty, _)| *ty != JobType::Sft));
         assert_eq!(durs.len(), 3);
-        let delays = s.queue_delay_cdf_by_type();
+        let delays = queue_delay_cdf_by_type(&jobs);
         assert_eq!(delays.len(), 3);
     }
 
     #[test]
     fn duration_cdf_median() {
-        let jobs = tiny_trace();
-        let s = TraceStats::new(&jobs);
-        let c = s.duration_cdf();
+        let c = duration_cdf(&tiny_trace());
         assert!((c.median() - 7.0).abs() < 1e-9); // between 4 and 10
-    }
-
-    #[test]
-    fn streaming_push_matches_trace_stats_bitwise() {
-        let mut rng = SimRng::new(21);
-        let w = WorkloadGenerator::seren().generate(&mut rng, 5.0, 0);
-        let trace = TraceStats::new(&w.jobs);
-        let mut stream = StreamTraceStats::new();
-        for j in &w.jobs {
-            stream.push(j);
-        }
-        assert_eq!(stream.len(), trace.len());
-        assert_eq!(stream.avg_gpus().to_bits(), trace.avg_gpus().to_bits());
-        assert_eq!(
-            stream.total_gpu_hours().to_bits(),
-            trace.total_gpu_hours().to_bits()
-        );
-        for (a, b) in stream.type_shares().iter().zip(trace.type_shares()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-            assert_eq!(a.2.to_bits(), b.2.to_bits());
-        }
-        for (a, b) in stream
-            .demand_count_cdf()
-            .iter()
-            .zip(trace.demand_count_cdf())
-        {
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
     }
 
     #[test]
     fn merged_shards_agree_with_sequential_stream() {
         let mut rng = SimRng::new(22);
         let w = WorkloadGenerator::kalos().generate(&mut rng, 20.0, 0);
-        let mut seq = StreamTraceStats::with_duration_sketch(256);
-        for j in &w.jobs {
-            seq.push(j);
-        }
+        let seq = TraceStats::new(&w.jobs);
         let mid = w.jobs.len() / 2;
-        let mut left = StreamTraceStats::with_duration_sketch(256);
-        let mut right = StreamTraceStats::with_duration_sketch(256);
-        for j in &w.jobs[..mid] {
-            left.push(j);
-        }
-        for j in &w.jobs[mid..] {
-            right.push(j);
-        }
-        left.merge(&right);
+        let mut left = TraceStats::new(&w.jobs[..mid]);
+        left.merge(&TraceStats::new(&w.jobs[mid..]));
         assert_eq!(left.len(), seq.len());
         // Integer counters are exact across the merge.
         for (a, b) in left.status_shares().iter().zip(seq.status_shares()) {
@@ -569,10 +415,6 @@ mod tests {
         // Float sums reassociate across the shard boundary: equal up to
         // rounding, not bitwise.
         assert!((left.total_gpu_hours() - seq.total_gpu_hours()).abs() < 1e-6);
-        // Sketch survives the merge with the full population.
-        let sk = left.duration_sketch().unwrap();
-        assert_eq!(sk.count(), w.jobs.len() as u64);
-        assert_eq!(sk.min(), seq.duration_sketch().unwrap().min());
     }
 
     #[test]
@@ -604,16 +446,8 @@ mod tests {
 
     #[test]
     fn empty_stream_stats() {
-        let s = StreamTraceStats::new();
+        let s = TraceStats::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert!(s.duration_sketch().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "with and without a duration sketch")]
-    fn merge_rejects_sketch_mismatch() {
-        let mut a = StreamTraceStats::new();
-        a.merge(&StreamTraceStats::with_duration_sketch(64));
     }
 }

@@ -41,7 +41,7 @@ use acme_telemetry::QuantileSketch;
 
 use crate::generator::{JobSampler, WorkloadGenerator};
 use crate::job::JobRecord;
-use crate::stats::StreamTraceStats;
+use crate::stats::TraceStats;
 
 /// Configuration for a fleet-scale open-system run.
 #[derive(Debug, Clone)]
@@ -304,20 +304,21 @@ impl Iterator for FleetStream {
 }
 
 /// Bounded-memory aggregates of one fleet shard (mergeable across
-/// shards): the full [`StreamTraceStats`] table set plus tenant-skew
-/// counters, an hour-of-day arrival profile, an inter-arrival sketch, and
-/// the thinning acceptance ratio.
+/// shards): the full [`TraceStats`] table set plus a duration sketch,
+/// tenant-skew counters, an hour-of-day arrival profile, an inter-arrival
+/// sketch, and the thinning acceptance ratio.
 #[derive(Debug, Clone)]
 pub struct FleetShardStats {
-    /// Per-type / per-status / per-demand aggregate tables, with a
-    /// duration sketch.
-    pub trace: StreamTraceStats,
+    /// Per-type / per-status / per-demand aggregate tables.
+    pub trace: TraceStats,
     /// Jobs submitted per tenant rank.
     pub tenant_jobs: Vec<u64>,
     /// GPU-seconds consumed per tenant rank.
     pub tenant_gpu_secs: Vec<f64>,
     /// Accepted arrivals per hour of day (0–23).
     pub hourly_arrivals: [u64; 24],
+    /// Sketch of job durations, minutes.
+    pub duration_sketch: QuantileSketch,
     /// Sketch of inter-arrival gaps between consecutive accepted jobs in
     /// this shard, seconds.
     pub gap_sketch: QuantileSketch,
@@ -334,10 +335,11 @@ impl FleetShardStats {
     /// Empty aggregates for a fleet with `tenants` tenants.
     pub fn new(tenants: usize) -> Self {
         FleetShardStats {
-            trace: StreamTraceStats::with_duration_sketch(FLEET_SKETCH_K),
+            trace: TraceStats::default(),
             tenant_jobs: vec![0; tenants],
             tenant_gpu_secs: vec![0.0; tenants],
             hourly_arrivals: [0; 24],
+            duration_sketch: QuantileSketch::with_capacity(FLEET_SKETCH_K),
             gap_sketch: QuantileSketch::with_capacity(FLEET_SKETCH_K),
             candidates: 0,
             last_submit_secs: None,
@@ -348,6 +350,7 @@ impl FleetShardStats {
     #[inline]
     pub fn push(&mut self, fj: &FleetJob) {
         self.trace.push(&fj.job);
+        self.duration_sketch.insert(fj.job.duration.as_mins_f64());
         let tenant = fj.tenant as usize;
         self.tenant_jobs[tenant] += 1;
         self.tenant_gpu_secs[tenant] += fj.job.gpu_seconds();
@@ -372,7 +375,7 @@ impl FleetShardStats {
         // This result will sit in the shard pool's buffer until every
         // shard lands; drop the sketches' slack capacity so 64 buffered
         // shards cost retained items, not high-water marks.
-        stats.trace.shrink_to_fit();
+        stats.duration_sketch.shrink_to_fit();
         stats.gap_sketch.shrink_to_fit();
         stats
     }
@@ -389,6 +392,7 @@ impl FleetShardStats {
             "tenant count mismatch"
         );
         self.trace.merge(&other.trace);
+        self.duration_sketch.merge(&other.duration_sketch);
         for (a, b) in self.tenant_jobs.iter_mut().zip(&other.tenant_jobs) {
             *a += b;
         }
@@ -550,7 +554,7 @@ mod tests {
         }
         assert_eq!(merged.trace.len() as u64, c.jobs);
         assert_eq!(merged.hourly_arrivals.iter().sum::<u64>(), c.jobs);
-        assert_eq!(merged.trace.duration_sketch().unwrap().count(), c.jobs);
+        assert_eq!(merged.duration_sketch.count(), c.jobs);
         // Gap sketch misses the (unobservable) cross-shard seams only.
         assert_eq!(merged.gap_sketch.count(), c.jobs - c.shard_count() as u64);
         // Population mix matches the cluster weights: Seren ≈ 97% of jobs.

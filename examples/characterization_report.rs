@@ -8,6 +8,7 @@
 use acme::datacenter::Acme;
 use acme::monitor::{ClusterMonitor, Metric};
 use acme_cluster::ClusterSpec;
+use acme_workload::stats::duration_cdf;
 use acme_workload::{JobStatus, TraceStats};
 
 fn main() {
@@ -24,6 +25,7 @@ fn main() {
         (acme.kalos_spec(), &trace.kalos),
     ] {
         let stats = TraceStats::new(&workload.jobs);
+        let durations = duration_cdf(&workload.jobs);
         println!(
             "\n--- {} ({} nodes, {} GPUs) ---",
             spec.name,
@@ -38,8 +40,8 @@ fn main() {
         );
         println!(
             "  median runtime {:.1} min | p95 {:.0} min | avg request {:.1} GPUs",
-            stats.duration_cdf().median(),
-            stats.duration_cdf().quantile(0.95),
+            durations.median(),
+            durations.quantile(0.95),
             stats.avg_gpus()
         );
         for (ty, count, time) in stats.type_shares() {

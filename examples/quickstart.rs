@@ -6,6 +6,7 @@
 //! ```
 
 use acme::datacenter::Acme;
+use acme_workload::stats::duration_cdf;
 use acme_workload::{JobStatus, JobType, TraceStats};
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
         println!("  avg request:     {:.1} GPUs", stats.avg_gpus());
         println!(
             "  median runtime:  {:.1} min",
-            stats.duration_cdf().median()
+            duration_cdf(&workload.jobs).median()
         );
         for (ty, count, time) in stats.type_shares() {
             if ty == JobType::Pretrain || ty == JobType::Evaluation {

@@ -8,7 +8,8 @@ use acme_cluster::ClusterSpec;
 use acme_failure::{DiagnosisPipeline, LogBundle, RecoveryAction, RecoveryManager};
 use acme_scheduler::{coalesce_eval_batches, ClusterScheduler, SchedulerConfig};
 use acme_sim_core::{SimDuration, SimRng};
-use acme_workload::{JobStatus, JobType, TraceStats};
+use acme_workload::stats::queue_delay_cdf_by_type;
+use acme_workload::{JobStatus, JobType};
 
 /// Generate → schedule → aggregate: the Figure-6 pipeline holds together
 /// and conserves jobs.
@@ -21,13 +22,11 @@ fn generate_schedule_aggregate() {
     let outcome = ClusterScheduler::new(SchedulerConfig::with_reservation(2560, 0.985)).run(jobs);
     assert_eq!(outcome.jobs.len(), n, "scheduler must not lose jobs");
 
-    let stats = TraceStats::new(&outcome.jobs);
     // Every job eventually started (queue delays finite) and the makespan
     // extends past the last submission.
     assert!(outcome.finished_at > outcome.jobs.iter().map(|j| j.submit).max().unwrap());
     // The scheduler wrote queue delays: some evaluation job waited.
-    let eval_delays = stats
-        .queue_delay_cdf_by_type()
+    let eval_delays = queue_delay_cdf_by_type(&outcome.jobs)
         .into_iter()
         .find(|(ty, _)| *ty == JobType::Evaluation)
         .map(|(_, c)| c)

@@ -10,6 +10,7 @@ use acme_sim_core::dist::Categorical;
 use acme_sim_core::SimRng;
 use acme_training::checkpoint::{CheckpointEngine, CheckpointScenario};
 use acme_training::{ModelConfig, StepTimeline, Strategy};
+use acme_workload::stats::duration_cdf;
 use acme_workload::{TraceStats, WorkloadGenerator};
 
 /// §1/§3.2 — "pretraining jobs only account for 3.2% of the total job count
@@ -138,6 +139,6 @@ fn headline_fleet_size() {
 fn headline_short_job_durations() {
     let mut rng = SimRng::new(4);
     let jobs = WorkloadGenerator::kalos().generate(&mut rng, 60.0, 0).jobs;
-    let med = TraceStats::new(&jobs).duration_cdf().median();
+    let med = duration_cdf(&jobs).median();
     assert!((1.0..4.0).contains(&med), "median {med:.2} min");
 }
