@@ -1,7 +1,7 @@
 //! Fleet-scale stress: the open-system arrival stream at 10⁶⁺ jobs.
 //!
-//! Everything the closed-world experiments report is bounded by what fits
-//! in memory: a month of Seren is ~10⁵ jobs, materialized. The fleet
+//! The closed-world experiments draw one cluster at calibration scale over
+//! a fixed horizon: a month of Seren is ~10⁵ jobs. The fleet
 //! experiment runs both clusters side by side for simulated *months* —
 //! 10⁶ jobs by default, ~267 days at the calibrated 3 740 jobs/day — and
 //! never materializes a single shard: arrivals stream out of

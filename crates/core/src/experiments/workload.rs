@@ -1,14 +1,14 @@
 //! Workload-characterization experiments (§3.1–3.2, Appendix A.1).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use acme_cluster::ClusterSpec;
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
 use acme_telemetry::{Cdf, Table};
 use acme_workload::datacenters::{table2 as table2_rows, RefDatacenter};
-use acme_workload::stats::demand_boxplots;
-use acme_workload::{TraceStats, WorkloadGenerator};
+use acme_workload::job::Cluster;
+use acme_workload::{TraceSummary, WorkloadGenerator};
 
 use super::shard::{run_shards, shard};
 use super::RunParams;
@@ -16,52 +16,27 @@ use super::RunParams;
 /// Quantiles printed for CDF-style figures.
 const QS: [f64; 7] = [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99];
 
-/// Memoized trace lookup. Five experiments (`table2`, `fig3`, `fig4`,
-/// `fig5`, `fig17`) consume the *same* seed-keyed Seren/Kalos traces;
-/// generating them once and sharing the `Arc` removes the single largest
-/// redundant cost in `repro all`. The trace is a pure function of
-/// `(seed, kind)`, so caching cannot perturb any output — a racing miss on
-/// two workers just builds the same value twice and keeps one.
-fn cached_trace(
-    seed: u64,
-    kind: u8,
-    build: impl FnOnce() -> acme_workload::ClusterWorkload,
-) -> Arc<acme_workload::ClusterWorkload> {
-    static CACHE: Mutex<Vec<(u64, u8, Arc<acme_workload::ClusterWorkload>)>> =
-        Mutex::new(Vec::new());
-    if let Some((_, _, hit)) = CACHE
-        .lock()
-        .expect("trace cache poisoned")
-        .iter()
-        .find(|e| e.0 == seed && e.1 == kind)
-    {
+/// The two clusters in the order the §3 tables print them.
+const CLUSTERS: [Cluster; 2] = [Cluster::Seren, Cluster::Kalos];
+
+/// The memoized summary of a cluster's §3 trace at `seed` (the Seren month
+/// or the Kalos half-year), which `table2`, `fig3`, `fig4`, `fig5` and
+/// `fig17` all read. It is folded as its jobs are drawn, so no trace is
+/// kept, and at about a kilobyte the cache keeps every one. A miss draws
+/// under the lock, so a racing worker waits instead of drawing it again.
+fn summary(seed: u64, cluster: Cluster) -> TraceSummary {
+    static CACHE: Mutex<Vec<(u64, Cluster, TraceSummary)>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().expect("summary cache poisoned");
+    if let Some((_, _, hit)) = cache.iter().find(|e| e.0 == seed && e.1 == cluster) {
         return hit.clone();
     }
-    let built = Arc::new(build());
-    let mut cache = CACHE.lock().expect("trace cache poisoned");
-    if let Some((_, _, hit)) = cache.iter().find(|e| e.0 == seed && e.1 == kind) {
-        return hit.clone();
-    }
-    // Small FIFO bound: `repro` touches one seed, tests touch a handful.
-    if cache.len() >= 8 {
-        cache.remove(0);
-    }
-    cache.push((seed, kind, built.clone()));
+    let (generator, fork, days) = match cluster {
+        Cluster::Seren => (WorkloadGenerator::seren(), 101, 30.0),
+        Cluster::Kalos => (WorkloadGenerator::kalos(), 102, 183.0),
+    };
+    let built = generator.summarize(&mut SimRng::new(seed).fork(fork), days);
+    cache.push((seed, cluster, built.clone()));
     built
-}
-
-fn seren_month(seed: u64) -> Arc<acme_workload::ClusterWorkload> {
-    cached_trace(seed, 0, || {
-        let mut rng = SimRng::new(seed).fork(101);
-        WorkloadGenerator::seren().generate(&mut rng, 30.0, 0)
-    })
-}
-
-fn kalos_six_months(seed: u64) -> Arc<acme_workload::ClusterWorkload> {
-    cached_trace(seed, 1, || {
-        let mut rng = SimRng::new(seed).fork(102);
-        WorkloadGenerator::kalos().generate(&mut rng, 183.0, 0)
-    })
 }
 
 /// Table 1 — the static hardware facts.
@@ -106,15 +81,12 @@ pub fn table2(seed: u64) -> String {
             r.gpu_models.to_owned(),
         ]);
     }
-    let seren = seren_month(seed);
-    let kalos = kalos_six_months(seed);
-    let s = TraceStats::new(&seren.jobs);
-    let k = TraceStats::new(&kalos.jobs);
+    let [s, k] = CLUSTERS.map(|c| summary(seed, c));
     format!(
         "{}\nmeasured: Seren avg {:.1} GPUs/job, Kalos avg {:.1} GPUs/job (paper overall: 6.3)\n",
         t.render(),
-        s.avg_gpus(),
-        k.avg_gpus()
+        s.trace.avg_gpus(),
+        k.trace.avg_gpus()
     )
 }
 
@@ -183,8 +155,6 @@ pub fn fig2(p: RunParams) -> String {
 
 /// Figure 3 — CDFs of job count and GPU time against requested GPUs.
 pub fn fig3(seed: u64) -> String {
-    let seren = seren_month(seed);
-    let kalos = kalos_six_months(seed);
     let mut t = Table::new([
         "GPUs ≤",
         "Seren count",
@@ -192,12 +162,11 @@ pub fn fig3(seed: u64) -> String {
         "Kalos count",
         "Kalos GPU-time",
     ]);
-    let s = TraceStats::new(&seren.jobs);
-    let k = TraceStats::new(&kalos.jobs);
-    let sc = s.demand_count_cdf();
-    let st = s.demand_gpu_time_cdf();
-    let kc = k.demand_count_cdf();
-    let kt = k.demand_gpu_time_cdf();
+    let [s, k] = CLUSTERS.map(|c| summary(seed, c));
+    let sc = s.trace.demand_count_cdf();
+    let st = s.trace.demand_gpu_time_cdf();
+    let kc = k.trace.demand_count_cdf();
+    let kt = k.trace.demand_gpu_time_cdf();
     for i in 0..sc.len() {
         t.row([
             sc[i].0.to_string(),
@@ -213,16 +182,12 @@ pub fn fig3(seed: u64) -> String {
 /// Figure 4 — per-type shares of job count and GPU time.
 pub fn fig4(seed: u64) -> String {
     let mut out = String::new();
-    for (name, trace) in [
-        ("Seren", seren_month(seed)),
-        ("Kalos", kalos_six_months(seed)),
-    ] {
-        let stats = TraceStats::new(&trace.jobs);
+    for cluster in CLUSTERS {
         let mut t = Table::new(["type", "job count share", "GPU time share"]);
-        for (ty, count, time) in stats.type_shares() {
+        for (ty, count, time) in summary(seed, cluster).trace.type_shares() {
             t.row([ty.label().to_owned(), pct(count), pct(time)]);
         }
-        out.push_str(&format!("== {name} ==\n{}", t.render()));
+        out.push_str(&format!("== {} ==\n{}", cluster.label(), t.render()));
     }
     out
 }
@@ -230,14 +195,11 @@ pub fn fig4(seed: u64) -> String {
 /// Figure 5 — GPU-demand boxplots per workload type.
 pub fn fig5(seed: u64) -> String {
     let mut out = String::new();
-    for (name, trace) in [
-        ("Seren", seren_month(seed)),
-        ("Kalos", kalos_six_months(seed)),
-    ] {
+    for cluster in CLUSTERS {
         let mut t = Table::new([
             "type", "whisker-", "q1", "median", "q3", "whisker+", "outliers",
         ]);
-        for (ty, b) in demand_boxplots(&trace.jobs) {
+        for (ty, b) in summary(seed, cluster).demand_boxplots() {
             t.row([
                 ty.label().to_owned(),
                 f(b.whisker_lo, 0),
@@ -248,7 +210,7 @@ pub fn fig5(seed: u64) -> String {
                 b.outliers.to_string(),
             ]);
         }
-        out.push_str(&format!("== {name} ==\n{}", t.render()));
+        out.push_str(&format!("== {} ==\n{}", cluster.label(), t.render()));
     }
     out
 }
@@ -256,16 +218,12 @@ pub fn fig5(seed: u64) -> String {
 /// Figure 17 — final statuses by count and resources.
 pub fn fig17(seed: u64) -> String {
     let mut out = String::new();
-    for (name, trace) in [
-        ("Seren", seren_month(seed)),
-        ("Kalos", kalos_six_months(seed)),
-    ] {
-        let stats = TraceStats::new(&trace.jobs);
+    for cluster in CLUSTERS {
         let mut t = Table::new(["status", "job count share", "GPU resource share"]);
-        for (st, count, time) in stats.status_shares() {
+        for (st, count, time) in summary(seed, cluster).trace.status_shares() {
             t.row([st.label().to_owned(), pct(count), pct(time)]);
         }
-        out.push_str(&format!("== {name} ==\n{}", t.render()));
+        out.push_str(&format!("== {} ==\n{}", cluster.label(), t.render()));
     }
     out
 }
@@ -273,6 +231,81 @@ pub fn fig17(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acme_telemetry::BoxplotStats;
+    use acme_workload::{JobType, TraceStats};
+
+    /// Every number `table2`, `fig3`, `fig4` and `fig17` read from a
+    /// trace's tables, floats as bit patterns.
+    fn table_bits(s: &TraceStats) -> Vec<(&'static str, u64)> {
+        let mut bits = vec![
+            ("jobs", s.len() as u64),
+            ("avg gpus", s.avg_gpus().to_bits()),
+            ("gpu seconds", s.total_gpu_seconds().to_bits()),
+        ];
+        for (ty, count, time) in s.type_shares() {
+            bits.extend([(ty.label(), count.to_bits()), (ty.label(), time.to_bits())]);
+        }
+        for (st, count, time) in s.status_shares() {
+            bits.extend([(st.label(), count.to_bits()), (st.label(), time.to_bits())]);
+        }
+        let cdfs = s
+            .demand_count_cdf()
+            .into_iter()
+            .zip(s.demand_gpu_time_cdf());
+        for ((gpus, count), (_, time)) in cdfs {
+            bits.extend([
+                ("gpus", u64::from(gpus)),
+                ("count cdf", count.to_bits()),
+                ("time cdf", time.to_bits()),
+            ]);
+        }
+        bits
+    }
+
+    /// Every field of each type's boxplot, floats as bit patterns.
+    fn boxplot_bits(boxes: &[(JobType, BoxplotStats)]) -> Vec<(JobType, [u64; 5], usize)> {
+        boxes
+            .iter()
+            .map(|(ty, b)| {
+                let floats = [b.q1, b.median, b.q3, b.whisker_lo, b.whisker_hi];
+                (*ty, floats.map(f64::to_bits), b.outliers)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_summaries_equal_the_materialized_traces() {
+        for seed in [42, 7, 3] {
+            for (cluster, generator, fork, days) in [
+                (Cluster::Seren, WorkloadGenerator::seren(), 101, 30.0),
+                (Cluster::Kalos, WorkloadGenerator::kalos(), 102, 183.0),
+            ] {
+                let jobs = generator
+                    .generate(&mut SimRng::new(seed).fork(fork), days, 0)
+                    .jobs;
+                let cached = summary(seed, cluster);
+                let at = format!("{} at seed {seed}", cluster.label());
+                assert_eq!(
+                    table_bits(&cached.trace),
+                    table_bits(&TraceStats::new(&jobs)),
+                    "{at}"
+                );
+                let sampled: Vec<_> = JobType::ALL
+                    .iter()
+                    .filter_map(|&ty| {
+                        let of_type = jobs.iter().filter(|j| j.job_type == ty);
+                        let demands = of_type.map(|j| f64::from(j.gpus)).collect();
+                        BoxplotStats::from_samples(demands).map(|b| (ty, b))
+                    })
+                    .collect();
+                assert_eq!(
+                    boxplot_bits(&cached.demand_boxplots()),
+                    boxplot_bits(&sampled),
+                    "{at}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn table1_contains_both_clusters() {

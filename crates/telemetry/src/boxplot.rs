@@ -2,7 +2,7 @@
 //! first and third quartiles, the median is marked inside, and both whiskers
 //! extend to the furthest sample within 1.5× the inter-quartile range.
 
-use crate::cdf::Cdf;
+use crate::cdf::{interpolate, Cdf};
 
 /// Five-number summary plus outlier count, Figure-5 convention.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +53,56 @@ impl BoxplotStats {
             whisker_lo,
             whisker_hi,
             outliers,
+        })
+    }
+
+    /// Compute from `(value, count)` pairs, values strictly increasing:
+    /// equal bit for bit to [`Self::from_samples`] over the samples they
+    /// count, with no sample stored. Returns `None` when every count is 0.
+    ///
+    /// # Panics
+    /// Panics unless the values strictly increase (which rules out NaN).
+    pub fn from_counts(counts: &[(f64, u64)]) -> Option<Self> {
+        let increasing = counts.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(increasing, "boxplot values must strictly increase");
+        // Samples whose value passes `keep`; at the fences, these counts
+        // stand in for the two binary searches of `from_samples`.
+        let count = |keep: &dyn Fn(f64) -> bool| -> usize {
+            let kept = counts.iter().filter(|e| keep(e.0));
+            kept.map(|e| e.1 as usize).sum()
+        };
+        let n = count(&|_| true);
+        if n == 0 {
+            return None;
+        }
+        // The sample at rank `r`: the first value whose running count
+        // passes `r`.
+        let at = |r: usize| {
+            let mut seen = 0;
+            let passes = |e: &&(f64, u64)| {
+                seen += e.1 as usize;
+                seen > r
+            };
+            counts.iter().find(passes).map(|e| e.0)
+        };
+        let sample = |r| at(r).expect("rank below the count");
+        let q1 = interpolate(n, 0.25, sample);
+        let q3 = interpolate(n, 0.75, sample);
+        let iqr = q3 - q1;
+        let first_inside = count(&|x| x < q1 - 1.5 * iqr);
+        let past_inside = count(&|x| x <= q3 + 1.5 * iqr);
+        let whisker_hi = if past_inside > first_inside {
+            sample(past_inside - 1).max(q3)
+        } else {
+            q3
+        };
+        Some(BoxplotStats {
+            q1,
+            median: interpolate(n, 0.5, sample),
+            q3,
+            whisker_lo: at(first_inside).unwrap_or(q1).min(q1),
+            whisker_hi,
+            outliers: first_inside + (n - past_inside),
         })
     }
 

@@ -29,6 +29,20 @@ fn checked_sum(samples: &[f64]) -> f64 {
     sum
 }
 
+/// [`Cdf::quantile`]'s rule for the `p` quantile of `n` samples whose
+/// `i`-th smallest is `at(i)`; `BoxplotStats::from_counts` shares it.
+pub(crate) fn interpolate(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
+    if n == 1 {
+        return at(0);
+    }
+    let pos = p * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    at(lo) * (1.0 - frac) + at(hi) * frac
+}
+
 /// Below this length a comparison sort beats the radix passes.
 const RADIX_MIN_LEN: usize = 1024;
 
@@ -145,16 +159,7 @@ impl Cdf {
     /// # Panics
     /// Panics if `p` is outside `[0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let pos = p * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
+        interpolate(self.sorted.len(), p, |i| self.sorted[i])
     }
 
     /// The median (`quantile(0.5)`).

@@ -12,6 +12,59 @@ fn exact_rank(sorted: &[f64], x: f64) -> u64 {
     sorted.partition_point(|&s| s.total_cmp(&x).is_le()) as u64
 }
 
+/// `xs` as the count table `BoxplotStats::from_counts` reads: each
+/// distinct value once, increasing, with its number of samples.
+fn counts_of(xs: &[f64]) -> Vec<(f64, u64)> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let mut counts: Vec<(f64, u64)> = Vec::new();
+    for x in sorted {
+        match counts.last_mut() {
+            Some((v, c)) if *v == x => *c += 1,
+            _ => counts.push((x, 1)),
+        }
+    }
+    counts
+}
+
+/// Every field of a boxplot, floats as bit patterns.
+fn bits(b: &BoxplotStats) -> ([u64; 5], usize) {
+    let floats = [b.q1, b.median, b.q3, b.whisker_lo, b.whisker_hi];
+    (floats.map(f64::to_bits), b.outliers)
+}
+
+/// The count-based boxplot equals the sample-based one bit for bit on
+/// the edge cases `boxplot.rs` pins (one sample, all samples equal, a high
+/// whisker held at a real sample, one far outlier) and on every sample of
+/// one to five values from {0, 1, 2, 8}. Among those, interpolated
+/// quartiles can put the nearest in-fence sample beyond the box, as in
+/// `[0, 8, 8, 8]` and `[0, 0, 0, 8]`, so both whisker clamps act.
+#[test]
+fn boxplot_from_counts_matches_samples_on_pinned_cases() {
+    let mut far = vec![10.0; 20];
+    far.push(1000.0);
+    let mut cases = vec![
+        vec![4.0],
+        vec![8.0; 7],
+        vec![0.0, 0.0, 0.0, 0.0, 100.0],
+        far,
+    ];
+    let values = [0.0, 1.0, 2.0, 8.0];
+    for n in 1..=5 {
+        for code in 0..values.len().pow(n) {
+            let digit = |i: u32| code / values.len().pow(i) % values.len();
+            cases.push((0..n).map(|i| values[digit(i)]).collect());
+        }
+    }
+    for xs in cases {
+        let exact = BoxplotStats::from_samples(xs.clone()).unwrap();
+        let counted = BoxplotStats::from_counts(&counts_of(&xs)).unwrap();
+        assert_eq!(bits(&counted), bits(&exact), "{xs:?}");
+    }
+    assert!(BoxplotStats::from_counts(&[]).is_none());
+    assert!(BoxplotStats::from_counts(&[(1.0, 0), (2.0, 0)]).is_none());
+}
+
 fn sketch_of(xs: &[f64], k: usize) -> QuantileSketch {
     let mut s = QuantileSketch::with_capacity(k);
     for &x in xs {
@@ -60,6 +113,26 @@ proptest! {
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(b.whisker_lo >= min && b.whisker_hi <= max);
         prop_assert!(b.outliers < n);
+    }
+
+    /// The count-based boxplot equals `from_samples` bit for bit on
+    /// integer samples with heavy ties, shaped like Figure 5's GPU demands:
+    /// half the draws are 1, a quarter one of 0, 1 and 2, and the rest a
+    /// power of two up to 4096. The ties put the quartiles, and so often
+    /// the fences, on sample values.
+    #[test]
+    fn boxplot_from_counts_matches_samples(draws in prop::collection::vec((0u32..4, 0u32..13), 1..120)) {
+        let xs: Vec<f64> = draws
+            .iter()
+            .map(|&(pick, k)| f64::from(match pick {
+                0 => 1 << k,
+                1 | 2 => 1,
+                _ => k % 3,
+            }))
+            .collect();
+        let exact = BoxplotStats::from_samples(xs.clone()).unwrap();
+        let counted = BoxplotStats::from_counts(&counts_of(&xs)).unwrap();
+        prop_assert_eq!(bits(&counted), bits(&exact));
     }
 
     /// Differential check against the exact CDF: the sketch's rank

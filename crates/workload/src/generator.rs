@@ -23,6 +23,7 @@ use acme_sim_core::dist::{Categorical, Distribution, Exponential, LogNormal};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
 
 use crate::job::{Cluster, JobRecord, JobStatus, JobType};
+use crate::stats::TraceSummary;
 
 /// Calibration for one workload type in one cluster.
 #[derive(Debug, Clone)]
@@ -194,22 +195,38 @@ impl WorkloadGenerator {
     /// start at `first_id`. Queue delays are zero — the scheduler simulation
     /// fills them in for Figure 6.
     pub fn generate(&self, rng: &mut SimRng, days: f64, first_id: u64) -> ClusterWorkload {
+        ClusterWorkload {
+            cluster: self.cluster,
+            jobs: self.arrivals(rng, days, first_id).collect(),
+        }
+    }
+
+    /// The summary of the trace [`Self::generate`] draws from `rng` over
+    /// `days`, folded job by job as the jobs are drawn: the same draws, and
+    /// no job kept.
+    pub fn summarize(&self, rng: &mut SimRng, days: f64) -> TraceSummary {
+        let mut summary = TraceSummary::default();
+        self.arrivals(rng, days, 0)
+            .for_each(|job| summary.push(&job));
+        summary
+    }
+
+    /// The one arrival loop: draw the gap, stop past the horizon, draw the
+    /// job.
+    fn arrivals<'a>(
+        &self,
+        rng: &'a mut SimRng,
+        days: f64,
+        first_id: u64,
+    ) -> impl Iterator<Item = JobRecord> + 'a {
         let sampler = JobSampler::new(self);
         let interarrival = Exponential::with_mean(86_400.0 / self.jobs_per_day);
         let end = SimTime::ZERO + SimDuration::from_secs_f64(days * 86_400.0);
-        let mut jobs = Vec::new();
         let mut t = SimTime::ZERO;
-        loop {
+        (first_id..).map_while(move |id| {
             t += SimDuration::from_secs_f64(interarrival.sample(rng));
-            if t > end {
-                break;
-            }
-            jobs.push(sampler.sample(first_id + jobs.len() as u64, t, rng));
-        }
-        ClusterWorkload {
-            cluster: self.cluster,
-            jobs,
-        }
+            (t <= end).then(|| sampler.sample(id, t, rng))
+        })
     }
 }
 

@@ -13,7 +13,8 @@
 //!   cross-datacenter comparisons (Table 2, Figure 2);
 //! * [`stats`] — the aggregation used to regenerate every §3 figure: the
 //!   bounded-memory [`TraceStats`] tables that the traces and the fleet
-//!   stream both fold into, and the per-type samples of Figures 5 and 6;
+//!   stream both fold into, the [`TraceSummary`] each trace is folded
+//!   into as it is drawn, and the per-type samples of Figure 6;
 //! * [`stream`] — the open-system fleet: sharded multi-tenant Zipf/Poisson
 //!   arrival streams for 10⁶⁺-job runs.
 
@@ -27,5 +28,5 @@ pub mod stream;
 
 pub use generator::{ClusterWorkload, WorkloadGenerator};
 pub use job::{JobRecord, JobStatus, JobType};
-pub use stats::TraceStats;
+pub use stats::{TraceStats, TraceSummary};
 pub use stream::{FleetConfig, FleetJob, FleetShardStats, FleetStream};

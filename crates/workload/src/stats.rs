@@ -1,12 +1,14 @@
-//! Trace aggregation: the numbers behind Figures 3, 4, 5, 6 and 17.
+//! Trace aggregation: the numbers behind Table 2 and Figures 3, 4, 5, 6
+//! and 17.
 //!
 //! [`TraceStats`] is a bounded-memory accumulator — fixed-size
 //! per-type/per-status/per-demand-bucket counters — that jobs are
 //! `push`ed into one at a time and shards `merge` together; it never
 //! retains a job, so the closed-world traces and the fleet stream fold
-//! into the same tables. The figures that need per-type sample vectors
-//! (Figure 5's boxplots, Figure 6's CDFs) read a materialized slice
-//! through the free functions [`duration_cdf`], [`demand_boxplots`],
+//! into the same tables. [`TraceSummary`] adds a count per type and exact
+//! GPU demand, which gives Figure 5's boxplots exactly, so the §3 figures
+//! read one summary per cluster and keep no trace. Figure 6's CDFs, over
+//! a scheduler run's queue delays, read a materialized slice through
 //! [`duration_cdf_by_type`] and [`queue_delay_cdf_by_type`]. Counts are
 //! integers, exact in any order; each float accumulator receives exactly
 //! the additions the historical per-figure passes performed, in the same
@@ -198,6 +200,41 @@ impl TraceStats {
     }
 }
 
+/// A cluster trace's §3 figures without the trace: its [`TraceStats`] and
+/// its jobs per type and exact GPU demand, folded in by
+/// [`WorkloadGenerator::summarize`](crate::WorkloadGenerator::summarize).
+#[derive(Debug, Clone, Default)]
+pub struct TraceSummary {
+    /// The aggregate tables.
+    pub trace: TraceStats,
+    /// Per type, in `JobType::ALL` order: `(gpus, jobs)`, sorted by demand.
+    demand_counts: [Vec<(f64, u64)>; JobType::ALL.len()],
+}
+
+impl TraceSummary {
+    #[inline]
+    pub(crate) fn push(&mut self, j: &JobRecord) {
+        self.trace.push(j);
+        let counts = &mut self.demand_counts[j.job_type as usize];
+        let gpus = f64::from(j.gpus);
+        match counts.binary_search_by(|&(g, _)| g.total_cmp(&gpus)) {
+            Ok(i) => counts[i].1 += 1,
+            Err(i) => counts.insert(i, (gpus, 1)),
+        }
+    }
+
+    /// Per-type GPU-demand box plots — Figure 5, equal bit for bit to the
+    /// box plots of each type's demand samples. Types absent from the trace
+    /// are omitted.
+    pub fn demand_boxplots(&self) -> Vec<(JobType, BoxplotStats)> {
+        JobType::ALL
+            .iter()
+            .zip(&self.demand_counts)
+            .filter_map(|(&ty, counts)| BoxplotStats::from_counts(counts).map(|b| (ty, b)))
+            .collect()
+    }
+}
+
 /// CDF of job runtimes in minutes: §3.1's short-job headline, a median
 /// GPU-job runtime of about 2 minutes.
 ///
@@ -205,16 +242,6 @@ impl TraceStats {
 /// Panics on an empty trace.
 pub fn duration_cdf(jobs: &[JobRecord]) -> Cdf {
     Cdf::from_samples(jobs.iter().map(|j| j.duration.as_mins_f64()).collect()).expect("empty trace")
-}
-
-/// Per-type GPU-demand box plots — Figure 5. Types absent from the trace
-/// are omitted.
-pub fn demand_boxplots(jobs: &[JobRecord]) -> Vec<(JobType, BoxplotStats)> {
-    JobType::ALL
-        .iter()
-        .zip(partition_by_type(jobs, |j| j.gpus as f64))
-        .filter_map(|(&ty, demands)| BoxplotStats::from_samples(demands).map(|b| (ty, b)))
-        .collect()
 }
 
 /// Per-type duration CDFs in minutes — Figure 6(a/c).
@@ -358,8 +385,9 @@ mod tests {
     #[test]
     fn boxplots_reflect_demand_ordering() {
         let mut rng = SimRng::new(10);
-        let w = WorkloadGenerator::kalos().generate(&mut rng, 30.0, 0);
-        let boxes = demand_boxplots(&w.jobs);
+        let boxes = WorkloadGenerator::kalos()
+            .summarize(&mut rng, 30.0)
+            .demand_boxplots();
         let get = |ty: JobType| {
             boxes
                 .iter()

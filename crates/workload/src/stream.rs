@@ -1,8 +1,8 @@
 //! Open-system fleet workload: multi-tenant, multi-cluster job arrivals
 //! as a sharded lazy stream.
 //!
-//! The closed-world generators model one cluster at calibration scale and
-//! materialize the trace. This module models what the paper's §2.1
+//! The closed-world generators model one cluster at calibration scale over
+//! a fixed horizon. This module models what the paper's §2.1
 //! deployment actually serves — the *fleet*: both clusters side by side,
 //! hundreds of tenants with Zipf-skewed activity, and diurnally bursty
 //! arrivals — at job counts (10⁶–10⁷) where materializing is off the
@@ -442,6 +442,7 @@ impl FleetShardStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Cluster;
 
     fn small() -> FleetConfig {
         FleetConfig {
@@ -557,15 +558,31 @@ mod tests {
         assert_eq!(merged.duration_sketch.count(), c.jobs);
         // Gap sketch misses the (unobservable) cross-shard seams only.
         assert_eq!(merged.gap_sketch.count(), c.jobs - c.shard_count() as u64);
-        // Population mix matches the cluster weights: Seren ≈ 97% of jobs.
-        let seren_share = merged
+        // Every merged job lands in exactly one type row.
+        let type_share_sum = merged
             .trace
             .type_shares()
             .iter()
             .map(|&(_, count, _)| count)
             .sum::<f64>();
-        assert!((seren_share - 1.0).abs() < 1e-9, "shares sum to 1");
+        assert!((type_share_sum - 1.0).abs() < 1e-9, "shares sum to 1");
         assert!(merged.acceptance_ratio() > 0.5);
+        // Population mix matches the clusters' calibrated rates: Seren
+        // submits 3630 of the fleet's 3740 jobs a day. `TraceStats` keeps
+        // no per-cluster table, so count the shards' jobs by cluster and
+        // hold the Seren share within 5 binomial standard deviations
+        // (±0.49 points at 30,000 jobs).
+        let seren = (0..c.shard_count())
+            .flat_map(|i| FleetStream::shard(&c, i))
+            .filter(|fj| fj.job.cluster == Cluster::Seren)
+            .count();
+        let (n, p) = (c.jobs as f64, 3630.0 / 3740.0);
+        let band = 5.0 * (p * (1.0 - p) / n).sqrt();
+        let share = seren as f64 / n;
+        assert!(
+            (share - p).abs() < band,
+            "Seren share {share:.4}, expected {p:.4} ± {band:.4}"
+        );
     }
 
     #[test]
