@@ -39,7 +39,7 @@ pub(super) fn campaign(p: RunParams) -> (Vec<Dataset>, f64, FaultPlan) {
         &SharedStorage::seren(),
         MODEL_GB,
     )
-    .expect("the registry is non-empty and the fleet has nodes")
+    .expect("`scale` ≥ 1 registries on NODES nodes pass the input check")
     .makespan_secs;
     let config = FaultConfig::default_campaign(NODES, clean);
     let plan = FaultPlan::generate(&config, &mut SimRng::new(p.seed).fork(1101));
@@ -59,7 +59,7 @@ pub(super) fn replay(
         let storage = SharedStorage::seren();
         run_campaign_traced(policy, datasets, NODES, &storage, MODEL_GB, plan, rec)
     })
-    .expect("the campaign inputs were already validated")
+    .expect("`campaign` ran these datasets on NODES through the same input check")
 }
 
 /// `evalstorm` — generate the default fault campaign for the seed (horizon

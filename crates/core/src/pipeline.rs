@@ -299,7 +299,7 @@ impl DevelopmentPipeline {
             &SharedStorage::seren(),
             14.0,
         )
-        .expect("the benchmark registry is non-empty and four nodes is non-zero");
+        .expect("the registry on four nodes passes the input check");
 
         PipelineReport {
             data,

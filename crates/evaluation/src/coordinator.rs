@@ -14,13 +14,18 @@
 //! 3. *Prior-based elastic scheduling* — datasets are packed into
 //!    consolidated per-GPU trials using known runtimes (longest first),
 //!    with long-CPU-metric datasets prioritized so their tails overlap.
+//!
+//! A [`Scheduler`] only sets the trial layout. [`run`] simulates it with
+//! the campaign simulation of [`crate::faults`], the one evaluation event
+//! loop, under the fault-tolerant arm against an empty fault plan.
 
 use std::fmt;
 
 use acme_cluster::SharedStorage;
-use acme_sim_core::{EventQueue, SimTime};
+use acme_obs::Rec;
 
 use crate::benchmarks::Dataset;
+use crate::faults::{CampaignPolicy, CampaignSim, FaultPlan};
 
 /// Scheduler variants for the ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,21 +51,21 @@ impl Scheduler {
         }
     }
 
-    fn staged_loading(self) -> bool {
+    pub(crate) fn staged_loading(self) -> bool {
         matches!(
             self,
             Scheduler::DecoupledLoadingOnly | Scheduler::FullCoordinator
         )
     }
 
-    fn decoupled_metrics(self) -> bool {
+    pub(crate) fn decoupled_metrics(self) -> bool {
         matches!(
             self,
             Scheduler::DecoupledMetricsOnly | Scheduler::FullCoordinator
         )
     }
 
-    fn prior_packing(self) -> bool {
+    pub(crate) fn prior_packing(self) -> bool {
         matches!(self, Scheduler::FullCoordinator)
     }
 }
@@ -137,14 +142,11 @@ pub(crate) fn plan_order(scheduler: Scheduler, datasets: &[Dataset], gpus: u32) 
     order
 }
 
-/// Run a fault-free evaluation campaign over `nodes` 8-GPU nodes.
-///
-/// The campaign is a discrete-event simulation on [`EventQueue`]: every GPU
-/// emits a "free" event, the earliest free GPU pulls the next work item,
-/// and simultaneous frees dispatch in ascending GPU order. Instants are the
-/// exact `f64` second values (via [`SimTime::from_ordered_secs_f64`]), so
-/// the schedule — and therefore the output — is identical to the closed-form
-/// greedy list schedule this replaced, down to the last bit.
+/// Run a fault-free evaluation campaign over `nodes` 8-GPU nodes: the
+/// campaign simulation of [`crate::faults`] in `scheduler`'s trial layout,
+/// under [`CampaignPolicy::FaultTolerant`] against [`FaultPlan::empty`].
+/// Nothing fails, so it is the greedy list schedule: the earliest free GPU
+/// pulls the next work item, simultaneous frees in ascending GPU order.
 pub fn run(
     scheduler: Scheduler,
     datasets: &[Dataset],
@@ -152,6 +154,62 @@ pub fn run(
     storage: &SharedStorage,
     model_gb: f64,
 ) -> Result<EvalRun, CoordinatorError> {
+    let plan = FaultPlan::empty();
+    let (outcome, gpu_busy_secs) = CampaignSim::new(
+        CampaignPolicy::FaultTolerant,
+        scheduler,
+        datasets,
+        nodes,
+        storage,
+        model_gb,
+        &plan,
+    )?
+    .run(Rec::off());
+    Ok(EvalRun {
+        makespan_secs: outcome.makespan_secs,
+        gpu_busy_secs,
+        remote_loads: outcome.remote_loads,
+        gpus: nodes * 8,
+    })
+}
+
+/// The §6.2 experiment: all four schedulers at `nodes` nodes over the full
+/// 63-dataset suite with a 7B model (14 GB of weights).
+///
+/// # Panics
+/// Panics if `nodes == 0`: the §6.2 sweep is defined over at least one node.
+pub fn section62_experiment(nodes: u32) -> Vec<(Scheduler, EvalRun)> {
+    let datasets = crate::benchmarks::registry();
+    let storage = SharedStorage::seren();
+    [
+        Scheduler::Baseline,
+        Scheduler::DecoupledLoadingOnly,
+        Scheduler::DecoupledMetricsOnly,
+        Scheduler::FullCoordinator,
+    ]
+    .into_iter()
+    .map(|s| {
+        let outcome = run(s, &datasets, nodes, &storage, 14.0)
+            .expect("the registry is non-empty, so only zero nodes can fail here");
+        (s, outcome)
+    })
+    .collect()
+}
+
+/// The fault-free loop [`run`] replaced, kept verbatim as its oracle: a
+/// second discrete-event simulation on an `EventQueue` in which every GPU
+/// emits a "free" event, the earliest free GPU pulls the next work item,
+/// and simultaneous frees dispatch in ascending GPU order.
+#[cfg(test)]
+pub(crate) fn run_reference(
+    scheduler: Scheduler,
+    datasets: &[Dataset],
+    nodes: u32,
+    storage: &SharedStorage,
+    model_gb: f64,
+) -> Result<EvalRun, CoordinatorError> {
+    use acme_sim_core::{EventQueue, SimTime};
+
     if datasets.is_empty() {
         return Err(CoordinatorError::EmptyDatasets);
     }
@@ -244,39 +302,120 @@ pub fn run(
     })
 }
 
-/// The §6.2 experiment: all four schedulers at `nodes` nodes over the full
-/// 63-dataset suite with a 7B model (14 GB of weights).
-///
-/// # Panics
-/// Panics if `nodes == 0`: the §6.2 sweep is defined over at least one node.
-pub fn section62_experiment(nodes: u32) -> Vec<(Scheduler, EvalRun)> {
-    let datasets = crate::benchmarks::registry();
-    let storage = SharedStorage::seren();
-    [
-        Scheduler::Baseline,
-        Scheduler::DecoupledLoadingOnly,
-        Scheduler::DecoupledMetricsOnly,
-        Scheduler::FullCoordinator,
-    ]
-    .into_iter()
-    .map(|s| {
-        let outcome = run(s, &datasets, nodes, &storage, 14.0)
-            .expect("the registry is non-empty, so only zero nodes can fail here");
-        (s, outcome)
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::benchmarks::registry;
+    use acme_sim_core::{EventQueue, SimTime};
+    use proptest::prelude::*;
 
-    /// The coordinator keys its queue with [`SimTime::from_ordered_secs_f64`]
-    /// — an order-preserving bit transform, not a quantization — so the
-    /// event queue must pop in exact `total_cmp` order, with FIFO ties, for
-    /// arbitrary `f64` second values. This pins the contract the whole
-    /// evaluation subsystem's determinism rests on.
+    const SCHEDULERS: [Scheduler; 4] = [
+        Scheduler::Baseline,
+        Scheduler::DecoupledLoadingOnly,
+        Scheduler::DecoupledMetricsOnly,
+        Scheduler::FullCoordinator,
+    ];
+
+    /// `copies` back-to-back copies of the registry window of `len`
+    /// datasets starting at `start` (cut short at the registry's end).
+    fn campaign(start: usize, len: usize, copies: usize) -> Vec<Dataset> {
+        let window: Vec<Dataset> = registry().into_iter().skip(start).take(len).collect();
+        (0..copies).flat_map(|_| window.iter().copied()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The campaign simulation is the old fault-free loop bit for bit,
+        /// in every scheduler's layout: the same schedule, the same
+        /// busy-time summation order.
+        #[test]
+        fn the_campaign_simulation_matches_the_reference_loop(
+            start in 0usize..63,
+            len in 1usize..64,
+            copies in 1usize..4,
+            nodes in 1u32..12,
+            model_gb in 1.0f64..200.0,
+        ) {
+            let datasets = campaign(start, len, copies);
+            let storage = SharedStorage::seren();
+            for s in SCHEDULERS {
+                let got = run(s, &datasets, nodes, &storage, model_gb).unwrap();
+                let want = run_reference(s, &datasets, nodes, &storage, model_gb).unwrap();
+                prop_assert_eq!(
+                    got.makespan_secs.to_bits(),
+                    want.makespan_secs.to_bits(),
+                    "{:?} makespan {} vs {}", s, got.makespan_secs, want.makespan_secs
+                );
+                prop_assert_eq!(
+                    got.gpu_busy_secs.to_bits(),
+                    want.gpu_busy_secs.to_bits(),
+                    "{:?} GPU-busy {} vs {}", s, got.gpu_busy_secs, want.gpu_busy_secs
+                );
+                prop_assert_eq!(got.remote_loads, want.remote_loads, "{:?}", s);
+                prop_assert_eq!(got.gpus, want.gpus, "{:?}", s);
+            }
+        }
+
+        /// Graham's list-scheduling bounds hold for every scheduler's
+        /// fault-free run. With S the staging offset, W the GPU-busy
+        /// seconds, m the GPUs, p_min and p_max the largest item work
+        /// without and with its load, and q the largest decoupled metric:
+        /// S + max(W/m, p_min) ≤ makespan ≤ S + W/m + p_max + q.
+        #[test]
+        fn makespans_sit_within_grahams_bounds(
+            start in 0usize..63,
+            len in 1usize..64,
+            copies in 1usize..4,
+            nodes in 1u32..12,
+            model_gb in 1.0f64..200.0,
+        ) {
+            let datasets = campaign(start, len, copies);
+            let storage = SharedStorage::seren();
+            let m = nodes * 8;
+            for s in SCHEDULERS {
+                let (stage, load) = if s.staged_loading() {
+                    (
+                        storage.remote_load_secs(model_gb, 1, nodes),
+                        storage.local_load_secs(model_gb, 8),
+                    )
+                } else {
+                    (0.0, storage.remote_load_secs(model_gb, 8, nodes))
+                };
+                let (mut p_min, mut p_max, mut q) = (0.0f64, 0.0f64, 0.0f64);
+                for d in plan_order(s, &datasets, m) {
+                    let (gpu_metric, cpu_metric) = if s.decoupled_metrics() {
+                        (0.0, d.metric_secs)
+                    } else {
+                        (d.metric_secs, 0.0)
+                    };
+                    let work = d.preprocess_secs + d.inference_secs + gpu_metric;
+                    p_min = p_min.max(work);
+                    p_max = p_max.max(work + load);
+                    q = q.max(cpu_metric);
+                }
+                let r = run(s, &datasets, nodes, &storage, model_gb).unwrap();
+                let per_gpu = r.gpu_busy_secs / f64::from(m);
+                let lower = stage + per_gpu.max(p_min);
+                let upper = stage + per_gpu + p_max + q;
+                prop_assert!(
+                    lower <= r.makespan_secs * (1.0 + 1e-9),
+                    "{:?} makespan {} under the lower bound {}", s, r.makespan_secs, lower
+                );
+                prop_assert!(
+                    r.makespan_secs <= upper * (1.0 + 1e-9),
+                    "{:?} makespan {} over the upper bound {}", s, r.makespan_secs, upper
+                );
+            }
+        }
+    }
+
+    /// The campaign simulation keys its queue with
+    /// [`SimTime::from_ordered_secs_f64`] — an order-preserving bit
+    /// transform, not a quantization — so the event queue must pop in exact
+    /// `total_cmp` order, with FIFO ties, for arbitrary `f64` second values.
+    /// This pins the contract the whole evaluation subsystem's determinism
+    /// rests on.
     #[test]
     fn ordered_f64_keys_drain_in_total_cmp_order() {
         let mut queue: EventQueue<usize> = EventQueue::new();

@@ -17,9 +17,11 @@
 //!    makespan: every gap, window and the horizon are fixed fractions of
 //!    that makespan, and the counts, factors and flake rate are module
 //!    constants.
-//! 2. A **campaign replay** ([`run_campaign`]): a discrete-event
-//!    simulation of the §6.2 full-coordinator schedule under one
-//!    [`CampaignPolicy`] arm, mirroring the fault-storm study. Naive
+//! 2. A **campaign replay** ([`run_campaign`]): the crate's one
+//!    evaluation event loop, here replaying the §6.2 full-coordinator
+//!    layout under one [`CampaignPolicy`] arm, mirroring the fault-storm
+//!    study; [`crate::coordinator::run`] is the same loop in any
+//!    [`Scheduler`]'s layout against [`FaultPlan::empty`]. Naive
 //!    restart resubmits the whole campaign on any loss. Retry-only retries
 //!    each crashed trial in place on the exponential-backoff ladder of
 //!    `failure::orchestrator`. The fault-tolerant arm adds dataset-granular
@@ -463,22 +465,16 @@ pub fn run_campaign_traced(
     plan: &FaultPlan,
     rec: &mut Rec<'_>,
 ) -> Result<CampaignOutcome, CoordinatorError> {
-    if datasets.is_empty() {
-        return Err(CoordinatorError::EmptyDatasets);
-    }
-    if nodes == 0 {
-        return Err(CoordinatorError::ZeroNodes);
-    }
-    Ok(CampaignSim::new(
+    let sim = CampaignSim::new(
         policy,
+        Scheduler::FullCoordinator,
         datasets,
         nodes,
         storage,
         model_gb,
         plan,
-        rec.borrow(),
-    )
-    .run())
+    )?;
+    Ok(sim.run(rec.borrow()).0)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,32 +518,21 @@ struct Gpu {
 enum Ev {
     GpuFree { gpu: u32, epoch: u64 },
     ItemDone { gpu: u32, epoch: u64 },
-    Fault(usize),
+    Crash(TrialCrash),
+    NodeFailure(NodeFailure),
     Watchdog { gpu: u32, item: usize, epoch: u64 },
     MetricDone { item: usize, attempt: u32, era: u32 },
-}
-
-#[derive(Debug, Clone, Copy)]
-enum FaultEvent {
-    Crash(TrialCrash),
-    Node(NodeFailure),
-}
-
-impl FaultEvent {
-    fn at_secs(&self) -> f64 {
-        match self {
-            FaultEvent::Crash(c) => c.at_secs,
-            FaultEvent::Node(f) => f.at_secs,
-        }
-    }
 }
 
 fn key(secs: f64) -> SimTime {
     SimTime::from_ordered_secs_f64(secs)
 }
 
-struct CampaignSim<'a> {
+/// The one evaluation simulation: a campaign in one [`Scheduler`]'s
+/// trial layout, replayed against a fault plan under one recovery arm.
+pub(crate) struct CampaignSim<'a> {
     policy: CampaignPolicy,
+    scheduler: Scheduler,
     /// The crash-retry ladder of the retry-only and fault-tolerant arms
     /// (the naive arm restarts the campaign before reaching it).
     retry: RetryPolicy,
@@ -555,8 +540,8 @@ struct CampaignSim<'a> {
     items: Vec<Dataset>,
     gpus: u32,
     shm_load: f64,
+    remote_load: f64,
     precursor_base: f64,
-    faults: Vec<FaultEvent>,
 
     queue: EventQueue<Ev>,
     gpu: Vec<Gpu>,
@@ -571,6 +556,9 @@ struct CampaignSim<'a> {
     era: u32,
 
     useful: f64,
+    /// GPU seconds dispatched, in dispatch order: `coordinator::run`'s
+    /// busy time (`useful` sums in completion order).
+    dispatched: f64,
     wasted: f64,
     waste_secs: [[f64; 3]; 3],
     remote_loads: usize,
@@ -604,36 +592,35 @@ mod stage {
 }
 
 impl<'a> CampaignSim<'a> {
-    fn new(
+    /// The campaign over `nodes` 8-GPU nodes: every evaluation run passes
+    /// this one input check.
+    pub(crate) fn new(
         policy: CampaignPolicy,
+        scheduler: Scheduler,
         datasets: &[Dataset],
         nodes: u32,
         storage: &SharedStorage,
         model_gb: f64,
         plan: &'a FaultPlan,
-        rec: Rec<'a>,
-    ) -> Self {
+    ) -> Result<Self, CoordinatorError> {
+        if datasets.is_empty() {
+            return Err(CoordinatorError::EmptyDatasets);
+        }
+        if nodes == 0 {
+            return Err(CoordinatorError::ZeroNodes);
+        }
         let gpus = nodes * 8;
-        let items = plan_order(Scheduler::FullCoordinator, datasets, gpus);
+        let items = plan_order(scheduler, datasets, gpus);
         let n = items.len();
-
-        // Merge the fault streams into one time-sorted list.
-        let mut faults: Vec<FaultEvent> = plan
-            .crashes
-            .iter()
-            .map(|&c| FaultEvent::Crash(c))
-            .chain(plan.node_failures.iter().map(|&f| FaultEvent::Node(f)))
-            .collect();
-        faults.sort_by(|a, b| a.at_secs().total_cmp(&b.at_secs()));
-
-        CampaignSim {
+        Ok(CampaignSim {
             policy,
+            scheduler,
             retry: RetryPolicy::evaluation(),
             plan,
             gpus,
             shm_load: storage.local_load_secs(model_gb, 8.min(gpus)),
+            remote_load: storage.remote_load_secs(model_gb, 8.min(gpus), nodes),
             precursor_base: storage.remote_load_secs(model_gb, 1, nodes),
-            faults,
             queue: EventQueue::with_capacity(n + gpus as usize),
             gpu: (0..gpus)
                 .map(|_| Gpu {
@@ -655,9 +642,10 @@ impl<'a> CampaignSim<'a> {
             spec_launched: vec![false; n],
             era: 0,
             useful: 0.0,
+            dispatched: 0.0,
             wasted: 0.0,
             waste_secs: [[0.0; 3]; 3],
-            remote_loads: nodes as usize,
+            remote_loads: 0,
             redundant_remote_loads: 0,
             retries: 0,
             escalations: 0,
@@ -668,9 +656,9 @@ impl<'a> CampaignSim<'a> {
             nodes_lost: 0,
             last_gpu_done: 0.0,
             last_metric_done: 0.0,
-            rec,
+            rec: Rec::off(),
             items,
-        }
+        })
     }
 
     /// Account `secs` of wasted GPU time, attributing it to a fault
@@ -691,16 +679,20 @@ impl<'a> CampaignSim<'a> {
         );
     }
 
-    fn run(mut self) -> CampaignOutcome {
-        // Initial staging: one precursor per node, then every GPU frees.
-        let stage = self.precursor_base * self.plan.storage_factor_at(0.0);
+    /// Run the campaign to its end: the outcome, and `dispatched`.
+    pub(crate) fn run(mut self, rec: Rec<'a>) -> (CampaignOutcome, f64) {
+        self.rec = rec;
+        let stage = self.stage_model(0.0);
         for g in 0..self.gpus {
             self.queue
                 .schedule(key(stage), Ev::GpuFree { gpu: g, epoch: 0 });
         }
-        for i in 0..self.faults.len() {
-            self.queue
-                .schedule(key(self.faults[i].at_secs()), Ev::Fault(i));
+        // Crashes first: at an equal instant a crash pops before a node failure.
+        for &c in &self.plan.crashes {
+            self.queue.schedule(key(c.at_secs), Ev::Crash(c));
+        }
+        for &f in &self.plan.node_failures {
+            self.queue.schedule(key(f.at_secs), Ev::NodeFailure(f));
         }
 
         while let Some((at, ev)) = self.queue.pop() {
@@ -708,10 +700,8 @@ impl<'a> CampaignSim<'a> {
             match ev {
                 Ev::GpuFree { gpu, epoch } => self.on_gpu_free(gpu, epoch, now),
                 Ev::ItemDone { gpu, epoch } => self.on_item_done(gpu, epoch, now),
-                Ev::Fault(i) => match self.faults[i] {
-                    FaultEvent::Crash(c) => self.on_crash(c, now),
-                    FaultEvent::Node(f) => self.on_node_failure(f, now),
-                },
+                Ev::Crash(c) => self.on_crash(c, now),
+                Ev::NodeFailure(f) => self.on_node_failure(f, now),
                 Ev::Watchdog { gpu, item, epoch } => self.on_watchdog(gpu, item, epoch, now),
                 Ev::MetricDone { item, attempt, era } => {
                     self.on_metric_done(item, attempt, era, now)
@@ -720,7 +710,7 @@ impl<'a> CampaignSim<'a> {
         }
 
         let items_landed_once = self.metric_landed.iter().filter(|&&c| c == 1).count();
-        CampaignOutcome {
+        let outcome = CampaignOutcome {
             makespan_secs: self.last_gpu_done.max(self.last_metric_done),
             useful_gpu_secs: self.useful,
             wasted_gpu_secs: self.wasted,
@@ -736,7 +726,18 @@ impl<'a> CampaignSim<'a> {
             nodes_lost: self.nodes_lost,
             items_expected: self.items.len(),
             items_landed_once,
+        };
+        (outcome, self.dispatched)
+    }
+
+    /// Stage the model on every surviving node (staged layouts only), one
+    /// precursor remote load each; returns the seconds it takes from `now`.
+    fn stage_model(&mut self, now: f64) -> f64 {
+        if !self.scheduler.staged_loading() {
+            return 0.0;
         }
+        self.remote_loads += self.alive_nodes as usize;
+        self.precursor_base * self.plan.storage_factor_at(now)
     }
 
     fn on_gpu_free(&mut self, g: u32, epoch: u64, now: f64) {
@@ -765,21 +766,28 @@ impl<'a> CampaignSim<'a> {
                 // Trial boundary: without dataset tracking this is where
                 // the consolidated trial's results finally commit.
                 self.commit_batch(gi, now);
-                self.maybe_wave(now);
+                self.maybe_wave();
                 return;
             };
             if self.committed[w.item] {
                 continue; // landed elsewhere already (speculation dedup)
             }
             let d = self.items[w.item];
-            let load = if self.gpu[gi].loaded {
+            let load = if !self.scheduler.staged_loading() {
+                self.remote_loads += 1;
+                self.remote_load * self.plan.storage_factor_at(now)
+            } else if self.gpu[gi].loaded {
                 0.0
             } else {
-                self.gpu[gi].loaded = true;
+                // Only a consolidated trial (prior packing) stays loaded.
+                self.gpu[gi].loaded = self.scheduler.prior_packing();
                 self.shm_load
             };
-            let base = load + d.preprocess_secs + d.inference_secs;
+            let decoupled = self.scheduler.decoupled_metrics();
+            let gpu_metric = if decoupled { 0.0 } else { d.metric_secs };
+            let base = load + d.preprocess_secs + d.inference_secs + gpu_metric;
             let work = base * self.plan.slowdown(g, now);
+            self.dispatched += work;
             let epoch = self.gpu[gi].epoch;
             self.gpu[gi].state = GpuState::Busy;
             self.gpu[gi].busy = Some(Busy {
@@ -861,9 +869,14 @@ impl<'a> CampaignSim<'a> {
         }
     }
 
+    /// Launch `item`'s CPU metric job; a coupled metric ran in the trial,
+    /// so it lands at once.
     fn schedule_metric(&mut self, item: usize, attempt: u32, now: f64) {
+        let decoupled = self.scheduler.decoupled_metrics();
+        let metric_secs = self.items[item].metric_secs;
+        let cpu_secs = if decoupled { metric_secs } else { 0.0 };
         self.queue.schedule(
-            key(now + self.items[item].metric_secs),
+            key(now + cpu_secs),
             Ev::MetricDone {
                 item,
                 attempt,
@@ -894,7 +907,7 @@ impl<'a> CampaignSim<'a> {
         }
     }
 
-    fn on_watchdog(&mut self, g: u32, item: usize, epoch: u64, _now: f64) {
+    fn on_watchdog(&mut self, g: u32, item: usize, epoch: u64, now: f64) {
         let gi = g as usize;
         if epoch != self.gpu[gi].epoch || self.gpu[gi].state != GpuState::Busy {
             return;
@@ -908,7 +921,7 @@ impl<'a> CampaignSim<'a> {
         self.spec_launched[item] = true;
         self.speculative_copies += 1;
         self.rec.instant(
-            _now,
+            now,
             "trial/speculate",
             FailureCategory::Infrastructure.label(),
             &[
@@ -1052,7 +1065,7 @@ impl<'a> CampaignSim<'a> {
             // No re-packing: stranded work waits for a resubmission wave
             // after the rest of the campaign drains.
             self.deferred.extend(lost);
-            self.maybe_wave(now);
+            self.maybe_wave();
         }
     }
 
@@ -1096,10 +1109,9 @@ impl<'a> CampaignSim<'a> {
             .map(|item| WorkRef { item, spec: false })
             .collect();
 
-        self.remote_loads += self.alive_nodes as usize;
-        self.redundant_remote_loads += self.alive_nodes as usize;
-        let stage = self.precursor_base * self.plan.storage_factor_at(now);
-        let restart_at = now + RESTART_DELAY_SECS + stage;
+        let loads = self.remote_loads;
+        let restart_at = now + RESTART_DELAY_SECS + self.stage_model(now);
+        self.redundant_remote_loads += self.remote_loads - loads;
         for g in 0..self.gpus {
             let gi = g as usize;
             if self.gpu[gi].state == GpuState::Dead {
@@ -1124,7 +1136,7 @@ impl<'a> CampaignSim<'a> {
 
     /// Resubmission wave: once the fleet is drained and idle, stranded
     /// (deferred) work goes back into the queue as a fresh batch.
-    fn maybe_wave(&mut self, _now: f64) {
+    fn maybe_wave(&mut self) {
         if self.deferred.is_empty() || !self.global.is_empty() {
             return;
         }
@@ -1144,7 +1156,7 @@ impl<'a> CampaignSim<'a> {
 mod tests {
     use super::*;
     use crate::benchmarks::registry;
-    use crate::coordinator::run;
+    use crate::coordinator::{run, run_reference};
     use acme_obs::Recorder;
 
     fn seren() -> SharedStorage {
@@ -1194,7 +1206,8 @@ mod tests {
     #[test]
     fn empty_plan_matches_the_fault_free_coordinator() {
         let datasets = registry();
-        let clean = run(Scheduler::FullCoordinator, &datasets, 4, &seren(), 14.0).unwrap();
+        let clean =
+            run_reference(Scheduler::FullCoordinator, &datasets, 4, &seren(), 14.0).unwrap();
         let o = run_campaign(
             CampaignPolicy::FaultTolerant,
             &datasets,
@@ -1204,8 +1217,13 @@ mod tests {
             &FaultPlan::empty(),
         )
         .unwrap();
-        let rel = (o.makespan_secs - clean.makespan_secs).abs() / clean.makespan_secs;
-        assert!(rel < 1e-9, "{} vs {}", o.makespan_secs, clean.makespan_secs);
+        assert_eq!(
+            o.makespan_secs.to_bits(),
+            clean.makespan_secs.to_bits(),
+            "{} vs {}",
+            o.makespan_secs,
+            clean.makespan_secs
+        );
         assert_eq!(o.remote_loads, clean.remote_loads);
         assert_eq!(o.redundant_remote_loads, 0);
         assert_eq!(o.wasted_gpu_secs, 0.0);

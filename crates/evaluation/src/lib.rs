@@ -14,13 +14,14 @@
 //! * [`coordinator`] — the baseline one-dataset-per-trial scheduler and
 //!   the trial coordinator with decoupled model loading, decoupled metric
 //!   computation and prior-based elastic packing, reproducing the
-//!   1.3× / 1.8× makespan reductions of §6.2;
-//! * [`faults`] — deterministic fault injection for campaigns (the Table-3
-//!   evaluation failure mix, node losses, stragglers, degraded storage,
-//!   flaky metric jobs) and the three recovery arms replayed against it,
-//!   up to the fault-tolerant one that retries, tracks per-dataset
-//!   completion, speculates on stragglers and elastically re-packs
-//!   stranded work.
+//!   1.3× / 1.8× makespan reductions of §6.2; each [`Scheduler`] is a
+//!   trial layout, run fault-free by the campaign simulation of [`faults`];
+//! * [`faults`] — the crate's one evaluation event loop: deterministic
+//!   fault injection for campaigns (the Table-3 evaluation failure mix,
+//!   node losses, stragglers, degraded storage, flaky metric jobs) and the
+//!   three recovery arms replayed against it, up to the fault-tolerant one
+//!   that retries, tracks per-dataset completion, speculates on stragglers
+//!   and elastically re-packs stranded work.
 
 #![warn(missing_docs)]
 
