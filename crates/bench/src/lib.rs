@@ -501,21 +501,25 @@ mod tests {
 
     #[test]
     fn timings_json_reports_shards_after_experiments() {
-        let mut sharded = fake_run("diag", 9);
+        let mut sharded = fake_run("data", 9);
         sharded.shards = vec![
             acme::experiments::ShardTiming {
-                label: "nccl/0".to_owned(),
+                label: "loader/metadata-preload".to_owned(),
                 wall: Duration::from_millis(2),
             },
             acme::experiments::ShardTiming {
-                label: "nccl/1".to_owned(),
+                label: "loader/on-the-fly".to_owned(),
                 wall: Duration::from_millis(3),
             },
         ];
         let runs = [fake_run("x", 3), sharded];
         let j = render_timings_json(7, &runs, 2, Duration::from_millis(12), 0);
-        assert!(j.contains("{\"experiment\": \"diag\", \"shard\": \"nccl/0\", \"ms\": 2.000},"));
-        assert!(j.contains("{\"experiment\": \"diag\", \"shard\": \"nccl/1\", \"ms\": 3.000}\n"));
+        assert!(j.contains(
+            "{\"experiment\": \"data\", \"shard\": \"loader/metadata-preload\", \"ms\": 2.000},"
+        ));
+        assert!(j.contains(
+            "{\"experiment\": \"data\", \"shard\": \"loader/on-the-fly\", \"ms\": 3.000}\n"
+        ));
         // Shard objects live after the experiments array (and have no `id`
         // key), so id-scanning consumers never see them.
         let exp_end = j.find("],").unwrap();

@@ -27,7 +27,7 @@ const GOLDEN: &str = include_str!("../../../docs/repro_seed42.txt");
 const JOBS: usize = 4;
 
 /// The experiments that fan out internally, in registry order.
-const SHARDED: &str = "fig2 diag data pipeline storm evalstorm fleet blame policylab netstorm";
+const SHARDED: &str = "fig2 data pipeline storm evalstorm fleet blame policylab netstorm";
 
 /// The experiments that record flight-recorder chunks, in registry order.
 const INSTRUMENTED: &str = "pipeline storm evalstorm fleet blame policylab";

@@ -6,12 +6,15 @@
 //! parallel file system, and the power/thermal envelope that Figures 8, 9,
 //! 16 (left), 18 and 21 are drawn from.
 //!
-//! Everything here is a *resource model*: state plus closed-form physics
-//! (power as a function of activity, temperature as a function of power,
-//! bandwidth shares under contention). The discrete-event crates
-//! (`acme-scheduler`, `acme-training`, `acme-evaluation`) drive these models,
-//! and `acme::monitor` samples them for the utilization, power and
-//! temperature figures.
+//! The plant models are closed-form functions of a hardware spec, with the
+//! paper's calibration as module constants: power as a function of
+//! activity, temperature as a function of power, energy and carbon as
+//! multiples of power. The fabric and the shared storage model bandwidth
+//! shares under contention; the fat tree also keeps its failed links as
+//! state. The discrete-event crates (`acme-scheduler`,
+//! `acme-training`, `acme-evaluation`) drive these models, and
+//! `acme::monitor` samples them for the utilization, power and temperature
+//! figures.
 
 #![warn(missing_docs)]
 
@@ -25,10 +28,10 @@ pub mod storage;
 pub mod thermal;
 
 pub use comm::{Collective, FabricSpec};
-pub use gpu::{GpuActivity, GpuDevice};
+pub use gpu::GpuActivity;
 pub use net::{FatTree, Flow, FlowSim, NetConfig, NetFabric};
-pub use node::{HostMemoryBreakdown, Node};
-pub use power::{ServerPowerBreakdown, ServerPowerModel};
+pub use node::HostMemoryBreakdown;
+pub use power::ServerPowerBreakdown;
 pub use spec::{ClusterSpec, GpuSpec, NodeSpec, SchedulerKind};
 pub use storage::SharedStorage;
 pub use thermal::ThermalModel;

@@ -1,5 +1,4 @@
-//! Nodes: GPUs plus the host CPU load, the two inputs of the server power
-//! model.
+//! Host memory on a node.
 //!
 //! [`HostMemoryBreakdown`] is the host-memory split Figure 18 reports for a
 //! Seren pretraining node: training processes, the on-the-fly dataloader,
@@ -7,9 +6,6 @@
 //! remainder of system services — typically ~123 GB of the 1 TB total,
 //! which is exactly the headroom the asynchronous checkpointer (§6.1)
 //! exploits.
-
-use crate::gpu::GpuDevice;
-use crate::spec::NodeSpec;
 
 /// Host memory consumers on a pretraining node (Figure 18, GB).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,79 +62,10 @@ impl HostMemoryBreakdown {
     }
 }
 
-/// One compute node.
-#[derive(Debug, Clone)]
-pub struct Node {
-    spec: NodeSpec,
-    gpus: Vec<GpuDevice>,
-    /// CPU utilization fraction (0–1) across all 128 threads.
-    cpu_util: f64,
-}
-
-impl Node {
-    /// A new idle node built from its spec.
-    pub fn new(spec: NodeSpec) -> Self {
-        let gpus = (0..spec.gpus).map(|_| GpuDevice::new(spec.gpu)).collect();
-        Node {
-            spec,
-            gpus,
-            cpu_util: 0.0,
-        }
-    }
-
-    /// The node spec.
-    pub fn spec(&self) -> &NodeSpec {
-        &self.spec
-    }
-
-    /// All GPUs.
-    pub fn gpus(&self) -> &[GpuDevice] {
-        &self.gpus
-    }
-
-    /// Mutable access to one GPU.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn gpu_mut(&mut self, idx: usize) -> &mut GpuDevice {
-        &mut self.gpus[idx]
-    }
-
-    /// CPU utilization fraction.
-    pub fn cpu_util(&self) -> f64 {
-        self.cpu_util
-    }
-
-    /// Set CPU utilization (clamped to 0–1).
-    pub fn set_cpu_util(&mut self, util: f64) {
-        self.cpu_util = util.clamp(0.0, 1.0);
-    }
-
-    /// Sum of GPU power draws, W.
-    pub fn gpu_power_w(&self) -> f64 {
-        self.gpus.iter().map(|g| g.power_w()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::GpuActivity;
     use crate::spec::ClusterSpec;
-
-    fn node() -> Node {
-        Node::new(ClusterSpec::seren().node)
-    }
-
-    #[test]
-    fn new_node_is_idle() {
-        let n = node();
-        assert_eq!(n.gpus().len(), 8);
-        assert!(n.gpus().iter().all(|g| g.activity() == GpuActivity::IDLE));
-        assert_eq!(n.cpu_util(), 0.0);
-        // 8 idle A100s at 60 W.
-        assert_eq!(n.gpu_power_w(), 480.0);
-    }
 
     #[test]
     fn figure18_breakdown_totals() {
@@ -163,25 +90,5 @@ mod tests {
             "CPU memory stays under 50% (Fig 7b)"
         );
         assert!(dram - m.total_gb() > 800.0);
-    }
-
-    #[test]
-    fn gpu_state_flows_through() {
-        let mut n = node();
-        n.gpu_mut(3).set_activity(GpuActivity {
-            sm_active: 1.0,
-            tensor_active: 0.5,
-            memory_used_gb: 60.0,
-        });
-        assert!(n.gpu_power_w() > 480.0);
-    }
-
-    #[test]
-    fn clamps_cpu() {
-        let mut n = node();
-        n.set_cpu_util(3.0);
-        assert_eq!(n.cpu_util(), 1.0);
-        n.set_cpu_util(-1.0);
-        assert_eq!(n.cpu_util(), 0.0);
     }
 }

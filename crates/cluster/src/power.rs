@@ -9,7 +9,36 @@
 //! * Appendix A.3 — PUE 1.25, 30.61% carbon-free energy, 0.478 tCO₂e/MWh,
 //!   Seren ≈ 673 MWh in May 2023 → 321.7 tCO₂e effective emissions.
 
-use crate::node::Node;
+use crate::spec::NodeSpec;
+
+// The affine per-component server model, calibrated so that an *average*
+// busy Seren node lands on the Figure-9 split: GPUs ≈ 2/3, CPUs ≈ 11.2%,
+// PSU ≈ 9.6%.
+/// CPU package idle power (both sockets), W.
+const CPU_IDLE_W: f64 = 200.0;
+/// CPU package max additional power at 100% utilization, W.
+const CPU_DYNAMIC_W: f64 = 420.0;
+/// DRAM power, W (roughly constant for registered DIMMs).
+const MEMORY_W: f64 = 240.0;
+/// Fan power at idle, W.
+const FANS_IDLE_W: f64 = 60.0;
+/// Additional fan power at full thermal load, W.
+const FANS_DYNAMIC_W: f64 = 90.0;
+/// Peripheral power, W.
+const OTHER_W: f64 = 60.0;
+/// PSU conversion-loss fraction of delivered power.
+const PSU_LOSS_FRACTION: f64 = 0.106;
+
+/// Datacenter power usage effectiveness (Appendix A.3).
+pub const PUE: f64 = 1.25;
+/// Fraction of energy from carbon-free sources (informational; already
+/// folded into [`TCO2E_PER_MWH`]).
+pub const CARBON_FREE_FRACTION: f64 = 0.3061;
+/// *Effective* emission rate, tCO₂e per MWh consumed. The appendix
+/// multiplies the measured energy directly by this rate, the footprint the
+/// datacenter achieves after its 30.61% carbon-free mix (673 MWh → 321.7
+/// tCO₂e).
+pub const TCO2E_PER_MWH: f64 = 0.478;
 
 /// Instantaneous power split for one GPU server, W.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,6 +58,24 @@ pub struct ServerPowerBreakdown {
 }
 
 impl ServerPowerBreakdown {
+    /// The split for a server built to `node` whose GPUs draw `gpus_w` in
+    /// total while its CPUs run at `cpu_util` (clamped to 0–1).
+    pub fn new(node: &NodeSpec, gpus_w: f64, cpu_util: f64) -> Self {
+        let cpus_w = CPU_IDLE_W + CPU_DYNAMIC_W * cpu_util.clamp(0.0, 1.0);
+        // Fans track the thermal load, dominated by the GPUs.
+        let max_gpu_w = node.gpus as f64 * node.gpu.max_power_w;
+        let fans_w = FANS_IDLE_W + FANS_DYNAMIC_W * (gpus_w / max_gpu_w);
+        let delivered = gpus_w + cpus_w + MEMORY_W + fans_w + OTHER_W;
+        ServerPowerBreakdown {
+            gpus_w,
+            cpus_w,
+            memory_w: MEMORY_W,
+            fans_w,
+            other_w: OTHER_W,
+            psu_loss_w: delivered * PSU_LOSS_FRACTION,
+        }
+    }
+
     /// Wall power: everything including conversion loss.
     pub fn total_w(&self) -> f64 {
         self.gpus_w + self.cpus_w + self.memory_w + self.fans_w + self.other_w + self.psu_loss_w
@@ -51,109 +98,13 @@ impl ServerPowerBreakdown {
     }
 }
 
-/// The affine per-component model mapping node state to wall power.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerPowerModel {
-    /// CPU package idle power (both sockets), W.
-    pub cpu_idle_w: f64,
-    /// CPU package max additional power at 100% utilization, W.
-    pub cpu_dynamic_w: f64,
-    /// DRAM power, W (roughly constant for registered DIMMs).
-    pub memory_w: f64,
-    /// Fan power at idle, W.
-    pub fans_idle_w: f64,
-    /// Additional fan power at full thermal load, W.
-    pub fans_dynamic_w: f64,
-    /// Peripheral power, W.
-    pub other_w: f64,
-    /// PSU conversion-loss fraction of delivered power.
-    pub psu_loss_fraction: f64,
-}
-
-impl Default for ServerPowerModel {
-    fn default() -> Self {
-        // Calibrated so that an *average* busy Seren node lands on the
-        // Figure-9 split: GPUs ≈ 2/3, CPUs ≈ 11.2%, PSU ≈ 9.6%.
-        ServerPowerModel {
-            cpu_idle_w: 200.0,
-            cpu_dynamic_w: 420.0,
-            memory_w: 240.0,
-            fans_idle_w: 60.0,
-            fans_dynamic_w: 90.0,
-            other_w: 60.0,
-            psu_loss_fraction: 0.106,
-        }
-    }
-}
-
-impl ServerPowerModel {
-    /// Evaluate the breakdown for a node's current state.
-    pub fn breakdown(&self, node: &Node) -> ServerPowerBreakdown {
-        let gpus_w = node.gpu_power_w();
-        let cpus_w = self.cpu_idle_w + self.cpu_dynamic_w * node.cpu_util();
-        // Fans track the thermal load, dominated by the GPUs.
-        let max_gpu_w = node.spec().gpus as f64 * node.spec().gpu.max_power_w;
-        let fans_w = self.fans_idle_w + self.fans_dynamic_w * (gpus_w / max_gpu_w);
-        let delivered = gpus_w + cpus_w + self.memory_w + fans_w + self.other_w;
-        ServerPowerBreakdown {
-            gpus_w,
-            cpus_w,
-            memory_w: self.memory_w,
-            fans_w,
-            other_w: self.other_w,
-            psu_loss_w: delivered * self.psu_loss_fraction,
-        }
-    }
-
-    /// Power of a CPU-only server at the given utilization, W. Figure 8(b)
-    /// includes six such servers in Seren at ≈ 1/5 of GPU-server power.
-    pub fn cpu_server_w(&self, cpu_util: f64) -> f64 {
-        let delivered = self.cpu_idle_w
-            + self.cpu_dynamic_w * cpu_util.clamp(0.0, 1.0)
-            + self.memory_w
-            + self.fans_idle_w
-            + self.other_w;
-        delivered * (1.0 + self.psu_loss_fraction)
-    }
-}
-
-/// Datacenter-level energy and carbon accounting (Appendix A.3).
-#[derive(Debug, Clone, Copy)]
-pub struct CarbonModel {
-    /// Power usage effectiveness.
-    pub pue: f64,
-    /// Fraction of energy from carbon-free sources (informational; already
-    /// folded into the effective emission rate below).
-    pub carbon_free_fraction: f64,
-    /// *Effective* emission rate, tCO₂e per MWh consumed. The appendix
-    /// quotes 0.478 tCO₂e/MWh as the footprint rate the datacenter
-    /// achieves after its 30.61% carbon-free mix.
-    pub tco2e_per_mwh: f64,
-}
-
-impl Default for CarbonModel {
-    fn default() -> Self {
-        CarbonModel {
-            pue: 1.25,
-            carbon_free_fraction: 0.3061,
-            tco2e_per_mwh: 0.478,
-        }
-    }
-}
-
-impl CarbonModel {
-    /// Facility energy (MWh) for the given IT energy (MWh).
-    pub fn facility_mwh(&self, it_mwh: f64) -> f64 {
-        it_mwh * self.pue
-    }
-
-    /// Effective emissions (tCO₂e) for the given consumed energy (MWh).
-    ///
-    /// The appendix multiplies the measured energy directly by the
-    /// effective 0.478 tCO₂e/MWh rate (673 MWh → 321.7 tCO₂e).
-    pub fn effective_tco2e(&self, consumed_mwh: f64) -> f64 {
-        consumed_mwh * self.tco2e_per_mwh
-    }
+/// Power of a CPU-only server at the given utilization (clamped to 0–1),
+/// W. Figure 8(b) includes six such servers in Seren at ≈ 1/5 of
+/// GPU-server power.
+pub fn cpu_server_w(cpu_util: f64) -> f64 {
+    let delivered =
+        CPU_IDLE_W + CPU_DYNAMIC_W * cpu_util.clamp(0.0, 1.0) + MEMORY_W + FANS_IDLE_W + OTHER_W;
+    delivered * (1.0 + PSU_LOSS_FRACTION)
 }
 
 #[cfg(test)]
@@ -162,24 +113,28 @@ mod tests {
     use crate::gpu::GpuActivity;
     use crate::spec::ClusterSpec;
 
-    /// A node at the cluster's *average* operating point — Figure 9 reports
-    /// the average power split, which folds in partially idle GPUs.
-    fn busy_node() -> Node {
-        let mut n = Node::new(ClusterSpec::seren().node);
-        for i in 0..8 {
-            n.gpu_mut(i).set_activity(GpuActivity {
-                sm_active: 0.7,
-                tensor_active: 0.15,
-                memory_used_gb: 62.0,
-            });
-        }
-        n.set_cpu_util(0.55);
-        n
+    /// A server whose eight GPUs all run at `activity`, summed one GPU at a
+    /// time.
+    fn server(activity: GpuActivity, cpu_util: f64) -> ServerPowerBreakdown {
+        let node = ClusterSpec::seren().node;
+        let gpus_w = (0..node.gpus).map(|_| node.gpu.power_w(activity)).sum();
+        ServerPowerBreakdown::new(&node, gpus_w, cpu_util)
+    }
+
+    /// A server at the cluster's *average* operating point — Figure 9
+    /// reports the average power split, which folds in partially idle GPUs.
+    fn busy_server() -> ServerPowerBreakdown {
+        let activity = GpuActivity {
+            sm_active: 0.7,
+            tensor_active: 0.15,
+            memory_used_gb: 62.0,
+        };
+        server(activity, 0.55)
     }
 
     #[test]
     fn busy_server_matches_figure9_split() {
-        let b = ServerPowerModel::default().breakdown(&busy_node());
+        let b = busy_server();
         let total = b.total_w();
         let gpu_frac = b.gpus_w / total;
         let cpu_frac = b.cpus_w / total;
@@ -194,7 +149,7 @@ mod tests {
 
     #[test]
     fn rows_sum_to_total() {
-        let b = ServerPowerModel::default().breakdown(&busy_node());
+        let b = busy_server();
         let sum: f64 = b.rows().iter().map(|&(_, w, _)| w).sum();
         assert!((sum - b.total_w()).abs() < 1e-9);
         let frac_sum: f64 = b.rows().iter().map(|&(_, _, f)| f).sum();
@@ -203,29 +158,41 @@ mod tests {
 
     #[test]
     fn gpu_server_roughly_5x_cpu_server() {
-        let m = ServerPowerModel::default();
-        let gpu_server = m.breakdown(&busy_node()).total_w();
-        let cpu_server = m.cpu_server_w(0.3);
-        let ratio = gpu_server / cpu_server;
+        let ratio = busy_server().total_w() / cpu_server_w(0.3);
         assert!((4.0..7.0).contains(&ratio), "ratio = {ratio:.2}");
     }
 
     #[test]
     fn idle_server_draws_much_less() {
-        let m = ServerPowerModel::default();
-        let idle = m.breakdown(&Node::new(ClusterSpec::seren().node)).total_w();
-        let busy = m.breakdown(&busy_node()).total_w();
-        assert!(idle < busy * 0.4, "idle {idle:.0} vs busy {busy:.0}");
+        let idle = server(GpuActivity::default(), 0.0);
+        let busy = busy_server().total_w();
+        // 8 idle A100s at 60 W.
+        assert_eq!(idle.gpus_w, 480.0);
+        assert!(
+            idle.total_w() < busy * 0.4,
+            "idle {:.0} vs busy {busy:.0}",
+            idle.total_w()
+        );
         // Idle still pays the 8×60 W GPU floor.
-        assert!(idle > 480.0);
+        assert!(idle.total_w() > 480.0);
+    }
+
+    #[test]
+    fn clamps_cpu() {
+        let node = ClusterSpec::seren().node;
+        let at = |util| ServerPowerBreakdown::new(&node, 480.0, util);
+        assert_eq!(at(3.0), at(1.0));
+        assert_eq!(at(-1.0), at(0.0));
+        assert_eq!(cpu_server_w(3.0), cpu_server_w(1.0));
+        assert_eq!(cpu_server_w(-1.0), cpu_server_w(0.0));
+        assert!(cpu_server_w(1.0) > cpu_server_w(0.0));
     }
 
     #[test]
     fn carbon_model_reproduces_appendix_a3() {
-        let c = CarbonModel::default();
         // Seren consumed ≈ 673 MWh in May 2023 → 321.7 tCO₂e effective.
-        let t = c.effective_tco2e(673.0);
+        let t = 673.0 * TCO2E_PER_MWH;
         assert!((t - 321.7).abs() < 1.0, "tCO2e = {t:.1}");
-        assert_eq!(c.facility_mwh(100.0), 125.0);
+        assert_eq!(100.0 * PUE, 125.0);
     }
 }

@@ -7,35 +7,28 @@
 //! heavily loaded GPUs past 65 °C and triggering NVLink/ECC failures until
 //! the cooling system was upgraded.
 
+/// Core thermal resistance, °C/W.
+const CORE_RESISTANCE: f64 = 0.068;
+/// Memory runs hotter: extra resistance on top of the core path, °C/W.
+const MEMORY_EXTRA_RESISTANCE: f64 = 0.016;
+
 /// Maps GPU power draw to core/memory temperatures.
 #[derive(Debug, Clone, Copy)]
 pub struct ThermalModel {
     /// Server-room ambient at the GPU inlet, °C.
     pub ambient_c: f64,
-    /// Core thermal resistance, °C/W.
-    pub core_resistance: f64,
-    /// Memory runs hotter: extra resistance on top of the core path, °C/W.
-    pub memory_extra_resistance: f64,
     /// Cooling effectiveness multiplier: 1.0 = design point; > 1.0 after the
     /// cooling upgrade; < 1.0 during the heat wave.
     pub cooling_factor: f64,
 }
 
-impl Default for ThermalModel {
-    fn default() -> Self {
-        ThermalModel {
-            ambient_c: 27.0,
-            core_resistance: 0.068,
-            memory_extra_resistance: 0.016,
-            cooling_factor: 1.0,
-        }
-    }
-}
-
 impl ThermalModel {
     /// The design-point model.
     pub fn normal() -> Self {
-        Self::default()
+        ThermalModel {
+            ambient_c: 27.0,
+            cooling_factor: 1.0,
+        }
     }
 
     /// July-2023 heat wave: ambient up ~5 °C and reduced cooling headroom.
@@ -43,7 +36,6 @@ impl ThermalModel {
         ThermalModel {
             ambient_c: 32.0,
             cooling_factor: 0.9,
-            ..Self::default()
         }
     }
 
@@ -51,19 +43,18 @@ impl ThermalModel {
     pub fn upgraded_cooling() -> Self {
         ThermalModel {
             cooling_factor: 1.25,
-            ..Self::default()
+            ..Self::normal()
         }
     }
 
     /// GPU core temperature for a given power draw, °C.
     pub fn core_temp_c(&self, power_w: f64) -> f64 {
-        self.ambient_c + self.core_resistance * power_w / self.cooling_factor
+        self.ambient_c + CORE_RESISTANCE * power_w / self.cooling_factor
     }
 
     /// GPU memory (HBM) temperature for a given power draw, °C.
     pub fn memory_temp_c(&self, power_w: f64) -> f64 {
-        self.ambient_c
-            + (self.core_resistance + self.memory_extra_resistance) * power_w / self.cooling_factor
+        self.ambient_c + (CORE_RESISTANCE + MEMORY_EXTRA_RESISTANCE) * power_w / self.cooling_factor
     }
 
     /// Threshold above which the paper observes thermally induced

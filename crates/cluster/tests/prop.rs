@@ -1,7 +1,7 @@
 //! Property-based tests for the hardware models.
 
 use acme_cluster::comm::{Collective, FabricSpec};
-use acme_cluster::{GpuActivity, GpuDevice, GpuSpec, SharedStorage, ThermalModel};
+use acme_cluster::{GpuActivity, GpuSpec, SharedStorage, ThermalModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -9,14 +9,12 @@ proptest! {
     /// in SM activity for fixed tensor activity.
     #[test]
     fn power_within_envelope(sm in 0.0f64..=1.0, tc in 0.0f64..=1.0, mem in 0.0f64..100.0) {
-        let mut g = GpuDevice::new(GpuSpec::a100_sxm_80gb());
-        g.set_activity(GpuActivity { sm_active: sm, tensor_active: tc, memory_used_gb: mem });
-        let p = g.power_w();
+        let spec = GpuSpec::a100_sxm_80gb();
+        let p = spec.power_w(GpuActivity { sm_active: sm, tensor_active: tc, memory_used_gb: mem });
         prop_assert!((60.0..=600.0).contains(&p));
         // Monotone in sm.
-        let mut g2 = GpuDevice::new(GpuSpec::a100_sxm_80gb());
-        g2.set_activity(GpuActivity { sm_active: (sm * 0.5).min(sm), tensor_active: tc, memory_used_gb: mem });
-        prop_assert!(g2.power_w() <= p + 1e-9);
+        let half = GpuActivity { sm_active: (sm * 0.5).min(sm), tensor_active: tc, memory_used_gb: mem };
+        prop_assert!(spec.power_w(half) <= p + 1e-9);
     }
 
     /// Thermal model: memory ≥ core, both monotone in power, cooling

@@ -1,14 +1,10 @@
 //! Failure experiments: Table 3 and the §6.1 diagnosis evaluation.
 
-use acme_failure::{
-    DiagnosisPipeline, FailureInjector, FailureReason, LogBundle, NcclTester, RecoveryManager,
-};
+use acme_failure::{DiagnosisPipeline, FailureInjector, FailureReason, LogBundle, RecoveryManager};
 use acme_sim_core::dist::Categorical;
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
-
-use super::shard::{run_shards, shard};
 
 /// Table 3 — regenerate the failure statistics from the injected
 /// population, paper-vs-measured per reason.
@@ -83,8 +79,8 @@ pub fn table3(seed: u64) -> String {
 
 /// §6.1 — stream Table-3-distributed failure logs through the diagnosis
 /// pipeline and measure accuracy, rule/agent split, automation, and
-/// recovery decisions; exercise the NCCL localizer on the hardware cases.
-/// `scale` multiplies the number of failure bundles streamed through.
+/// recovery decisions. `scale` multiplies the number of failure bundles
+/// streamed through.
 pub fn diag(p: super::RunParams) -> String {
     let seed = p.seed;
     let mut rng = SimRng::new(seed).fork(502);
@@ -109,7 +105,6 @@ pub fn diag(p: super::RunParams) -> String {
     let mut auto_restarts = 0;
     let mut cordons = 0;
     let mut user_notifications = 0;
-    let mut cordon_targets: Vec<usize> = Vec::new();
     // One line buffer recycled across all bundles: the log renderer is
     // allocation-free at steady state, which is where diag spends its time.
     let mut lines: Vec<String> = Vec::new();
@@ -125,41 +120,17 @@ pub fn diag(p: super::RunParams) -> String {
                     auto_restarts += 1;
                     if cordon_nodes {
                         cordons += 1;
-                        // Pick the faulty node now (the draw belongs to the
-                        // main stream) but defer the pure NCCL localization
-                        // to the sharded verification pass below.
-                        cordon_targets.push(rng.below(302) as usize);
+                        // The faulty node's draw (one of a Kalos-sized
+                        // fleet's 302) stays in the stream so later draws
+                        // keep their place; `detect`'s tests hold the
+                        // 2-round NCCL test to localizing any such node.
+                        rng.below(302);
                     }
                 }
                 acme_failure::RecoveryAction::NotifyUser { .. } => user_notifications += 1,
                 acme_failure::RecoveryAction::RollbackAndSkipData => {}
             }
         }
-    }
-
-    // Localize every cordoned node in a Kalos-sized fleet. Each 2-round
-    // NCCL test is a pure function of its target, so the batch shards into
-    // a fixed number of chunks (fixed so shard labels are stable across
-    // worker counts); results are assertions, not output.
-    if !cordon_targets.is_empty() {
-        const NCCL_CHUNKS: usize = 4;
-        let per = cordon_targets.len().div_ceil(NCCL_CHUNKS);
-        run_shards(
-            p.workers,
-            cordon_targets
-                .chunks(per)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    shard(format!("nccl/{i}"), move || {
-                        for &node in chunk {
-                            let faulty = std::iter::once(node).collect();
-                            let result = NcclTester::new(302).run(&faulty);
-                            assert_eq!(result.identified, faulty);
-                        }
-                    })
-                })
-                .collect(),
-        );
     }
 
     let stats = pipeline.stats;

@@ -1,7 +1,7 @@
 //! Infrastructure experiments: Figures 7, 8, 9, 18, 21 and Appendix A.3.
 
-use acme_cluster::power::CarbonModel;
-use acme_cluster::{ClusterSpec, GpuActivity, HostMemoryBreakdown, Node, ServerPowerModel};
+use acme_cluster::power::{cpu_server_w, CARBON_FREE_FRACTION, PUE, TCO2E_PER_MWH};
+use acme_cluster::{ClusterSpec, GpuActivity, HostMemoryBreakdown, ServerPowerBreakdown};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
 use acme_telemetry::{Cdf, Table};
@@ -72,7 +72,7 @@ pub fn fig8(seed: u64) -> String {
         &[("GPU servers", &server)],
         &QS,
     ));
-    let cpu_server = ServerPowerModel::default().cpu_server_w(0.3);
+    let cpu_server = cpu_server_w(0.3);
     out.push_str(&format!(
         "CPU-only server at 30% load: {:.0} W → GPU servers average {:.1}x (paper: ~5x)\n",
         cpu_server,
@@ -84,16 +84,15 @@ pub fn fig8(seed: u64) -> String {
 /// Figure 9 — average power split across server modules.
 pub fn fig9(_seed: u64) -> String {
     // The cluster-average operating point (partially loaded GPUs).
-    let mut node = Node::new(ClusterSpec::seren().node);
-    for g in 0..8 {
-        node.gpu_mut(g).set_activity(GpuActivity {
-            sm_active: 0.7,
-            tensor_active: 0.15,
-            memory_used_gb: 62.0,
-        });
-    }
-    node.set_cpu_util(0.55);
-    let b = ServerPowerModel::default().breakdown(&node);
+    let node = ClusterSpec::seren().node;
+    let p = node.gpu.power_w(GpuActivity {
+        sm_active: 0.7,
+        tensor_active: 0.15,
+        memory_used_gb: 62.0,
+    });
+    // Summed one GPU at a time, as the monitor sums a node's draw.
+    let gpus_w = (0..node.gpus).map(|_| p).sum();
+    let b = ServerPowerBreakdown::new(&node, gpus_w, 0.55);
     let mut t = Table::new(["module", "watts", "share"]);
     for (name, w, share) in b.rows() {
         t.row([name.to_owned(), f(w, 0), pct(share)]);
@@ -145,7 +144,6 @@ pub fn carbon(seed: u64) -> String {
     let nodes = ClusterSpec::seren().nodes as f64;
     // One month of wall time.
     let monthly_mwh = mean_server_w * nodes * 730.0 / 1e9 * 1e3; // W→MW × hours
-    let c = CarbonModel::default();
     let paper = 673.0;
     format!(
         "mean GPU-server power: {:.0} W\nestimated Seren monthly energy: {:.0} MWh (paper: ~673 MWh in May 2023)\n\
@@ -153,10 +151,10 @@ pub fn carbon(seed: u64) -> String {
          facility energy at PUE {:.2}: {:.0} MWh\ncarbon-free share: {}\n",
         mean_server_w,
         monthly_mwh,
-        c.effective_tco2e(monthly_mwh),
-        c.pue,
-        c.facility_mwh(paper),
-        pct(c.carbon_free_fraction),
+        monthly_mwh * TCO2E_PER_MWH,
+        PUE,
+        paper * PUE,
+        pct(CARBON_FREE_FRACTION),
     )
 }
 

@@ -5,7 +5,7 @@ use acme_failure::FailureInjector;
 use acme_sim_core::{SimDuration, SimRng};
 use acme_telemetry::table::{f, pct};
 use acme_telemetry::Table;
-use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario};
 use acme_training::{MemoryModel, ModelConfig, StepTimeline, Strategy};
 
 use crate::progress::{ProgressSim, RecoveryPolicy};
@@ -167,18 +167,17 @@ pub fn ckpt(_seed: u64) -> String {
         CheckpointScenario::paper_7b(),
         CheckpointScenario::paper_123b(),
     ] {
-        let e = CheckpointEngine::new(scenario);
-        let sync = e.blocking_secs(CheckpointMode::Synchronous);
-        let async_ = e.blocking_secs(CheckpointMode::Asynchronous);
-        speedups.push(e.speedup());
+        let sync = scenario.blocking_secs(CheckpointMode::Synchronous);
+        let async_ = scenario.blocking_secs(CheckpointMode::Asynchronous);
+        speedups.push(scenario.speedup());
         t.row([
             scenario.model.name.to_owned(),
             f(scenario.shard_gb(), 2),
             f(sync, 2),
             f(async_, 2),
-            format!("{:.1}x", e.speedup()),
-            pct(e.overhead_fraction(CheckpointMode::Synchronous, 1800.0)),
-            pct(e.overhead_fraction(CheckpointMode::Asynchronous, 1800.0)),
+            format!("{:.1}x", scenario.speedup()),
+            pct(scenario.overhead_fraction(CheckpointMode::Synchronous, 1800.0)),
+            pct(scenario.overhead_fraction(CheckpointMode::Asynchronous, 1800.0)),
         ]);
     }
     let mut sweep = Table::new([
@@ -186,12 +185,12 @@ pub fn ckpt(_seed: u64) -> String {
         "123B sync overhead",
         "123B async overhead",
     ]);
-    let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
+    let flagship = CheckpointScenario::paper_123b();
     for mins in [5.0, 15.0, 30.0, 60.0, 240.0] {
         sweep.row([
             f(mins, 0),
-            pct(e.overhead_fraction(CheckpointMode::Synchronous, mins * 60.0)),
-            pct(e.overhead_fraction(CheckpointMode::Asynchronous, mins * 60.0)),
+            pct(flagship.overhead_fraction(CheckpointMode::Synchronous, mins * 60.0)),
+            pct(flagship.overhead_fraction(CheckpointMode::Asynchronous, mins * 60.0)),
         ]);
     }
     format!(

@@ -13,7 +13,7 @@
 //! * host CPUs and memory far under-utilized; Seren's IB NICs idle > 60%
 //!   of the time and rarely beyond 25% of line rate (Figure 7c/d).
 
-use acme_cluster::{ClusterSpec, GpuActivity, GpuDevice, ServerPowerModel, ThermalModel};
+use acme_cluster::{ClusterSpec, GpuActivity, ServerPowerBreakdown, ThermalModel};
 use acme_sim_core::dist::Categorical;
 use acme_sim_core::SimRng;
 use acme_telemetry::Cdf;
@@ -137,7 +137,6 @@ impl GpuMixture {
 pub struct ClusterMonitor {
     spec: ClusterSpec,
     thermal: ThermalModel,
-    power: ServerPowerModel,
 }
 
 impl ClusterMonitor {
@@ -146,7 +145,6 @@ impl ClusterMonitor {
         ClusterMonitor {
             spec,
             thermal: ThermalModel::normal(),
-            power: ServerPowerModel::default(),
         }
     }
 
@@ -174,14 +172,11 @@ impl ClusterMonitor {
         let picker = Categorical::new(&[mixture.idle, mixture.busy, mixture.peak]);
         let kalos = self.spec.name == "Kalos";
 
-        // One scratch node reused across every window: each iteration
-        // rewrites every GPU's activity and the CPU gauge, which is all
-        // the server power model reads.
-        let mut node = acme_cluster::Node::new(self.spec.node);
-
         for round in 0..rounds {
             for node_idx in 0..nodes_sampled {
                 let mut busy_gpus = 0;
+                // The node's GPU watts, summed one GPU at a time as drawn.
+                let mut gpus_w = 0.0;
                 for g in 0..gpus {
                     let gpu_id = node_idx * gpus + g;
                     let state = match picker.sample_index(rng) {
@@ -193,9 +188,8 @@ impl ClusterMonitor {
                     if state != GpuState::Idle {
                         busy_gpus += 1;
                     }
-                    node.gpu_mut(g as usize).set_activity(activity);
-                    let dev: &GpuDevice = &node.gpus()[g as usize];
-                    let p = dev.power_w();
+                    let p = self.spec.node.gpu.power_w(activity);
+                    gpus_w += p;
                     put(Metric::SmActive, gpu_id, round, activity.sm_active);
                     put(Metric::TensorActive, gpu_id, round, activity.tensor_active);
                     put(Metric::FbUsedGb, gpu_id, round, activity.memory_used_gb);
@@ -212,7 +206,6 @@ impl ClusterMonitor {
                 // Node-level gauges: 16 CPUs per GPU keeps hosts cool
                 // (Figure 7c); dataloaders scale with busy GPUs.
                 let cpu = (0.02 + 0.015 * busy_gpus as f64 + rng.f64() * 0.05).min(1.0);
-                node.set_cpu_util(cpu);
                 put(Metric::CpuUtil, node_idx, round, cpu);
 
                 // Host memory: system + FS client + per-busy-GPU working
@@ -236,7 +229,7 @@ impl ClusterMonitor {
                 put(Metric::IbRecv, node_idx, round, ib);
 
                 // Whole-server power via IPMI.
-                let server_w = self.power.breakdown(&node).total_w();
+                let server_w = ServerPowerBreakdown::new(&self.spec.node, gpus_w, cpu).total_w();
                 put(Metric::ServerPowerW, node_idx, round, server_w);
             }
         }

@@ -53,9 +53,7 @@ use acme_failure::{FailureReason, NcclTester, OrchestratorConfig, RecoveryOrches
 use acme_obs::Rec;
 use acme_policy::NetRecoveryPolicy;
 use acme_sim_core::{SimDuration, SimRng};
-use acme_training::checkpoint::{
-    CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
-};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario, DurabilityTracker};
 
 use crate::ledger::Ledger;
 use crate::storm::{manual_delay, CHECKPOINT_INTERVAL, DIAGNOSE, NAIVE_LOOP_LIMIT, NCCL_LOCALIZE};
@@ -159,7 +157,7 @@ impl NetStormRunner {
         let net_write = fabric.checkpoint_write_gbps(&writers);
         let scenario = base.with_remote_gbps(base.remote_gbps_per_writer.min(net_write));
         let tracker = DurabilityTracker::new(
-            CheckpointEngine::new(scenario),
+            scenario,
             CheckpointMode::Asynchronous,
             CHECKPOINT_INTERVAL.as_secs_f64(),
         );

@@ -24,9 +24,7 @@ use acme_failure::{
 use acme_obs::{ArgValue, Rec};
 use acme_sim_core::dist::Categorical;
 use acme_sim_core::{SimDuration, SimRng, SimTime};
-use acme_training::checkpoint::{
-    CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
-};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario, DurabilityTracker};
 
 use crate::ledger::Ledger;
 use crate::storm::{manual_delay, DIAGNOSE, NCCL_LOCALIZE, RESTART, WATCHDOG};
@@ -145,7 +143,7 @@ impl FaultTolerantTrainer {
         let infra_picker = Categorical::new(&weights);
 
         let tracker = DurabilityTracker::new(
-            CheckpointEngine::new(CheckpointScenario::paper_123b()),
+            CheckpointScenario::paper_123b(),
             CheckpointMode::Asynchronous,
             self.checkpoint_interval.as_secs_f64(),
         );

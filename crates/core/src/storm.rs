@@ -41,9 +41,7 @@ use acme_failure::{full_rule_report, OrchestratorConfig, RecoveryAction, Recover
 use acme_obs::{ArgValue, Rec};
 use acme_policy::{CheckpointChoice, CordonPolicy, RepairModel, RetryPolicy};
 use acme_sim_core::{SimDuration, SimRng, SimTime};
-use acme_training::checkpoint::{
-    CheckpointEngine, CheckpointMode, CheckpointScenario, DurabilityTracker,
-};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario, DurabilityTracker};
 
 use crate::ledger::Ledger;
 
@@ -330,7 +328,7 @@ impl StormRunner {
         rng: &mut SimRng,
         rec: &mut Rec<'_>,
     ) -> StormOutcome {
-        let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let scenario = CheckpointScenario::paper_123b();
         // The cadence policy sees the observed campaign conditions: the
         // storm's empirical MTTF and how much of it cascades.
         let events_n = campaign.events.len().max(1) as f64;
@@ -342,7 +340,7 @@ impl StormRunner {
             .count() as f64
             / events_n;
         let tracker = DurabilityTracker::with_policy(
-            engine,
+            scenario,
             CheckpointMode::Asynchronous,
             &policies.checkpoint,
             CHECKPOINT_INTERVAL.as_secs_f64(),
@@ -356,7 +354,7 @@ impl StormRunner {
         let mut out = StormOutcome {
             checkpoint_interval_secs: interval,
             checkpoint_traffic_secs: campaign.horizon.as_secs_f64() / interval
-                * engine.durable_secs(CheckpointMode::Asynchronous),
+                * scenario.durable_secs(CheckpointMode::Asynchronous),
             ledger: Ledger::new(campaign.horizon),
             ..StormOutcome::default()
         };

@@ -807,9 +807,13 @@ impl<'a> CampaignSim<'a> {
                     ("spec", ArgValue::Str(if w.spec { "yes" } else { "no" })),
                 ],
             );
-            if self.policy.speculates() && !w.spec {
+            // A watchdog is armed only when it can fire: an item that ends
+            // by its deadline pops first (its event was scheduled first),
+            // so the watchdog would find it committed or its epoch stale.
+            let deadline = now + base * WATCHDOG_FACTOR + WATCHDOG_SLACK_SECS;
+            if self.policy.speculates() && !w.spec && now + work > deadline {
                 self.queue.schedule(
-                    key(now + base * WATCHDOG_FACTOR + WATCHDOG_SLACK_SECS),
+                    key(deadline),
                     Ev::Watchdog {
                         gpu: g,
                         item: w.item,
@@ -1228,6 +1232,33 @@ mod tests {
         assert_eq!(o.redundant_remote_loads, 0);
         assert_eq!(o.wasted_gpu_secs, 0.0);
         assert_eq!(o.coverage(), 1.0);
+    }
+
+    #[test]
+    fn fault_free_runs_arm_no_watchdog() {
+        // Without faults every item ends by its watchdog deadline, so the
+        // queue sees only each GPU's first wake-up and each item's
+        // completion and metric landing.
+        use crate::coordinator::plan_order;
+        let datasets = registry();
+        for nodes in [1, 4] {
+            for scheduler in [
+                Scheduler::Baseline,
+                Scheduler::DecoupledLoadingOnly,
+                Scheduler::DecoupledMetricsOnly,
+                Scheduler::FullCoordinator,
+            ] {
+                acme_sim_core::stats::take();
+                run(scheduler, &datasets, nodes, &seren(), 14.0).unwrap();
+                let gpus = nodes * 8;
+                let items = plan_order(scheduler, &datasets, gpus).len() as u64;
+                assert_eq!(
+                    acme_sim_core::stats::take().queue.schedules,
+                    u64::from(gpus) + 2 * items,
+                    "{scheduler:?} on {nodes} nodes"
+                );
+            }
+        }
     }
 
     #[test]

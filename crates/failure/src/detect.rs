@@ -191,6 +191,11 @@ mod tests {
         assert_eq!(r.round2_worlds, 2);
         // Two rounds beat 302 sequential node checks by a wide margin.
         assert!(r.round1_worlds + r.round2_worlds < 302);
+        // Every node of the fleet, faulty alone, is identified exactly.
+        for node in 0..302 {
+            let faulty = set(&[node]);
+            assert_eq!(t.run(&faulty).identified, faulty, "node {node}");
+        }
     }
 
     #[test]

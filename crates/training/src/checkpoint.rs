@@ -1,7 +1,7 @@
 //! Synchronous vs asynchronous checkpointing (§6.1.1).
 //!
 //! A checkpoint persists the full model states (16Ψ bytes — TB-scale for
-//! the flagship models). Two engines:
+//! the flagship models). Two modes:
 //!
 //! * **Synchronous**: training blocks while every writer serializes its
 //!   shard over PCIe *and* pushes it to the remote parallel FS. Remote
@@ -82,46 +82,26 @@ impl CheckpointScenario {
         self.remote_gbps_per_writer = gbps;
         self
     }
-}
-
-/// Computes blocking cost and overhead for a scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointEngine {
-    scenario: CheckpointScenario,
-}
-
-impl CheckpointEngine {
-    /// Wrap a scenario.
-    pub fn new(scenario: CheckpointScenario) -> Self {
-        CheckpointEngine { scenario }
-    }
-
-    /// The scenario.
-    pub fn scenario(&self) -> &CheckpointScenario {
-        &self.scenario
-    }
 
     /// Seconds the *training loop is blocked* per checkpoint.
     pub fn blocking_secs(&self, mode: CheckpointMode) -> f64 {
-        let s = &self.scenario;
-        let snapshot = s.shard_gb() / s.snapshot_gbps;
+        let snapshot = self.shard_gb() / self.snapshot_gbps;
         match mode {
             CheckpointMode::Synchronous => {
-                s.fixed_overhead_s + snapshot + s.shard_gb() / s.remote_gbps_per_writer
+                self.fixed_overhead_s + snapshot + self.shard_gb() / self.remote_gbps_per_writer
             }
-            CheckpointMode::Asynchronous => s.fixed_overhead_s + snapshot,
+            CheckpointMode::Asynchronous => self.fixed_overhead_s + snapshot,
         }
     }
 
-    /// Wall seconds until the checkpoint is durable on remote storage.
-    /// For the async engine this exceeds the blocking time — persistence
-    /// happens in the background.
+    /// Wall seconds until the checkpoint is durable on remote storage. For
+    /// an asynchronous checkpoint this exceeds the blocking time —
+    /// persistence happens in the background.
     pub fn durable_secs(&self, mode: CheckpointMode) -> f64 {
-        let s = &self.scenario;
         match mode {
             CheckpointMode::Synchronous => self.blocking_secs(mode),
             CheckpointMode::Asynchronous => {
-                self.blocking_secs(mode) + s.shard_gb() / s.remote_gbps_per_writer
+                self.blocking_secs(mode) + self.shard_gb() / self.remote_gbps_per_writer
             }
         }
     }
@@ -150,8 +130,8 @@ mod tests {
 
     #[test]
     fn speedups_bracket_the_paper_range() {
-        let small = CheckpointEngine::new(CheckpointScenario::paper_7b()).speedup();
-        let big = CheckpointEngine::new(CheckpointScenario::paper_123b()).speedup();
+        let small = CheckpointScenario::paper_7b().speedup();
+        let big = CheckpointScenario::paper_123b().speedup();
         // §6.1: reduced by 3.6–58.7×.
         assert!((3.0..5.0).contains(&small), "7B speedup {small:.1}");
         assert!((45.0..70.0).contains(&big), "123B speedup {big:.1}");
@@ -160,7 +140,7 @@ mod tests {
 
     #[test]
     fn async_blocking_is_seconds_not_minutes() {
-        let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let e = CheckpointScenario::paper_123b();
         let b = e.blocking_secs(CheckpointMode::Asynchronous);
         assert!(b < 10.0, "async block {b:.1}s");
         let sync = e.blocking_secs(CheckpointMode::Synchronous);
@@ -169,7 +149,7 @@ mod tests {
 
     #[test]
     fn overhead_at_30min_interval() {
-        let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let e = CheckpointScenario::paper_123b();
         let sync = e.overhead_fraction(CheckpointMode::Synchronous, 1800.0);
         let async_ = e.overhead_fraction(CheckpointMode::Asynchronous, 1800.0);
         // Sync checkpointing costs ~10% of training; async well under 1%.
@@ -179,7 +159,7 @@ mod tests {
 
     #[test]
     fn durability_lags_blocking_for_async() {
-        let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let e = CheckpointScenario::paper_123b();
         assert!(
             e.durable_secs(CheckpointMode::Asynchronous)
                 > e.blocking_secs(CheckpointMode::Asynchronous)
@@ -208,7 +188,7 @@ mod tests {
 
     #[test]
     fn checkpoint_interval_sweep_is_monotone() {
-        let e = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let e = CheckpointScenario::paper_123b();
         let mut last = 1.0;
         for mins in [5.0, 15.0, 30.0, 60.0, 240.0] {
             let o = e.overhead_fraction(CheckpointMode::Synchronous, mins * 60.0);
@@ -232,7 +212,7 @@ mod tests {
 /// the corruption ([`DurabilityTracker::validation_secs`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityTracker {
-    engine: CheckpointEngine,
+    scenario: CheckpointScenario,
     mode: CheckpointMode,
     /// Checkpoint cadence, seconds.
     pub interval_secs: f64,
@@ -243,10 +223,10 @@ impl DurabilityTracker {
     ///
     /// # Panics
     /// Panics on a non-positive interval.
-    pub fn new(engine: CheckpointEngine, mode: CheckpointMode, interval_secs: f64) -> Self {
+    pub fn new(scenario: CheckpointScenario, mode: CheckpointMode, interval_secs: f64) -> Self {
         assert!(interval_secs > 0.0, "interval must be positive");
         DurabilityTracker {
-            engine,
+            scenario,
             mode,
             interval_secs,
         }
@@ -254,15 +234,15 @@ impl DurabilityTracker {
 
     /// Track checkpoints at the cadence a [`CheckpointChoice`] picks for
     /// the observed campaign conditions. The policy sees the deployment's
-    /// default interval, the engine's time-to-durable under `mode` (the δ
+    /// default interval, the scenario's time-to-durable under `mode` (the δ
     /// of the Young/Daly formula — what a checkpoint actually *costs*, not
     /// just its blocking stall), the observed MTTF and the cascade
     /// fraction.
     ///
-    /// `with_policy(engine, mode, &CheckpointChoice::Fixed, d, …)` is
-    /// exactly `new(engine, mode, d)` — the differential tests pin that.
+    /// `with_policy(scenario, mode, &CheckpointChoice::Fixed, d, …)` is
+    /// exactly `new(scenario, mode, d)` — the differential tests pin that.
     pub fn with_policy(
-        engine: CheckpointEngine,
+        scenario: CheckpointScenario,
         mode: CheckpointMode,
         policy: &CheckpointChoice,
         default_interval_secs: f64,
@@ -271,11 +251,11 @@ impl DurabilityTracker {
     ) -> Self {
         let ctx = CheckpointContext {
             default_secs: default_interval_secs,
-            checkpoint_cost_secs: engine.durable_secs(mode),
+            checkpoint_cost_secs: scenario.durable_secs(mode),
             mttf_secs,
             cascade_fraction,
         };
-        Self::new(engine, mode, policy.interval_secs(&ctx))
+        Self::new(scenario, mode, policy.interval_secs(&ctx))
     }
 
     /// The training-time position (seconds since run start) of the newest
@@ -283,7 +263,7 @@ impl DurabilityTracker {
     /// when nothing is durable yet (restart from the run's beginning).
     pub fn durable_position_at(&self, t: f64) -> f64 {
         assert!(t >= 0.0, "time cannot be negative");
-        let lag = self.engine.durable_secs(self.mode);
+        let lag = self.scenario.durable_secs(self.mode);
         // Checkpoint k is taken at k·interval and durable at k·interval+lag.
         let k = ((t - lag) / self.interval_secs).floor();
         if k < 1.0 {
@@ -301,8 +281,7 @@ impl DurabilityTracker {
     /// Seconds a validation re-read of one checkpoint takes: every shard
     /// is read back at the same contended remote bandwidth that wrote it.
     pub fn validation_secs(&self) -> f64 {
-        let s = self.engine.scenario();
-        s.shard_gb() / s.remote_gbps_per_writer
+        self.scenario.shard_gb() / self.scenario.remote_gbps_per_writer
     }
 
     /// One generation back from `position`: where recovery lands when the
@@ -330,11 +309,7 @@ mod durability_tests {
     use super::*;
 
     fn tracker(mode: CheckpointMode) -> DurabilityTracker {
-        DurabilityTracker::new(
-            CheckpointEngine::new(CheckpointScenario::paper_123b()),
-            mode,
-            1800.0,
-        )
+        DurabilityTracker::new(CheckpointScenario::paper_123b(), mode, 1800.0)
     }
 
     #[test]
@@ -348,10 +323,10 @@ mod durability_tests {
     fn fixed_policy_reproduces_the_plain_constructor() {
         // The differential guarantee for the policy hook: a Fixed policy
         // is byte-identical to `new` at the same interval.
-        let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
-        let direct = DurabilityTracker::new(engine, CheckpointMode::Asynchronous, 1800.0);
+        let scenario = CheckpointScenario::paper_123b();
+        let direct = DurabilityTracker::new(scenario, CheckpointMode::Asynchronous, 1800.0);
         let via_policy = DurabilityTracker::with_policy(
-            engine,
+            scenario,
             CheckpointMode::Asynchronous,
             &CheckpointChoice::Fixed,
             1800.0,
@@ -371,10 +346,10 @@ mod durability_tests {
     fn young_daly_policy_sees_the_durable_cost() {
         // δ must be the time-to-durable (what a checkpoint costs), not the
         // 3.3 s blocking stall — the whole interval tradeoff hinges on it.
-        let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
-        let delta = engine.durable_secs(CheckpointMode::Asynchronous);
+        let scenario = CheckpointScenario::paper_123b();
+        let delta = scenario.durable_secs(CheckpointMode::Asynchronous);
         let t = DurabilityTracker::with_policy(
-            engine,
+            scenario,
             CheckpointMode::Asynchronous,
             &CheckpointChoice::YoungDaly,
             1800.0,
@@ -392,9 +367,9 @@ mod durability_tests {
 
     #[test]
     fn adaptive_policy_halves_under_cascades() {
-        let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
+        let scenario = CheckpointScenario::paper_123b();
         let stormy = DurabilityTracker::with_policy(
-            engine,
+            scenario,
             CheckpointMode::Asynchronous,
             &CheckpointChoice::Adaptive,
             1800.0,
@@ -403,7 +378,7 @@ mod durability_tests {
         );
         assert_eq!(stormy.interval_secs, 900.0);
         let calm = DurabilityTracker::with_policy(
-            engine,
+            scenario,
             CheckpointMode::Asynchronous,
             &CheckpointChoice::Adaptive,
             1800.0,
@@ -416,7 +391,7 @@ mod durability_tests {
     #[test]
     fn async_durability_lags_the_snapshot() {
         let t = tracker(CheckpointMode::Asynchronous);
-        let lag = t.engine.durable_secs(CheckpointMode::Asynchronous);
+        let lag = t.scenario.durable_secs(CheckpointMode::Asynchronous);
         assert!(lag > 60.0, "123B persists for minutes: {lag:.0}s");
         // Just after the k=2 checkpoint is taken, only k=1 is durable.
         let just_after = 2.0 * 1800.0 + 1.0;
@@ -428,7 +403,7 @@ mod durability_tests {
     #[test]
     fn sync_durability_is_immediate() {
         let t = tracker(CheckpointMode::Synchronous);
-        let lag = t.engine.durable_secs(CheckpointMode::Synchronous);
+        let lag = t.scenario.durable_secs(CheckpointMode::Synchronous);
         assert_eq!(t.durable_position_at(2.0 * 1800.0 + lag + 1.0), 3600.0);
         // Before the (blocking) save completes, the previous one holds.
         assert_eq!(t.durable_position_at(2.0 * 1800.0 + 1.0), 1800.0);
@@ -437,7 +412,7 @@ mod durability_tests {
     #[test]
     fn loss_is_bounded_by_interval_plus_lag() {
         let t = tracker(CheckpointMode::Asynchronous);
-        let lag = t.engine.durable_secs(CheckpointMode::Asynchronous);
+        let lag = t.scenario.durable_secs(CheckpointMode::Asynchronous);
         for i in 0..200 {
             let at = 50_000.0 + i as f64 * 37.0;
             let loss = t.loss_at(at);
@@ -449,7 +424,7 @@ mod durability_tests {
     #[test]
     fn expected_loss_near_half_interval_plus_lag() {
         let t = tracker(CheckpointMode::Asynchronous);
-        let lag = t.engine.durable_secs(CheckpointMode::Asynchronous);
+        let lag = t.scenario.durable_secs(CheckpointMode::Asynchronous);
         let e = t.expected_loss();
         let ideal = 0.5 * 1800.0 + lag;
         assert!(
@@ -476,9 +451,9 @@ mod durability_tests {
 
     #[test]
     fn shorter_intervals_lose_less() {
-        let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
-        let coarse = DurabilityTracker::new(engine, CheckpointMode::Asynchronous, 7200.0);
-        let fine = DurabilityTracker::new(engine, CheckpointMode::Asynchronous, 900.0);
+        let scenario = CheckpointScenario::paper_123b();
+        let coarse = DurabilityTracker::new(scenario, CheckpointMode::Asynchronous, 7200.0);
+        let fine = DurabilityTracker::new(scenario, CheckpointMode::Asynchronous, 900.0);
         assert!(fine.expected_loss() < coarse.expected_loss() / 3.0);
     }
 }

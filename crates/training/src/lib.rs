@@ -32,7 +32,7 @@ pub mod model;
 pub mod parallelism;
 pub mod timeline;
 
-pub use checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
+pub use checkpoint::{CheckpointMode, CheckpointScenario};
 pub use loss::{LossCurve, SpikeDetector};
 pub use memory::{MemoryModel, MemorySnapshot};
 pub use model::ModelConfig;

@@ -1,6 +1,6 @@
 //! Property-based tests for the training models.
 
-use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario};
 use acme_training::{MemoryModel, ModelConfig, StepTimeline, Strategy};
 use proptest::prelude::*;
 
@@ -52,13 +52,12 @@ proptest! {
             remote_gbps_per_writer: remote,
             ..CheckpointScenario::paper_123b()
         };
-        let e = CheckpointEngine::new(scenario);
-        prop_assert!(e.speedup() > 1.0);
-        let o1 = e.overhead_fraction(CheckpointMode::Synchronous, 600.0);
-        let o2 = e.overhead_fraction(CheckpointMode::Synchronous, 1800.0);
+        prop_assert!(scenario.speedup() > 1.0);
+        let o1 = scenario.overhead_fraction(CheckpointMode::Synchronous, 600.0);
+        let o2 = scenario.overhead_fraction(CheckpointMode::Synchronous, 1800.0);
         prop_assert!(o2 < o1);
         for mode in [CheckpointMode::Synchronous, CheckpointMode::Asynchronous] {
-            prop_assert!(e.durable_secs(mode) >= e.blocking_secs(mode) - 1e-12);
+            prop_assert!(scenario.durable_secs(mode) >= scenario.blocking_secs(mode) - 1e-12);
         }
     }
 }

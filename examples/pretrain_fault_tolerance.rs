@@ -16,7 +16,7 @@ use acme_failure::{
     RecoveryManager,
 };
 use acme_sim_core::{SimDuration, SimRng};
-use acme_training::checkpoint::{CheckpointEngine, CheckpointMode, CheckpointScenario};
+use acme_training::checkpoint::{CheckpointMode, CheckpointScenario};
 
 fn main() {
     let horizon = SimDuration::from_days(21);
@@ -31,19 +31,19 @@ fn main() {
 
     // 1. Checkpointing: why the async engine matters.
     println!("-- asynchronous checkpointing (§6.1.1) --");
-    let engine = CheckpointEngine::new(CheckpointScenario::paper_123b());
-    let sync = engine.blocking_secs(CheckpointMode::Synchronous);
-    let async_ = engine.blocking_secs(CheckpointMode::Asynchronous);
+    let scenario = CheckpointScenario::paper_123b();
+    let sync = scenario.blocking_secs(CheckpointMode::Synchronous);
+    let async_ = scenario.blocking_secs(CheckpointMode::Asynchronous);
     println!(
         "  blocking per checkpoint: sync {:.0}s vs async {:.1}s  ({:.1}x reduction; paper: up to 58.7x)",
         sync,
         async_,
-        engine.speedup()
+        scenario.speedup()
     );
     println!(
         "  at a 30-min interval that is {:.1}% vs {:.2}% of training time\n",
-        engine.overhead_fraction(CheckpointMode::Synchronous, 1800.0) * 100.0,
-        engine.overhead_fraction(CheckpointMode::Asynchronous, 1800.0) * 100.0
+        scenario.overhead_fraction(CheckpointMode::Synchronous, 1800.0) * 100.0,
+        scenario.overhead_fraction(CheckpointMode::Asynchronous, 1800.0) * 100.0
     );
 
     // 2. Diagnosis + localization for one representative failure.

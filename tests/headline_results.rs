@@ -8,7 +8,7 @@ use acme_failure::taxonomy::{FailureCategory, FailureReason};
 use acme_failure::{DiagnosisPipeline, FailureInjector, LogBundle};
 use acme_sim_core::dist::Categorical;
 use acme_sim_core::SimRng;
-use acme_training::checkpoint::{CheckpointEngine, CheckpointScenario};
+use acme_training::checkpoint::CheckpointScenario;
 use acme_training::{ModelConfig, StepTimeline, Strategy};
 use acme_workload::stats::duration_cdf;
 use acme_workload::{TraceStats, WorkloadGenerator};
@@ -49,8 +49,8 @@ fn headline_kalos_resource_imbalance() {
 /// §6.1 — asynchronous checkpointing reduces blocking time by 3.6–58.7×.
 #[test]
 fn headline_checkpoint_speedup() {
-    let small = CheckpointEngine::new(CheckpointScenario::paper_7b()).speedup();
-    let big = CheckpointEngine::new(CheckpointScenario::paper_123b()).speedup();
+    let small = CheckpointScenario::paper_7b().speedup();
+    let big = CheckpointScenario::paper_123b().speedup();
     assert!((3.0..6.0).contains(&small), "7B speedup {small:.1}");
     assert!((45.0..70.0).contains(&big), "123B speedup {big:.1}");
 }
