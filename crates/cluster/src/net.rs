@@ -150,19 +150,6 @@ impl FatTree {
         pod * self.hosts_per_pod()..(pod + 1) * self.hosts_per_pod()
     }
 
-    /// If every node in `nodes` hangs off one edge switch — and the set
-    /// covers that switch completely — the fault domain is the switch, not
-    /// the nodes. This is the topology-aware reading of a two-round
-    /// localization result.
-    pub fn common_edge_domain(&self, nodes: &[u32]) -> Option<u32> {
-        let first = *nodes.first()?;
-        let edge = self.edge_of_host(first);
-        let domain = self.hosts_under_edge(edge);
-        let all_inside = nodes.iter().all(|&n| self.edge_of_host(n) == edge);
-        let covers = domain.clone().all(|h| nodes.contains(&h));
-        (all_inside && covers && nodes.len() == domain.len()).then_some(edge)
-    }
-
     // ---- directed link layout -----------------------------------------
     //
     // Block layout, in order: host→edge, edge→host, edge→agg, agg→edge,
@@ -757,15 +744,6 @@ mod tests {
         assert_eq!(t.route(0, 127, 9), t.route(0, 127, 9));
         let distinct: BTreeSet<Vec<LinkId>> = (0..32).map(|tag| t.route(0, 127, tag)).collect();
         assert!(distinct.len() > 1, "ECMP never spread across paths");
-    }
-
-    #[test]
-    fn common_edge_domain_recognizes_the_switch() {
-        let t = tree8();
-        assert_eq!(t.common_edge_domain(&[4, 5, 6, 7]), Some(1));
-        assert_eq!(t.common_edge_domain(&[4, 5, 6]), None, "incomplete domain");
-        assert_eq!(t.common_edge_domain(&[4, 5, 6, 8]), None, "spans edges");
-        assert_eq!(t.common_edge_domain(&[]), None);
     }
 
     #[test]

@@ -335,7 +335,7 @@ pub fn pipeline(p: RunParams) -> String {
 /// Thermally sensitive failure rates (NVLink, ECC) under normal cooling,
 /// the heat wave, and the post-upgrade configuration.
 pub fn thermal(seed: u64) -> String {
-    use crate::monitor::{ClusterMonitor, Metric};
+    use crate::monitor::{self, Metric};
     use acme_cluster::{ClusterSpec, ThermalModel};
     use acme_failure::FailureReason;
 
@@ -347,38 +347,60 @@ pub fn thermal(seed: u64) -> String {
         "mean failure-rate multiplier",
         "expected NVLink+ECC / week",
     ]);
-    for (name, model) in [
+    // One sweep serves every regime: the draws never read the cooling.
+    let mut rng = SimRng::new(seed).fork(701);
+    let samples = monitor::sample(&ClusterSpec::kalos(), &mut rng, 96, 4);
+    let powers = samples.values(Metric::GpuPowerW);
+    let regimes = [
         ("design point", ThermalModel::normal()),
         (
             "July 2023 heat wave (+5°C ambient)",
             ThermalModel::heat_wave(),
         ),
         ("after cooling upgrade", ThermalModel::upgraded_cooling()),
-    ] {
-        let mut rng = SimRng::new(seed).fork(701);
-        let samples = ClusterMonitor::new(ClusterSpec::kalos())
-            .with_thermal(model)
-            .sample(&mut rng, 96, 4);
-        let mem = samples.cdf(Metric::GpuMemTempC);
+    ];
+    let rates = regimes.map(|(name, model)| {
+        let mem = samples.cdf_of(Metric::GpuPowerW, |p| model.memory_temp_c(p));
         let hot_share = 1.0 - mem.fraction_le(65.0);
         // Average multiplier over the sampled power population.
-        let powers = samples.values(Metric::GpuPowerW);
         let mult = powers
             .iter()
             .map(|&p| model.failure_rate_multiplier(p))
             .sum::<f64>()
             / powers.len() as f64;
-        t.row([
-            name.to_owned(),
-            pct(hot_share),
-            f(mult, 2),
-            f(base_weekly * mult, 1),
-        ]);
+        let weekly = base_weekly * mult;
+        t.row([name.to_owned(), pct(hot_share), f(mult, 2), f(weekly, 1)]);
+        weekly
+    });
+    format!("{}{}", t.render(), thermal_claim(rates))
+}
+
+/// `thermal`'s closing sentence, from the expected NVLink+ECC failures
+/// per week at the design point, under the heat wave and after the
+/// upgrade. §5.2's story holds when the heat wave raises the rate and the
+/// upgrade brings it back below the heat wave's; otherwise the sentence
+/// prints the rates and names the claim that failed.
+fn thermal_claim([design, wave, upgraded]: [f64; 3]) -> String {
+    let mut failed = Vec::new();
+    if wave <= design {
+        failed.push("the heat wave does not raise the rate");
+    }
+    if upgraded >= wave {
+        failed.push("the cooling upgrade does not bring the rate back below the heat wave's");
+    }
+    if failed.is_empty() {
+        return "§5.2: 7B training under the heat wave drove NVLink/ECC failures up; the \
+                cooling upgrade 'led to a significant reduction in the frequency of such \
+                failures'\n"
+            .to_owned();
     }
     format!(
-        "{}§5.2: 7B training under the heat wave drove NVLink/ECC failures up; the cooling upgrade 'led to a significant reduction in the frequency of such failures'
-",
-        t.render()
+        "expected NVLink+ECC failures per week: {} at the design point, {} under the heat \
+         wave, {} after the upgrade; unlike §5.2, {}\n",
+        f(design, 1),
+        f(wave, 1),
+        f(upgraded, 1),
+        failed.join(", and ")
     )
 }
 
@@ -545,6 +567,29 @@ mod tests {
         let s = thermal(1);
         assert!(s.contains("heat wave"));
         assert!(s.contains("cooling upgrade"));
+    }
+
+    #[test]
+    fn thermal_claim_keeps_the_paper_sentence_when_both_claims_hold() {
+        assert!(thermal_claim([2.1, 2.6, 2.2]).starts_with("§5.2: 7B training under the heat wave"));
+    }
+
+    #[test]
+    fn thermal_claim_names_each_failed_claim_with_the_rates() {
+        assert_eq!(
+            thermal_claim([2.1, 2.1, 2.0]),
+            "expected NVLink+ECC failures per week: 2.1 at the design point, 2.1 under the \
+             heat wave, 2.0 after the upgrade; unlike §5.2, the heat wave does not raise the \
+             rate\n"
+        );
+        assert!(thermal_claim([2.1, 2.6, 2.6]).ends_with(
+            "unlike §5.2, the cooling upgrade does not bring the rate back below the heat \
+             wave's\n"
+        ));
+        assert!(thermal_claim([2.6, 2.1, 2.3]).ends_with(
+            "unlike §5.2, the heat wave does not raise the rate, and the cooling upgrade does \
+             not bring the rate back below the heat wave's\n"
+        ));
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Infrastructure experiments: Figures 7, 8, 9, 18, 21 and Appendix A.3.
 
 use acme_cluster::power::{cpu_server_w, CARBON_FREE_FRACTION, PUE, TCO2E_PER_MWH};
-use acme_cluster::{ClusterSpec, GpuActivity, HostMemoryBreakdown, ServerPowerBreakdown};
+use acme_cluster::{
+    ClusterSpec, GpuActivity, HostMemoryBreakdown, ServerPowerBreakdown, ThermalModel,
+};
 use acme_sim_core::SimRng;
 use acme_telemetry::table::{f, pct, render_quantiles};
 use acme_telemetry::{Cdf, Table};
 
-use crate::monitor::{ClusterMonitor, Metric, Samples};
+use crate::monitor::{self, Metric, Samples};
 
 const QS: [f64; 7] = [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99];
 
-fn both_clusters(seed: u64) -> (Samples, Samples) {
-    let mut s_rng = SimRng::new(seed).fork(301);
-    let mut k_rng = SimRng::new(seed).fork(302);
-    let seren = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut s_rng, 96, 6);
-    let kalos = ClusterMonitor::new(ClusterSpec::kalos()).sample(&mut k_rng, 96, 6);
-    (seren, kalos)
+/// One monitoring sweep of `spec`, 96 nodes × 6 rounds, on the seed's
+/// `fork` stream.
+fn sweep(spec: &ClusterSpec, seed: u64, fork: u64) -> Samples {
+    monitor::sample(spec, &mut SimRng::new(seed).fork(fork), 96, 6)
 }
 
 fn two_cluster_panel(title: &str, seren: &Cdf, kalos: &Cdf) -> String {
@@ -24,7 +24,8 @@ fn two_cluster_panel(title: &str, seren: &Cdf, kalos: &Cdf) -> String {
 
 /// Figure 7 — SM/TC activity, memory footprints, CPU and IB utilization.
 pub fn fig7(seed: u64) -> String {
-    let (seren, kalos) = both_clusters(seed);
+    let seren = sweep(&ClusterSpec::seren(), seed, 301);
+    let kalos = sweep(&ClusterSpec::kalos(), seed, 302);
     let mut out = String::new();
     let mut kalos_over_60gb = 0.0;
     for (title, m) in [
@@ -40,24 +41,25 @@ pub fn fig7(seed: u64) -> String {
             kalos_over_60gb = 1.0 - kc.fraction_le(60.0);
         }
     }
-    let ib_send = seren.cdf(Metric::IbSend);
-    let ib_recv = seren.cdf(Metric::IbRecv);
+    // The links are symmetric: one gauge fills both columns.
+    let ib = seren.cdf(Metric::IbSend);
     out.push_str(&render_quantiles(
         "(d) normalized IB bandwidth (Seren)",
-        &[("send", &ib_send), ("recv", &ib_recv)],
+        &[("send", &ib), ("recv", &ib)],
         &QS,
     ));
     out.push_str(&format!(
         "notes: Kalos GPUs >60GB: {}; Seren IB idle share: {}\n",
         pct(kalos_over_60gb),
-        pct(ib_send.fraction_le(0.001)),
+        pct(ib.fraction_le(0.001)),
     ));
     out
 }
 
 /// Figure 8 — GPU power and server power CDFs.
 pub fn fig8(seed: u64) -> String {
-    let (seren, kalos) = both_clusters(seed);
+    let seren = sweep(&ClusterSpec::seren(), seed, 301);
+    let kalos = sweep(&ClusterSpec::kalos(), seed, 302);
     let (sc, kc) = (seren.cdf(Metric::GpuPowerW), kalos.cdf(Metric::GpuPowerW));
     let mut out = two_cluster_panel("(a) GPU power (W)", &sc, &kc);
     let over_tdp = |c: &Cdf| 1.0 - c.fraction_le(400.0);
@@ -121,9 +123,10 @@ pub fn fig18(_seed: u64) -> String {
 
 /// Figure 21 — GPU core and memory temperature CDFs.
 pub fn fig21(seed: u64) -> String {
-    let (seren, _) = both_clusters(seed);
-    let core = seren.cdf(Metric::GpuTempC);
-    let mem = seren.cdf(Metric::GpuMemTempC);
+    let seren = sweep(&ClusterSpec::seren(), seed, 301);
+    let thermal = ThermalModel::normal();
+    let core = seren.cdf_of(Metric::GpuPowerW, |p| thermal.core_temp_c(p));
+    let mem = seren.cdf_of(Metric::GpuPowerW, |p| thermal.memory_temp_c(p));
     let mut out = render_quantiles(
         "GPU temperature (°C)",
         &[("core", &core), ("memory", &mem)],
@@ -138,13 +141,11 @@ pub fn fig21(seed: u64) -> String {
 
 /// Appendix A.3 — energy and carbon accounting for Seren.
 pub fn carbon(seed: u64) -> String {
-    let mut rng = SimRng::new(seed).fork(303);
-    let samples = ClusterMonitor::new(ClusterSpec::seren()).sample(&mut rng, 96, 6);
+    let samples = sweep(&ClusterSpec::seren(), seed, 303);
     let mean_server_w = samples.cdf(Metric::ServerPowerW).mean();
     let nodes = ClusterSpec::seren().nodes as f64;
     // One month of wall time.
     let monthly_mwh = mean_server_w * nodes * 730.0 / 1e9 * 1e3; // W→MW × hours
-    let paper = 673.0;
     format!(
         "mean GPU-server power: {:.0} W\nestimated Seren monthly energy: {:.0} MWh (paper: ~673 MWh in May 2023)\n\
          effective emissions at 0.478 tCO2e/MWh: {:.1} tCO2e (paper: 321.7)\n\
@@ -153,7 +154,7 @@ pub fn carbon(seed: u64) -> String {
         monthly_mwh,
         monthly_mwh * TCO2E_PER_MWH,
         PUE,
-        paper * PUE,
+        monthly_mwh * PUE,
         pct(CARBON_FREE_FRACTION),
     )
 }
@@ -206,19 +207,33 @@ mod tests {
         assert!(s.contains("65°C"));
     }
 
+    /// The first number on the line of `s` that contains `needle`.
+    fn number_on(s: &str, needle: &str) -> f64 {
+        s.lines()
+            .find(|l| l.contains(needle))
+            .and_then(|l| l.split_whitespace().find_map(|w| w.parse().ok()))
+            .unwrap_or_else(|| panic!("no number on the {needle:?} line"))
+    }
+
     #[test]
     fn carbon_lands_near_appendix_a3() {
         let s = carbon(3);
         assert!(s.contains("MWh"));
-        // Extract the estimated monthly energy and check the ballpark.
-        let line = s
-            .lines()
-            .find(|l| l.contains("estimated Seren monthly"))
-            .unwrap();
-        let mwh: f64 = line
-            .split_whitespace()
-            .find_map(|w| w.parse::<f64>().ok())
-            .unwrap();
+        let mwh = number_on(&s, "estimated Seren monthly");
         assert!((450.0..950.0).contains(&mwh), "estimated {mwh} MWh");
+    }
+
+    #[test]
+    fn carbon_facility_energy_is_the_estimate_times_pue() {
+        for seed in [3, 42] {
+            let s = carbon(seed);
+            let estimate = number_on(&s, "estimated Seren monthly");
+            let facility = number_on(&s, "facility energy");
+            // Both lines round to the MWh.
+            assert!(
+                (facility - estimate * PUE).abs() <= 0.5 * PUE + 0.5,
+                "facility {facility} MWh vs {estimate} MWh × PUE {PUE}"
+            );
+        }
     }
 }

@@ -40,7 +40,6 @@ pub mod progress;
 pub mod storm;
 
 pub use datacenter::{Acme, AcmeTrace};
-pub use monitor::ClusterMonitor;
 pub use netstorm::{NetStormOutcome, NetStormRunner};
 pub use pipeline::{DevelopmentPipeline, FaultTolerantTrainer};
 pub use storm::{StormOutcome, StormPolicy, StormRunner};

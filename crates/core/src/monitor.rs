@@ -12,14 +12,18 @@
 //! * in Kalos, half the GPUs hold > 60 GB (75%) of framebuffer (Figure 7b);
 //! * host CPUs and memory far under-utilized; Seren's IB NICs idle > 60%
 //!   of the time and rarely beyond 25% of line rate (Figure 7c/d).
+//!
+//! GPU temperatures are not stored: they are a function of the sampled
+//! power under a cooling scenario ([`acme_cluster::ThermalModel`]), which
+//! each reader picks and maps through [`Samples::cdf_of`].
 
-use acme_cluster::{ClusterSpec, GpuActivity, ServerPowerBreakdown, ThermalModel};
+use acme_cluster::{ClusterSpec, GpuActivity, ServerPowerBreakdown};
 use acme_sim_core::dist::Categorical;
 use acme_sim_core::SimRng;
 use acme_telemetry::Cdf;
 
 /// One monitored gauge, named after the DCGM / IPMI field it mirrors. The
-/// first six are sampled per GPU, the rest per node.
+/// first four are sampled per GPU, the rest per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// `PROF_SM_ACTIVE`: streaming-multiprocessor activity fraction (0–1).
@@ -30,48 +34,40 @@ pub enum Metric {
     FbUsedGb,
     /// `DEV_POWER_USAGE`: GPU power draw, W.
     GpuPowerW,
-    /// `DEV_GPU_TEMP`: GPU core temperature, °C.
-    GpuTempC,
-    /// `DEV_MEMORY_TEMP`: GPU memory temperature, °C.
-    GpuMemTempC,
     /// `HOST_CPU_UTIL`: host CPU utilization fraction (0–1).
     CpuUtil,
     /// `HOST_MEM_USED`: host memory used, GB.
     HostMemGb,
     /// `IB_SEND_NORM`: IB HCA send bandwidth, normalized 0–1 of line rate.
+    /// The links are symmetric, so it is the receive bandwidth too.
     IbSend,
-    /// `IB_RECV_NORM`: IB HCA receive bandwidth, normalized 0–1 of line rate.
-    IbRecv,
     /// `IPMI_SERVER_POWER`: whole-server power, W.
     ServerPowerW,
 }
 
 impl Metric {
     /// Every metric, in declaration (and storage) order.
-    const ALL: [Metric; 11] = [
+    const ALL: [Metric; 8] = [
         Metric::SmActive,
         Metric::TensorActive,
         Metric::FbUsedGb,
         Metric::GpuPowerW,
-        Metric::GpuTempC,
-        Metric::GpuMemTempC,
         Metric::CpuUtil,
         Metric::HostMemGb,
         Metric::IbSend,
-        Metric::IbRecv,
         Metric::ServerPowerW,
     ];
 
     /// Sampled once per GPU rather than once per node.
     fn per_gpu(self) -> bool {
-        (self as usize) <= Metric::GpuMemTempC as usize
+        (self as usize) <= Metric::GpuPowerW as usize
     }
 }
 
-/// What one [`ClusterMonitor::sample`] call observed: one vector per
-/// [`Metric`], entity-major. A sample sits at `entity × rounds + round`,
-/// where the entity is the GPU (`node × gpus_per_node + gpu`) for per-GPU
-/// metrics and the node for per-node ones.
+/// What one [`sample`] call observed: one vector per [`Metric`],
+/// entity-major. A sample sits at `entity × rounds + round`, where the
+/// entity is the GPU (`node × gpus_per_node + gpu`) for per-GPU metrics
+/// and the node for per-node ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Samples {
     by_metric: [Vec<f64>; Metric::ALL.len()],
@@ -85,7 +81,13 @@ impl Samples {
 
     /// Empirical CDF of every sample of `metric`.
     pub fn cdf(&self, metric: Metric) -> Cdf {
-        Cdf::from_samples(self.values(metric).to_vec())
+        self.cdf_of(metric, |v| v)
+    }
+
+    /// Empirical CDF of `f` over every sample of `metric`: a temperature
+    /// of each `GpuPowerW` sample under a cooling scenario, say.
+    pub fn cdf_of(&self, metric: Metric, f: impl Fn(f64) -> f64) -> Cdf {
+        Cdf::from_samples(self.values(metric).iter().map(|&v| f(v)).collect())
             .expect("sample draws at least one round of one node")
     }
 }
@@ -132,143 +134,112 @@ impl GpuMixture {
     }
 }
 
-/// Samples cluster state into one vector per metric.
-#[derive(Debug)]
-pub struct ClusterMonitor {
-    spec: ClusterSpec,
-    thermal: ThermalModel,
+/// Sample `rounds` monitoring sweeps of `spec`, 15 s apart, over
+/// `nodes_sampled` nodes. Each sweep records every GPU of every sampled
+/// node plus node-level CPU/memory/IB/power gauges.
+pub fn sample(spec: &ClusterSpec, rng: &mut SimRng, nodes_sampled: u32, rounds: u32) -> Samples {
+    assert!(nodes_sampled > 0 && rounds > 0, "need nodes and rounds");
+    let gpus = spec.node.gpus;
+    let node_samples = nodes_sampled as usize * rounds as usize;
+    let mut by_metric = Metric::ALL.map(|m| {
+        let per_entity = if m.per_gpu() { gpus as usize } else { 1 };
+        vec![0.0; node_samples * per_entity]
+    });
+    let mut put = |m: Metric, entity: u32, round: u32, value: f64| {
+        by_metric[m as usize][entity as usize * rounds as usize + round as usize] = value;
+    };
+    let mixture = GpuMixture::for_cluster(spec);
+    let picker = Categorical::new(&[mixture.idle, mixture.busy, mixture.peak]);
+    let kalos = spec.name == "Kalos";
+
+    for round in 0..rounds {
+        for node_idx in 0..nodes_sampled {
+            let mut busy_gpus = 0;
+            // The node's GPU watts, summed one GPU at a time as drawn.
+            let mut gpus_w = 0.0;
+            for g in 0..gpus {
+                let gpu_id = node_idx * gpus + g;
+                let state = match picker.sample_index(rng) {
+                    0 => GpuState::Idle,
+                    1 => GpuState::Busy,
+                    _ => GpuState::Peak,
+                };
+                let activity = draw_activity(state, kalos, rng);
+                if state != GpuState::Idle {
+                    busy_gpus += 1;
+                }
+                let p = spec.node.gpu.power_w(activity);
+                gpus_w += p;
+                put(Metric::SmActive, gpu_id, round, activity.sm_active);
+                put(Metric::TensorActive, gpu_id, round, activity.tensor_active);
+                put(Metric::FbUsedGb, gpu_id, round, activity.memory_used_gb);
+                put(Metric::GpuPowerW, gpu_id, round, p);
+            }
+
+            // Node-level gauges: 16 CPUs per GPU keeps hosts cool
+            // (Figure 7c); dataloaders scale with busy GPUs.
+            let cpu = (0.02 + 0.015 * busy_gpus as f64 + rng.f64() * 0.05).min(1.0);
+            put(Metric::CpuUtil, node_idx, round, cpu);
+
+            // Host memory: system + FS client + per-busy-GPU working
+            // set; far below 50% of either cluster's DRAM.
+            let host_gb = 48.0 + 14.0 * busy_gpus as f64 + rng.f64() * 40.0;
+            put(Metric::HostMemGb, node_idx, round, host_gb);
+
+            // IB: idle > 60% of samples, active share rarely past 25% of
+            // line rate (Figure 7d, Seren).
+            let ib = if rng.chance(0.62) {
+                0.0
+            } else {
+                let base = rng.f64().powi(2) * 0.25;
+                if rng.chance(0.03) {
+                    base + rng.f64() * 0.4
+                } else {
+                    base
+                }
+            };
+            put(Metric::IbSend, node_idx, round, ib);
+
+            // Whole-server power via IPMI.
+            let server_w = ServerPowerBreakdown::new(&spec.node, gpus_w, cpu).total_w();
+            put(Metric::ServerPowerW, node_idx, round, server_w);
+        }
+    }
+    Samples { by_metric }
 }
 
-impl ClusterMonitor {
-    /// A monitor for one cluster at the design-point cooling.
-    pub fn new(spec: ClusterSpec) -> Self {
-        ClusterMonitor {
-            spec,
-            thermal: ThermalModel::normal(),
-        }
-    }
-
-    /// Replace the thermal model (heat-wave / upgraded-cooling scenarios).
-    pub fn with_thermal(mut self, thermal: ThermalModel) -> Self {
-        self.thermal = thermal;
-        self
-    }
-
-    /// Sample `rounds` monitoring sweeps, 15 s apart, over `nodes_sampled`
-    /// nodes. Each sweep records every GPU of every sampled node plus
-    /// node-level CPU/memory/IB/power gauges.
-    pub fn sample(&self, rng: &mut SimRng, nodes_sampled: u32, rounds: u32) -> Samples {
-        assert!(nodes_sampled > 0 && rounds > 0, "need nodes and rounds");
-        let gpus = self.spec.node.gpus;
-        let node_samples = nodes_sampled as usize * rounds as usize;
-        let mut by_metric = Metric::ALL.map(|m| {
-            let per_entity = if m.per_gpu() { gpus as usize } else { 1 };
-            vec![0.0; node_samples * per_entity]
-        });
-        let mut put = |m: Metric, entity: u32, round: u32, value: f64| {
-            by_metric[m as usize][entity as usize * rounds as usize + round as usize] = value;
-        };
-        let mixture = GpuMixture::for_cluster(&self.spec);
-        let picker = Categorical::new(&[mixture.idle, mixture.busy, mixture.peak]);
-        let kalos = self.spec.name == "Kalos";
-
-        for round in 0..rounds {
-            for node_idx in 0..nodes_sampled {
-                let mut busy_gpus = 0;
-                // The node's GPU watts, summed one GPU at a time as drawn.
-                let mut gpus_w = 0.0;
-                for g in 0..gpus {
-                    let gpu_id = node_idx * gpus + g;
-                    let state = match picker.sample_index(rng) {
-                        0 => GpuState::Idle,
-                        1 => GpuState::Busy,
-                        _ => GpuState::Peak,
-                    };
-                    let activity = self.draw_activity(state, kalos, rng);
-                    if state != GpuState::Idle {
-                        busy_gpus += 1;
-                    }
-                    let p = self.spec.node.gpu.power_w(activity);
-                    gpus_w += p;
-                    put(Metric::SmActive, gpu_id, round, activity.sm_active);
-                    put(Metric::TensorActive, gpu_id, round, activity.tensor_active);
-                    put(Metric::FbUsedGb, gpu_id, round, activity.memory_used_gb);
-                    put(Metric::GpuPowerW, gpu_id, round, p);
-                    put(Metric::GpuTempC, gpu_id, round, self.thermal.core_temp_c(p));
-                    put(
-                        Metric::GpuMemTempC,
-                        gpu_id,
-                        round,
-                        self.thermal.memory_temp_c(p),
-                    );
-                }
-
-                // Node-level gauges: 16 CPUs per GPU keeps hosts cool
-                // (Figure 7c); dataloaders scale with busy GPUs.
-                let cpu = (0.02 + 0.015 * busy_gpus as f64 + rng.f64() * 0.05).min(1.0);
-                put(Metric::CpuUtil, node_idx, round, cpu);
-
-                // Host memory: system + FS client + per-busy-GPU working
-                // set; far below 50% of either cluster's DRAM.
-                let host_gb = 48.0 + 14.0 * busy_gpus as f64 + rng.f64() * 40.0;
-                put(Metric::HostMemGb, node_idx, round, host_gb);
-
-                // IB: symmetric; idle > 60% of samples, active share rarely
-                // past 25% of line rate (Figure 7d, Seren).
-                let ib = if rng.chance(0.62) {
-                    0.0
+fn draw_activity(state: GpuState, kalos: bool, rng: &mut SimRng) -> GpuActivity {
+    match state {
+        GpuState::Idle => GpuActivity {
+            sm_active: rng.f64() * 0.01,
+            tensor_active: 0.0,
+            memory_used_gb: rng.f64() * 2.0,
+        },
+        GpuState::Busy => {
+            let sm = rng.range_f64(0.25, 0.75);
+            let mem = if kalos {
+                // Kalos: 50% of all GPUs above 60 GB → most busy GPUs
+                // sit high in the framebuffer.
+                if rng.chance(0.72) {
+                    rng.range_f64(60.0, 79.0)
                 } else {
-                    let base = rng.f64().powi(2) * 0.25;
-                    if rng.chance(0.03) {
-                        base + rng.f64() * 0.4
-                    } else {
-                        base
-                    }
-                };
-                put(Metric::IbSend, node_idx, round, ib);
-                put(Metric::IbRecv, node_idx, round, ib);
-
-                // Whole-server power via IPMI.
-                let server_w = ServerPowerBreakdown::new(&self.spec.node, gpus_w, cpu).total_w();
-                put(Metric::ServerPowerW, node_idx, round, server_w);
+                    rng.range_f64(15.0, 60.0)
+                }
+            } else {
+                rng.range_f64(15.0, 75.0)
+            };
+            GpuActivity {
+                sm_active: sm,
+                tensor_active: sm * rng.range_f64(0.2, 0.6),
+                memory_used_gb: mem,
             }
         }
-        Samples { by_metric }
-    }
-
-    fn draw_activity(&self, state: GpuState, kalos: bool, rng: &mut SimRng) -> GpuActivity {
-        match state {
-            GpuState::Idle => GpuActivity {
-                sm_active: rng.f64() * 0.01,
-                tensor_active: 0.0,
-                memory_used_gb: rng.f64() * 2.0,
-            },
-            GpuState::Busy => {
-                let sm = rng.range_f64(0.25, 0.75);
-                let mem = if kalos {
-                    // Kalos: 50% of all GPUs above 60 GB → most busy GPUs
-                    // sit high in the framebuffer.
-                    if rng.chance(0.72) {
-                        rng.range_f64(60.0, 79.0)
-                    } else {
-                        rng.range_f64(15.0, 60.0)
-                    }
-                } else {
-                    rng.range_f64(15.0, 75.0)
-                };
-                GpuActivity {
-                    sm_active: sm,
-                    tensor_active: sm * rng.range_f64(0.2, 0.6),
-                    memory_used_gb: mem,
-                }
-            }
-            GpuState::Peak => {
-                let sm = rng.range_f64(0.88, 1.0);
-                GpuActivity {
-                    sm_active: sm,
-                    tensor_active: rng.range_f64(0.35, 0.95).min(sm),
-                    memory_used_gb: rng.range_f64(60.0, 79.5),
-                }
+        GpuState::Peak => {
+            let sm = rng.range_f64(0.88, 1.0);
+            GpuActivity {
+                sm_active: sm,
+                tensor_active: rng.range_f64(0.35, 0.95).min(sm),
+                memory_used_gb: rng.range_f64(60.0, 79.5),
             }
         }
     }
@@ -277,10 +248,10 @@ impl ClusterMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acme_cluster::ThermalModel;
 
     fn sampled(spec: ClusterSpec, seed: u64) -> Samples {
-        let mut rng = SimRng::new(seed);
-        ClusterMonitor::new(spec).sample(&mut rng, 64, 8)
+        sample(&spec, &mut SimRng::new(seed), 64, 8)
     }
 
     #[test]
@@ -351,20 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn ib_send_and_recv_symmetric() {
-        let s = sampled(ClusterSpec::seren(), 6);
-        let send = s.cdf(Metric::IbSend);
-        let recv = s.cdf(Metric::IbRecv);
-        for q in [0.25, 0.5, 0.75, 0.9] {
-            assert!((send.quantile(q) - recv.quantile(q)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn temperatures_track_fig21() {
         let s = sampled(ClusterSpec::seren(), 7);
-        let core = s.cdf(Metric::GpuTempC);
-        let mem = s.cdf(Metric::GpuMemTempC);
+        let thermal = ThermalModel::normal();
+        let core = s.cdf_of(Metric::GpuPowerW, |p| thermal.core_temp_c(p));
+        let mem = s.cdf_of(Metric::GpuPowerW, |p| thermal.memory_temp_c(p));
         // Memory runs hotter than core at every quantile.
         for q in [0.1, 0.5, 0.9] {
             assert!(mem.quantile(q) > core.quantile(q));
@@ -377,19 +339,15 @@ mod tests {
 
     #[test]
     fn heat_wave_raises_overheat_share() {
-        let mut r1 = SimRng::new(8);
-        let mut r2 = SimRng::new(8);
-        let normal = ClusterMonitor::new(ClusterSpec::kalos()).sample(&mut r1, 64, 4);
-        let wave = ClusterMonitor::new(ClusterSpec::kalos())
-            .with_thermal(ThermalModel::heat_wave())
-            .sample(&mut r2, 64, 4);
-        let hot = |s: &Samples| 1.0 - s.cdf(Metric::GpuMemTempC).fraction_le(65.0);
-        assert!(
-            hot(&wave) > hot(&normal) + 0.05,
-            "wave {:.2} vs normal {:.2}",
-            hot(&wave),
-            hot(&normal)
-        );
+        // One sweep: the draws never read the cooling.
+        let s = sample(&ClusterSpec::kalos(), &mut SimRng::new(8), 64, 4);
+        let hot = |m: ThermalModel| {
+            1.0 - s
+                .cdf_of(Metric::GpuPowerW, |p| m.memory_temp_c(p))
+                .fraction_le(65.0)
+        };
+        let (normal, wave) = (hot(ThermalModel::normal()), hot(ThermalModel::heat_wave()));
+        assert!(wave > normal + 0.05, "wave {wave:.2} vs normal {normal:.2}");
     }
 
     #[test]
@@ -404,10 +362,10 @@ mod tests {
 
     #[test]
     fn deterministic_sampling() {
+        let spec = ClusterSpec::seren();
         let mut a = SimRng::new(10);
         let mut b = SimRng::new(10);
-        let m = ClusterMonitor::new(ClusterSpec::seren());
-        assert_eq!(m.sample(&mut a, 8, 2), m.sample(&mut b, 8, 2));
+        assert_eq!(sample(&spec, &mut a, 8, 2), sample(&spec, &mut b, 8, 2));
     }
 
     #[test]
@@ -415,9 +373,9 @@ mod tests {
         // Round 0 draws first, so a one-round sweep equals round 0 of a
         // two-round sweep from the same seed: each entity's samples sit
         // together, at `entity × rounds + round`.
-        let m = ClusterMonitor::new(ClusterSpec::kalos());
-        let one = m.sample(&mut SimRng::new(11), 8, 1);
-        let two = m.sample(&mut SimRng::new(11), 8, 2);
+        let spec = ClusterSpec::kalos();
+        let one = sample(&spec, &mut SimRng::new(11), 8, 1);
+        let two = sample(&spec, &mut SimRng::new(11), 8, 2);
         for metric in Metric::ALL {
             let entities = if metric.per_gpu() { 64 } else { 8 };
             assert_eq!(one.values(metric).len(), entities);

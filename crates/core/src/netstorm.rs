@@ -20,11 +20,12 @@
 //!   topology-aware arm rides it out degraded, the others burn restarts
 //!   or pages on a "failure" that no probe will ever localize.
 //!
-//! The two-round localization probes run through
-//! [`acme_failure::NcclTester`] and are priced over the *live* fabric
+//! The two-round localization probes are priced over the *live* fabric
 //! ([`NetFabric::collective_secs`]); probe worlds that cross dead links
-//! hit the NCCL timeout instead of completing. A primary costs the same
-//! under every arm (diagnose + restart + rollback, no rng), so the
+//! hit the NCCL timeout instead of completing. No tester runs: the
+//! probes behind a dead ToR name exactly its stranded domain, as
+//! `detect`'s tests hold the two-round NCCL test to. A primary costs the
+//! same under every arm (diagnose + restart + rollback, no rng), so the
 //! three-arm ablation isolates exactly the network dimension of recovery.
 //! Everything is a pure function of (campaign, policy, rng).
 //!
@@ -43,13 +44,11 @@
 //! the diagnosis where the arm diagnoses, localize the probe rounds,
 //! restart everything else.
 
-use std::collections::BTreeSet;
-
 use acme_cluster::comm::Collective;
 use acme_cluster::net::{NetConfig, NetFabric};
 use acme_cluster::FabricSpec;
 use acme_failure::storm::{NetFault, StormCampaign};
-use acme_failure::{FailureReason, NcclTester, OrchestratorConfig, RecoveryOrchestrator};
+use acme_failure::{FailureReason, OrchestratorConfig, RecoveryOrchestrator};
 use acme_obs::Rec;
 use acme_policy::NetRecoveryPolicy;
 use acme_sim_core::{SimDuration, SimRng};
@@ -171,7 +170,6 @@ impl NetStormRunner {
         let healthy_step = step_secs(&fabric);
 
         let mut orch = RecoveryOrchestrator::new(OrchestratorConfig::production());
-        let tester = NcclTester::new(tree_hosts as usize);
 
         let mut out = NetStormOutcome {
             ledger: Ledger::new(campaign.horizon),
@@ -248,15 +246,6 @@ impl NetStormRunner {
             // the whole fleet.
             let world = stranded.as_deref().unwrap_or(&hosts);
             let probe = || Self::probe_round_secs(&fabric, world);
-            let locate = || -> Vec<u32> {
-                let faulty: BTreeSet<usize> = world.iter().map(|&h| h as usize).collect();
-                tester
-                    .run(&faulty)
-                    .identified
-                    .iter()
-                    .map(|&n| n as u32)
-                    .collect()
-            };
             // Naive: after diagnosis, restart into the fault until the
             // on-call is paged.
             let crash_loop = |refail: SimDuration| (refail + RESTART) * u64::from(NAIVE_LOOP_LIMIT);
@@ -309,20 +298,15 @@ impl NetStormRunner {
                 // tree maps the failing worlds onto ONE fault domain.
                 // Drain the switch — one action — and restart at reduced
                 // width.
-                (NetFault::EdgeSwitchFail { edge }, NetRecoveryPolicy::TopologyAware) => {
-                    let located = locate();
-                    debug_assert_eq!(
-                        fabric.tree().common_edge_domain(&located),
-                        Some(edge % edges)
-                    );
-                    orch.mark_domain_cordoned(&located);
+                (NetFault::EdgeSwitchFail { .. }, NetRecoveryPolicy::TopologyAware) => {
+                    orch.mark_domain_cordoned(world);
                     ([DIAGNOSE, probe(), RESTART], 1, 0, false, true)
                 }
                 // Topology-blind: the two-round sweep correctly names
                 // every stranded node, then cordons them one by one — k/2
                 // actions for one dead switch.
                 (NetFault::EdgeSwitchFail { .. }, NetRecoveryPolicy::TopologyBlind) => {
-                    for n in locate() {
+                    for &n in world {
                         orch.mark_cordoned(n);
                     }
                     ([DIAGNOSE, probe() * 2, RESTART], 1, 0, false, true)

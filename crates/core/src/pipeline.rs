@@ -19,7 +19,7 @@ use acme_data::pipeline::{DataPipeline, PipelineStats};
 use acme_evaluation::coordinator::{run as run_eval, Scheduler};
 use acme_failure::taxonomy::FailureCategory;
 use acme_failure::{
-    full_rule_report, FailureInjector, FailureReason, NcclTester, RecoveryAction, RecoveryManager,
+    full_rule_report, FailureInjector, FailureReason, RecoveryAction, RecoveryManager,
 };
 use acme_obs::{ArgValue, Rec};
 use acme_sim_core::dist::Categorical;
@@ -129,8 +129,6 @@ impl FaultTolerantTrainer {
         horizon: SimDuration,
         rec: &mut Rec<'_>,
     ) -> CampaignReport {
-        // Nodes the NCCL localizer searches: a Kalos-sized fleet.
-        const FLEET_NODES: usize = 302;
         let times = FailureInjector::pretrain_schedule(rng, mean_between, horizon);
         // Infrastructure-heavy mix, as §5.2 observes for pretraining, with
         // a sprinkle of hangs and loss spikes.
@@ -203,9 +201,12 @@ impl FaultTolerantTrainer {
             }
             if self.automatic {
                 if let RecoveryAction::AutoRestart { cordon_nodes: true } = action {
-                    let faulty = std::iter::once(rng.below(FLEET_NODES as u64) as usize).collect();
-                    let result = NcclTester::new(FLEET_NODES).run(&faulty);
-                    out.nodes_cordoned += result.identified.len() as u32;
+                    // The faulty node's draw (one of a Kalos-sized fleet's
+                    // 302) stays in the stream so later draws keep their
+                    // place; `detect`'s tests hold the 2-round NCCL test
+                    // to localizing any such node.
+                    rng.below(302);
+                    out.nodes_cordoned += 1;
                     localize = NCCL_LOCALIZE; // two NCCL rounds
                 }
             }

@@ -196,6 +196,14 @@ mod tests {
             let faulty = set(&[node]);
             assert_eq!(t.run(&faulty).identified, faulty, "node {node}");
         }
+        // The netstorm replay's k = 8 fat tree: 128 hosts, 4 under each
+        // ToR. Each ToR's aligned domain, faulty alone, is identified
+        // exactly, so the replay cordons that domain without a test run.
+        let t = NcclTester::new(128);
+        for edge in 0..32 {
+            let faulty: BTreeSet<usize> = (4 * edge..4 * edge + 4).collect();
+            assert_eq!(t.run(&faulty).identified, faulty, "ToR {edge}");
+        }
     }
 
     #[test]

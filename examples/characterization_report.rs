@@ -6,8 +6,7 @@
 //! ```
 
 use acme::datacenter::Acme;
-use acme::monitor::{ClusterMonitor, Metric};
-use acme_cluster::ClusterSpec;
+use acme::monitor::{self, Metric};
 use acme_workload::stats::duration_cdf;
 use acme_workload::{JobStatus, TraceStats};
 
@@ -65,12 +64,7 @@ fn main() {
 
         // Infrastructure snapshot.
         let mut rng = acme.rng(if spec.name == "Seren" { 71 } else { 72 });
-        let samples = ClusterMonitor::new(if spec.name == "Seren" {
-            ClusterSpec::seren()
-        } else {
-            ClusterSpec::kalos()
-        })
-        .sample(&mut rng, 64, 4);
+        let samples = monitor::sample(spec, &mut rng, 64, 4);
         let sm = samples.cdf(Metric::SmActive);
         let power = samples.cdf(Metric::GpuPowerW);
         let mem = samples.cdf(Metric::FbUsedGb);
